@@ -69,27 +69,6 @@ class EvaluationPlan:
         if list(self.exponents) != sorted(set(self.exponents)):
             raise ParameterError("exponents must be strictly increasing")
 
-    def to_text(self) -> str:
-        return (
-            f"p={self.field.p}\n"
-            f"points={','.join(str(x) for x in self.points)}\n"
-            f"J={','.join(str(j) for j in self.exponents)}\n"
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "EvaluationPlan":
-        fields = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            fields[key] = value
-        try:
-            p = int(fields["p"])
-            points = tuple(int(x) for x in fields["points"].split(","))
-            exponents = tuple(int(x) for x in fields["J"].split(","))
-        except (KeyError, ValueError) as exc:
-            raise ParameterError(f"malformed plan text: {exc}") from exc
-        return cls(PrimeFieldSpec(p), points, exponents)
-
 
 @dataclass(frozen=True)
 class MaskSet:
@@ -140,17 +119,13 @@ def _mask_power_matrix(p: int, points, mask_exponents) -> FieldMatrix:
     return FieldMatrix(len(mask_exponents), len(points), entries)
 
 
-def _plan_conditions(
-    code: PolynomialCode, plan: EvaluationPlan, mds_samples: int | None = None
-) -> bool:
+def _plan_conditions(code: PolynomialCode, plan: EvaluationPlan) -> bool:
     p = plan.field.p
     if gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) == 0:
         return False
     p_matrix = _mask_power_matrix(p, plan.points, code.alpha_masks)
     q_matrix = _mask_power_matrix(p, plan.points, code.beta_masks)
-    return gf.is_mds(p, p_matrix, samples=mds_samples) and gf.is_mds(
-        p, q_matrix, samples=mds_samples
-    )
+    return gf.is_mds(p, p_matrix) and gf.is_mds(p, q_matrix)
 
 
 def find_evaluation_plan(
@@ -159,11 +134,12 @@ def find_evaluation_plan(
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     points: tuple[int, ...] | None = None,
-    mds_samples: int | None = None,
 ) -> EvaluationPlan:
     """Find (or verify) N distinct nonzero points passing all conditions.
 
-    Sampling is rejection-based and reproducible from ``seed``.  Passing
+    Candidate points are drawn by rejection, reproducibly from ``seed``,
+    and each is checked in full: the generalized Vandermonde determinant
+    and every maximal minor of both mask power matrices.  Passing
     ``points`` skips the search and verifies that exact assignment,
     raising :class:`PlanVerificationError` if it fails.
     """
@@ -178,7 +154,7 @@ def find_evaluation_plan(
         plan = EvaluationPlan(field, tuple(x % field.p for x in points), exponents)
         if len(set(plan.points)) != n:
             raise PlanVerificationError("points must be distinct")
-        if not _plan_conditions(code, plan, mds_samples):
+        if not _plan_conditions(code, plan):
             raise PlanVerificationError("supplied points fail the plan conditions")
         return plan
 
@@ -186,9 +162,14 @@ def find_evaluation_plan(
     for _ in range(max_attempts):
         candidate = tuple(rng.sample(range(1, field.p), n))
         plan = EvaluationPlan(field, candidate, exponents)
-        if _plan_conditions(code, plan, mds_samples):
+        if _plan_conditions(code, plan):
             return plan
     raise PlanSearchError(max_attempts)
+
+
+def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
+    if plan.exponents != code_exponents(code):
+        raise ParameterError("plan exponents do not match the code's term set")
 
 
 def _check_shapes(code: PolynomialCode, shapes: BlockShapes) -> None:
@@ -248,18 +229,16 @@ def encode(
     shapes: BlockShapes,
     seed: int = 0,
     masks: MaskSet | None = None,
-    with_masks: bool = False,
-):
+) -> ShareBundle:
     """Produce one masked share pair per server.
 
     Server n receives f(a_n) = sum_k A_k a_n^alpha[k] + sum_t R_t
     a_n^alpha[K+t] and the matching g(a_n).  Masks are drawn from a
     seeded uniform source unless injected via ``masks`` (for audits).
-    Returns the bundle alone, or (bundle, masks) when ``with_masks`` is
-    set; production callers should discard the masks.
     """
     p = plan.field.p
     params = code.params
+    _check_plan(code, plan)
     _check_shapes(code, shapes)
     _check_matrix("A", a, shapes.r, shapes.s, p)
     _check_matrix("B", b, shapes.s, shapes.t, p)
@@ -293,10 +272,7 @@ def encode(
         g_coeffs = [pow(point, e, p) for e in code.assignment.beta]
         f_shares.append(_combine(p, f_blocks, f_coeffs))
         g_shares.append(_combine(p, g_blocks, g_coeffs))
-    bundle = ShareBundle(plan.field, tuple(f_shares), tuple(g_shares))
-    if with_masks:
-        return bundle, masks
-    return bundle
+    return ShareBundle(plan.field, tuple(f_shares), tuple(g_shares))
 
 
 def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
@@ -320,6 +296,7 @@ def decode(
     """
     p = plan.field.p
     params = code.params
+    _check_plan(code, plan)
     _check_shapes(code, shapes)
     n = code.n_servers
     if len(responses) != n:

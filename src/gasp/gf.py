@@ -9,7 +9,6 @@ elimination with pivoting by first nonzero entry is all we need.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularMatrixError
@@ -68,28 +67,6 @@ class PrimeFieldSpec:
             raise ParameterError(f"modulus {self.p} is not prime")
 
 
-def add(p: int, a: int, b: int) -> int:
-    return (a + b) % p
-
-
-def sub(p: int, a: int, b: int) -> int:
-    return (a - b) % p
-
-
-def mul(p: int, a: int, b: int) -> int:
-    return a * b % p
-
-
-def inv(p: int, a: int) -> int:
-    if a % p == 0:
-        raise ZeroDivisionError("inverse of 0")
-    return pow(a, -1, p)
-
-
-def power(p: int, base: int, exp: int) -> int:
-    return pow(base, exp, p)
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
     """Immutable row-major matrix of residues."""
@@ -125,25 +102,6 @@ def matrix_from_rows(p: int, rows: list[list[int]] | tuple) -> FieldMatrix:
     if any(len(r) != cols for r in rows):
         raise ParameterError("ragged rows")
     return FieldMatrix(len(rows), cols, tuple(e % p for r in rows for e in r))
-
-
-def zeros(rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix(rows, cols, (0,) * (rows * cols))
-
-
-def identity(n: int) -> FieldMatrix:
-    return FieldMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-
-def mat_add(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ParameterError("shape mismatch in matrix addition")
-    return FieldMatrix(a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.entries, b.entries)))
-
-
-def mat_scale(p: int, c: int, a: FieldMatrix) -> FieldMatrix:
-    c %= p
-    return FieldMatrix(a.rows, a.cols, tuple(c * x % p for x in a.entries))
 
 
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -227,24 +185,16 @@ def solve(p: int, m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(n, rhs.cols, tuple(e % p for row in b for e in row))
 
 
-def is_mds(p: int, m: FieldMatrix, samples: int | None = None, seed: int = 0) -> bool:
+def is_mds(p: int, m: FieldMatrix) -> bool:
     """True iff every maximal (rows x rows) minor has nonzero determinant.
 
-    Full mode enumerates column subsets lexicographically.  With
-    ``samples`` set, only that many uniformly random subsets are checked
-    (seeded), for use when the full count is out of reach; full mode is
-    the default.
+    Enumerates every column subset, lexicographically; nothing is sampled.
     """
     t, n = m.rows, m.cols
     if t > n:
         raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
     rows = [m.row(i) for i in range(t)]
-    if samples is None:
-        subsets = itertools.combinations(range(n), t)
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(n), t))) for _ in range(samples))
-    for cols in subsets:
+    for cols in itertools.combinations(range(n), t):
         minor = FieldMatrix(t, t, tuple(rows[i][j] for i in range(t) for j in cols))
         if det(p, minor) == 0:
             return False

@@ -5,10 +5,11 @@ sufficient conditions (invertible generalized Vandermonde matrix, both
 mask power matrices MDS) from scratch, at any scale.  At tiny scale,
 ``exhaustive_privacy_audit`` checks the real thing: for every subset of
 colluding servers and every pair of secret inputs it enumerates all mask
-values and demands that the resulting multiset of observed shares be
-identical regardless of the secrets, i.e. that observations carry zero
-information.  Exact distribution equality is the strongest checkable
-statement, so nothing is sampled; oversized requests are refused.
+values, encodes each through ``codec.encode`` itself, and demands that the
+resulting multiset of observed shares be identical regardless of the
+secrets, i.e. that observations carry zero information.  Exact
+distribution equality is the strongest checkable statement, so nothing
+is sampled; oversized requests are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import codec, gf
-from .codec import BlockShapes, CostReport, EvaluationPlan, ShareBundle
+from .codec import BlockShapes, CostReport, EvaluationPlan, MaskSet, ShareBundle
 from .degree_table import SchemeParams
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .gf import FieldMatrix, PrimeFieldSpec
@@ -131,49 +132,6 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     )
 
 
-def _share_vectors(
-    p: int,
-    powers: list[list[int]],
-    data_blocks: tuple[tuple[int, ...], ...],
-    mask_blocks: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, ...], ...]:
-    # One flat share vector per server: sum of blocks scaled by the
-    # server's precomputed exponent powers.
-    blocks = data_blocks + mask_blocks
-    size = len(blocks[0])
-    shares = []
-    for server_powers in powers:
-        acc = [0] * size
-        for coeff, block in zip(server_powers, blocks):
-            if coeff:
-                for idx in range(size):
-                    acc[idx] = (acc[idx] + coeff * block[idx]) % p
-        shares.append(tuple(acc))
-    return tuple(shares)
-
-
-def _split_flat(flat: tuple[int, ...], count: int) -> tuple[tuple[int, ...], ...]:
-    size = len(flat) // count
-    return tuple(flat[i * size:(i + 1) * size] for i in range(count))
-
-
-def _split_column_major(
-    b_flat: tuple[int, ...], shapes: BlockShapes, count: int
-) -> tuple[tuple[int, ...], ...]:
-    # B is stored row-major over s x t; its blocks are column slices.
-    cols_per = shapes.t // count
-    blocks = []
-    for j in range(count):
-        blocks.append(
-            tuple(
-                b_flat[i * shapes.t + c]
-                for i in range(shapes.s)
-                for c in range(j * cols_per, (j + 1) * cols_per)
-            )
-        )
-    return tuple(blocks)
-
-
 def exhaustive_privacy_audit(
     params: SchemeParams,
     p: int,
@@ -188,8 +146,10 @@ def exhaustive_privacy_audit(
 
     For every ``subset_size``-subset of servers, enumerate every pair of
     secret inputs and every mask assignment, and compare the multiset of
-    observed share tuples across secrets.  Returns True iff the multisets
-    are identical everywhere.  With ``zero_masks`` the masks are pinned
+    observed share tuples across secrets.  Every share comes from
+    ``codec.encode`` with the enumerated masks injected, so the audit
+    checks the shipped encoder.  Returns True iff the multisets are
+    identical everywhere.  With ``zero_masks`` the masks are pinned
     to zero instead of enumerated, which models a broken scheme and
     should make the audit fail.
 
@@ -212,8 +172,10 @@ def exhaustive_privacy_audit(
     k, l, t = params.k, params.l, params.t
     if shapes.r % k or shapes.t % l:
         raise ParameterError("shapes must respect the block partition")
-    a_block = (shapes.r // k) * shapes.s
-    b_block = shapes.s * (shapes.t // l)
+    block_rows = shapes.r // k
+    block_cols = shapes.t // l
+    a_block = block_rows * shapes.s
+    b_block = shapes.s * block_cols
     a_syms = shapes.r * shapes.s
     b_syms = shapes.s * shapes.t
     mask_syms = 0 if zero_masks else t * a_block + t * b_block
@@ -223,38 +185,46 @@ def exhaustive_privacy_audit(
             f"audit needs {steps} steps, budget is {max_steps}; not sampling"
         )
 
-    alpha_powers = [[pow(x, e, p) for e in code.assignment.alpha] for x in plan.points]
-    beta_powers = [[pow(x, e, p) for e in code.assignment.beta] for x in plan.points]
+    zero_a = FieldMatrix(shapes.r, shapes.s, (0,) * a_syms)
+    zero_b = FieldMatrix(shapes.s, shapes.t, (0,) * b_syms)
+    zero_r = (FieldMatrix(block_rows, shapes.s, (0,) * a_block),) * t
+    zero_s = (FieldMatrix(shapes.s, block_cols, (0,) * b_block),) * t
 
-    if zero_masks:
-        r_combos = [((0,) * a_block,) * t]
-        s_combos = [((0,) * b_block,) * t]
-    else:
-        r_combos = [
-            _split_flat(flat, t) for flat in itertools.product(range(p), repeat=t * a_block)
-        ]
-        s_combos = [
-            _split_flat(flat, t) for flat in itertools.product(range(p), repeat=t * b_block)
+    def mask_tuples(rows: int, cols: int) -> list[tuple[FieldMatrix, ...]]:
+        # Every T-tuple of rows x cols masks, split from one flat enumeration.
+        size = rows * cols
+        return [
+            tuple(FieldMatrix(rows, cols, flat[i * size:(i + 1) * size]) for i in range(t))
+            for flat in itertools.product(range(p), repeat=t * size)
         ]
 
-    # f shares depend only on (A, R-masks); g shares only on (B, S-masks).
-    f_by_secret = {}
+    r_combos = [zero_r] if zero_masks else mask_tuples(block_rows, shapes.s)
+    s_combos = [zero_s] if zero_masks else mask_tuples(shapes.s, block_cols)
+
+    def encode(a: FieldMatrix, b: FieldMatrix, r_masks, s_masks) -> ShareBundle:
+        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+
+    # f shares depend only on (A, R-masks) and g shares only on (B, S-masks),
+    # so each side is encoded with the other side's secret and masks at zero.
+    f_by_secret = []
     for a_flat in itertools.product(range(p), repeat=a_syms):
-        a_blocks = _split_flat(a_flat, k)
-        f_by_secret[a_flat] = [
-            _share_vectors(p, alpha_powers, a_blocks, masks) for masks in r_combos
-        ]
-    g_by_secret = {}
+        a = FieldMatrix(shapes.r, shapes.s, a_flat)
+        f_by_secret.append([
+            tuple(m.entries for m in encode(a, zero_b, masks, zero_s).f_shares)
+            for masks in r_combos
+        ])
+    g_by_secret = []
     for b_flat in itertools.product(range(p), repeat=b_syms):
-        b_blocks = _split_column_major(b_flat, shapes, l)
-        g_by_secret[b_flat] = [
-            _share_vectors(p, beta_powers, b_blocks, masks) for masks in s_combos
-        ]
+        b = FieldMatrix(shapes.s, shapes.t, b_flat)
+        g_by_secret.append([
+            tuple(m.entries for m in encode(zero_a, b, zero_r, masks).g_shares)
+            for masks in s_combos
+        ])
 
     subsets = list(itertools.combinations(range(n), t_sub))
     reference: list[Counter] | None = None
-    for f_tables in f_by_secret.values():
-        for g_tables in g_by_secret.values():
+    for f_tables in f_by_secret:
+        for g_tables in g_by_secret:
             counters = [Counter() for _ in subsets]
             for f_shares in f_tables:
                 for g_shares in g_tables:

@@ -1,8 +1,12 @@
 """Command-line behaviour: output, CSV determinism, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from gasp.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +101,19 @@ def test_rate_sweep_file_identical(tmp_path, capsys):
     assert content == target.read_bytes()
     assert content.decode("ascii").endswith("\n")
     assert b"\r" not in content
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("rate_sweep_k20_l20_t40.csv", ["rate-sweep", "--k", "20", "--l", "20", "--t-max", "40"]),
+        ("grouped_sweep_k36.csv", ["grouped-sweep", "--k", "36"]),
+    ],
+)
+def test_sweep_csv_matches_golden(tmp_path, capsys, golden, argv):
+    target = tmp_path / golden
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_rate_sweep_unwritable(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gasp import codec, gf
-from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
+from gasp.codec import BlockShapes, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, PlanVerificationError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
@@ -84,20 +84,6 @@ def test_default_field_heuristic():
     code = gasp_auto(SchemeParams(1, 1, 1))
     assert codec.default_field(code).p == 7
     assert codec.default_field(fixture_code()).p == 397
-
-
-def test_plan_serialization_roundtrip():
-    plan = fixture_plan()
-    text = plan.to_text()
-    assert text == (
-        "p=29\n"
-        "points=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18\n"
-        "J=0,1,2,3,4,5,6,7,8,9,10,11,12,15,18,19,21,22\n"
-    )
-    assert EvaluationPlan.from_text(text) == plan
-    assert EvaluationPlan.from_text(text).to_text() == text
-    with pytest.raises(ParameterError):
-        EvaluationPlan.from_text("p=29\npoints=1\n")
 
 
 def test_encode_hand_example():
@@ -186,11 +172,11 @@ def test_decode_zero_input():
     code = fixture_code()
     plan = fixture_plan()
     shapes = BlockShapes(3, 2, 3)
-    a = gf.zeros(3, 2)
+    a = FieldMatrix(3, 2, (0,) * 6)
     b = codec.random_matrix(29, 2, 3, random.Random(1))
     bundle = codec.encode(a, b, code, plan, shapes, seed=1)
     responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
-    assert codec.decode(responses, code, plan, shapes) == gf.zeros(3, 3)
+    assert codec.decode(responses, code, plan, shapes) == FieldMatrix(3, 3, (0,) * 9)
 
 
 def test_decode_full_fixture_pipeline():
@@ -210,7 +196,30 @@ def test_decode_requires_all_responses():
     plan = fixture_plan()
     shapes = BlockShapes(3, 1, 3)
     with pytest.raises(ParameterError):
-        codec.decode((gf.zeros(1, 1),) * 17, code, plan, shapes)
+        codec.decode((FieldMatrix(1, 1, (0,)),) * 17, code, plan, shapes)
+
+
+def test_plan_of_another_code_rejected():
+    # Both (2,2,2) codes need N = 11 servers, but their term sets differ, so
+    # a big-code plan interpolates the small code's product at the wrong
+    # exponents.
+    params = SchemeParams(2, 2, 2)
+    small = code_for_scheme(params, "small")
+    big = code_for_scheme(params, "big")
+    assert small.n_servers == big.n_servers == 11
+    big_plan = codec.find_evaluation_plan(big, PrimeFieldSpec(1009), seed=0)
+    shapes = BlockShapes(2, 2, 2)
+    rng = random.Random(3)
+    a = codec.random_matrix(1009, 2, 2, rng)
+    b = codec.random_matrix(1009, 2, 2, rng)
+    with pytest.raises(ParameterError):
+        codec.encode(a, b, small, big_plan, shapes, seed=0)
+
+    small_plan = codec.find_evaluation_plan(small, PrimeFieldSpec(1009), seed=0)
+    bundle = codec.encode(a, b, small, small_plan, shapes, seed=0)
+    responses = tuple(codec.server_evaluate(bundle, n) for n in range(11))
+    with pytest.raises(ParameterError):
+        codec.decode(responses, small, big_plan, shapes)
 
 
 def test_decode_mask_independent():

@@ -33,19 +33,6 @@ def test_field_spec_validation():
         PrimeFieldSpec(2**62 + 11)
 
 
-def test_field_ops():
-    assert gf.inv(29, 3) == 10
-    assert gf.mul(29, 3, 10) == 1
-    assert gf.power(29, 2, 28) == 1
-    assert gf.mul(29, 20, 3) == 2
-    assert gf.add(7, 5, 4) == 2
-    assert gf.sub(7, 2, 5) == 4
-    with pytest.raises(ZeroDivisionError):
-        gf.inv(29, 0)
-    with pytest.raises(ZeroDivisionError):
-        gf.inv(29, 29)
-
-
 def test_matrix_construction():
     m = gf.matrix_from_rows(5, [[6, 7], [8, 9]])
     assert m.entries == (1, 2, 3, 4)
@@ -77,11 +64,12 @@ def test_det_reference_value():
 
 
 def test_det_trivial():
-    assert gf.det(13, gf.identity(4)) == 1
+    ident = FieldMatrix(4, 4, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    assert gf.det(13, ident) == 1
     repeated = gf.matrix_from_rows(13, [[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     assert gf.det(13, repeated) == 0
     with pytest.raises(ParameterError):
-        gf.det(13, gf.zeros(2, 3))
+        gf.det(13, FieldMatrix(2, 3, (0,) * 6))
 
 
 def test_det_multiplicative():
@@ -105,7 +93,7 @@ def test_vandermonde_invertible_iff_distinct():
 
 
 def test_solve_examples():
-    ident = gf.identity(3)
+    ident = FieldMatrix(3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 1))
     rhs = gf.matrix_from_rows(7, [[1], [2], [3]])
     assert gf.solve(7, ident, rhs) == rhs
 
@@ -163,24 +151,9 @@ def test_is_mds_agrees_with_direct_enumeration():
         assert gf.is_mds(p, m) == direct
 
 
-def test_is_mds_sampled_mode():
-    # Sampled mode is only a spot check; it must at least accept a matrix
-    # that full mode accepts and stay deterministic under a fixed seed.
-    points = list(range(1, 19))
-    m = gf.matrix_from_rows(
-        29, [[pow(x, 9, 29) for x in points], [pow(x, 12, 29) for x in points]]
-    )
-    assert gf.is_mds(29, m, samples=40, seed=1)
-    assert gf.is_mds(29, m, samples=40, seed=1) == gf.is_mds(29, m, samples=40, seed=1)
-    with_zero_col = gf.matrix_from_rows(7, [[0, 1], [0, 2]])
-    assert not gf.is_mds(7, with_zero_col, samples=10, seed=3)
-
-
 def test_mat_ops():
     a = gf.matrix_from_rows(5, [[1, 2], [3, 4]])
     b = gf.matrix_from_rows(5, [[2, 0], [1, 3]])
-    assert gf.mat_add(5, a, b).to_rows() == [[3, 2], [4, 2]]
-    assert gf.mat_scale(5, 3, a).to_rows() == [[3, 1], [4, 2]]
     assert gf.mat_mul(5, a, b).to_rows() == [[4, 1], [0, 2]]
     with pytest.raises(ParameterError):
-        gf.mat_mul(5, a, gf.zeros(3, 2))
+        gf.mat_mul(5, a, FieldMatrix(3, 2, (0,) * 6))

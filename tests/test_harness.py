@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 
 from gasp import codec, harness
-from gasp.codec import BlockShapes, EvaluationPlan
+from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
-from gasp.gf import PrimeFieldSpec
+from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import gasp_auto
 
 
@@ -118,3 +118,35 @@ def test_exhaustive_audit_rejects_mismatched_plan():
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=0)
     with pytest.raises(ParameterError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
+
+
+def test_exhaustive_audit_rejects_plan_of_other_code():
+    # A verified (1,1,2) plan has five points; the (1,1,1) code uses three.
+    other = codec.find_evaluation_plan(gasp_auto(SchemeParams(1, 1, 2)), PrimeFieldSpec(7))
+    with pytest.raises(ParameterError):
+        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 7, plan=other)
+
+
+def test_exhaustive_audit_runs_shipped_encoder(monkeypatch):
+    # An encoder that ignores its masks must fail the audit, which is only
+    # possible if the audit's shares come from codec.encode.
+    shipped = codec.encode
+
+    def leaky_encode(a, b, code, plan, shapes, masks):
+        def zeroed(ms):
+            return tuple(FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in ms)
+
+        return shipped(
+            a, b, code, plan, shapes, masks=MaskSet(zeroed(masks.r_masks), zeroed(masks.s_masks))
+        )
+
+    assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
+    monkeypatch.setattr(codec, "encode", leaky_encode)
+    assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
+
+
+@pytest.mark.parametrize("shapes", [BlockShapes(1, 1, 2), BlockShapes(2, 1, 1)])
+def test_exhaustive_audit_multi_entry_blocks(shapes):
+    params = SchemeParams(1, 1, 1)
+    assert harness.exhaustive_privacy_audit(params, 5, shapes=shapes)
+    assert not harness.exhaustive_privacy_audit(params, 5, shapes=shapes, zero_masks=True)
