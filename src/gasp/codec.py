@@ -7,6 +7,14 @@ shares; the user interpolates the product polynomial from the N returned
 matrices through one generalized Vandermonde solve and reads every block
 product A_k B_l off its own coefficient.
 
+Blocks and shares have one layout, the stack: a matrix whose row j is
+block j flattened row-major.  A side's data blocks followed by its T
+masks form one stack, so all N shares of that side are a single product
+of the N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and
+beta_j) with that stack; row n is server n's share.  Decode stacks the N responses the same way, solves
+for the coefficient stack and reassembles A @ B from the KL rows that
+hold the block products.
+
 An evaluation plan fixes the field and the N evaluation points.  A plan
 is only returned once three conditions have been verified: the
 generalized Vandermonde matrix over the code's exponent set is
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from . import gf
 from .degree_table import outer_sum, terms
@@ -182,43 +191,42 @@ def _check_shapes(code: PolynomialCode, shapes: BlockShapes) -> None:
 def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> None:
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
-    if any(not 0 <= e < p for e in m.entries):
-        raise ParameterError(f"{name} entries must be reduced mod {p}")
+    # Exactness needs int entries: a float passes the range check, then rounds.
+    if any(type(e) is not int or not 0 <= e < p for e in m.entries):
+        raise ParameterError(f"{name} entries must be int residues reduced mod {p}")
 
 
 def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatrix:
     return FieldMatrix(rows, cols, tuple(rng.randrange(p) for _ in range(rows * cols)))
 
 
-def _row_blocks(m: FieldMatrix, count: int) -> list[FieldMatrix]:
-    rows_per = m.rows // count
-    return [
-        FieldMatrix(rows_per, m.cols, m.entries[i * rows_per * m.cols:(i + 1) * rows_per * m.cols])
-        for i in range(count)
-    ]
+def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
+    """Split m into a k x l grid of blocks; block (i, j) becomes row i*l + j.
+
+    The split swaps the middle two axes of the entry index (block row,
+    row in block, block column, column), so it also undoes itself:
+    splitting a stack of k*l blocks, each with ``rows`` rows, into a
+    k x ``rows`` grid yields the unsplit matrix's entries in row-major order.
+    """
+    rows, cols = m.rows // k, m.cols // l
+    entries = tuple(chain.from_iterable(
+        m.entries[r * m.cols + j * cols:r * m.cols + (j + 1) * cols]
+        for i in range(k) for j in range(l) for r in range(i * rows, (i + 1) * rows)
+    ))
+    return FieldMatrix(k * l, rows * cols, entries)
 
 
-def _col_blocks(m: FieldMatrix, count: int) -> list[FieldMatrix]:
-    cols_per = m.cols // count
-    blocks = []
-    for j in range(count):
-        entries = tuple(
-            m.entries[i * m.cols + c]
-            for i in range(m.rows)
-            for c in range(j * cols_per, (j + 1) * cols_per)
-        )
-        blocks.append(FieldMatrix(m.rows, cols_per, entries))
-    return blocks
-
-
-def _combine(p: int, blocks: list[FieldMatrix], coeffs: list[int]) -> FieldMatrix:
-    rows, cols = blocks[0].rows, blocks[0].cols
-    acc = [0] * (rows * cols)
-    for block, c in zip(blocks, coeffs):
-        if c:
-            for idx, e in enumerate(block.entries):
-                acc[idx] = (acc[idx] + c * e) % p
-    return FieldMatrix(rows, cols, tuple(acc))
+def _shares(
+    p: int, points, exponents, data: FieldMatrix, masks, rows: int, cols: int
+) -> tuple[FieldMatrix, ...]:
+    """One side's shares: [x_n ** e_j] @ (data stack, then masks), one row per server."""
+    mask_entries = tuple(chain.from_iterable(m.entries for m in masks))
+    stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_entries)
+    powers = FieldMatrix(
+        len(points), len(exponents), tuple(pow(x, e, p) for x in points for e in exponents)
+    )
+    product = gf.mat_mul(p, powers, stack)
+    return tuple(FieldMatrix(rows, cols, product.row(n)) for n in range(product.rows))
 
 
 def encode(
@@ -233,8 +241,12 @@ def encode(
     """Produce one masked share pair per server.
 
     Server n receives f(a_n) = sum_k A_k a_n^alpha[k] + sum_t R_t
-    a_n^alpha[K+t] and the matching g(a_n).  Masks are drawn from a
-    seeded uniform source unless injected via ``masks`` (for audits).
+    a_n^alpha[K+t] and the matching g(a_n).  Each side is computed as
+    one product: the N x (K+T) matrix [a_n ** alpha_j] times the stack
+    of A's K row blocks and the R masks (for g, [a_n ** beta_j] times
+    B's L column blocks and the S masks).  Masks are drawn from a
+    seeded uniform source, R before S, unless injected via ``masks``
+    (for audits).
     """
     p = plan.field.p
     params = code.params
@@ -263,16 +275,15 @@ def encode(
         if len(masks.r_masks) != params.t or len(masks.s_masks) != params.t:
             raise ParameterError(f"need T={params.t} masks per side")
 
-    f_blocks = _row_blocks(a, params.k) + list(masks.r_masks)
-    g_blocks = _col_blocks(b, params.l) + list(masks.s_masks)
-    f_shares = []
-    g_shares = []
-    for point in plan.points:
-        f_coeffs = [pow(point, e, p) for e in code.assignment.alpha]
-        g_coeffs = [pow(point, e, p) for e in code.assignment.beta]
-        f_shares.append(_combine(p, f_blocks, f_coeffs))
-        g_shares.append(_combine(p, g_blocks, g_coeffs))
-    return ShareBundle(plan.field, tuple(f_shares), tuple(g_shares))
+    f_shares = _shares(
+        p, plan.points, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
+        block_rows, shapes.s,
+    )
+    g_shares = _shares(
+        p, plan.points, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
+        shapes.s, block_cols,
+    )
+    return ShareBundle(plan.field, f_shares, g_shares)
 
 
 def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
@@ -290,9 +301,11 @@ def decode(
 ) -> FieldMatrix:
     """Recover the full product A @ B from all N server responses.
 
-    One N x N solve handles every scalar position at once: the right-hand
-    side has one column per entry of the (r/K) x (t/L) response blocks.
-    The coefficient at exponent alpha[k] + beta[l] is exactly A_k B_l.
+    The responses, stacked one per row, are the right-hand side of one
+    N x N generalized Vandermonde solve, which yields the stack of all N
+    coefficients.  The coefficient at exponent alpha[k] + beta[l] is
+    exactly A_k B_l; those KL rows, in (k, l) order, are reassembled into
+    the product.
     """
     p = plan.field.p
     params = code.params
@@ -315,16 +328,13 @@ def decode(
     coeffs = gf.solve(p, gv, rhs)
 
     exp_index = {e: i for i, e in enumerate(plan.exponents)}
-    out = [0] * (shapes.r * shapes.t)
-    for k_i in range(params.k):
-        for l_i in range(params.l):
-            block = coeffs.row(exp_index[code.assignment.alpha[k_i] + code.assignment.beta[l_i]])
-            for bi in range(block_rows):
-                for bj in range(block_cols):
-                    out[(k_i * block_rows + bi) * shapes.t + l_i * block_cols + bj] = block[
-                        bi * block_cols + bj
-                    ]
-    return FieldMatrix(shapes.r, shapes.t, tuple(out))
+    alpha, beta = code.assignment.alpha[:params.k], code.assignment.beta[:params.l]
+    products = FieldMatrix(
+        params.k * params.l,
+        coeffs.cols,
+        tuple(chain.from_iterable(coeffs.row(exp_index[x + y]) for x in alpha for y in beta)),
+    )
+    return FieldMatrix(shapes.r, shapes.t, _stack(products, params.k, block_rows).entries)
 
 
 def cost(code: PolynomialCode, shapes: BlockShapes) -> CostReport:

@@ -1,14 +1,15 @@
 """Exact arithmetic and dense linear algebra over prime fields.
 
 Everything here is integer-exact: no floating point anywhere.  Matrices
-are immutable row-major tuples and stay desk scale (the codec never
-solves anything larger than a few dozen rows), so plain Gaussian
-elimination with pivoting by first nonzero entry is all we need.
+are immutable row-major tuples.  The systems the codec solves are N x N,
+one row per server (N = 83 at (K, L, T) = (8, 8, 2)), small enough for
+plain Gaussian elimination with pivoting by first nonzero entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularMatrixError
@@ -105,15 +106,13 @@ def matrix_from_rows(p: int, rows: list[list[int]] | tuple) -> FieldMatrix:
 
 
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """Product a @ b mod p: every entry is one row of a dotted with one column of b."""
     if a.cols != b.rows:
         raise ParameterError("shape mismatch in matrix product")
-    out = []
-    b_rows = [b.row(i) for i in range(b.rows)]
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            out.append(sum(arow[m] * b_rows[m][j] for m in range(a.cols)) % p)
-    return FieldMatrix(a.rows, b.cols, tuple(out))
+    a_rows = [a.row(i) for i in range(a.rows)]
+    b_cols = [b.entries[j::b.cols] for j in range(b.cols)]
+    entries = tuple(sum(map(operator.mul, row, col)) % p for row in a_rows for col in b_cols)
+    return FieldMatrix(a.rows, b.cols, entries)
 
 
 def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:

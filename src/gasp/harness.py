@@ -119,8 +119,11 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     """Re-verify the three sufficient conditions from scratch.
 
     Deliberately does not reuse the plan-search internals: the matrices
-    are rebuilt here from the code and the plan's points alone.
+    are rebuilt here from the code and the plan's points alone.  A plan
+    whose exponents are not the code's term set is refused, as ``encode``
+    refuses it.
     """
+    codec._check_plan(code, plan)
     p = plan.field.p
     gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
     p_rows = [[pow(x, e, p) for x in plan.points] for e in code.alpha_masks]

@@ -102,6 +102,96 @@ def test_encode_hand_example():
     assert tuple(s.entries[0] for s in bundle.g_shares) == ((3 + 2) % 5, (3 + 4) % 5, (3 + 8) % 5)
 
 
+def _grid_block(m, rows, cols, i, j):
+    entries = (m.at(i * rows + r, j * cols + c) for r in range(rows) for c in range(cols))
+    return FieldMatrix(rows, cols, tuple(entries))
+
+
+def _naive_shares(p, points, exponents, blocks):
+    # Oracle: server n's share is sum_j x_n ** e_j * block_j, entry by entry.
+    assert len(exponents) == len(blocks)
+    shares = []
+    for x in points:
+        acc = [0] * len(blocks[0].entries)
+        for e, block in zip(exponents, blocks):
+            c = pow(x, e, p)
+            for idx, v in enumerate(block.entries):
+                acc[idx] = (acc[idx] + c * v) % p
+        shares.append(FieldMatrix(blocks[0].rows, blocks[0].cols, tuple(acc)))
+    return tuple(shares)
+
+
+@pytest.mark.parametrize(
+    "scheme, k, l, t, g",
+    [
+        ("small", 2, 3, 1, None),
+        ("small", 2, 3, 3, None),
+        ("small", 2, 2, 1, None),
+        ("small", 3, 2, 2, None),
+        ("big", 2, 3, 1, None),
+        ("big", 2, 2, 2, None),
+        ("big", 3, 2, 1, None),
+        ("big", 3, 2, 3, None),
+        ("grouped", 3, 3, 3, 2),
+    ],
+)
+def test_encode_matches_naive_sum(scheme, k, l, t, g):
+    code = code_for_scheme(SchemeParams(k, l, t), scheme, g=g)
+    plan = codec.find_evaluation_plan(code, seed=0)
+    p = plan.field.p
+    rows, s, cols = 2, 3, 2  # non-square blocks: A's are 2 x 3, B's 3 x 2
+    shapes = BlockShapes(k * rows, s, l * cols)
+    rng = random.Random(k * 100 + l * 10 + t)
+    a = codec.random_matrix(p, shapes.r, s, rng)
+    b = codec.random_matrix(p, s, shapes.t, rng)
+    a_blocks = [_grid_block(a, rows, s, i, 0) for i in range(k)]
+    b_blocks = [_grid_block(b, s, cols, 0, j) for j in range(l)]
+
+    # Seeded masks: T row-side masks, then T column-side masks, one stream.
+    mask_rng = random.Random(99)
+    r_masks = [codec.random_matrix(p, rows, s, mask_rng) for _ in range(t)]
+    s_masks = [codec.random_matrix(p, s, cols, mask_rng) for _ in range(t)]
+    injected = MaskSet(
+        tuple(codec.random_matrix(p, rows, s, rng) for _ in range(t)),
+        tuple(codec.random_matrix(p, s, cols, rng) for _ in range(t)),
+    )
+    alpha, beta = code.assignment.alpha, code.assignment.beta
+    cases = [(99, None, r_masks, s_masks), (0, injected, injected.r_masks, injected.s_masks)]
+    for seed, masks, rs, ss in cases:
+        bundle = codec.encode(a, b, code, plan, shapes, seed=seed, masks=masks)
+        assert bundle.f_shares == _naive_shares(p, plan.points, alpha, a_blocks + list(rs))
+        assert bundle.g_shares == _naive_shares(p, plan.points, beta, b_blocks + list(ss))
+        responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
+        assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(p, a, b)
+
+
+def test_non_int_entries_rejected():
+    # A float passes the range check 0 <= e < p, but its shares are floats
+    # and this decode used to return (0.0,) instead of 15.
+    code = gasp_auto(SchemeParams(1, 1, 1))
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(gf.next_prime(2**61)), seed=0)
+    shapes = BlockShapes(1, 1, 1)
+    a = FieldMatrix(1, 1, (3,))
+    b = FieldMatrix(1, 1, (5,))
+    one = FieldMatrix(1, 1, (1,))
+    one_float = FieldMatrix(1, 1, (1.0,))
+    with pytest.raises(ParameterError):
+        codec.encode(FieldMatrix(1, 1, (3.0,)), b, code, plan, shapes)
+    with pytest.raises(ParameterError):
+        codec.encode(a, FieldMatrix(1, 1, (5.0,)), code, plan, shapes)
+    with pytest.raises(ParameterError):
+        codec.encode(a, b, code, plan, shapes, masks=MaskSet((one_float,), (one,)))
+    with pytest.raises(ParameterError):
+        codec.encode(a, b, code, plan, shapes, masks=MaskSet((one,), (one_float,)))
+
+    bundle = codec.encode(a, b, code, plan, shapes)
+    responses = [codec.server_evaluate(bundle, n) for n in range(3)]
+    assert codec.decode(tuple(responses), code, plan, shapes).entries == (15,)
+    responses[1] = FieldMatrix(1, 1, (float(responses[1].entries[0]),))
+    with pytest.raises(ParameterError):
+        codec.decode(tuple(responses), code, plan, shapes)
+
+
 def test_encode_zero_masks_degenerate():
     code = gasp_auto(SchemeParams(1, 1, 1))
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5), points=(1, 2, 4))

@@ -151,6 +151,27 @@ def test_is_mds_agrees_with_direct_enumeration():
         assert gf.is_mds(p, m) == direct
 
 
+def test_mat_mul_matches_triple_loop():
+    # Oracle: the schoolbook triple loop, reduced after every multiply-add.
+    rng = random.Random(13)
+    dims = [(1, 1, 1), (1, 6, 1), (1, 3, 5), (4, 1, 3), (5, 3, 1), (2, 7, 3), (3, 3, 3)]
+    dims += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(12)]
+    for p in (5, 11383, gf.next_prime(2**61)):
+        for n, m, q in dims:
+            a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            b = [[rng.randrange(p) for _ in range(q)] for _ in range(m)]
+            expected = [[0] * q for _ in range(n)]
+            for i in range(n):
+                for j in range(q):
+                    for x in range(m):
+                        expected[i][j] = (expected[i][j] + a[i][x] * b[x][j]) % p
+            got = gf.mat_mul(p, gf.matrix_from_rows(p, a), gf.matrix_from_rows(p, b))
+            assert (got.rows, got.cols) == (n, q)
+            assert got.to_rows() == expected, (p, n, m, q)
+        top = gf.matrix_from_rows(p, [[p - 1] * 4] * 2)
+        assert gf.mat_mul(p, top, gf.matrix_from_rows(p, [[p - 1]] * 4)).entries == (4 % p,) * 2
+
+
 def test_mat_ops():
     a = gf.matrix_from_rows(5, [[1, 2], [3, 4]])
     b = gf.matrix_from_rows(5, [[2, 0], [1, 3]])

@@ -9,7 +9,7 @@ from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
-from gasp.schemes import gasp_auto
+from gasp.schemes import code_for_scheme, gasp_auto
 
 
 def test_run_sdmm_fixture():
@@ -74,6 +74,19 @@ def test_mds_audit_zero_point():
     plan = EvaluationPlan(PrimeFieldSpec(7), (0, 1, 2), (0, 1, 2))
     report = harness.mds_audit(code, plan)
     assert not report.p_mds
+
+
+def test_mds_audit_rejects_plan_of_other_code():
+    # Both (2,2,2) codes need N = 11 servers but their term sets differ; the
+    # big-code plan is verified for the big code only.
+    params = SchemeParams(2, 2, 2)
+    small = code_for_scheme(params, "small")
+    big = code_for_scheme(params, "big")
+    big_plan = codec.find_evaluation_plan(big, PrimeFieldSpec(1009), seed=0)
+    assert len(big_plan.points) == small.n_servers
+    assert harness.mds_audit(big, big_plan).all_pass
+    with pytest.raises(ParameterError):
+        harness.mds_audit(small, big_plan)
 
 
 def test_exhaustive_audit_t1():
