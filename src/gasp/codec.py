@@ -20,6 +20,12 @@ is only returned once three conditions have been verified: the
 generalized Vandermonde matrix over the code's exponent set is
 invertible, and the two T x N mask power matrices have every maximal
 minor invertible, which is what makes any T shares jointly uniform.
+The small and big codes put each side's masks on an arithmetic
+progression of exponents, which reduces the second condition to an O(N)
+certificate: every point's power at the first exponent is nonzero and
+the points' powers at the common difference are distinct.  Other mask
+exponents, such as the runs of grouped codes, are checked by enumerating
+all C(N, T) minors with :func:`gf.is_mds`.
 """
 
 from __future__ import annotations
@@ -55,6 +61,12 @@ class BlockShapes:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_points(points) -> None:
+    # The rule of _check_matrix: a float point passes the range check, then breaks pow.
+    if any(type(x) is not int for x in points):
+        raise ParameterError("evaluation points must be ints")
+
+
 @dataclass(frozen=True)
 class EvaluationPlan:
     """Field, evaluation points, and the exponent set used to interpolate.
@@ -73,6 +85,7 @@ class EvaluationPlan:
         object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.points) != len(self.exponents):
             raise ParameterError("need as many points as exponents")
+        _check_points(self.points)
         if any(not 0 <= x < self.field.p for x in self.points):
             raise ParameterError("points must be reduced residues")
         if list(self.exponents) != sorted(set(self.exponents)):
@@ -128,13 +141,40 @@ def _mask_power_matrix(p: int, points, mask_exponents) -> FieldMatrix:
     return FieldMatrix(len(mask_exponents), len(points), entries)
 
 
-def _plan_conditions(code: PolynomialCode, plan: EvaluationPlan) -> bool:
+def _mask_mds(p: int, points, mask_exponents) -> bool:
+    """True iff every T x T minor of the mask power matrix [x_n ** e_i] is nonzero.
+
+    When the T exponents form a progression e0 + d*i (T = 1 counts as
+    one), the minor on points x_1..x_T factors as prod x_j ** e0 times
+    the Vandermonde determinant of the x_j ** d, so it is nonzero iff
+    each x_j ** e0 is nonzero and, for T >= 2, the x_j ** d are pairwise
+    distinct.  That holds for every T-subset iff it holds for all N
+    points at once: since T <= N, a zero entry or a colliding pair of
+    d-th powers extends to a T-subset whose minor vanishes.  Any other
+    exponent set falls back to enumerating the C(N, T) minors.
+    """
+    t, n = len(mask_exponents), len(points)
+    if t > n:
+        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    e0 = mask_exponents[0]
+    d = mask_exponents[1] - e0 if t > 1 else 0
+    if any(e != e0 + d * i for i, e in enumerate(mask_exponents)):
+        return gf.is_mds(p, _mask_power_matrix(p, points, mask_exponents))
+    if not all(pow(x, e0, p) for x in points):
+        return False
+    return t == 1 or len({pow(x, d, p) for x in points}) == n
+
+
+def _plan_rejection(code: PolynomialCode, plan: EvaluationPlan) -> str | None:
+    """The first plan condition the points fail, in checking order, or None."""
     p = plan.field.p
     if gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) == 0:
-        return False
-    p_matrix = _mask_power_matrix(p, plan.points, code.alpha_masks)
-    q_matrix = _mask_power_matrix(p, plan.points, code.beta_masks)
-    return gf.is_mds(p, p_matrix) and gf.is_mds(p, q_matrix)
+        return "gv"
+    if not _mask_mds(p, plan.points, code.alpha_masks):
+        return "alpha_mds"
+    if not _mask_mds(p, plan.points, code.beta_masks):
+        return "beta_mds"
+    return None
 
 
 def find_evaluation_plan(
@@ -147,10 +187,15 @@ def find_evaluation_plan(
     """Find (or verify) N distinct nonzero points passing all conditions.
 
     Candidate points are drawn by rejection, reproducibly from ``seed``,
-    and each is checked in full: the generalized Vandermonde determinant
-    and every maximal minor of both mask power matrices.  Passing
-    ``points`` skips the search and verifies that exact assignment,
-    raising :class:`PlanVerificationError` if it fails.
+    and each is checked exactly, with no sampling: first the generalized
+    Vandermonde determinant, then the alpha-mask and the beta-mask power
+    matrices for every maximal minor nonzero.  For mask exponents in
+    arithmetic progression (the small and big codes) that last check is
+    an O(N) certificate; other mask exponents (grouped codes) enumerate
+    all C(N, T) minors.  Passing ``points`` skips the search and verifies
+    that exact assignment, raising :class:`PlanVerificationError` if it
+    fails.  A failed search raises :class:`PlanSearchError` with the
+    number of candidates rejected for each condition.
     """
     if field is None:
         field = default_field(code)
@@ -160,20 +205,24 @@ def find_evaluation_plan(
     exponents = code_exponents(code)
 
     if points is not None:
+        _check_points(points)
         plan = EvaluationPlan(field, tuple(x % field.p for x in points), exponents)
         if len(set(plan.points)) != n:
             raise PlanVerificationError("points must be distinct")
-        if not _plan_conditions(code, plan):
+        if _plan_rejection(code, plan) is not None:
             raise PlanVerificationError("supplied points fail the plan conditions")
         return plan
 
     rng = random.Random(seed)
+    rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
     for _ in range(max_attempts):
         candidate = tuple(rng.sample(range(1, field.p), n))
         plan = EvaluationPlan(field, candidate, exponents)
-        if _plan_conditions(code, plan):
+        reason = _plan_rejection(code, plan)
+        if reason is None:
             return plan
-    raise PlanSearchError(max_attempts)
+        rejections[reason] += 1
+    raise PlanSearchError(max_attempts, rejections)
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:

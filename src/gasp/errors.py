@@ -14,11 +14,18 @@ class SingularMatrixError(GaspError, ArithmeticError):
 
 
 class PlanSearchError(GaspError, RuntimeError):
-    """Evaluation-point search exhausted its attempt budget."""
+    """Evaluation-point search exhausted its attempt budget.
 
-    def __init__(self, attempts: int):
-        super().__init__(f"no valid evaluation points after {attempts} attempts")
+    ``rejections`` maps each plan condition ("gv", "alpha_mds",
+    "beta_mds") to the number of candidates that failed it first.
+    """
+
+    def __init__(self, attempts: int, rejections: dict[str, int]):
+        reasons = ", ".join(f"{name} {count}" for name, count in rejections.items() if count)
+        message = f"no valid evaluation points after {attempts} attempts"
+        super().__init__(f"{message}: {reasons}" if reasons else message)
         self.attempts = attempts
+        self.rejections = dict(rejections)
 
 
 class PlanVerificationError(GaspError, RuntimeError):

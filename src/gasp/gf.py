@@ -188,6 +188,9 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
     """True iff every maximal (rows x rows) minor has nonzero determinant.
 
     Enumerates every column subset, lexicographically; nothing is sampled.
+    This is the oracle: ``harness.mds_audit`` calls it, and so does plan
+    search for mask exponents that are not an arithmetic progression
+    (grouped codes); progression masks use an O(N) certificate instead.
     """
     t, n = m.rows, m.cols
     if t > n:

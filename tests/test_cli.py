@@ -1,5 +1,8 @@
 """Command-line behaviour: output, CSV determinism, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,29 @@ def test_demo_tiny(capsys):
     assert code == 0
     assert "n_servers=3" in out
     assert "AB verified" in out
+
+
+def test_demo_large_t(capsys):
+    # (4,4,6) big: N = 43, so each mask side has C(43, 6) = 6,096,454 maximal
+    # minors; the plan is certified without enumerating them.
+    code, out, _ = run_cli(capsys, "demo", "--k", "4", "--l", "4", "--t", "6")
+    assert code == 0
+    assert "n_servers=43" in out
+    assert "AB verified" in out
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "gasp", "table", "--k", "3", "--l", "3", "--t", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "N = 18" in result.stdout
 
 
 def test_demo_bad_divisibility(capsys):

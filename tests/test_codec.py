@@ -1,10 +1,11 @@
 """Plan search, encoding, server evaluation, decoding, and cost accounting."""
 
+import itertools
 import random
 
 import pytest
 
-from gasp import codec, gf
+from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, PlanVerificationError
@@ -78,6 +79,127 @@ def test_forced_points_must_verify():
     with pytest.raises(PlanVerificationError):
         # zero point kills the mask power matrices
         codec.find_evaluation_plan(code, PrimeFieldSpec(7), points=(0, 1, 2))
+
+
+def test_non_int_points_rejected():
+    # A float point passed the range check and then failed inside pow.
+    with pytest.raises(ParameterError):
+        codec.EvaluationPlan(PrimeFieldSpec(7), (1.5, 2, 4), (0, 1, 2))
+    # Checked before reduction: "1" % 7 would raise a bare TypeError.
+    for points in ((1.0, 2.0, 4.0), ("1", 2, 4)):
+        with pytest.raises(ParameterError):
+            codec.find_evaluation_plan(
+                gasp_auto(SchemeParams(1, 1, 1)), PrimeFieldSpec(7), points=points
+            )
+
+
+def _mask_matrix(p, points, exponents):
+    return gf.matrix_from_rows(p, [[pow(x, e, p) for x in points] for e in exponents])
+
+
+def test_mask_mds_matches_full_enumeration():
+    # Oracle grid: the O(N) certificate against every maximal minor.  Point
+    # sets hold 0 and, whenever gcd(d, p - 1) > 1, colliding d-th powers.
+    rng = random.Random(0)
+    progressions = [
+        tuple(e0 + d * i for i in range(t))
+        for t in (1, 2, 3) for d in (1, 2, 3, 4) for e0 in (0, 1, 5)
+    ]
+    others = [(0, 1, 3), (2, 5, 6), (16, 17, 20, 21)]  # the last: grouped (4,4,4), G = 2
+    verdicts = set()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for exponents in progressions + others:
+            t = len(exponents)
+            for n in (t, t + 2):
+                if n > p:
+                    continue
+                point_sets = [tuple(range(n))]
+                point_sets += [tuple(rng.sample(range(p), n)) for _ in range(4)]
+                if n < p:
+                    point_sets.append(tuple(range(1, n + 1)))
+                for points in point_sets:
+                    expected = gf.is_mds(p, _mask_matrix(p, points, exponents))
+                    got = codec._mask_mds(p, points, exponents)
+                    assert got == expected, (p, points, exponents)
+                    verdicts.add((expected, 0 in points, exponents in others))
+    # Passes and failures, with and without a zero point, on both paths.
+    assert verdicts == set(itertools.product((True, False), repeat=3))
+    with pytest.raises(ParameterError):
+        codec._mask_mds(7, (1, 2), (1, 2, 3))
+
+
+def _reference_search(code, field, seed):
+    # The plan search with every mask minor enumerated: same draws, same order.
+    p, exponents = field.p, codec.code_exponents(code)
+    rng = random.Random(seed)
+    rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
+    for _ in range(codec.DEFAULT_MAX_ATTEMPTS):
+        points = tuple(rng.sample(range(1, p), code.n_servers))
+        if gf.det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
+            rejections["gv"] += 1
+        elif not gf.is_mds(p, _mask_matrix(p, points, code.alpha_masks)):
+            rejections["alpha_mds"] += 1
+        elif not gf.is_mds(p, _mask_matrix(p, points, code.beta_masks)):
+            rejections["beta_mds"] += 1
+        else:
+            return points, rejections
+    raise AssertionError("reference search failed")
+
+
+def test_plan_search_matches_full_enumeration():
+    # Every small and big code with T <= 2 and K, L <= 4, the T = 3 codes
+    # with K, L <= 2, and the (4,4,3) small code at p = 1399, whose alpha
+    # side the certificate rejects for some seeds.
+    params = [
+        SchemeParams(k, l, t)
+        for k in range(1, 5) for l in range(1, 5) for t in (1, 2, 3)
+        if t < 3 or max(k, l) <= 2
+    ]
+    codes = [code_for_scheme(pr, s) for pr in params for s in ("small", "big")]
+    codes.append(code_for_scheme(SchemeParams(4, 4, 3), "small"))
+    rejected = set()
+    for code in codes:
+        field = codec.default_field(code)
+        for seed in range(10):
+            points, rejections = _reference_search(code, field, seed)
+            assert codec.find_evaluation_plan(code, field, seed=seed).points == points
+            attempts = sum(rejections.values())
+            if attempts:
+                # Stopping just short of the accepted candidate reports the
+                # reference's rejections reason by reason.
+                with pytest.raises(PlanSearchError) as err:
+                    codec.find_evaluation_plan(code, field, seed=seed, max_attempts=attempts)
+                assert err.value.rejections == rejections
+                rejected.update((code.params, side) for side, n in rejections.items() if n)
+    assert {side for _, side in rejected} == {"alpha_mds", "beta_mds"}
+    assert (SchemeParams(4, 4, 3), "alpha_mds") in rejected
+
+
+def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
+    calls = []
+    full_is_mds = gf.is_mds
+
+    def counting_is_mds(p, m):
+        calls.append((m.rows, m.cols))
+        return full_is_mds(p, m)
+
+    monkeypatch.setattr(gf, "is_mds", counting_is_mds)
+    small = code_for_scheme(SchemeParams(4, 4, 3), "small")
+    plan = codec.find_evaluation_plan(small, seed=2)  # rejects two candidates first
+    codec.find_evaluation_plan(code_for_scheme(SchemeParams(2, 2, 3), "big"), seed=0)
+    assert calls == []
+
+    # The grouped masks 16, 17, 20, 21 are no progression: full enumeration.
+    grouped = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=2)
+    with pytest.raises(PlanSearchError) as err:
+        codec.find_evaluation_plan(grouped, seed=0, max_attempts=3)
+    assert calls == [(4, 36)] * 3
+    assert str(err.value) == "no valid evaluation points after 3 attempts: alpha_mds 3"
+
+    # The audit stays on full enumeration, one call per side.
+    del calls[:]
+    assert harness.mds_audit(small, plan).all_pass
+    assert calls == [(3, 33), (3, 33)]
 
 
 def test_default_field_heuristic():
