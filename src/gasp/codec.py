@@ -4,16 +4,18 @@ The user splits A into K row blocks and B into L column blocks, hides
 each side behind T uniformly random mask matrices, and ships one masked
 linear combination of blocks per server.  Each server multiplies its two
 shares; the user interpolates the product polynomial from the N returned
-matrices through one generalized Vandermonde solve and reads every block
-product A_k B_l off its own coefficient.
+matrices and reads every block product A_k B_l off its own coefficient.
 
 Blocks and shares have one layout, the stack: a matrix whose row j is
 block j flattened row-major.  A side's data blocks followed by its T
 masks form one stack, so all N shares of that side are a single product
 of the N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and
-beta_j) with that stack; row n is server n's share.  Decode stacks the N responses the same way, solves
-for the coefficient stack and reassembles A @ B from the KL rows that
-hold the block products.
+beta_j) with that stack; row n is server n's share.  Decode stacks the N
+responses the same way.  Only the KL coefficients at alpha_k + beta_l
+carry block products, so decode multiplies the response stack by the KL
+matching rows of the inverse generalized Vandermonde matrix.  Those
+prepared KL x N rows are eliminated once per plan and cached, and
+A @ B is reassembled from the product's KL rows.
 
 An evaluation plan fixes the field and the N evaluation points.  A plan
 is only returned once three conditions have been verified: the
@@ -30,6 +32,7 @@ all C(N, T) minors with :func:`gf.is_mds`.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -136,9 +139,10 @@ def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     return PrimeFieldSpec(gf.next_prime(max(exps) * code.n_servers))
 
 
-def _mask_power_matrix(p: int, points, mask_exponents) -> FieldMatrix:
-    entries = tuple(pow(x % p, e, p) for e in mask_exponents for x in points)
-    return FieldMatrix(len(mask_exponents), len(points), entries)
+def _power_rows(p: int, points, exponents) -> FieldMatrix:
+    """Matrix [x_n ** e_i]: one row per exponent, one column per point."""
+    entries = tuple(pow(x % p, e, p) for e in exponents for x in points)
+    return FieldMatrix(len(exponents), len(points), entries)
 
 
 def _mask_mds(p: int, points, mask_exponents) -> bool:
@@ -159,7 +163,7 @@ def _mask_mds(p: int, points, mask_exponents) -> bool:
     e0 = mask_exponents[0]
     d = mask_exponents[1] - e0 if t > 1 else 0
     if any(e != e0 + d * i for i, e in enumerate(mask_exponents)):
-        return gf.is_mds(p, _mask_power_matrix(p, points, mask_exponents))
+        return gf.is_mds(p, _power_rows(p, points, mask_exponents))
     if not all(pow(x, e0, p) for x in points):
         return False
     return t == 1 or len({pow(x, d, p) for x in points}) == n
@@ -342,6 +346,23 @@ def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
     return gf.mat_mul(bundle.field.p, bundle.f_shares[n], bundle.g_shares[n])
 
 
+@functools.lru_cache(maxsize=8)
+def _decoder(
+    p: int, points: tuple[int, ...], exponents: tuple[int, ...], needed: tuple[int, ...]
+) -> FieldMatrix:
+    """Rows ``needed`` of GV^-1, GV = [x_n ** e_j], as a len(needed) x N matrix.
+
+    Row i of GV^-1 is column i of the solution Y of GV^T Y = I, so one
+    solve whose right-hand side holds only the unit columns e_i, i in
+    ``needed``, yields every row decode reads.  A singular GV raises
+    :class:`SingularMatrixError`, which the cache does not keep.
+    """
+    n, m = len(points), len(needed)
+    units = FieldMatrix(n, m, tuple(int(i == j) for i in range(n) for j in needed))
+    y = gf.solve(p, _power_rows(p, points, exponents), units)
+    return FieldMatrix(m, n, tuple(chain.from_iterable(y.entries[j::m] for j in range(m))))
+
+
 def decode(
     responses: tuple[FieldMatrix, ...],
     code: PolynomialCode,
@@ -350,11 +371,14 @@ def decode(
 ) -> FieldMatrix:
     """Recover the full product A @ B from all N server responses.
 
-    The responses, stacked one per row, are the right-hand side of one
-    N x N generalized Vandermonde solve, which yields the stack of all N
+    The responses, stacked one per row, hold the product polynomial at
+    the N points, so GV^-1 times that stack is the stack of its N
     coefficients.  The coefficient at exponent alpha[k] + beta[l] is
-    exactly A_k B_l; those KL rows, in (k, l) order, are reassembled into
-    the product.
+    exactly A_k B_l, so decode computes only those KL rows, in (k, l)
+    order: one product of the prepared KL x N rows of GV^-1 with the
+    response stack.  The prepared rows are built by one elimination at
+    the first decode on a plan and reused after that.  The KL product
+    rows are reassembled into A @ B.
     """
     p = plan.field.p
     params = code.params
@@ -368,21 +392,13 @@ def decode(
     for i, resp in enumerate(responses):
         _check_matrix(f"responses[{i}]", resp, block_rows, block_cols, p)
 
-    gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
     rhs = FieldMatrix(
-        n,
-        block_rows * block_cols,
-        tuple(e for resp in responses for e in resp.entries),
+        n, block_rows * block_cols, tuple(chain.from_iterable(r.entries for r in responses))
     )
-    coeffs = gf.solve(p, gv, rhs)
-
     exp_index = {e: i for i, e in enumerate(plan.exponents)}
     alpha, beta = code.assignment.alpha[:params.k], code.assignment.beta[:params.l]
-    products = FieldMatrix(
-        params.k * params.l,
-        coeffs.cols,
-        tuple(chain.from_iterable(coeffs.row(exp_index[x + y]) for x in alpha for y in beta)),
-    )
+    needed = tuple(exp_index[x + y] for x in alpha for y in beta)
+    products = gf.mat_mul(p, _decoder(p, plan.points, plan.exponents, needed), rhs)
     return FieldMatrix(shapes.r, shapes.t, _stack(products, params.k, block_rows).entries)
 
 

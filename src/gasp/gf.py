@@ -1,9 +1,14 @@
 """Exact arithmetic and dense linear algebra over prime fields.
 
 Everything here is integer-exact: no floating point anywhere.  Matrices
-are immutable row-major tuples.  The systems the codec solves are N x N,
-one row per server (N = 83 at (K, L, T) = (8, 8, 2)), small enough for
-plain Gaussian elimination with pivoting by first nonzero entry.
+are immutable row-major tuples.  The systems solved here are N x N, one
+row per server (N = 83 at (K, L, T) = (8, 8, 2)), small enough for plain
+Gaussian elimination with pivoting by first nonzero entry.  ``det``
+eliminates below each pivot; ``solve`` does forward elimination over the
+columns right of each pivot only, then back-substitution on the
+right-hand side.  Its caller is the codec's prepared decoder, which
+solves once per plan for the KL rows of the inverse generalized
+Vandermonde matrix that decoding reads.
 """
 
 from __future__ import annotations
@@ -156,32 +161,46 @@ def det(p: int, m: FieldMatrix) -> int:
 
 
 def solve(p: int, m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
-    """Solve m @ x = rhs exactly for all rhs columns in one elimination."""
+    """Solve m @ x = rhs exactly for all rhs columns in one elimination.
+
+    Forward elimination keeps, for each pivot, only the normalized columns
+    to its right (the upper triangle and the right-hand side); no row is
+    rewritten left of the current pivot.  Back-substitution then produces
+    x one row at a time, from the last row up.
+    """
     if m.rows != m.cols:
         raise ParameterError("solve needs a square matrix")
     if rhs.rows != m.rows:
         raise ParameterError("right-hand side has wrong number of rows")
-    n = m.rows
-    a = m.to_rows()
-    b = rhs.to_rows()
+    n, w = m.rows, rhs.cols
+    # Row r holds columns col.. of [m | rhs] while pivot col is eliminated.
+    rows = [[e % p for e in m.row(i) + rhs.row(i)] for i in range(n)]
+    upper = []  # upper[col]: the pivot row right of its unit diagonal
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p), None)
+        pivot = next((r for r in range(col, n) if rows[r][0]), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv_pv = pow(a[col][col] % p, -1, p)
-        a[col] = [x * inv_pv % p for x in a[col]]
-        b[col] = [x * inv_pv % p for x in b[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col] % p
-            if factor:
-                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
-                b[r] = [(x - factor * y) % p for x, y in zip(b[r], b[col])]
-    return FieldMatrix(n, rhs.cols, tuple(e % p for row in b for e in row))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        inv_pv = pow(head[0], -1, p)
+        tail = [x * inv_pv % p for x in head[1:]]
+        upper.append(tail)
+        for r in range(col + 1, n):
+            row = rows[r]
+            factor = row[0]
+            rows[r] = [(x - factor * y) % p for x, y in zip(row[1:], tail)]
+    # x_col = b_col - sum over j > col of u[col][j] * x_j.  The solved rows
+    # are kept per column, last row first, so each entry is one dot product.
+    solved = [[] for _ in range(w)]
+    for col in range(n - 1, -1, -1):
+        tail = upper[col]
+        coeffs = tail[:n - col - 1][::-1]
+        b = tail[n - col - 1:]
+        for c in range(w):
+            xs = solved[c]
+            xs.append((b[c] - sum(map(operator.mul, coeffs, xs))) % p)
+    entries = tuple(solved[c][n - 1 - i] for i in range(n) for c in range(w))
+    return FieldMatrix(n, w, entries)
 
 
 def is_mds(p: int, m: FieldMatrix) -> bool:

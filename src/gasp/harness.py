@@ -14,6 +14,7 @@ is sampled; oversized requests are refused.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -57,7 +58,8 @@ class SessionTranscript:
     responses: tuple[FieldMatrix, ...]
     product: FieldMatrix
     cost_report: CostReport
-    wall_seconds: float
+    # Timings vary run to run, so they take no part in equality or hashing.
+    stage_seconds: dict[str, float] = dataclasses.field(compare=False)
 
     def summary(self) -> str:
         lines = [
@@ -84,23 +86,40 @@ def run_sdmm(
     """Build a code, find a plan, multiply random inputs, verify, report.
 
     Fully deterministic given the seed: it drives the plan search, the
-    secret inputs, and the masks.
+    secret inputs, and the masks.  ``stage_seconds`` of the transcript
+    holds the ``time.perf_counter`` seconds of each stage: ``plan`` (code
+    and plan search), ``encode`` (random inputs and shares), ``evaluate``
+    (the N server products), ``decode``, and ``verify`` (the direct
+    product check and the cost count).
     """
-    start = time.perf_counter()
+    stage_seconds = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stage_seconds[stage] = now - clock
+        clock = now
+
     code = code_for_scheme(params, scheme, g=g)
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
     plan = codec.find_evaluation_plan(code, field=field, seed=seed)
+    lap("plan")
 
     rng = random.Random(seed)
     a = codec.random_matrix(plan.field.p, shapes.r, shapes.s, rng)
     b = codec.random_matrix(plan.field.p, shapes.s, shapes.t, rng)
     bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**32))
+    lap("encode")
     responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
+    lap("evaluate")
     product = codec.decode(responses, code, plan, shapes)
+    lap("decode")
     if product != gf.mat_mul(plan.field.p, a, b):
         raise VerificationError("decoded product does not match direct multiplication")
     report = codec.cost(code, shapes)
+    lap("verify")
     return SessionTranscript(
         code=code,
         plan=plan,
@@ -111,7 +130,7 @@ def run_sdmm(
         responses=responses,
         product=product,
         cost_report=report,
-        wall_seconds=time.perf_counter() - start,
+        stage_seconds=stage_seconds,
     )
 
 

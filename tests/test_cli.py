@@ -201,18 +201,30 @@ def test_demo_large_t(capsys):
     assert "AB verified" in out
 
 
-def test_module_entry_point():
+def run_module(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-m", "gasp", "table", "--k", "3", "--l", "3", "--t", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
+
+
+def test_module_entry_point():
+    result = run_module("gasp", "table", "--k", "3", "--l", "3", "--t", "2")
     assert result.returncode == 0, result.stderr
     assert "N = 18" in result.stdout
+
+
+def test_cli_module_entry_point():
+    # Without a __main__ guard in gasp.cli this printed nothing and exited 0.
+    result = run_module("gasp.cli", "demo", "--k", "1", "--l", "1", "--t", "1")
+    assert result.returncode == 0, result.stderr
+    assert "n_servers=3" in result.stdout
+    assert "AB verified" in result.stdout
 
 
 def test_demo_bad_divisibility(capsys):

@@ -8,7 +8,12 @@ import pytest
 from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, MaskSet
 from gasp.degree_table import SchemeParams
-from gasp.errors import ParameterError, PlanSearchError, PlanVerificationError
+from gasp.errors import (
+    ParameterError,
+    PlanSearchError,
+    PlanVerificationError,
+    SingularMatrixError,
+)
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
 
@@ -447,6 +452,98 @@ def test_decode_mask_independent():
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
         outputs.append(codec.decode(responses, code, plan, shapes))
     assert outputs[0] == outputs[1] == gf.mat_mul(29, a, b)
+
+
+def _full_solve_decode(responses, code, plan, shapes):
+    # Oracle: solve for all N coefficients, then keep the KL block products.
+    p, k, l = plan.field.p, code.params.k, code.params.l
+    rows, cols = shapes.r // k, shapes.t // l
+    gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
+    stacked = itertools.chain.from_iterable(r.entries for r in responses)
+    rhs = FieldMatrix(len(responses), rows * cols, tuple(stacked))
+    coeffs = gf.solve(p, gv, rhs)
+    index = {e: i for i, e in enumerate(plan.exponents)}
+    product = [[0] * shapes.t for _ in range(shapes.r)]
+    for i, x in enumerate(code.assignment.alpha[:k]):
+        for j, y in enumerate(code.assignment.beta[:l]):
+            block = coeffs.row(index[x + y])
+            for r in range(rows):
+                product[i * rows + r][j * cols:(j + 1) * cols] = block[r * cols:(r + 1) * cols]
+    return gf.matrix_from_rows(p, product)
+
+
+def _decoder_grid():
+    for k, l, t in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
+        for scheme in ("small", "big"):
+            yield code_for_scheme(SchemeParams(k, l, t), scheme)
+    for k in range(1, 4):
+        for g in range(1, k + 1):
+            yield code_for_scheme(SchemeParams(k, k, k), "grouped", g=g)
+
+
+def test_prepared_decoder_matches_full_solve():
+    rng = random.Random(5)
+    for code in _decoder_grid():
+        for field in (None, PrimeFieldSpec(gf.next_prime(2**61))):
+            plan = codec.find_evaluation_plan(code, field=field, seed=0)
+            p, n = plan.field.p, code.n_servers
+            index = {e: i for i, e in enumerate(plan.exponents)}
+            k, l = code.params.k, code.params.l
+            alpha, beta = code.assignment.alpha[:k], code.assignment.beta[:l]
+            needed = tuple(index[x + y] for x in alpha for y in beta)
+            rows = codec._decoder(p, plan.points, plan.exponents, needed)
+            gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
+            identity_rows = tuple(int(i == j) for i in needed for j in range(n))
+            assert gf.mat_mul(p, rows, gv) == FieldMatrix(len(needed), n, identity_rows)
+
+            shapes = BlockShapes(k * rng.randint(1, 2), rng.randint(1, 2), l * rng.randint(1, 2))
+            a = codec.random_matrix(p, shapes.r, shapes.s, rng)
+            b = codec.random_matrix(p, shapes.s, shapes.t, rng)
+            bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**30))
+            responses = tuple(codec.server_evaluate(bundle, i) for i in range(n))
+            decoded = codec.decode(responses, code, plan, shapes)
+            assert decoded == _full_solve_decode(responses, code, plan, shapes)
+            assert decoded == gf.mat_mul(p, a, b)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = gf.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gf, "solve", counted)
+    codec._decoder.cache_clear()
+    return calls
+
+
+def test_second_decode_runs_no_elimination(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    code = fixture_code()
+    plan = fixture_plan()
+    shapes = BlockShapes(3, 2, 6)
+    rng = random.Random(12)
+    for expected_calls in (1, 1):
+        a = codec.random_matrix(29, 3, 2, rng)
+        b = codec.random_matrix(29, 2, 6, rng)
+        bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**30))
+        responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
+        assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(29, a, b)
+        assert len(calls) == expected_calls
+
+
+def test_singular_plan_raises_on_every_decode(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    code = fixture_code()
+    points = (1,) + tuple(range(1, 18))
+    plan = codec.EvaluationPlan(PrimeFieldSpec(29), points, codec.code_exponents(code))
+    responses = (FieldMatrix(1, 1, (0,)),) * 18
+    for attempt in range(1, 4):
+        with pytest.raises(SingularMatrixError):
+            codec.decode(responses, code, plan, BlockShapes(3, 1, 3))
+        assert len(calls) == attempt
 
 
 def test_roundtrip_full_small_grid():

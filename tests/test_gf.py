@@ -120,6 +120,46 @@ def test_solve_roundtrip_multi_rhs():
         assert gf.mat_mul(p, m, sol) == rhs
 
 
+def _random_rows(p, rows, cols, rng):
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_solve_grid():
+    # Every n up to 12 with right-hand sides narrower and wider than n, on
+    # random matrices, on reversed upper-triangular ones (column 0 is zero
+    # above the last row, so every pivot needs a swap), and on matrices
+    # whose last row is a combination of the others, so elimination runs
+    # into a zero pivot only at the last column.
+    rng = random.Random(21)
+    for p in (7, 11383, gf.next_prime(2**61)):
+        for n in range(1, 13):
+            upper = [
+                [0] * i + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - i - 1)]
+                for i in range(n)
+            ]
+            for w in sorted({max(1, n // 2), n + 3}):
+                rhs = gf.matrix_from_rows(p, _random_rows(p, n, w, rng))
+                for rows in (_random_rows(p, n, n, rng), upper[::-1]):
+                    m = gf.matrix_from_rows(p, rows)
+                    if gf.det(p, m) == 0:
+                        with pytest.raises(SingularMatrixError):
+                            gf.solve(p, m, rhs)
+                    else:
+                        assert gf.mat_mul(p, m, gf.solve(p, m, rhs)) == rhs, (p, n, w)
+            if n == 1:
+                continue
+            while True:
+                head = _random_rows(p, n - 1, n, rng)
+                leading = gf.matrix_from_rows(p, [row[:-1] for row in head])
+                if gf.det(p, leading):
+                    break
+            weights = [rng.randrange(p) for _ in range(n - 1)]
+            last = [sum(c * row[j] for c, row in zip(weights, head)) for j in range(n)]
+            singular = gf.matrix_from_rows(p, head + [last])
+            with pytest.raises(SingularMatrixError):
+                gf.solve(p, singular, gf.matrix_from_rows(p, _random_rows(p, n, 2, rng)))
+
+
 def test_is_mds_examples():
     points = list(range(1, 19))
     p_matrix = gf.matrix_from_rows(

@@ -44,9 +44,19 @@ def test_run_sdmm_deterministic():
     first = harness.run_sdmm(SchemeParams(2, 2, 1), seed=9)
     second = harness.run_sdmm(SchemeParams(2, 2, 1), seed=9)
     for field in dataclasses.fields(first):
-        if field.name == "wall_seconds":
+        if field.name == "stage_seconds":
             continue
         assert getattr(first, field.name) == getattr(second, field.name)
+
+
+def test_run_sdmm_stage_seconds():
+    transcript = harness.run_sdmm(SchemeParams(2, 2, 1), seed=9)
+    stages = transcript.stage_seconds
+    assert list(stages) == ["plan", "encode", "evaluate", "decode", "verify"]
+    assert all(isinstance(s, float) and s >= 0 for s in stages.values())
+    # Timings take no part in equality or hashing.
+    again = harness.run_sdmm(SchemeParams(2, 2, 1), seed=9)
+    assert again == transcript and hash(again) == hash(transcript)
 
 
 def test_mds_audit_fixture_passes():
