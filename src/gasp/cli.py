@@ -128,6 +128,8 @@ def cmd_demo(args, parser) -> int:
 
 
 def cmd_audit(args, parser) -> int:
+    if args.zero_masks and not args.exhaustive:
+        parser.error("--zero-masks is only valid with --exhaustive")
     params = _params(args)
     code = schemes.code_for_scheme(params, "auto")
     field = PrimeFieldSpec(args.p) if args.p is not None else None
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--zero-masks",
         action="store_true",
         dest="zero_masks",
-        help="corrupt the scheme by pinning masks to zero (audit should fail)",
+        help="with --exhaustive: pin masks to zero, so the audit should fail",
     )
     p_audit.set_defaults(func=cmd_audit)
 

@@ -269,6 +269,15 @@ def test_audit_exhaustive_zero_masks_fails(capsys):
     assert "exhaustive_private=false" in out
 
 
+def test_audit_zero_masks_needs_exhaustive(capsys):
+    # Only the exhaustive audit corrupts the masks; without it the checks
+    # would pass a scheme the user asked to break.
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--k", "1", "--l", "1", "--t", "1", "--p", "5", "--zero-masks"])
+    assert err.value.code == 2
+    assert "--zero-masks" in capsys.readouterr().err
+
+
 def test_audit_budget_refusal(capsys):
     code, _, err = run_cli(
         capsys, "audit", "--k", "3", "--l", "3", "--t", "2", "--p", "29", "--exhaustive"

@@ -11,6 +11,8 @@ from gasp.gf import FieldMatrix, PrimeFieldSpec
 
 # Fixture from the worked small example: 18 points, 18 exponents, p = 29.
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
+# The largest prime below 2**62, the widest modulus a field admits.
+P62 = 2**62 - 57
 
 
 def test_primality():
@@ -21,6 +23,7 @@ def test_primality():
     assert not gf.is_prime(25)
     assert not gf.is_prime(561)  # Carmichael
     assert gf.next_prime(396) == 397
+    assert gf.is_prime(P62) and gf.next_prime(P62) > 2**62
 
 
 def test_field_spec_validation():
@@ -191,8 +194,27 @@ def test_is_mds_agrees_with_direct_enumeration():
         assert gf.is_mds(p, m) == direct
 
 
-def test_mat_mul_matches_triple_loop():
+def _triple_loop(p, a, b):
     # Oracle: the schoolbook triple loop, reduced after every multiply-add.
+    n, m, q = len(a), len(b), len(b[0])
+    expected = [[0] * q for _ in range(n)]
+    for i in range(n):
+        for j in range(q):
+            for x in range(m):
+                expected[i][j] = (expected[i][j] + a[i][x] * b[x][j]) % p
+    return expected
+
+
+def _raw(rows):
+    # A FieldMatrix literal: entries kept as given, not reduced.
+    return FieldMatrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
+
+
+def _slot_bytes(p, m):
+    return ((m * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def test_mat_mul_matches_triple_loop():
     rng = random.Random(13)
     dims = [(1, 1, 1), (1, 6, 1), (1, 3, 5), (4, 1, 3), (5, 3, 1), (2, 7, 3), (3, 3, 3)]
     dims += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(12)]
@@ -200,16 +222,45 @@ def test_mat_mul_matches_triple_loop():
         for n, m, q in dims:
             a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
             b = [[rng.randrange(p) for _ in range(q)] for _ in range(m)]
-            expected = [[0] * q for _ in range(n)]
-            for i in range(n):
-                for j in range(q):
-                    for x in range(m):
-                        expected[i][j] = (expected[i][j] + a[i][x] * b[x][j]) % p
+            expected = _triple_loop(p, a, b)
             got = gf.mat_mul(p, gf.matrix_from_rows(p, a), gf.matrix_from_rows(p, b))
             assert (got.rows, got.cols) == (n, q)
             assert got.to_rows() == expected, (p, n, m, q)
         top = gf.matrix_from_rows(p, [[p - 1] * 4] * 2)
         assert gf.mat_mul(p, top, gf.matrix_from_rows(p, [[p - 1]] * 4)).entries == (4 % p,) * 2
+
+    # The encode, server and decode products of an (8,8,2) multiplication
+    # of a 128x64 by a 64x128 matrix, all on the packed branch.
+    for n, m, q in ((83, 10, 1024), (16, 64, 16), (64, 83, 256)):
+        a = [[rng.randrange(11383) for _ in range(m)] for _ in range(n)]
+        b = [[rng.randrange(11383) for _ in range(q)] for _ in range(m)]
+        got = gf.mat_mul(11383, gf.matrix_from_rows(11383, a), gf.matrix_from_rows(11383, b))
+        assert got.to_rows() == _triple_loop(11383, a, b), (n, m, q)
+
+    # Every slot width: 1 byte; 2 bytes; 3 and 4 bytes (4-byte slots); 5
+    # and 8 bytes (8-byte slots); wider, which takes the schoolbook branch.
+    # Each width is checked on raw literals, entries shifted by multiples
+    # of p to lie above p - 1 or below 0, and on all-(p-1) operands, whose
+    # slot sums m*(p-1)**2 reach the bound the width is chosen for.
+    widths = [(5, 15), (5, 16), (251, 1), (251, 2), (11383, 33), (11383, 83),
+              (2**31 - 1, 4), (2**31 - 1, 5), (P62, 64)]
+    assert [_slot_bytes(p, m) for p, m in widths] == [1, 2, 2, 3, 4, 5, 8, 9, 17]
+    for p, m in widths:
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
+        b = [[rng.randrange(p) for _ in range(9)] for _ in range(m)]
+        shifted = [_raw([[e + p * rng.randint(-3, 3) for e in r] for r in x]) for x in (a, b)]
+        got = gf.mat_mul(p, *shifted)
+        assert got.to_rows() == _triple_loop(p, a, b), (p, m)
+        top = gf.mat_mul(p, _raw([[p - 1] * m] * 3), _raw([[p - 1] * 9] * m))
+        assert top.entries == (m % p,) * 27, (p, m)
+
+    # All-(p-1) operands at the widest inner dimension, on both sides of
+    # the column cut.
+    cut = gf._PACK_MIN_COLS
+    for p in (5, 11383, 2**31 - 1, P62):
+        for n, q in ((1, 1), (2, 3), (2, cut), (4, 2 * cut)):
+            top = gf.mat_mul(p, _raw([[p - 1] * 400] * n), _raw([[p - 1] * q] * 400))
+            assert top.entries == (400 % p,) * (n * q), (p, n, q)
 
 
 def test_mat_ops():

@@ -1,4 +1,6 @@
-"""Property tests: decode inverts encode on random codes, shapes and masks."""
+"""Property tests: decode inverts encode on random codes, shapes and masks;
+the packed matrix product equals the triple loop; the closed-form server
+counts equal the term-counting oracle."""
 
 import random
 
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from gasp import codec, gf
 from gasp.codec import BlockShapes
-from gasp.degree_table import SchemeParams
-from gasp.schemes import code_for_scheme
+from gasp.degree_table import SchemeParams, count_terms
+from gasp.schemes import code_for_scheme, gasp_big, gasp_small, n_big_closed, n_small_closed
+from test_gf import _raw, _triple_loop
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -37,3 +40,34 @@ def test_decode_inverts_encode(scheme, k, l, t, block_rows, inner, block_cols, p
         bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**32))
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(p, a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([2, 5, 251, 11383, 2**31 - 1, 2**61 - 1, 2**62 - 57]),
+    n=st.integers(1, 24),
+    m=st.integers(1, 24),
+    q=st.integers(1, 24),
+    entries=st.sampled_from(["reduced", "above", "below", "both"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mat_mul_matches_triple_loop_random_shapes(p, n, m, q, entries, seed):
+    # Raw entries outside [0, p): both branches must reduce them.
+    rng = random.Random(seed)
+    lo, hi = {
+        "reduced": (0, p), "above": (0, 4 * p), "below": (-3 * p, p), "both": (-3 * p, 3 * p)
+    }[entries]
+    a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)]
+    b = [[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)]
+    got = gf.mat_mul(p, _raw(a), _raw(b))
+    assert got.to_rows() == _triple_loop(p, a, b)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 40), l=st.integers(1, 40), data=st.data())
+def test_closed_form_counts_match_oracle(k, l, data):
+    # Beyond the 12 x 12 grid of the acceptance suite: K, L up to 40.
+    t = data.draw(st.integers(1, 2 * max(k, l) + 3), label="t")
+    params = SchemeParams(k, l, t)
+    assert n_small_closed(params) == count_terms(gasp_small(params), params)
+    assert n_big_closed(params) == count_terms(gasp_big(params), params)
