@@ -37,7 +37,6 @@ from .errors import (
     GaspError,
     ParameterError,
     PlanSearchError,
-    PlanVerificationError,
     SingularMatrixError,
     VerificationError,
 )

@@ -133,7 +133,7 @@ def cmd_audit(args, parser) -> int:
     params = _params(args)
     code = schemes.code_for_scheme(params, "auto")
     field = PrimeFieldSpec(args.p) if args.p is not None else None
-    plan = codec.find_evaluation_plan(code, field=field, seed=args.seed)
+    plan = codec.find_evaluation_plan(code, field=field)
     report = harness.mds_audit(code, plan)
     print(f"gv_det_nonzero={str(report.gv_det_nonzero).lower()}")
     print(f"p_mds={str(report.p_mds).lower()}")
@@ -145,7 +145,6 @@ def cmd_audit(args, parser) -> int:
                 params,
                 plan.field.p,
                 plan=plan,
-                seed=args.seed,
                 zero_masks=args.zero_masks,
             )
         except BudgetExceededError as exc:
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--l", type=int, required=True)
     p_audit.add_argument("--t", type=int, required=True)
     p_audit.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
-    p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument(
         "--zero-masks",

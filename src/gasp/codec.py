@@ -14,40 +14,42 @@ beta_j) with that stack; row n is server n's share.  Decode stacks the N
 responses the same way.  Only the KL coefficients at alpha_k + beta_l
 carry block products, so decode multiplies the response stack by the KL
 matching rows of the inverse generalized Vandermonde matrix.  Those
-prepared KL x N rows are eliminated once per plan and cached, and
-A @ B is reassembled from the product's KL rows.
+prepared KL x N rows are built once per plan and cached, and A @ B is
+reassembled from the product's KL rows.
 
-An evaluation plan fixes the field and the N evaluation points.  A plan
-is only returned once three conditions have been verified: the
-generalized Vandermonde matrix over the code's exponent set is
-invertible, and the two T x N mask power matrices have every maximal
-minor invertible, which is what makes any T shares jointly uniform.
-The small and big codes put each side's masks on an arithmetic
-progression of exponents, which reduces the second condition to an O(N)
-certificate: every point's power at the first exponent is nonzero and
-the points' powers at the common difference are distinct.  Other mask
-exponents, such as the runs of grouped codes, are checked by enumerating
-all C(N, T) minors with :func:`gf.is_mds`.
+An evaluation plan is a field F_p and a generator g: server n evaluates
+at g ** n.  The generalized Vandermonde matrix [x_n ** e_j] over the
+code's term set J is then [y_j ** n], an ordinary Vandermonde matrix in
+the nodes y_j = g ** e_j, so it is invertible exactly when those N nodes
+are pairwise distinct, and its inverse's rows are Lagrange basis
+polynomials, built from one master polynomial with no elimination.  Plan
+search scans g = 2, 3, ... and returns the first g whose nodes are
+distinct and whose two T x N mask power matrices have every maximal
+minor invertible, which is what makes any T shares jointly uniform.  The
+small and big codes put each side's masks on an arithmetic progression
+of exponents, which reduces that condition to an O(N) certificate: every
+point's power at the first exponent is nonzero and the points' powers at
+the common difference are distinct.  Other mask exponents, such as the
+runs of grouped codes, are checked by enumerating all C(N, T) minors
+with :func:`gf.is_mds`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
 
 from . import gf
 from .degree_table import outer_sum, terms
-from .errors import (
-    ParameterError,
-    PlanSearchError,
-    PlanVerificationError,
-)
+from .errors import ParameterError, PlanSearchError, SingularMatrixError
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode
 
-DEFAULT_MAX_ATTEMPTS = 200
+# Plan search tries the generators 2, 3, ... up to this many of them.
+MAX_CANDIDATES = 200
 
 
 @dataclass(frozen=True)
@@ -64,35 +66,33 @@ class BlockShapes:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_points(points) -> None:
-    # The rule of _check_matrix: a float point passes the range check, then breaks pow.
-    if any(type(x) is not int for x in points):
-        raise ParameterError("evaluation points must be ints")
-
-
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Field, evaluation points, and the exponent set used to interpolate.
+    """Field, generator g, and the exponent set J used to interpolate.
 
-    Plans produced by :func:`find_evaluation_plan` are verified; building
-    one directly performs shape checks only, which the audit helpers use
-    to construct deliberately broken plans.
+    Server n evaluates at the point g ** n, for n < N = len(J).  Plans
+    produced by :func:`find_evaluation_plan` are verified; building one
+    directly checks types and ranges only, which the audit tests use to
+    construct deliberately broken plans: g = 0 gives a zero point, and a
+    g of small multiplicative order repeats points.
     """
 
     field: PrimeFieldSpec
-    points: tuple[int, ...]
+    generator: int
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "exponents", tuple(self.exponents))
-        if len(self.points) != len(self.exponents):
-            raise ParameterError("need as many points as exponents")
-        _check_points(self.points)
-        if any(not 0 <= x < self.field.p for x in self.points):
-            raise ParameterError("points must be reduced residues")
+        # A float generator passes the range check, then breaks pow.
+        if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
+            raise ParameterError(f"generator must be an int in [0, p), got {self.generator!r}")
         if list(self.exponents) != sorted(set(self.exponents)):
             raise ParameterError("exponents must be strictly increasing")
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """The evaluation points g ** 0, ..., g ** (N-1), one per server."""
+        return _powers(self.field.p, self.generator, range(len(self.exponents)))
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,19 @@ def code_exponents(code: PolynomialCode) -> tuple[int, ...]:
 
 
 def default_field(code: PolynomialCode) -> PrimeFieldSpec:
-    """Smallest prime above max(J) * N: headroom for rejection sampling."""
+    """Smallest prime above max(J) * N.
+
+    The multiplicative group then has order at least max(J) * N, so small
+    generators usually have order above max(J), which makes the nodes
+    g ** e, e in J, distinct; g = 2 is accepted at every default field
+    the tests and the benchmark use.
+    """
     exps = code_exponents(code)
     return PrimeFieldSpec(gf.next_prime(max(exps) * code.n_servers))
+
+
+def _powers(p: int, base: int, exponents) -> tuple[int, ...]:
+    return tuple(pow(base, e, p) for e in exponents)
 
 
 def _power_rows(p: int, points, exponents) -> FieldMatrix:
@@ -169,64 +179,45 @@ def _mask_mds(p: int, points, mask_exponents) -> bool:
     return t == 1 or len({pow(x, d, p) for x in points}) == n
 
 
-def _plan_rejection(code: PolynomialCode, plan: EvaluationPlan) -> str | None:
-    """The first plan condition the points fail, in checking order, or None."""
-    p = plan.field.p
-    if gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) == 0:
-        return "gv"
-    if not _mask_mds(p, plan.points, code.alpha_masks):
-        return "alpha_mds"
-    if not _mask_mds(p, plan.points, code.beta_masks):
-        return "beta_mds"
-    return None
-
-
 def find_evaluation_plan(
     code: PolynomialCode,
     field: PrimeFieldSpec | None = None,
     seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    points: tuple[int, ...] | None = None,
 ) -> EvaluationPlan:
-    """Find (or verify) N distinct nonzero points passing all conditions.
+    """The plan with the smallest generator g >= 2 that passes every condition.
 
-    Candidate points are drawn by rejection, reproducibly from ``seed``,
-    and each is checked exactly, with no sampling: first the generalized
-    Vandermonde determinant, then the alpha-mask and the beta-mask power
-    matrices for every maximal minor nonzero.  For mask exponents in
-    arithmetic progression (the small and big codes) that last check is
-    an O(N) certificate; other mask exponents (grouped codes) enumerate
-    all C(N, T) minors.  Passing ``points`` skips the search and verifies
-    that exact assignment, raising :class:`PlanVerificationError` if it
-    fails.  A failed search raises :class:`PlanSearchError` with the
-    number of candidates rejected for each condition.
+    Each candidate g is checked exactly, with no sampling: first the
+    nodes g ** e, e in J, for pairwise distinctness (the generalized
+    Vandermonde matrix is invertible iff they are), then the alpha-mask
+    and the beta-mask power matrices for every maximal minor nonzero.
+    For mask exponents in arithmetic progression (the small and big
+    codes) that last check is an O(N) certificate; other mask exponents
+    (grouped codes) enumerate all C(N, T) minors.  At most
+    ``MAX_CANDIDATES`` generators are tried; a failed search raises
+    :class:`PlanSearchError` with the number of candidates rejected for
+    each condition.  ``seed`` is unused: the search is deterministic, and
+    the keyword stays only for callers that still pass it.
     """
     if field is None:
         field = default_field(code)
-    n = code.n_servers
-    if field.p <= n:
-        raise ParameterError(f"field must satisfy p > N, got p={field.p}, N={n}")
+    p, n = field.p, code.n_servers
+    if p <= n:
+        raise ParameterError(f"field must satisfy p > N, got p={p}, N={n}")
     exponents = code_exponents(code)
-
-    if points is not None:
-        _check_points(points)
-        plan = EvaluationPlan(field, tuple(x % field.p for x in points), exponents)
-        if len(set(plan.points)) != n:
-            raise PlanVerificationError("points must be distinct")
-        if _plan_rejection(code, plan) is not None:
-            raise PlanVerificationError("supplied points fail the plan conditions")
-        return plan
-
-    rng = random.Random(seed)
     rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
-    for _ in range(max_attempts):
-        candidate = tuple(rng.sample(range(1, field.p), n))
-        plan = EvaluationPlan(field, candidate, exponents)
-        reason = _plan_rejection(code, plan)
-        if reason is None:
+    candidates = range(2, min(p, 2 + MAX_CANDIDATES))
+    for g in candidates:
+        plan = EvaluationPlan(field, g, exponents)
+        if len(set(_powers(p, g, exponents))) < n:
+            reason = "gv"
+        elif not _mask_mds(p, plan.points, code.alpha_masks):
+            reason = "alpha_mds"
+        elif not _mask_mds(p, plan.points, code.beta_masks):
+            reason = "beta_mds"
+        else:
             return plan
         rejections[reason] += 1
-    raise PlanSearchError(max_attempts, rejections)
+    raise PlanSearchError(len(candidates), rejections)
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
@@ -245,7 +236,8 @@ def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> No
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
     # Exactness needs int entries: a float passes the range check, then rounds.
-    if any(type(e) is not int or not 0 <= e < p for e in m.entries):
+    # Each check is one pass in C: the entry types, then min and max.
+    if set(map(type, m.entries)) != {int} or min(m.entries) < 0 or max(m.entries) >= p:
         raise ParameterError(f"{name} entries must be int residues reduced mod {p}")
 
 
@@ -328,12 +320,13 @@ def encode(
         if len(masks.r_masks) != params.t or len(masks.s_masks) != params.t:
             raise ParameterError(f"need T={params.t} masks per side")
 
+    points = plan.points
     f_shares = _shares(
-        p, plan.points, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
+        p, points, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
         block_rows, shapes.s,
     )
     g_shares = _shares(
-        p, plan.points, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
+        p, points, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
         shapes.s, block_cols,
     )
     return ShareBundle(plan.field, f_shares, g_shares)
@@ -348,19 +341,35 @@ def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
 
 @functools.lru_cache(maxsize=8)
 def _decoder(
-    p: int, points: tuple[int, ...], exponents: tuple[int, ...], needed: tuple[int, ...]
+    p: int, generator: int, exponents: tuple[int, ...], needed: tuple[int, ...]
 ) -> FieldMatrix:
-    """Rows ``needed`` of GV^-1, GV = [x_n ** e_j], as a len(needed) x N matrix.
+    """Rows ``needed`` of GV^-1, GV = [(g ** n) ** e_j], as a len(needed) x N matrix.
 
-    Row i of GV^-1 is column i of the solution Y of GV^T Y = I, so one
-    solve whose right-hand side holds only the unit columns e_i, i in
-    ``needed``, yields every row decode reads.  A singular GV raises
-    :class:`SingularMatrixError`, which the cache does not keep.
+    GV[n][j] = y_j ** n for the nodes y_j = g ** e_j, so row j of GV^-1
+    holds the coefficients of the Lagrange basis polynomial
+    L_j(z) = prod_{i != j} (z - y_i) / prod_{i != j} (y_j - y_i): the sum
+    over n of L_j's z ** n coefficient times y_k ** n is L_j(y_k), which is
+    1 at k = j and 0 elsewhere.  The master polynomial P(z) = prod (z - y_i)
+    is built once, in O(N^2); each row's numerator is then P / (z - y_j),
+    one synthetic division, and its denominator one product, both O(N).
+    Colliding nodes make GV singular and raise :class:`SingularMatrixError`,
+    which the cache does not keep.
     """
-    n, m = len(points), len(needed)
-    units = FieldMatrix(n, m, tuple(int(i == j) for i in range(n) for j in needed))
-    y = gf.solve(p, _power_rows(p, points, exponents), units)
-    return FieldMatrix(m, n, tuple(chain.from_iterable(y.entries[j::m] for j in range(m))))
+    nodes = _powers(p, generator, exponents)
+    if len(set(nodes)) < len(nodes):
+        raise SingularMatrixError("nodes g ** e collide: the Vandermonde matrix is singular")
+    master = [1]  # coefficients of P, lowest degree first
+    for y in nodes:
+        master = [(a - y * b) % p for a, b in zip([0] + master, master + [0])]
+    entries = []
+    for j in needed:
+        y = nodes[j]
+        quotient = [1]  # P / (z - y), highest degree first
+        for c in master[-2:0:-1]:
+            quotient.append((c + y * quotient[-1]) % p)
+        scale = pow(math.prod(y - x for x in nodes if x != y), -1, p)
+        entries.extend(c * scale % p for c in reversed(quotient))
+    return FieldMatrix(len(needed), len(nodes), tuple(entries))
 
 
 def decode(
@@ -376,8 +385,8 @@ def decode(
     coefficients.  The coefficient at exponent alpha[k] + beta[l] is
     exactly A_k B_l, so decode computes only those KL rows, in (k, l)
     order: one product of the prepared KL x N rows of GV^-1 with the
-    response stack.  The prepared rows are built by one elimination at
-    the first decode on a plan and reused after that.  The KL product
+    response stack.  The prepared rows are built from Lagrange basis
+    polynomials at the first decode on a plan and reused after that.  The KL product
     rows are reassembled into A @ B.
     """
     p = plan.field.p
@@ -398,7 +407,7 @@ def decode(
     exp_index = {e: i for i, e in enumerate(plan.exponents)}
     alpha, beta = code.assignment.alpha[:params.k], code.assignment.beta[:params.l]
     needed = tuple(exp_index[x + y] for x in alpha for y in beta)
-    products = gf.mat_mul(p, _decoder(p, plan.points, plan.exponents, needed), rhs)
+    products = gf.mat_mul(p, _decoder(p, plan.generator, plan.exponents, needed), rhs)
     return FieldMatrix(shapes.r, shapes.t, _stack(products, params.k, block_rows).entries)
 
 

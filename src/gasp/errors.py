@@ -14,22 +14,19 @@ class SingularMatrixError(GaspError, ArithmeticError):
 
 
 class PlanSearchError(GaspError, RuntimeError):
-    """Evaluation-point search exhausted its attempt budget.
+    """Plan search rejected every candidate generator.
 
-    ``rejections`` maps each plan condition ("gv", "alpha_mds",
-    "beta_mds") to the number of candidates that failed it first.
+    ``attempts`` is the number of generators tried, and ``rejections``
+    maps each plan condition ("gv", "alpha_mds", "beta_mds") to the
+    number of candidates that failed it first.
     """
 
     def __init__(self, attempts: int, rejections: dict[str, int]):
         reasons = ", ".join(f"{name} {count}" for name, count in rejections.items() if count)
-        message = f"no valid evaluation points after {attempts} attempts"
+        message = f"no valid generator among {attempts} candidates"
         super().__init__(f"{message}: {reasons}" if reasons else message)
         self.attempts = attempts
         self.rejections = dict(rejections)
-
-
-class PlanVerificationError(GaspError, RuntimeError):
-    """Explicitly supplied evaluation points failed verification."""
 
 
 class VerificationError(GaspError, RuntimeError):

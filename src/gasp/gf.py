@@ -1,14 +1,16 @@
 """Exact arithmetic and dense linear algebra over prime fields.
 
 Everything here is integer-exact: no floating point anywhere.  Matrices
-are immutable row-major tuples.  The systems solved here are N x N, one
-row per server (N = 83 at (K, L, T) = (8, 8, 2)), small enough for plain
-Gaussian elimination with pivoting by first nonzero entry.  ``det``
+are immutable row-major tuples.  ``det`` and ``solve`` are plain
+Gaussian elimination with pivoting by first nonzero entry: ``det``
 eliminates below each pivot; ``solve`` does forward elimination over the
 columns right of each pivot only, then back-substitution on the
-right-hand side.  Its caller is the codec's prepared decoder, which
-solves once per plan for the KL rows of the inverse generalized
-Vandermonde matrix that decoding reads.
+right-hand side.  Neither runs on the library's multiplication path,
+whose plans are invertible by construction and whose decoder is built
+by Lagrange interpolation.  They are oracles: ``harness.mds_audit``
+takes the determinant of the full generalized Vandermonde matrix, the
+minor enumeration of ``is_mds`` takes one per minor, and the tests check
+the codec's fast paths against both.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.

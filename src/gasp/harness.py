@@ -85,12 +85,13 @@ def run_sdmm(
 ) -> SessionTranscript:
     """Build a code, find a plan, multiply random inputs, verify, report.
 
-    Fully deterministic given the seed: it drives the plan search, the
-    secret inputs, and the masks.  ``stage_seconds`` of the transcript
-    holds the ``time.perf_counter`` seconds of each stage: ``plan`` (code
-    and plan search), ``encode`` (random inputs and shares), ``evaluate``
-    (the N server products), ``decode``, and ``verify`` (the direct
-    product check and the cost count).
+    Fully deterministic given the seed, which drives the secret inputs
+    and the masks; the plan depends on the code and the field only.
+    ``stage_seconds`` of the transcript holds the ``time.perf_counter``
+    seconds of each stage: ``plan`` (code and plan search), ``encode``
+    (random inputs and shares), ``evaluate`` (the N server products),
+    ``decode``, and ``verify`` (the direct product check and the cost
+    count).
     """
     stage_seconds = {}
     clock = time.perf_counter()
@@ -104,7 +105,7 @@ def run_sdmm(
     code = code_for_scheme(params, scheme, g=g)
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
-    plan = codec.find_evaluation_plan(code, field=field, seed=seed)
+    plan = codec.find_evaluation_plan(code, field=field)
     lap("plan")
 
     rng = random.Random(seed)
@@ -138,7 +139,8 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     """Re-verify the three sufficient conditions from scratch.
 
     Deliberately does not reuse the plan-search internals: the matrices
-    are rebuilt here from the code and the plan's points alone.  A plan
+    are rebuilt here from the code and the plan's points g ** n alone, and
+    the generalized Vandermonde matrix gets a full determinant.  A plan
     whose exponents are not the code's term set is refused, as ``encode``
     refuses it.
     """
@@ -176,7 +178,9 @@ def exhaustive_privacy_audit(
     should make the audit fail.
 
     Raises :class:`BudgetExceededError` before doing any work if the
-    enumeration would exceed ``max_steps`` elementary steps.
+    enumeration would exceed ``max_steps`` elementary steps.  ``seed`` is
+    unused, since plan search is deterministic; the keyword stays only
+    for callers that still pass it.
     """
     field = PrimeFieldSpec(p)
     t_sub = params.t if subset_size is None else subset_size
@@ -184,7 +188,7 @@ def exhaustive_privacy_audit(
         shapes = BlockShapes(params.k, 1, params.l)
     code = code_for_scheme(params, "auto")
     if plan is None:
-        plan = codec.find_evaluation_plan(code, field=field, seed=seed)
+        plan = codec.find_evaluation_plan(code, field=field)
     if plan.field.p != p:
         raise ParameterError("plan field does not match audit field")
     n = code.n_servers

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from gasp import codec, harness
+from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
@@ -59,21 +59,52 @@ def test_run_sdmm_stage_seconds():
     assert again == transcript and hash(again) == hash(transcript)
 
 
+@pytest.mark.parametrize(
+    "scheme, k, l, t, g",
+    [("small", 4, 4, 3, None), ("big", 4, 4, 4, None), ("grouped", 4, 4, 4, 2)],
+)
+def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
+    # Plans are invertible by construction and decode interpolates, so a
+    # session takes no determinant and solves nothing.  The one exception
+    # is a grouped code's mask check, which enumerates T x T minors through
+    # gf.is_mds; no larger determinant runs.  The grouped (4,4,4), G = 2
+    # session succeeds at its default field p = 1447, with g = 21.
+    def refuse(*args):
+        raise AssertionError("gf.solve ran inside run_sdmm")
+
+    def minors_only(p, m):
+        if scheme != "grouped" or m.rows != t:
+            raise AssertionError(f"gf.det ran on a {m.rows} x {m.cols} matrix inside run_sdmm")
+        return det(p, m)
+
+    det = gf.det
+    monkeypatch.setattr(gf, "det", minors_only)
+    monkeypatch.setattr(gf, "solve", refuse)
+    codec._decoder.cache_clear()
+    transcript = harness.run_sdmm(
+        SchemeParams(k, l, t), scheme=scheme, shapes=BlockShapes(2 * k, 2, 2 * l), g=g, seed=1
+    )
+    assert transcript.plan.field == codec.default_field(transcript.code)
+    assert transcript.product == gf.mat_mul(
+        transcript.plan.field.p, transcript.matrix_a, transcript.matrix_b
+    )
+    if scheme == "grouped":
+        assert (transcript.plan.field.p, transcript.plan.generator) == (1447, 21)
+
+
 def test_mds_audit_fixture_passes():
     code = gasp_auto(SchemeParams(3, 3, 2))
-    plan = codec.find_evaluation_plan(
-        code, PrimeFieldSpec(29), points=tuple(range(1, 19))
-    )
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(29))
     report = harness.mds_audit(code, plan)
     assert report.gv_det_nonzero and report.p_mds and report.q_mds
     assert report.all_pass
 
 
 def test_mds_audit_duplicated_point():
+    # g = 12 has order 4 over F_29, so the 18 points repeat 1, 12, 28, 17.
     code = gasp_auto(SchemeParams(3, 3, 2))
-    points = (1,) + tuple(range(1, 18))
-    exps = codec.code_exponents(code)
-    plan = EvaluationPlan(PrimeFieldSpec(29), points, exps)
+    plan = EvaluationPlan(PrimeFieldSpec(29), 12, codec.code_exponents(code))
+    assert plan.points[:5] == (1, 12, 28, 17, 1)
     report = harness.mds_audit(code, plan)
     assert not report.gv_det_nonzero
     assert not report.all_pass
@@ -81,7 +112,8 @@ def test_mds_audit_duplicated_point():
 
 def test_mds_audit_zero_point():
     code = gasp_auto(SchemeParams(1, 1, 1))
-    plan = EvaluationPlan(PrimeFieldSpec(7), (0, 1, 2), (0, 1, 2))
+    plan = EvaluationPlan(PrimeFieldSpec(7), 0, (0, 1, 2))
+    assert plan.points == (1, 0, 0)
     report = harness.mds_audit(code, plan)
     assert not report.p_mds
 
@@ -92,7 +124,7 @@ def test_mds_audit_rejects_plan_of_other_code():
     params = SchemeParams(2, 2, 2)
     small = code_for_scheme(params, "small")
     big = code_for_scheme(params, "big")
-    big_plan = codec.find_evaluation_plan(big, PrimeFieldSpec(1009), seed=0)
+    big_plan = codec.find_evaluation_plan(big, PrimeFieldSpec(1009))
     assert len(big_plan.points) == small.n_servers
     assert harness.mds_audit(big, big_plan).all_pass
     with pytest.raises(ParameterError):
@@ -107,9 +139,9 @@ def test_exhaustive_audit_every_verified_plan():
     # Any plan the search accepts should pass the distributional check.
     params = SchemeParams(1, 1, 1)
     code = gasp_auto(params)
-    for seed in range(5):
-        plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5), seed=seed)
-        assert harness.exhaustive_privacy_audit(params, 5, plan=plan), seed
+    for p in (5, 7):
+        plan = codec.find_evaluation_plan(code, PrimeFieldSpec(p))
+        assert harness.exhaustive_privacy_audit(params, p, plan=plan), p
 
 
 def test_exhaustive_audit_zero_masks_fails():
@@ -125,9 +157,9 @@ def test_exhaustive_audit_t2():
 
 
 def test_exhaustive_audit_corrupted_plan_fails():
-    # A plan with the point 0 leaks: server 0 sees f(0) = A directly.
+    # g = 0 puts servers 1 and 2 at the point 0, where f(0) = A leaks.
     code = gasp_auto(SchemeParams(1, 1, 1))
-    plan = EvaluationPlan(PrimeFieldSpec(5), (0, 1, 2), codec.code_exponents(code))
+    plan = EvaluationPlan(PrimeFieldSpec(5), 0, codec.code_exponents(code))
     assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
 
 
@@ -138,7 +170,7 @@ def test_exhaustive_audit_budget_refusal():
 
 def test_exhaustive_audit_rejects_mismatched_plan():
     code = gasp_auto(SchemeParams(1, 1, 1))
-    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=0)
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7))
     with pytest.raises(ParameterError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
 
