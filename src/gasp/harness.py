@@ -3,19 +3,31 @@
 Privacy is checked two ways.  ``mds_audit`` re-derives the algebraic
 sufficient conditions (invertible generalized Vandermonde matrix, both
 mask power matrices MDS) from scratch, at any scale.  At tiny scale,
-``exhaustive_privacy_audit`` checks the real thing: for every subset of
-colluding servers and every pair of secret inputs it enumerates all mask
-values, encodes each through ``codec.encode`` itself, and demands that the
-resulting multiset of observed shares be identical regardless of the
-secrets, i.e. that observations carry zero information.  Exact
-distribution equality is the strongest checkable statement, so nothing
-is sampled; oversized requests are refused.
+``exhaustive_privacy_audit`` checks the real thing: that for every subset
+of colluding servers the multiset of observed shares, over all mask
+values, is identical regardless of the secrets, i.e. that observations
+carry zero information.  Every share comes from ``codec.encode`` itself.
+
+The audit enumerates one side at a time: every A with every T-tuple of
+R masks, then every B with every T-tuple of S masks.  The f-shares
+depend only on (A, R) and the g-shares only on (B, S), so the joint
+count of an observation (u, v) under secrets (A, B) is F_A[u] * G_B[v],
+with F_A and G_B one side's multisets.  Those products agree for all
+(A, B) iff F_A is the same for every A and G_B for every B (sum over v:
+the total |G_B| is the same for every B), so the two sides decide the
+joint verdict exactly.  Here a, b, r and s count the entries of A, B,
+one R mask and one S mask; the work is (p ** (a + T*r) + p ** (b + T*s))
+* C(N, t) steps for t colluding servers, where the joint enumeration took
+p ** (a + b + T*r + T*s) * C(N, t).  Exact distribution equality is the
+strongest checkable statement, so nothing is sampled; oversized
+requests are refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -166,21 +178,34 @@ def exhaustive_privacy_audit(
     zero_masks: bool = False,
     max_steps: int = DEFAULT_AUDIT_BUDGET,
 ) -> bool:
-    """Exact distributional privacy check by total enumeration.
+    """Exact distributional privacy check by total enumeration, one side at a time.
 
-    For every ``subset_size``-subset of servers, enumerate every pair of
-    secret inputs and every mask assignment, and compare the multiset of
-    observed share tuples across secrets.  Every share comes from
-    ``codec.encode`` with the enumerated masks injected, so the audit
-    checks the shipped encoder.  Returns True iff the multisets are
-    identical everywhere.  With ``zero_masks`` the masks are pinned
-    to zero instead of enumerated, which models a broken scheme and
-    should make the audit fail.
+    For every ``subset_size``-subset of servers and every secret A, count
+    the observed f-share tuples over all T-tuples of R masks; then do the
+    same for every B and the S masks.  Every share comes from
+    ``codec.encode`` with the enumerated masks injected and the other
+    side's secret and masks at zero, so the audit checks the shipped
+    encoder.  Returns True iff, on each side, every secret gives the
+    same multisets as the first one.  With ``zero_masks`` the masks are
+    pinned to zero instead of enumerated, which models a broken scheme
+    and should make the audit fail.
+
+    Checking the sides apart decides exactly what comparing the joint
+    observations of (A, B) would.  Since f depends only on (A, R) and g
+    only on (B, S), the joint count of an observation (u, v) is
+    F_A[u] * G_B[v], where F_A and G_B are the side multisets above.
+    If F_A and G_B are the same for every A and every B, so are their
+    products.  Conversely, summing the joint counts over v gives
+    |G_B| * F_A, and |G_B| is the number of S-mask tuples whatever B is,
+    so equal joint counts force equal F_A; likewise for G_B.
 
     Raises :class:`BudgetExceededError` before doing any work if the
-    enumeration would exceed ``max_steps`` elementary steps.  ``seed`` is
-    unused, since plan search is deterministic; the keyword stays only
-    for callers that still pass it.
+    enumeration would exceed ``max_steps`` elementary steps, counted as
+    (p ** (a + T*r) + p ** (b + T*s)) * C(N, subset_size) for a, b the
+    entries of A and B and r, s those of one R and one S mask (T*r and
+    T*s are 0 with ``zero_masks``).  ``seed`` is unused, since plan
+    search is deterministic; the keyword stays only for callers that
+    still pass it.
     """
     field = PrimeFieldSpec(p)
     t_sub = params.t if subset_size is None else subset_size
@@ -194,71 +219,61 @@ def exhaustive_privacy_audit(
     n = code.n_servers
     if not 1 <= t_sub <= n:
         raise ParameterError(f"subset size must be in 1..{n}, got {t_sub}")
+    codec._check_shapes(code, shapes)
 
-    k, l, t = params.k, params.l, params.t
-    if shapes.r % k or shapes.t % l:
-        raise ParameterError("shapes must respect the block partition")
-    block_rows = shapes.r // k
-    block_cols = shapes.t // l
-    a_block = block_rows * shapes.s
-    b_block = shapes.s * block_cols
-    a_syms = shapes.r * shapes.s
-    b_syms = shapes.s * shapes.t
-    mask_syms = 0 if zero_masks else t * a_block + t * b_block
-    steps = p ** (a_syms + b_syms + mask_syms) * comb(n, t_sub)
+    t = params.t
+    a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
+    r_shape, s_shape = (shapes.r // params.k, shapes.s), (shapes.s, shapes.t // params.l)
+    masks_per_side = 0 if zero_masks else t
+    steps = comb(n, t_sub) * (
+        p ** (math.prod(a_shape) + masks_per_side * math.prod(r_shape))
+        + p ** (math.prod(b_shape) + masks_per_side * math.prod(s_shape))
+    )
     if steps > max_steps:
         raise BudgetExceededError(
             f"audit needs {steps} steps, budget is {max_steps}; not sampling"
         )
 
-    zero_a = FieldMatrix(shapes.r, shapes.s, (0,) * a_syms)
-    zero_b = FieldMatrix(shapes.s, shapes.t, (0,) * b_syms)
-    zero_r = (FieldMatrix(block_rows, shapes.s, (0,) * a_block),) * t
-    zero_s = (FieldMatrix(shapes.s, block_cols, (0,) * b_block),) * t
-
-    def mask_tuples(rows: int, cols: int) -> list[tuple[FieldMatrix, ...]]:
-        # Every T-tuple of rows x cols masks, split from one flat enumeration.
+    def matrix_tuples(shape, count: int, values):
+        # Every count-tuple of matrices of this shape with entries drawn from values.
+        rows, cols = shape
         size = rows * cols
-        return [
-            tuple(FieldMatrix(rows, cols, flat[i * size:(i + 1) * size]) for i in range(t))
-            for flat in itertools.product(range(p), repeat=t * size)
-        ]
-
-    r_combos = [zero_r] if zero_masks else mask_tuples(block_rows, shapes.s)
-    s_combos = [zero_s] if zero_masks else mask_tuples(shapes.s, block_cols)
-
-    def encode(a: FieldMatrix, b: FieldMatrix, r_masks, s_masks) -> ShareBundle:
-        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
-
-    # f shares depend only on (A, R-masks) and g shares only on (B, S-masks),
-    # so each side is encoded with the other side's secret and masks at zero.
-    f_by_secret = []
-    for a_flat in itertools.product(range(p), repeat=a_syms):
-        a = FieldMatrix(shapes.r, shapes.s, a_flat)
-        f_by_secret.append([
-            tuple(m.entries for m in encode(a, zero_b, masks, zero_s).f_shares)
-            for masks in r_combos
-        ])
-    g_by_secret = []
-    for b_flat in itertools.product(range(p), repeat=b_syms):
-        b = FieldMatrix(shapes.s, shapes.t, b_flat)
-        g_by_secret.append([
-            tuple(m.entries for m in encode(zero_a, b, zero_r, masks).g_shares)
-            for masks in s_combos
-        ])
+        for flat in itertools.product(values, repeat=count * size):
+            yield tuple(
+                FieldMatrix(rows, cols, flat[i * size:(i + 1) * size]) for i in range(count)
+            )
 
     subsets = list(itertools.combinations(range(n), t_sub))
-    reference: list[Counter] | None = None
-    for f_tables in f_by_secret:
-        for g_tables in g_by_secret:
+    # Masks pinned to zero enumerate the single value 0.
+    mask_values = range(1) if zero_masks else range(p)
+
+    def side_is_private(secret_shape, mask_shape, shares_of) -> bool:
+        # Per subset, the multiset of observed share tuples over all mask tuples,
+        # compared between every secret and the first one.
+        mask_tuples = list(matrix_tuples(mask_shape, t, mask_values))
+        reference = None
+        for (secret,) in matrix_tuples(secret_shape, 1, range(p)):
             counters = [Counter() for _ in subsets]
-            for f_shares in f_tables:
-                for g_shares in g_tables:
-                    for si, subset in enumerate(subsets):
-                        obs = tuple((f_shares[i], g_shares[i]) for i in subset)
-                        counters[si][obs] += 1
+            for masks in mask_tuples:
+                shares = [m.entries for m in shares_of(secret, masks)]
+                for counter, subset in zip(counters, subsets):
+                    counter[tuple(shares[i] for i in subset)] += 1
             if reference is None:
                 reference = counters
             elif counters != reference:
                 return False
-    return True
+        return True
+
+    def zeros(shape) -> FieldMatrix:
+        return FieldMatrix(*shape, (0,) * math.prod(shape))
+
+    def encode(a, b, r_masks, s_masks) -> ShareBundle:
+        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+
+    zero_a, zero_b = zeros(a_shape), zeros(b_shape)
+    zero_r, zero_s = (zeros(r_shape),) * t, (zeros(s_shape),) * t
+    return side_is_private(
+        a_shape, r_shape, lambda a, masks: encode(a, zero_b, masks, zero_s).f_shares
+    ) and side_is_private(
+        b_shape, s_shape, lambda b, masks: encode(zero_a, b, zero_r, masks).g_shares
+    )

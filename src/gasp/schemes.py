@@ -303,7 +303,13 @@ def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
 
 
 def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> PolynomialCode:
-    """Build a validated code by scheme name: small, big, auto, or grouped."""
+    """Build a validated code by scheme name: small, big, auto, or grouped.
+
+    The group count ``g`` is required for grouped codes and refused for
+    the others, which have no groups.
+    """
+    if g is not None and scheme != "grouped":
+        raise ParameterError(f"a group count G applies only to the grouped scheme, not {scheme!r}")
     if scheme == "small":
         return build_code(params, gasp_small(params), "small")
     if scheme == "big":

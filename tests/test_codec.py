@@ -287,6 +287,39 @@ def test_encode_matches_naive_sum(scheme, k, l, t, g):
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(p, a, b)
 
 
+@pytest.mark.parametrize(
+    "scheme, k, l, t, g",
+    [("small", 3, 2, 1, None), ("big", 2, 2, 3, None), ("grouped", 3, 3, 3, 2)],
+)
+def test_each_side_depends_only_on_its_own_inputs(scheme, k, l, t, g):
+    # The exhaustive privacy audit encodes each side with the other side's
+    # secret and masks at zero; that is exact only because the f-shares
+    # depend on (A, R) alone and the g-shares on (B, S) alone.
+    code = code_for_scheme(SchemeParams(k, l, t), scheme, g=g)
+    plan = codec.find_evaluation_plan(code)
+    p = plan.field.p
+    shapes = BlockShapes(2 * k, 3, 2 * l)
+    rng = random.Random(k * 100 + l * 10 + t)
+
+    def inputs():
+        return (
+            codec.random_matrix(p, shapes.r, shapes.s, rng),
+            codec.random_matrix(p, shapes.s, shapes.t, rng),
+            tuple(codec.random_matrix(p, 2, shapes.s, rng) for _ in range(t)),
+            tuple(codec.random_matrix(p, shapes.s, 2, rng) for _ in range(t)),
+        )
+
+    def encode(a, b, r_masks, s_masks):
+        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+
+    (a, b, r, s), (a2, b2, r2, s2) = inputs(), inputs()
+    base = encode(a, b, r, s)
+    new_g_side = encode(a, b2, r, s2)
+    new_f_side = encode(a2, b, r2, s)
+    assert new_g_side.f_shares == base.f_shares and new_g_side.g_shares != base.g_shares
+    assert new_f_side.g_shares == base.g_shares and new_f_side.f_shares != base.f_shares
+
+
 def test_non_int_entries_rejected():
     # A float passes the range check 0 <= e < p, but its shares are floats
     # and this decode used to return (0.0,) instead of 15.

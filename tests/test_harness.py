@@ -92,6 +92,12 @@ def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
         assert (transcript.plan.field.p, transcript.plan.generator) == (1447, 21)
 
 
+def test_run_sdmm_refuses_group_count_without_grouped_scheme():
+    # Ignoring G = 2 would build and report the big code as if it were asked for.
+    with pytest.raises(ParameterError):
+        harness.run_sdmm(SchemeParams(4, 4, 4), g=2)
+
+
 def test_mds_audit_fixture_passes():
     code = gasp_auto(SchemeParams(3, 3, 2))
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(29))
@@ -166,6 +172,22 @@ def test_exhaustive_audit_corrupted_plan_fails():
 def test_exhaustive_audit_budget_refusal():
     with pytest.raises(BudgetExceededError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=10)
+
+
+def test_exhaustive_audit_budget_counts_each_side():
+    # Each side alone: (p ** (a + T*r) + p ** (b + T*s)) * C(N, t)
+    # = (5 ** 2 + 5 ** 2) * C(3, 1) = 150 at (1,1,1) over F_5.
+    with pytest.raises(BudgetExceededError, match="needs 150 steps"):
+        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=149)
+    assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=150)
+
+
+@pytest.mark.parametrize("k, l, t", [(2, 1, 2), (1, 2, 2), (2, 2, 1)])
+def test_exhaustive_audit_reach_over_f11(k, l, t):
+    # (2,1,2) and (1,2,2) need about 4.1e8 joint (A, B) steps, past the
+    # default budget of 1e8; one side at a time they need under 1e6.
+    assert harness.exhaustive_privacy_audit(SchemeParams(k, l, t), 11)
+    assert not harness.exhaustive_privacy_audit(SchemeParams(k, l, t), 11, zero_masks=True)
 
 
 def test_exhaustive_audit_rejects_mismatched_plan():

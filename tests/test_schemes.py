@@ -284,3 +284,7 @@ def test_code_for_scheme_rejects_bad_input():
         code_for_scheme(SchemeParams(2, 2, 2), "grouped")
     with pytest.raises(ParameterError):
         code_for_scheme(SchemeParams(2, 2, 2), "nonsense")
+    # Only grouped codes have groups; a group count elsewhere is refused, not ignored.
+    for scheme in ("small", "big", "auto"):
+        with pytest.raises(ParameterError):
+            code_for_scheme(SchemeParams(4, 4, 4), scheme, g=2)
