@@ -30,8 +30,9 @@ small and big codes put each side's masks on an arithmetic progression
 of exponents, which reduces that condition to an O(N) certificate: every
 point's power at the first exponent is nonzero and the points' powers at
 the common difference are distinct.  Other mask exponents, such as the
-runs of grouped codes, are checked by enumerating all C(N, T) minors
-with :func:`gf.is_mds`.
+runs of grouped codes, are checked by :func:`gf.is_mds`, which decides
+every one of the C(N, T) minors exactly by a depth-first walk that
+shares elimination between subsets with a common prefix.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def _mask_mds(p: int, points, mask_exponents) -> bool:
     distinct.  That holds for every T-subset iff it holds for all N
     points at once: since T <= N, a zero entry or a colliding pair of
     d-th powers extends to a T-subset whose minor vanishes.  Any other
-    exponent set falls back to enumerating the C(N, T) minors.
+    exponent set falls back to :func:`gf.is_mds`, which decides all
+    C(N, T) minors with one shared elimination per column prefix and a
+    row scan per run of leaves, taking no determinant.
     """
     t, n = len(mask_exponents), len(points)
     if t > n:
@@ -192,7 +195,8 @@ def find_evaluation_plan(
     and the beta-mask power matrices for every maximal minor nonzero.
     For mask exponents in arithmetic progression (the small and big
     codes) that last check is an O(N) certificate; other mask exponents
-    (grouped codes) enumerate all C(N, T) minors.  At most
+    (grouped codes) go through :func:`gf.is_mds`, which decides all
+    C(N, T) minors by a depth-first walk with shared elimination.  At most
     ``MAX_CANDIDATES`` generators are tried; a failed search raises
     :class:`PlanSearchError` with the number of candidates rejected for
     each condition.  ``seed`` is unused: the search is deterministic, and

@@ -8,9 +8,10 @@ columns right of each pivot only, then back-substitution on the
 right-hand side.  Neither runs on the library's multiplication path,
 whose plans are invertible by construction and whose decoder is built
 by Lagrange interpolation.  They are oracles: ``harness.mds_audit``
-takes the determinant of the full generalized Vandermonde matrix, the
-minor enumeration of ``is_mds`` takes one per minor, and the tests check
-the codec's fast paths against both.
+takes the determinant of the full generalized Vandermonde matrix, and
+the tests check the codec's fast paths and ``is_mds`` against them.
+``is_mds`` takes no determinant: it walks the column subsets depth first
+and shares one elimination among all subsets with a common prefix.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -286,17 +287,57 @@ def solve(p: int, m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
 def is_mds(p: int, m: FieldMatrix) -> bool:
     """True iff every maximal (rows x rows) minor has nonzero determinant.
 
-    Enumerates every column subset, lexicographically; nothing is sampled.
-    This is the oracle: ``harness.mds_audit`` calls it, and so does plan
-    search for mask exponents that are not an arithmetic progression
-    (grouped codes); progression masks use an O(N) certificate instead.
+    Every T-subset of the N columns is decided exactly, none is sampled,
+    so True is a proof.  The subsets are walked depth first in
+    lexicographic order, and subsets with a common prefix share its
+    elimination.  At depth d the walk has chosen d linearly independent
+    columns S and holds a basis of the T - d vectors orthogonal to all
+    of them; at depth 0 that is the identity basis.  Each basis vector v
+    is kept as the row v @ m of its dot products with the columns that
+    may still be chosen, so adding column c reads column c of those rows:
+
+    * if every dot is zero, c lies in span(S).  The walk only tries a c
+      that leaves at least T - 1 - d columns after it, so some T-subset
+      contains S and c, its minor vanishes, and the check returns False;
+    * otherwise the first nonzero dot is the pivot.  Eliminating it from
+      the other rows leaves a basis of the T - d - 1 vectors orthogonal
+      to S and c, and the walk goes one level down on the columns after c.
+
+    At depth T - 1 one vector v remains, and det[S, c] is nonzero iff
+    v . c is, so a whole run of leaves is one scan of a row for a zero.
+    Every T-subset is the path of exactly one leaf.  Adding a column at
+    depth d costs T - d - 1 row updates of at most N entries, and no
+    determinant is taken.  The walk holds one set of rows per level, at
+    most T * T * N entries, and never a list of subsets.  Entries may be
+    any ints; they are reduced mod p first.
+
+    This is the oracle of ``harness.mds_audit``; plan search calls it too
+    for mask exponents that are not an arithmetic progression (grouped
+    codes), while progression masks use an O(N) certificate instead.
     """
     t, n = m.rows, m.cols
     if t > n:
         raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
-    rows = [m.row(i) for i in range(t)]
-    for cols in itertools.combinations(range(n), t):
-        minor = FieldMatrix(t, t, tuple(rows[i][j] for i in range(t) for j in cols))
-        if det(p, minor) == 0:
-            return False
-    return True
+
+    def extend(rows: list[list[int]]) -> bool:
+        # rows[i][j] = v_i . (column j after the last one chosen), for a
+        # basis v of the vectors orthogonal to the chosen columns.
+        if len(rows) == 1:
+            return 0 not in rows[0]
+        for c in range(len(rows[0]) - len(rows) + 1):
+            dots = [row[c] for row in rows]
+            k = next((i for i, x in enumerate(dots) if x), None)
+            if k is None:
+                return False
+            tail = rows[k][c + 1:]
+            inv_pv = pow(dots[k], -1, p)
+            rest = []
+            for i, row in enumerate(rows):
+                if i != k:
+                    factor = dots[i] * inv_pv % p
+                    rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
+            if not extend(rest):
+                return False
+        return True
+
+    return extend([[e % p for e in m.row(i)] for i in range(t)])

@@ -189,13 +189,15 @@ def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
     codec.find_evaluation_plan(code_for_scheme(SchemeParams(2, 2, 3), "big"))
     assert calls == []
 
-    # The grouped alpha masks 16, 17, 20, 21 are no progression: one full
-    # enumeration per generator, 2 to 21; the beta masks 16..19 are.
+    # The grouped alpha masks 16, 17, 20, 21 are no progression: one
+    # gf.is_mds walk over all C(36, 4) minors per generator, 2 to 21; the
+    # beta masks 16..19 are.
     grouped = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=2)
     assert codec.find_evaluation_plan(grouped).generator == 21
     assert calls == [(4, 36)] * 20
 
-    # The audit stays on full enumeration, one call per side.
+    # The audit walks every minor even for progression masks, one
+    # gf.is_mds call per side.
     del calls[:]
     assert harness.mds_audit(small, plan).all_pass
     assert calls == [(3, 33), (3, 33)]

@@ -180,18 +180,100 @@ def test_is_mds_examples():
         gf.is_mds(7, gf.matrix_from_rows(7, [[1], [2]]))
 
 
+def _vanishing_minors(p, m):
+    # Oracle: one determinant per maximal minor, in lexicographic order.
+    t = m.rows
+    return [
+        cols
+        for cols in itertools.combinations(range(m.cols), t)
+        if gf.det(p, FieldMatrix(t, t, tuple(m.at(i, j) for i in range(t) for j in cols))) == 0
+    ]
+
+
+def _from_columns(columns):
+    # Entries go through the FieldMatrix constructor as given, unreduced.
+    t = len(columns[0])
+    return FieldMatrix(t, len(columns), tuple(col[i] for i in range(t) for col in columns))
+
+
+def _lift(p, columns, rng):
+    # The same residues, each moved by a multiple of p, negative or >= p.
+    return [[e + p * rng.randint(-3, 3) for e in col] for col in columns]
+
+
+def _combination(p, t, columns, rng):
+    # A combination of columns of length t with nonzero coefficients.
+    coeffs = [rng.randrange(1, p) for _ in columns]
+    return [sum(a * col[i] for a, col in zip(coeffs, columns)) % p for i in range(t)]
+
+
 def test_is_mds_agrees_with_direct_enumeration():
+    # Every shape with T <= 5 and N <= 9 over six fields: random entries,
+    # Vandermonde-type matrices (distinct nonzero points, powers e0 ..
+    # e0 + T - 1, so every minor is nonzero), and the same matrices with a
+    # zero column, two equal columns or a rank-deficient prefix.  About half
+    # of all matrices hold unreduced entries.
     rng = random.Random(4)
-    for _ in range(30):
-        p = rng.choice([5, 7, 11])
-        t = rng.randint(1, 3)
-        n = rng.randint(t, 7)
-        m = gf.matrix_from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(t)])
-        direct = all(
-            gf.det(p, FieldMatrix(t, t, tuple(m.at(i, j) for i in range(t) for j in cols)))
-            for cols in itertools.combinations(range(n), t)
-        )
-        assert gf.is_mds(p, m) == direct
+    cases = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for t in range(1, 6):
+            for n in range(t, 10):
+                for _ in range(3):
+                    cases.append((p, [[rng.randrange(p) for _ in range(t)] for _ in range(n)]))
+                if n >= p:
+                    continue
+                e0 = rng.randrange(3)
+                points = rng.sample(range(1, p), n)
+                good = [[pow(x, e0 + i, p) for i in range(t)] for x in points]
+                cases.append((p, good))
+                zero = [col[:] for col in good]
+                zero[rng.randrange(n)] = [0] * t
+                cases.append((p, zero))
+                if n >= 2:
+                    i, j = rng.sample(range(n), 2)
+                    cases.append((p, good[:i] + [good[j]] + good[i + 1:]))
+                if t >= 2:
+                    d = rng.randrange(1, t)
+                    prefix = good[:d] + [_combination(p, t, good[:d], rng)] + good[d + 1:]
+                    cases.append((p, prefix))
+    verdicts = set()
+    for p, columns in cases:
+        if rng.random() < 0.5:
+            columns = _lift(p, columns, rng)
+        m = _from_columns(columns)
+        expected = not _vanishing_minors(p, m)
+        assert gf.is_mds(p, m) == expected, (p, columns)
+        verdicts.add((m.rows, m.rows == m.cols, expected))
+    # Passes and failures at every T, with T < N and with T = N.
+    assert verdicts == set(itertools.product(range(1, 6), (False, True), (False, True)))
+
+
+@pytest.mark.parametrize("p, t, n", [(7, 1, 4), (13, 2, 5), (13, 3, 6), (11, 4, 7), (13, 5, 7), (31, 5, 9)])
+def test_is_mds_finds_the_last_minor(p, t, n):
+    # Only the lexicographically last minor vanishes: its last column is a
+    # combination of the T - 1 columns before it, and every other T-subset
+    # of a Vandermonde-type matrix stays independent.  The walk reaches
+    # that subset last, so it must not stop early.
+    rng = random.Random(p * 100 + t * 10 + n)
+    last = tuple(range(n - t, n))
+    for _ in range(200):
+        columns = [[pow(x, i, p) for i in range(t)] for x in rng.sample(range(1, p), n - 1)]
+        columns.append(_combination(p, t, columns[n - t:], rng))
+        m = _from_columns(_lift(p, columns, rng))
+        if _vanishing_minors(p, m) == [last]:
+            break
+    else:
+        pytest.fail("no matrix found whose only vanishing minor is the last")
+    assert not gf.is_mds(p, m)
+
+
+def test_is_mds_takes_no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gf.det ran inside gf.is_mds")
+
+    monkeypatch.setattr(gf, "det", refuse)
+    p, points = 1483, range(1, 40)
+    assert gf.is_mds(p, gf.matrix_from_rows(p, [[pow(x, e, p) for x in points] for e in range(4)]))
 
 
 def _triple_loop(p, a, b):

@@ -65,20 +65,15 @@ def test_run_sdmm_stage_seconds():
 )
 def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # Plans are invertible by construction and decode interpolates, so a
-    # session takes no determinant and solves nothing.  The one exception
-    # is a grouped code's mask check, which enumerates T x T minors through
-    # gf.is_mds; no larger determinant runs.  The grouped (4,4,4), G = 2
-    # session succeeds at its default field p = 1447, with g = 21.
+    # session takes no determinant and solves nothing, for every scheme.
+    # A grouped code's mask check walks its T x T minors in gf.is_mds by
+    # shared elimination, with no determinant either.  The grouped
+    # (4,4,4), G = 2 session succeeds at its default field p = 1447, with
+    # g = 21.
     def refuse(*args):
-        raise AssertionError("gf.solve ran inside run_sdmm")
+        raise AssertionError("gf.det or gf.solve ran inside run_sdmm")
 
-    def minors_only(p, m):
-        if scheme != "grouped" or m.rows != t:
-            raise AssertionError(f"gf.det ran on a {m.rows} x {m.cols} matrix inside run_sdmm")
-        return det(p, m)
-
-    det = gf.det
-    monkeypatch.setattr(gf, "det", minors_only)
+    monkeypatch.setattr(gf, "det", refuse)
     monkeypatch.setattr(gf, "solve", refuse)
     codec._decoder.cache_clear()
     transcript = harness.run_sdmm(
