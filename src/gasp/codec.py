@@ -31,8 +31,10 @@ of exponents, which reduces that condition to an O(N) certificate: every
 point's power at the first exponent is nonzero and the points' powers at
 the common difference are distinct.  Other mask exponents, such as the
 runs of grouped codes, are checked by :func:`gf.is_mds`, which decides
-every one of the C(N, T) minors exactly by a depth-first walk that
-shares elimination between subsets with a common prefix.
+every one of the C(N, T) minors exactly by a depth-first walk over
+column prefixes of length T - 2, sharing elimination between subsets
+with a common prefix and deciding each prefix's remaining pairs by one
+ratio-distinctness test.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ def _mask_mds(p: int, points, mask_exponents) -> bool:
     points at once: since T <= N, a zero entry or a colliding pair of
     d-th powers extends to a T-subset whose minor vanishes.  Any other
     exponent set falls back to :func:`gf.is_mds`, which decides all
-    C(N, T) minors with one shared elimination per column prefix and a
-    row scan per run of leaves, taking no determinant.
+    C(N, T) minors with one shared elimination per column prefix and one
+    ratio-distinctness test per prefix of length T - 2, taking no
+    determinant, in about C(N, T - 2) * N steps.
     """
     t, n = len(mask_exponents), len(points)
     if t > n:
@@ -196,7 +199,10 @@ def find_evaluation_plan(
     For mask exponents in arithmetic progression (the small and big
     codes) that last check is an O(N) certificate; other mask exponents
     (grouped codes) go through :func:`gf.is_mds`, which decides all
-    C(N, T) minors by a depth-first walk with shared elimination.  At most
+    C(N, T) minors by a depth-first walk over column prefixes of length
+    T - 2 with shared elimination, in about C(N, T - 2) * N steps, and
+    raises :class:`BudgetExceededError` when that count exceeds
+    ``gf.MDS_WALK_BUDGET``.  At most
     ``MAX_CANDIDATES`` generators are tried; a failed search raises
     :class:`PlanSearchError` with the number of candidates rejected for
     each condition.  ``seed`` is unused: the search is deterministic, and

@@ -34,4 +34,8 @@ class VerificationError(GaspError, RuntimeError):
 
 
 class BudgetExceededError(GaspError, RuntimeError):
-    """An exhaustive audit refused to run past its step budget."""
+    """An enumeration refused to start because it would exceed its step budget.
+
+    Raised by the exhaustive privacy audit and by the MDS walk of
+    ``gf.is_mds``, each before doing any work.
+    """

@@ -10,8 +10,10 @@ whose plans are invertible by construction and whose decoder is built
 by Lagrange interpolation.  They are oracles: ``harness.mds_audit``
 takes the determinant of the full generalized Vandermonde matrix, and
 the tests check the codec's fast paths and ``is_mds`` against them.
-``is_mds`` takes no determinant: it walks the column subsets depth first
-and shares one elimination among all subsets with a common prefix.
+``is_mds`` takes no determinant: it walks the column subsets depth first,
+shares one elimination among all subsets with a common prefix, and
+decides every subset under a node with two rows left by one test that
+the ratios of those rows are distinct.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -37,8 +39,9 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
+from math import comb
 
-from .errors import ParameterError, SingularMatrixError
+from .errors import BudgetExceededError, ParameterError, SingularMatrixError
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -51,6 +54,9 @@ _PACK_MIN_COLS = 8
 _SLOT_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 _SLOT_LIMIT = 1 << 64
 _BYTE_ORDER = sys.byteorder
+
+# is_mds refuses a walk whose cost, C(N, T - 2) * N entries, exceeds this.
+MDS_WALK_BUDGET = 10**8
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -303,13 +309,25 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
       the other rows leaves a basis of the T - d - 1 vectors orthogonal
       to S and c, and the walk goes one level down on the columns after c.
 
-    At depth T - 1 one vector v remains, and det[S, c] is nonzero iff
-    v . c is, so a whole run of leaves is one scan of a row for a zero.
-    Every T-subset is the path of exactly one leaf.  Adding a column at
-    depth d costs T - d - 1 row updates of at most N entries, and no
-    determinant is taken.  The walk holds one set of rows per level, at
-    most T * T * N entries, and never a list of subsets.  Entries may be
-    any ints; they are reduced mod p first.
+    The walk stops at depth T - 2, where two vectors u and v remain.  For
+    columns c and d after the prefix, det[S, c, d] is nonzero iff the
+    2 x 2 minor u_c v_d - u_d v_c is, that is iff the pairs (u_c, v_c)
+    and (u_d, v_d) are not parallel.  So every pair is decided at once:
+    no pair (u_c, v_c) may be (0, 0), and the keys u_c / v_c mod p, with
+    the key p standing in when v_c = 0, must be pairwise distinct.  That
+    costs one inverse per column and one set; T = 2 is the whole walk,
+    and T = 1 asks only that no entry is zero.  Every T-subset is decided
+    as one prefix plus one pair.
+
+    The walk visits C(N - T + d, d) nodes at depth d, C(N - 1, T - 2) in
+    all.  Making a node updates fewer than T rows of at most N entries,
+    and a two-row node computes at most N keys, so the walk costs about
+    C(N, T - 2) * N entry steps, not the C(N, T) of one test per minor.
+    If that count (N when T = 1) exceeds ``MDS_WALK_BUDGET`` = 10**8, the
+    check raises :class:`BudgetExceededError` before doing any work.  The
+    walk holds one set of rows per level, at most T * T * N entries, and
+    never a list of subsets.  Entries may be any ints; they are reduced
+    mod p first.
 
     This is the oracle of ``harness.mds_audit``; plan search calls it too
     for mask exponents that are not an arithmetic progression (grouped
@@ -318,12 +336,24 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
     t, n = m.rows, m.cols
     if t > n:
         raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    cost = comb(n, max(t - 2, 0)) * n
+    if cost > MDS_WALK_BUDGET:
+        raise BudgetExceededError(
+            f"MDS check of {t} x {n} needs {cost} steps, budget is {MDS_WALK_BUDGET}"
+        )
 
     def extend(rows: list[list[int]]) -> bool:
         # rows[i][j] = v_i . (column j after the last one chosen), for a
         # basis v of the vectors orthogonal to the chosen columns.
         if len(rows) == 1:
             return 0 not in rows[0]
+        if len(rows) == 2:
+            u, v = rows
+            # Residues are nonnegative, so x | y is 0 only for the pair (0, 0).
+            if 0 in map(operator.or_, u, v):
+                return False
+            keys = [x * pow(y, -1, p) % p if y else p for x, y in zip(u, v)]
+            return len(set(keys)) == len(keys)
         for c in range(len(rows[0]) - len(rows) + 1):
             dots = [row[c] for row in rows]
             k = next((i for i, x in enumerate(dots) if x), None)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gasp import gf
-from gasp.errors import ParameterError, SingularMatrixError
+from gasp.errors import BudgetExceededError, ParameterError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 
 # Fixture from the worked small example: 18 points, 18 exponents, p = 29.
@@ -208,16 +208,19 @@ def _combination(p, t, columns, rng):
 
 
 def test_is_mds_agrees_with_direct_enumeration():
-    # Every shape with T <= 5 and N <= 9 over six fields: random entries,
-    # Vandermonde-type matrices (distinct nonzero points, powers e0 ..
-    # e0 + T - 1, so every minor is nonzero), and the same matrices with a
-    # zero column, two equal columns or a rank-deficient prefix.  About half
-    # of all matrices hold unreduced entries.
+    # Every shape with T <= 5 and N <= 9 over six fields, and T <= 4,
+    # N <= 8 over a field above 2**61, where the two-row keys are large
+    # residues: random entries, Vandermonde-type matrices (distinct nonzero
+    # points, powers e0 .. e0 + T - 1, so every minor is nonzero), and the
+    # same matrices with a zero column, two equal columns, a column that is
+    # another times a scalar other than 1, or a rank-deficient prefix.
+    # About half of all matrices hold unreduced entries.
     rng = random.Random(4)
     cases = []
-    for p in (2, 3, 5, 7, 11, 13):
-        for t in range(1, 6):
-            for n in range(t, 10):
+    big = gf.next_prime(2**61)
+    for p, t_max, n_max in [(p, 5, 9) for p in (2, 3, 5, 7, 11, 13)] + [(big, 4, 8)]:
+        for t in range(1, t_max + 1):
+            for n in range(t, n_max + 1):
                 for _ in range(3):
                     cases.append((p, [[rng.randrange(p) for _ in range(t)] for _ in range(n)]))
                 if n >= p:
@@ -232,6 +235,10 @@ def test_is_mds_agrees_with_direct_enumeration():
                 if n >= 2:
                     i, j = rng.sample(range(n), 2)
                     cases.append((p, good[:i] + [good[j]] + good[i + 1:]))
+                    if p > 2:
+                        scale = rng.randrange(2, p)
+                        scaled = [scale * e % p for e in good[j]]
+                        cases.append((p, good[:i] + [scaled] + good[i + 1:]))
                 if t >= 2:
                     d = rng.randrange(1, t)
                     prefix = good[:d] + [_combination(p, t, good[:d], rng)] + good[d + 1:]
@@ -265,6 +272,14 @@ def test_is_mds_finds_the_last_minor(p, t, n):
     else:
         pytest.fail("no matrix found whose only vanishing minor is the last")
     assert not gf.is_mds(p, m)
+
+
+def test_is_mds_refuses_a_walk_over_budget():
+    # C(60, 8) * 60 is about 1.5e11 entry steps.  The refusal must come
+    # before the walk: a zero first column would end it at the first node.
+    wide = FieldMatrix(10, 60, (0,) * 600)
+    with pytest.raises(BudgetExceededError, match=f"budget is {gf.MDS_WALK_BUDGET}$"):
+        gf.is_mds(7, wide)
 
 
 def test_is_mds_takes_no_determinant(monkeypatch):
