@@ -23,13 +23,11 @@ from .codec import (
 from .degree_table import (
     DegreeTable,
     ExponentAssignment,
-    RegionTerms,
     SchemeParams,
     count_terms,
     is_decodable,
     is_t_secure_assignment,
     outer_sum,
-    partition_regions,
     terms,
 )
 from .errors import (
@@ -49,7 +47,6 @@ from .harness import (
     run_sdmm,
 )
 from .schemes import (
-    GroupedSpec,
     OptimizationResult,
     PolynomialCode,
     RateReport,

@@ -89,6 +89,9 @@ class EvaluationPlan:
         # A float generator passes the range check, then breaks pow.
         if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
             raise ParameterError(f"generator must be an int in [0, p), got {self.generator!r}")
+        # Float or bool exponents compare equal to the code's int term set.
+        if any(type(e) is not int or e < 0 for e in self.exponents):
+            raise ParameterError(f"exponents must be nonnegative ints, got {self.exponents!r}")
         if list(self.exponents) != sorted(set(self.exponents)):
             raise ParameterError("exponents must be strictly increasing")
 

@@ -67,16 +67,6 @@ class DegreeTable:
     params: SchemeParams
 
 
-@dataclass(frozen=True)
-class RegionTerms:
-    """Term sets of the four index blocks of a degree table."""
-
-    ul: frozenset[int]
-    ur: frozenset[int]
-    ll: frozenset[int]
-    lr: frozenset[int]
-
-
 def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None:
     if len(assignment.alpha) != params.k + params.t:
         raise ParameterError(
@@ -88,15 +78,11 @@ def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None
         )
 
 
-def sum_rows(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Raw addition table of two exponent vectors, row-indexed by alpha."""
-    return tuple(tuple(a + b for b in beta) for a in alpha)
-
-
 def outer_sum(assignment: ExponentAssignment, params: SchemeParams) -> DegreeTable:
     """Build the degree table with entry (i, j) = alpha[i] + beta[j]."""
     _check_lengths(assignment, params)
-    return DegreeTable(sum_rows(assignment.alpha, assignment.beta), params)
+    alpha, beta = assignment.alpha, assignment.beta
+    return DegreeTable(tuple(tuple(a + b for b in beta) for a in alpha), params)
 
 
 def terms(table: DegreeTable) -> tuple[int, ...]:
@@ -108,22 +94,6 @@ def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:
     """Number of distinct table entries; the server count N of the code."""
     _check_lengths(assignment, params)
     return len({a + b for a in assignment.alpha for b in assignment.beta})
-
-
-def partition_regions(table: DegreeTable) -> RegionTerms:
-    """Term sets of the four blocks cut at row K and column L."""
-    k, l = table.params.k, table.params.l
-    e = table.entries
-
-    def block(rows: range, cols: range) -> frozenset[int]:
-        return frozenset(e[i][j] for i in rows for j in cols)
-
-    return RegionTerms(
-        ul=block(range(k), range(l)),
-        ur=block(range(k), range(l, len(e[0]))),
-        ll=block(range(k, len(e)), range(l)),
-        lr=block(range(k, len(e)), range(l, len(e[0]))),
-    )
 
 
 def is_decodable(assignment: ExponentAssignment, params: SchemeParams) -> bool:

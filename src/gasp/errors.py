@@ -10,7 +10,7 @@ class ParameterError(GaspError, ValueError):
 
 
 class SingularMatrixError(GaspError, ArithmeticError):
-    """A linear solve or inversion hit a singular matrix."""
+    """A matrix inversion hit a singular matrix."""
 
 
 class PlanSearchError(GaspError, RuntimeError):

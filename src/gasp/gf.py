@@ -1,15 +1,13 @@
 """Exact arithmetic and dense linear algebra over prime fields.
 
 Everything here is integer-exact: no floating point anywhere.  Matrices
-are immutable row-major tuples.  ``det`` and ``solve`` are plain
-Gaussian elimination with pivoting by first nonzero entry: ``det``
-eliminates below each pivot; ``solve`` does forward elimination over the
-columns right of each pivot only, then back-substitution on the
-right-hand side.  Neither runs on the library's multiplication path,
-whose plans are invertible by construction and whose decoder is built
-by Lagrange interpolation.  They are oracles: ``harness.mds_audit``
-takes the determinant of the full generalized Vandermonde matrix, and
-the tests check the codec's fast paths and ``is_mds`` against them.
+are immutable row-major tuples.  ``det`` is plain Gaussian elimination
+with pivoting by first nonzero entry, eliminating below each pivot.  It
+does not run on the library's multiplication path, whose plans are
+invertible by construction and whose decoder is built by Lagrange
+interpolation.  It is an oracle: ``harness.mds_audit`` takes the
+determinant of the full generalized Vandermonde matrix, and the tests
+check the codec's fast paths and ``is_mds`` against it.
 ``is_mds`` takes no determinant: it walks the column subsets depth first,
 shares one elimination among all subsets with a common prefix, and
 decides every subset under a node with two rows left by one test that
@@ -41,7 +39,7 @@ from array import array
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError, SingularMatrixError
+from .errors import BudgetExceededError, ParameterError
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -245,49 +243,6 @@ def det(p: int, m: FieldMatrix) -> int:
                 for c2 in range(col, n):
                     row_r[c2] = (row_r[c2] - factor * row_c[c2]) % p
     return result
-
-
-def solve(p: int, m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
-    """Solve m @ x = rhs exactly for all rhs columns in one elimination.
-
-    Forward elimination keeps, for each pivot, only the normalized columns
-    to its right (the upper triangle and the right-hand side); no row is
-    rewritten left of the current pivot.  Back-substitution then produces
-    x one row at a time, from the last row up.
-    """
-    if m.rows != m.cols:
-        raise ParameterError("solve needs a square matrix")
-    if rhs.rows != m.rows:
-        raise ParameterError("right-hand side has wrong number of rows")
-    n, w = m.rows, rhs.cols
-    # Row r holds columns col.. of [m | rhs] while pivot col is eliminated.
-    rows = [[e % p for e in m.row(i) + rhs.row(i)] for i in range(n)]
-    upper = []  # upper[col]: the pivot row right of its unit diagonal
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][0]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col]
-        inv_pv = pow(head[0], -1, p)
-        tail = [x * inv_pv % p for x in head[1:]]
-        upper.append(tail)
-        for r in range(col + 1, n):
-            row = rows[r]
-            factor = row[0]
-            rows[r] = [(x - factor * y) % p for x, y in zip(row[1:], tail)]
-    # x_col = b_col - sum over j > col of u[col][j] * x_j.  The solved rows
-    # are kept per column, last row first, so each entry is one dot product.
-    solved = [[] for _ in range(w)]
-    for col in range(n - 1, -1, -1):
-        tail = upper[col]
-        coeffs = tail[:n - col - 1][::-1]
-        b = tail[n - col - 1:]
-        for c in range(w):
-            xs = solved[c]
-            xs.append((b[c] - sum(map(operator.mul, coeffs, xs))) % p)
-    entries = tuple(solved[c][n - 1 - i] for i in range(n) for c in range(w))
-    return FieldMatrix(n, w, entries)
 
 
 def is_mds(p: int, m: FieldMatrix) -> bool:

@@ -2,11 +2,16 @@
 
 Privacy is checked two ways.  ``mds_audit`` re-derives the algebraic
 sufficient conditions (invertible generalized Vandermonde matrix, both
-mask power matrices MDS) from scratch, at any scale.  At tiny scale,
-``exhaustive_privacy_audit`` checks the real thing: that for every subset
-of colluding servers the multiset of observed shares, over all mask
-values, is identical regardless of the secrets, i.e. that observations
-carry zero information.  Every share comes from ``codec.encode`` itself.
+mask power matrices MDS) from scratch.  Its MDS checks walk all C(N, T)
+minors in about C(N, T - 2) * N steps and raise
+:class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET`` = 10**8 steps:
+the big (4,4,6) code (about 5.3e6 steps) passes, while (4,4,8) needs
+about 5.0e8 and (16,16,8) about 9.8e14, so those are refused.  At tiny
+scale, ``exhaustive_privacy_audit`` checks the real thing: that for every
+T-subset of colluding servers the multiset of observed shares, over all
+mask values, is identical regardless of the secrets, i.e. that
+observations carry zero information.  Every share comes from
+``codec.encode`` itself.
 
 The audit enumerates one side at a time: every A with every T-tuple of
 R masks, then every B with every T-tuple of S masks.  The f-shares
@@ -17,10 +22,10 @@ with F_A and G_B one side's multisets.  Those products agree for all
 the total |G_B| is the same for every B), so the two sides decide the
 joint verdict exactly.  Here a, b, r and s count the entries of A, B,
 one R mask and one S mask; the work is (p ** (a + T*r) + p ** (b + T*s))
-* C(N, t) steps for t colluding servers, where the joint enumeration took
-p ** (a + b + T*r + T*s) * C(N, t).  Exact distribution equality is the
-strongest checkable statement, so nothing is sampled; oversized
-requests are refused.
+* C(N, T) steps, where the joint enumeration took
+p ** (a + b + T*r + T*s) * C(N, T).  Exact distribution equality is the
+strongest checkable statement, so nothing is sampled; requests above
+``AUDIT_BUDGET`` steps are refused.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .errors import BudgetExceededError, ParameterError, VerificationError
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode, code_for_scheme
 
-DEFAULT_AUDIT_BUDGET = 10**8
+# exhaustive_privacy_audit refuses an enumeration of more steps than this.
+AUDIT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -171,16 +177,14 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
 def exhaustive_privacy_audit(
     params: SchemeParams,
     p: int,
-    subset_size: int | None = None,
     shapes: BlockShapes | None = None,
     plan: EvaluationPlan | None = None,
     seed: int = 0,
     zero_masks: bool = False,
-    max_steps: int = DEFAULT_AUDIT_BUDGET,
 ) -> bool:
     """Exact distributional privacy check by total enumeration, one side at a time.
 
-    For every ``subset_size``-subset of servers and every secret A, count
+    For every T-subset of servers and every secret A, count
     the observed f-share tuples over all T-tuples of R masks; then do the
     same for every B and the S masks.  Every share comes from
     ``codec.encode`` with the enumerated masks injected and the other
@@ -199,16 +203,19 @@ def exhaustive_privacy_audit(
     |G_B| * F_A, and |G_B| is the number of S-mask tuples whatever B is,
     so equal joint counts force equal F_A; likewise for G_B.
 
+    Only T-subsets are checked, and that loses nothing: the shares a
+    smaller coalition sees are part of what some T-subset sees, so if no
+    T-subset learns anything, neither does a smaller one.
+
     Raises :class:`BudgetExceededError` before doing any work if the
-    enumeration would exceed ``max_steps`` elementary steps, counted as
-    (p ** (a + T*r) + p ** (b + T*s)) * C(N, subset_size) for a, b the
+    enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted as
+    (p ** (a + T*r) + p ** (b + T*s)) * C(N, T) for a, b the
     entries of A and B and r, s those of one R and one S mask (T*r and
     T*s are 0 with ``zero_masks``).  ``seed`` is unused, since plan
     search is deterministic; the keyword stays only for callers that
     still pass it.
     """
     field = PrimeFieldSpec(p)
-    t_sub = params.t if subset_size is None else subset_size
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
     code = code_for_scheme(params, "auto")
@@ -217,21 +224,19 @@ def exhaustive_privacy_audit(
     if plan.field.p != p:
         raise ParameterError("plan field does not match audit field")
     n = code.n_servers
-    if not 1 <= t_sub <= n:
-        raise ParameterError(f"subset size must be in 1..{n}, got {t_sub}")
     codec._check_shapes(code, shapes)
 
     t = params.t
     a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
     r_shape, s_shape = (shapes.r // params.k, shapes.s), (shapes.s, shapes.t // params.l)
     masks_per_side = 0 if zero_masks else t
-    steps = comb(n, t_sub) * (
+    steps = comb(n, t) * (
         p ** (math.prod(a_shape) + masks_per_side * math.prod(r_shape))
         + p ** (math.prod(b_shape) + masks_per_side * math.prod(s_shape))
     )
-    if steps > max_steps:
+    if steps > AUDIT_BUDGET:
         raise BudgetExceededError(
-            f"audit needs {steps} steps, budget is {max_steps}; not sampling"
+            f"audit needs {steps} steps, budget is {AUDIT_BUDGET}; not sampling"
         )
 
     def matrix_tuples(shape, count: int, values):
@@ -243,7 +248,7 @@ def exhaustive_privacy_audit(
                 FieldMatrix(rows, cols, flat[i * size:(i + 1) * size]) for i in range(count)
             )
 
-    subsets = list(itertools.combinations(range(n), t_sub))
+    subsets = list(itertools.combinations(range(n), t))
     # Masks pinned to zero enumerate the single value 0.
     mask_values = range(1) if zero_masks else range(p)
 

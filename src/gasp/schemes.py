@@ -52,23 +52,6 @@ class PolynomialCode:
 
 
 @dataclass(frozen=True)
-class GroupedSpec:
-    """Euclidean split K = Q*G + R of the mask exponents into groups."""
-
-    k: int
-    g: int
-    q: int
-    r: int
-
-    @classmethod
-    def of(cls, k: int, g: int) -> "GroupedSpec":
-        if not 1 <= g <= k:
-            raise ParameterError(f"group count must satisfy 1 <= G <= K, got G={g}, K={k}")
-        q, r = divmod(k, g)
-        return cls(k=k, g=g, q=q, r=r)
-
-
-@dataclass(frozen=True)
 class RateReport:
     """Server counts and rates of the combined scheme and both baselines."""
 
@@ -154,14 +137,11 @@ def gasp_grouped(k: int, g: int) -> ExponentAssignment:
     integers starting at K*K + G*K when R > 0.  Beta is the same as in
     the big construction.  G=1 reproduces big, G=K reproduces small.
     """
-    spec = GroupedSpec.of(k, g)
-    masks: list[int] = []
-    for grp in range(spec.g):
-        start = k * k + grp * k
-        masks.extend(start + i for i in range(spec.q))
-    if spec.r:
-        start = k * k + spec.g * k
-        masks.extend(start + i for i in range(spec.r))
+    if not 1 <= g <= k:
+        raise ParameterError(f"group count must satisfy 1 <= G <= K, got G={g}, K={k}")
+    q, r = divmod(k, g)
+    masks = [k * k + grp * k + i for grp in range(g) for i in range(q)]
+    masks += [k * k + g * k + i for i in range(r)]
     alpha = tuple(range(k)) + tuple(masks)
     beta = tuple(k * j for j in range(k)) + tuple(k * k + i for i in range(k))
     return ExponentAssignment(alpha, beta)

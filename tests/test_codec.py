@@ -77,6 +77,11 @@ def test_non_int_points_rejected():
     for generator in (-1, 7):
         with pytest.raises(ParameterError):
             codec.EvaluationPlan(PrimeFieldSpec(7), generator, (0, 1, 2))
+    # Exponents likewise: a float or bool exponent compared equal to the
+    # int one, passed the term-set check, and then broke pow in decode.
+    for exponents in ((0.0, 1.0, 2.0), (0, 1, 2.0), (False, True, 2), (-1, 0, 1), ("0", "1")):
+        with pytest.raises(ParameterError):
+            codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
 
 
 def _mask_matrix(p, points, exponents):
@@ -484,24 +489,6 @@ def test_decode_mask_independent():
     assert outputs[0] == outputs[1] == gf.mat_mul(29, a, b)
 
 
-def _full_solve_decode(responses, code, plan, shapes):
-    # Oracle: solve for all N coefficients, then keep the KL block products.
-    p, k, l = plan.field.p, code.params.k, code.params.l
-    rows, cols = shapes.r // k, shapes.t // l
-    gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
-    stacked = itertools.chain.from_iterable(r.entries for r in responses)
-    rhs = FieldMatrix(len(responses), rows * cols, tuple(stacked))
-    coeffs = gf.solve(p, gv, rhs)
-    index = {e: i for i, e in enumerate(plan.exponents)}
-    product = [[0] * shapes.t for _ in range(shapes.r)]
-    for i, x in enumerate(code.assignment.alpha[:k]):
-        for j, y in enumerate(code.assignment.beta[:l]):
-            block = coeffs.row(index[x + y])
-            for r in range(rows):
-                product[i * rows + r][j * cols:(j + 1) * cols] = block[r * cols:(r + 1) * cols]
-    return gf.matrix_from_rows(p, product)
-
-
 def _decoder_grid():
     for k, l, t in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
         for scheme in ("small", "big"):
@@ -510,15 +497,6 @@ def _decoder_grid():
         for g in range(1, k + 1):
             yield code_for_scheme(SchemeParams(k, k, k), "grouped", g=g)
     yield code_for_scheme(SchemeParams(8, 8, 2), "small")
-
-
-def _solve_rows(p, points, exponents, needed):
-    # Oracle: row i of GV^-1 is column i of the solution Y of GV^T Y = I.
-    n, m = len(points), len(needed)
-    gv_t = FieldMatrix(n, n, tuple(pow(x, e, p) for e in exponents for x in points))
-    units = FieldMatrix(n, m, tuple(int(i == j) for i in range(n) for j in needed))
-    y = gf.solve(p, gv_t, units)
-    return FieldMatrix(m, n, tuple(itertools.chain.from_iterable(y.entries[j::m] for j in range(m))))
 
 
 def test_prepared_decoder_matches_full_solve():
@@ -532,8 +510,9 @@ def test_prepared_decoder_matches_full_solve():
             alpha, beta = code.assignment.alpha[:k], code.assignment.beta[:l]
             needed = tuple(index[x + y] for x in alpha for y in beta)
             rows = codec._decoder(p, plan.generator, plan.exponents, needed)
-            assert rows == _solve_rows(p, plan.points, plan.exponents, needed)
+            # GV is invertible, so rows @ GV = the unit rows fixes the rows uniquely.
             gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
+            assert gf.det(p, gv) != 0
             identity_rows = tuple(int(i == j) for i in needed for j in range(n))
             assert gf.mat_mul(p, rows, gv) == FieldMatrix(len(needed), n, identity_rows)
 
@@ -543,7 +522,6 @@ def test_prepared_decoder_matches_full_solve():
             bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**30))
             responses = tuple(codec.server_evaluate(bundle, i) for i in range(n))
             decoded = codec.decode(responses, code, plan, shapes)
-            assert decoded == _full_solve_decode(responses, code, plan, shapes)
             assert decoded == gf.mat_mul(p, a, b)
 
 

@@ -11,8 +11,6 @@ from gasp.degree_table import (
     is_decodable,
     is_t_secure_assignment,
     outer_sum,
-    partition_regions,
-    sum_rows,
     terms,
 )
 from gasp.errors import ParameterError
@@ -47,7 +45,8 @@ def test_outer_sum_reference_table():
 
 
 def test_outer_sum_trivial_cases():
-    assert sum_rows((0,), (0,)) == ((0,),)
+    zero = outer_sum(ExponentAssignment((0, 0), (0, 0)), SchemeParams(1, 1, 1))
+    assert zero.entries == ((0, 0), (0, 0))
     table = outer_sum(ExponentAssignment((0, 1), (5, 7)), SchemeParams(1, 1, 1))
     assert table.entries == ((5, 7), (6, 8))
 
@@ -76,45 +75,18 @@ def test_count_terms_reference_values():
 
 
 def test_partition_regions_scheme_form():
-    # For every scheme-form table the data block covers 0..KL-1 and the
-    # upper-right block is a union of K-wide runs, one per mask column.
+    # For every big-scheme table the data block alpha[:K] + beta[:L] covers
+    # 0..KL-1 exactly, and for L <= K the upper-right block alpha[:K] +
+    # beta[L:] is T runs of K consecutive integers, one per mask column.
     for k, l, t in [(3, 3, 2), (4, 2, 3), (1, 5, 2), (2, 2, 4)]:
         params = SchemeParams(k, l, t)
-        regions = partition_regions(outer_sum(gasp_big(params), params))
-        assert regions.ul == frozenset(range(k * l))
+        assignment = gasp_big(params)
+        alpha, beta = assignment.alpha[:k], assignment.beta
+        assert sorted(a + b for a in alpha for b in beta[:l]) == list(range(k * l))
         if l <= k:
-            expected_ur = set()
-            for off in range(t):
-                expected_ur.update(range(k * l + off, k * l + off + k))
-            assert regions.ur == expected_ur
-
-
-def test_partition_regions_big_332_upper_right():
-    regions = partition_regions(outer_sum(gasp_big(P332), P332))
-    assert regions.ur == frozenset({9, 10, 11, 12})
-
-
-def test_partition_regions_trivial():
-    table = outer_sum(ExponentAssignment((0, 1), (0, 1)), SchemeParams(1, 1, 1))
-    regions = partition_regions(table)
-    assert regions.ul == {0}
-    assert regions.ur == {1}
-    assert regions.ll == {1}
-    assert regions.lr == {2}
-
-
-def test_region_cover_random():
-    rng = random.Random(7)
-    for _ in range(50):
-        k, l, t = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
-        params = SchemeParams(k, l, t)
-        assignment = ExponentAssignment(
-            tuple(rng.randrange(60) for _ in range(k + t)),
-            tuple(rng.randrange(60) for _ in range(l + t)),
-        )
-        table = outer_sum(assignment, params)
-        regions = partition_regions(table)
-        assert regions.ul | regions.ur | regions.ll | regions.lr == set(terms(table))
+            upper_right = {a + b for a in alpha for b in beta[l:]}
+            runs = {k * l + off + i for off in range(t) for i in range(k)}
+            assert upper_right == runs
 
 
 def test_is_decodable_examples():

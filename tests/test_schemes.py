@@ -7,7 +7,6 @@ import pytest
 from gasp.degree_table import SchemeParams, count_terms
 from gasp.errors import ParameterError
 from gasp.schemes import (
-    GroupedSpec,
     code_for_scheme,
     download_rate,
     format_rate,
@@ -113,9 +112,9 @@ def test_grouped_endpoints_collapse():
 
 
 def test_grouped_spec_division():
-    spec = GroupedSpec.of(9, 4)
-    assert (spec.q, spec.r) == (2, 1)
-    assert spec.q * spec.g + spec.r == spec.k
+    # 9 = 2*4 + 1: four runs of two masks at 81 + 9i, then one left-over
+    # mask at 81 + 4*9.
+    assert gasp_grouped(9, 4).alpha[9:] == (81, 82, 90, 91, 99, 100, 108, 109, 117)
     with pytest.raises(ParameterError):
         gasp_grouped(4, 5)
     with pytest.raises(ParameterError):
