@@ -25,16 +25,10 @@ are pairwise distinct, and its inverse's rows are Lagrange basis
 polynomials, built from one master polynomial with no elimination.  Plan
 search scans g = 2, 3, ... and returns the first g whose nodes are
 distinct and whose two T x N mask power matrices have every maximal
-minor invertible, which is what makes any T shares jointly uniform.  The
-small and big codes put each side's masks on an arithmetic progression
-of exponents, which reduces that condition to an O(N) certificate: every
-point's power at the first exponent is nonzero and the points' powers at
-the common difference are distinct.  Other mask exponents, such as the
-runs of grouped codes, are checked by :func:`gf.is_mds`, which decides
-every one of the C(N, T) minors exactly by a depth-first walk over
-column prefixes of length T - 2, sharing elimination between subsets
-with a common prefix and deciding each prefix's remaining pairs by one
-ratio-distinctness test.
+minor invertible, which is what makes any T shares jointly uniform.
+That mask condition is decided by :func:`gf.is_power_mds`, whose
+docstring holds the proof of the O(N) certificate that covers the small
+and big codes; the audit calls the same function.
 """
 
 from __future__ import annotations
@@ -155,39 +149,6 @@ def _powers(p: int, base: int, exponents) -> tuple[int, ...]:
     return tuple(pow(base, e, p) for e in exponents)
 
 
-def _power_rows(p: int, points, exponents) -> FieldMatrix:
-    """Matrix [x_n ** e_i]: one row per exponent, one column per point."""
-    entries = tuple(pow(x % p, e, p) for e in exponents for x in points)
-    return FieldMatrix(len(exponents), len(points), entries)
-
-
-def _mask_mds(p: int, points, mask_exponents) -> bool:
-    """True iff every T x T minor of the mask power matrix [x_n ** e_i] is nonzero.
-
-    When the T exponents form a progression e0 + d*i (T = 1 counts as
-    one), the minor on points x_1..x_T factors as prod x_j ** e0 times
-    the Vandermonde determinant of the x_j ** d, so it is nonzero iff
-    each x_j ** e0 is nonzero and, for T >= 2, the x_j ** d are pairwise
-    distinct.  That holds for every T-subset iff it holds for all N
-    points at once: since T <= N, a zero entry or a colliding pair of
-    d-th powers extends to a T-subset whose minor vanishes.  Any other
-    exponent set falls back to :func:`gf.is_mds`, which decides all
-    C(N, T) minors with one shared elimination per column prefix and one
-    ratio-distinctness test per prefix of length T - 2, taking no
-    determinant, in about C(N, T - 2) * N steps.
-    """
-    t, n = len(mask_exponents), len(points)
-    if t > n:
-        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
-    e0 = mask_exponents[0]
-    d = mask_exponents[1] - e0 if t > 1 else 0
-    if any(e != e0 + d * i for i, e in enumerate(mask_exponents)):
-        return gf.is_mds(p, _power_rows(p, points, mask_exponents))
-    if not all(pow(x, e0, p) for x in points):
-        return False
-    return t == 1 or len({pow(x, d, p) for x in points}) == n
-
-
 def find_evaluation_plan(
     code: PolynomialCode,
     field: PrimeFieldSpec | None = None,
@@ -198,14 +159,11 @@ def find_evaluation_plan(
     Each candidate g is checked exactly, with no sampling: first the
     nodes g ** e, e in J, for pairwise distinctness (the generalized
     Vandermonde matrix is invertible iff they are), then the alpha-mask
-    and the beta-mask power matrices for every maximal minor nonzero.
-    For mask exponents in arithmetic progression (the small and big
-    codes) that last check is an O(N) certificate; other mask exponents
-    (grouped codes) go through :func:`gf.is_mds`, which decides all
-    C(N, T) minors by a depth-first walk over column prefixes of length
-    T - 2 with shared elimination, in about C(N, T - 2) * N steps, and
-    raises :class:`BudgetExceededError` when that count exceeds
-    ``gf.MDS_WALK_BUDGET``.  At most
+    and the beta-mask power matrices for every maximal minor nonzero, by
+    :func:`gf.is_power_mds`: an O(N) certificate for mask exponents in
+    arithmetic progression (the small and big codes), and otherwise the
+    exact walk of :func:`gf.is_mds`, which raises
+    :class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.  At most
     ``MAX_CANDIDATES`` generators are tried; a failed search raises
     :class:`PlanSearchError` with the number of candidates rejected for
     each condition.  ``seed`` is unused: the search is deterministic, and
@@ -223,9 +181,9 @@ def find_evaluation_plan(
         plan = EvaluationPlan(field, g, exponents)
         if len(set(_powers(p, g, exponents))) < n:
             reason = "gv"
-        elif not _mask_mds(p, plan.points, code.alpha_masks):
+        elif not gf.is_power_mds(p, plan.points, code.alpha_masks):
             reason = "alpha_mds"
-        elif not _mask_mds(p, plan.points, code.beta_masks):
+        elif not gf.is_power_mds(p, plan.points, code.beta_masks):
             reason = "beta_mds"
         else:
             return plan
@@ -246,6 +204,9 @@ def _check_shapes(code: PolynomialCode, shapes: BlockShapes) -> None:
 
 
 def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> None:
+    # A missing response (None) or a list of rows would fail below on .rows.
+    if not isinstance(m, FieldMatrix):
+        raise ParameterError(f"{name} must be a FieldMatrix, got {type(m).__name__}")
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
     # Exactness needs int entries: a float passes the range check, then rounds.

@@ -37,5 +37,8 @@ class BudgetExceededError(GaspError, RuntimeError):
     """An enumeration refused to start because it would exceed its step budget.
 
     Raised by the exhaustive privacy audit and by the MDS walk of
-    ``gf.is_mds``, each before doing any work.
+    ``gf.is_mds``, each before doing any work.  Plan search and the
+    algebraic audit reach the walk only through ``gf.is_power_mds``, for
+    mask exponents that are no arithmetic progression (grouped codes);
+    the small and big codes take its O(N) certificate and never raise it.
     """

@@ -11,7 +11,10 @@ check the codec's fast paths and ``is_mds`` against it.
 ``is_mds`` takes no determinant: it walks the column subsets depth first,
 shares one elimination among all subsets with a common prefix, and
 decides every subset under a node with two rows left by one test that
-the ratios of those rows are distinct.
+the ratios of those rows are distinct.  ``is_power_mds`` is the mask
+condition of a plan, shared by plan search and ``harness.mds_audit``:
+its docstring proves the O(N) certificate for exponents in arithmetic
+progression, and it walks with ``is_mds`` for any other exponents.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -284,9 +287,10 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
     never a list of subsets.  Entries may be any ints; they are reduced
     mod p first.
 
-    This is the oracle of ``harness.mds_audit``; plan search calls it too
-    for mask exponents that are not an arithmetic progression (grouped
-    codes), while progression masks use an O(N) certificate instead.
+    This is the general check and the tests' oracle for
+    :func:`is_power_mds`, which calls it for mask exponents that are not
+    an arithmetic progression (grouped codes) and decides progression
+    masks by the O(N) certificate its docstring proves.
     """
     t, n = m.rows, m.cols
     if t > n:
@@ -326,3 +330,37 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
         return True
 
     return extend([[e % p for e in m.row(i)] for i in range(t)])
+
+
+def is_power_mds(p: int, points, exponents) -> bool:
+    """True iff every T x T minor of the power matrix [x_n ** e_i] is nonzero.
+
+    The matrix has one row per exponent and one column per point, so
+    with T exponents and N points this is the mask condition of a GASP
+    plan: any T servers' shares of one side are jointly uniform.  It is
+    the single decision behind plan search (``codec.find_evaluation_plan``)
+    and the algebraic audit (``harness.mds_audit``).
+
+    When the T exponents form a progression e0 + d*i (T = 1 counts as
+    one), the minor on points x_1..x_T factors as prod x_j ** e0 times
+    the Vandermonde determinant of the x_j ** d, so it is nonzero iff
+    each x_j ** e0 is nonzero and, for T >= 2, the x_j ** d are pairwise
+    distinct.  That holds for every T-subset iff it holds for all N
+    points at once: since T <= N, a zero entry or a colliding pair of
+    d-th powers extends to a T-subset whose minor vanishes.  So the
+    small and big codes, whose mask exponents are progressions, are
+    decided in O(N).  Any other exponent set, such as the runs of a
+    grouped code, goes to :func:`is_mds`, which decides all C(N, T)
+    minors in about C(N, T - 2) * N steps and raises
+    :class:`BudgetExceededError` above ``MDS_WALK_BUDGET``.
+    """
+    t, n = len(exponents), len(points)
+    if t > n:
+        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    e0 = exponents[0]
+    d = exponents[1] - e0 if t > 1 else 0
+    if any(e != e0 + d * i for i, e in enumerate(exponents)):
+        return is_mds(p, FieldMatrix(t, n, tuple(pow(x, e, p) for e in exponents for x in points)))
+    if not all(pow(x, e0, p) for x in points):
+        return False
+    return t == 1 or len({pow(x, d, p) for x in points}) == n

@@ -251,6 +251,13 @@ def test_audit_fixture(capsys):
     assert "q_mds=true" in out
 
 
+def test_audit_big_t8_passes(capsys):
+    # N = 47: both mask sides take the O(N) progression certificate.
+    code, out, _ = run_cli(capsys, "audit", "--k", "4", "--l", "4", "--t", "8")
+    assert code == 0
+    assert out.splitlines() == ["gv_det_nonzero=true", "p_mds=true", "q_mds=true"]
+
+
 def test_audit_exhaustive_pass(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "--k", "1", "--l", "1", "--t", "1", "--p", "5", "--exhaustive"

@@ -50,7 +50,7 @@ def test_plan_search_deterministic_and_bounded(monkeypatch):
     assert a == codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=4)
     # A field with room for more than MAX_CANDIDATES generators tries no
     # more; over F_1009 no g in 2..201 has g ** 2 == 1 or g == 1.
-    monkeypatch.setattr(codec, "_mask_mds", lambda p, points, exponents: False)
+    monkeypatch.setattr(gf, "is_power_mds", lambda p, points, exponents: False)
     with pytest.raises(PlanSearchError) as err:
         codec.find_evaluation_plan(code, PrimeFieldSpec(1009))
     assert err.value.attempts == codec.MAX_CANDIDATES == 200
@@ -110,13 +110,13 @@ def test_mask_mds_matches_full_enumeration():
                     point_sets.append(tuple(range(1, n + 1)))
                 for points in point_sets:
                     expected = gf.is_mds(p, _mask_matrix(p, points, exponents))
-                    got = codec._mask_mds(p, points, exponents)
+                    got = gf.is_power_mds(p, points, exponents)
                     assert got == expected, (p, points, exponents)
                     verdicts.add((expected, 0 in points, exponents in others))
     # Passes and failures, with and without a zero point, on both paths.
     assert verdicts == set(itertools.product((True, False), repeat=3))
     with pytest.raises(ParameterError):
-        codec._mask_mds(7, (1, 2), (1, 2, 3))
+        gf.is_power_mds(7, (1, 2), (1, 2, 3))
 
 
 def _oracle_rejection(code, field, g):
@@ -169,13 +169,12 @@ def test_generator_scan_matches_oracle():
 
 def test_every_plan_passes_the_audits():
     # Every plan returned over the round-trip grid passes a full GV
-    # determinant and the full-enumeration mask audit.
+    # determinant and the minor walk on both mask sides, and the audit.
     for k, l, t in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
         for scheme in ("small", "big"):
             code = code_for_scheme(SchemeParams(k, l, t), scheme)
             plan = codec.find_evaluation_plan(code)
-            p = plan.field.p
-            assert gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
+            assert _oracle_rejection(code, plan.field, plan.generator) is None
             assert harness.mds_audit(code, plan).all_pass, (k, l, t, scheme)
 
 
@@ -198,14 +197,17 @@ def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
     # gf.is_mds walk over all C(36, 4) minors per generator, 2 to 21; the
     # beta masks 16..19 are.
     grouped = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=2)
-    assert codec.find_evaluation_plan(grouped).generator == 21
+    grouped_plan = codec.find_evaluation_plan(grouped)
+    assert grouped_plan.generator == 21
     assert calls == [(4, 36)] * 20
 
-    # The audit walks every minor even for progression masks, one
-    # gf.is_mds call per side.
+    # The audit decides each side by the same function: the progression
+    # certificate for both small-code sides, one walk for the grouped alpha side.
     del calls[:]
     assert harness.mds_audit(small, plan).all_pass
-    assert calls == [(3, 33), (3, 33)]
+    assert calls == []
+    assert harness.mds_audit(grouped, grouped_plan).all_pass
+    assert calls == [(4, 36)]
 
 
 def test_default_field_heuristic():
@@ -352,6 +354,24 @@ def test_non_int_entries_rejected():
     responses[1] = FieldMatrix(1, 1, (float(responses[1].entries[0]),))
     with pytest.raises(ParameterError):
         codec.decode(tuple(responses), code, plan, shapes)
+
+
+def test_non_matrix_inputs_rejected():
+    # A server that did not answer (None) or a raw list of rows gets a
+    # typed error, not an AttributeError on .rows.
+    code = gasp_auto(SchemeParams(1, 1, 1))
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
+    shapes = BlockShapes(1, 1, 1)
+    a = FieldMatrix(1, 1, (2,))
+    b = FieldMatrix(1, 1, (3,))
+    bundle = codec.encode(a, b, code, plan, shapes)
+    responses = [codec.server_evaluate(bundle, n) for n in range(3)]
+    for bad in (None, [[1]]):
+        broken = tuple(responses[:1] + [bad] + responses[2:])
+        with pytest.raises(ParameterError, match=r"responses\[1\] must be a FieldMatrix"):
+            codec.decode(broken, code, plan, shapes)
+    with pytest.raises(ParameterError, match="A must be a FieldMatrix, got list"):
+        codec.encode([[2]], b, code, plan, shapes)
 
 
 def test_encode_zero_masks_degenerate():

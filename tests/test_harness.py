@@ -131,6 +131,48 @@ def test_mds_audit_rejects_plan_of_other_code():
         harness.mds_audit(small, big_plan)
 
 
+def test_mds_audit_matches_oracle_at_every_generator():
+    # Every g in range(p), including g = 0 and generators of small order, at
+    # the four smallest primes above N.  The oracle rebuilds the points and
+    # the term set itself and takes gf.det of the full GV matrix and the
+    # minor walk of gf.is_mds on each mask side.  The grouped (4,4,4), G = 2
+    # alpha masks 16, 17, 20, 21 are no progression, so the audit walks them.
+    codes = [code_for_scheme(SchemeParams(2, 2, 2), s) for s in ("small", "big")]
+    codes += [code_for_scheme(SchemeParams(k, k, k), "grouped", g=2) for k in (3, 4)]
+    verdicts = set()
+    for code in codes:
+        alpha, beta = code.assignment.alpha, code.assignment.beta
+        exponents = tuple(sorted({x + y for x in alpha for y in beta}))
+        p = code.n_servers
+        for _ in range(4):
+            p = gf.next_prime(p)
+            for g in range(p):
+                points = [pow(g, n, p) for n in range(code.n_servers)]
+                gv = [[pow(x, e, p) for e in exponents] for x in points]
+                masks = [[[pow(x, e, p) for x in points] for e in side]
+                         for side in (code.alpha_masks, code.beta_masks)]
+                expected = (
+                    gf.det(p, gf.matrix_from_rows(p, gv)) != 0,
+                    *(gf.is_mds(p, gf.matrix_from_rows(p, rows)) for rows in masks),
+                )
+                report = harness.mds_audit(code, EvaluationPlan(PrimeFieldSpec(p), g, exponents))
+                got = (report.gv_det_nonzero, report.p_mds, report.q_mds)
+                assert got == expected, (code.scheme_label, code.params, p, g)
+                verdicts.update(enumerate(got))
+                verdicts.add(("all_pass", report.all_pass))
+    # Each verdict, and the joint one, both passes and fails somewhere.
+    assert verdicts == {(i, v) for i in (0, 1, 2, "all_pass") for v in (True, False)}
+
+
+def test_mds_audit_reaches_big_t8():
+    # The progression certificate decides both mask sides in O(N); a minor
+    # walk here would need about 5.0e8 steps, over its 1e8 budget.
+    code = code_for_scheme(SchemeParams(4, 4, 8), "big")
+    plan = codec.find_evaluation_plan(code)
+    assert (code.n_servers, plan.field.p, plan.generator) == (47, 2179, 2)
+    assert harness.mds_audit(code, plan).all_pass
+
+
 def test_exhaustive_audit_t1():
     assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
 
