@@ -21,7 +21,6 @@ from .codec import (
     server_evaluate,
 )
 from .degree_table import (
-    DegreeTable,
     ExponentAssignment,
     SchemeParams,
     count_terms,

@@ -48,12 +48,12 @@ def cmd_table(args, parser) -> int:
     code = schemes.code_for_scheme(params, args.scheme, g=args.g)
     table = outer_sum(code.assignment, params)
 
-    width = max(len(str(e)) for row in table.entries for e in row)
+    width = max(len(str(e)) for row in table for e in row)
     width = max(width, max(len(str(v)) for v in code.assignment.alpha + code.assignment.beta))
     header = " " * width + " |" + "".join(f" {b:>{width}}" for b in code.assignment.beta)
     print(header)
     print("-" * len(header))
-    for a, row in zip(code.assignment.alpha, table.entries):
+    for a, row in zip(code.assignment.alpha, table):
         print(f"{a:>{width}} |" + "".join(f" {e:>{width}}" for e in row))
     print(f"N = {code.n_servers}")
     return 0

@@ -18,12 +18,14 @@ prepared KL x N rows are built once per plan and cached, and A @ B is
 reassembled from the product's KL rows.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
-at g ** n.  The generalized Vandermonde matrix [x_n ** e_j] over the
-code's term set J is then [y_j ** n], an ordinary Vandermonde matrix in
-the nodes y_j = g ** e_j, so it is invertible exactly when those N nodes
-are pairwise distinct, and its inverse's rows are Lagrange basis
-polynomials, built from one master polynomial with no elimination.  Plan
-search scans g = 2, 3, ... and returns the first g whose nodes are
+at g ** n.  The code carries its term set J, built once from its degree
+table by :func:`schemes.build_code`; nothing here rebuilds the table,
+and a plan is checked against the code by comparing the two tuples.
+The generalized Vandermonde matrix [x_n ** e_j] over J is then
+[y_j ** n], an ordinary Vandermonde matrix in the nodes y_j = g ** e_j,
+so it is invertible exactly when those N nodes are pairwise distinct,
+and its inverse's rows are Lagrange basis polynomials, built from one
+master polynomial with no elimination.  Plan search scans g = 2, 3, ... and returns the first g whose nodes are
 distinct and whose two T x N mask power matrices have every maximal
 minor invertible, which is what makes any T shares jointly uniform.
 That mask condition is decided by :func:`gf.is_power_mds`, whose
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import gf
-from .degree_table import outer_sum, terms
 from .errors import ParameterError, PlanSearchError, SingularMatrixError
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode
@@ -128,11 +129,6 @@ class CostReport:
     download_symbols: int
 
 
-def code_exponents(code: PolynomialCode) -> tuple[int, ...]:
-    """Ascending term set of the code's degree table."""
-    return terms(outer_sum(code.assignment, code.params))
-
-
 def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     """Smallest prime above max(J) * N.
 
@@ -141,8 +137,7 @@ def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     g ** e, e in J, distinct; g = 2 is accepted at every default field
     the tests and the benchmark use.
     """
-    exps = code_exponents(code)
-    return PrimeFieldSpec(gf.next_prime(max(exps) * code.n_servers))
+    return PrimeFieldSpec(gf.next_prime(code.exponents[-1] * code.n_servers))
 
 
 def _powers(p: int, base: int, exponents) -> tuple[int, ...]:
@@ -174,7 +169,7 @@ def find_evaluation_plan(
     p, n = field.p, code.n_servers
     if p <= n:
         raise ParameterError(f"field must satisfy p > N, got p={p}, N={n}")
-    exponents = code_exponents(code)
+    exponents = code.exponents
     rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
     candidates = range(2, min(p, 2 + MAX_CANDIDATES))
     for g in candidates:
@@ -192,7 +187,7 @@ def find_evaluation_plan(
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
-    if plan.exponents != code_exponents(code):
+    if plan.exponents != code.exponents:
         raise ParameterError("plan exponents do not match the code's term set")
 
 
@@ -308,8 +303,9 @@ def encode(
 
 def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
     """What server n computes: the product of its two shares."""
-    if not 0 <= n < bundle.n_servers:
-        raise ParameterError(f"server index {n} out of range")
+    # A float index passes the range check, then breaks tuple indexing.
+    if type(n) is not int or not 0 <= n < bundle.n_servers:
+        raise ParameterError(f"server index must be an int in [0, N), got {n!r}")
     return gf.mat_mul(bundle.field.p, bundle.f_shares[n], bundle.g_shares[n])
 
 

@@ -2,15 +2,19 @@
 
 A code is described by two exponent vectors: ``alpha``, with one entry per
 row block of A plus one per random mask, and ``beta`` likewise for B.  The
-addition table alpha (+) beta collects every exponent of x appearing in
-f(x)g(x).  Its number of distinct entries is the number of servers the
-code needs; the predicates below decide whether every block product
-A_k B_l can be read off the interpolated coefficients (decodability) and
-whether the mask exponents are pairwise distinct (security).
+addition table alpha (+) beta, built by ``outer_sum`` as a tuple of rows,
+collects every exponent of x appearing in f(x)g(x).  Its distinct
+entries, ascending, are the term set J that decode interpolates, and
+their number is the number of servers N; :func:`gasp.schemes.build_code`
+builds the table once and stores J on the code.  The predicates below
+decide whether every block product A_k B_l can be read off the
+interpolated coefficients (decodability) and whether the mask exponents
+are pairwise distinct (security).
 
 Everything in this module is a pure function on immutable values, and
 ``count_terms`` is deliberately brute force: it is the oracle against
-which the closed-form server counts in :mod:`gasp.schemes` are tested.
+which the closed-form server counts in :mod:`gasp.schemes` are tested,
+and it counts the grouped sweep's codes, which have no closed form.
 """
 
 from __future__ import annotations
@@ -59,14 +63,6 @@ class ExponentAssignment:
             raise ParameterError("table entries would exceed 63 bits")
 
 
-@dataclass(frozen=True)
-class DegreeTable:
-    """The (K+T) x (L+T) addition table of an assignment."""
-
-    entries: tuple[tuple[int, ...], ...]
-    params: SchemeParams
-
-
 def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None:
     if len(assignment.alpha) != params.k + params.t:
         raise ParameterError(
@@ -78,20 +74,21 @@ def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None
         )
 
 
-def outer_sum(assignment: ExponentAssignment, params: SchemeParams) -> DegreeTable:
-    """Build the degree table with entry (i, j) = alpha[i] + beta[j]."""
+def outer_sum(
+    assignment: ExponentAssignment, params: SchemeParams
+) -> tuple[tuple[int, ...], ...]:
+    """The (K+T) x (L+T) degree table as rows: entry (i, j) = alpha[i] + beta[j]."""
     _check_lengths(assignment, params)
-    alpha, beta = assignment.alpha, assignment.beta
-    return DegreeTable(tuple(tuple(a + b for b in beta) for a in alpha), params)
+    return tuple(tuple(a + b for b in assignment.beta) for a in assignment.alpha)
 
 
-def terms(table: DegreeTable) -> tuple[int, ...]:
-    """Distinct table entries, ascending."""
-    return tuple(sorted({e for row in table.entries for e in row}))
+def terms(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Distinct table entries, ascending: the term set J of the code."""
+    return tuple(sorted({e for row in table for e in row}))
 
 
 def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:
-    """Number of distinct table entries; the server count N of the code."""
+    """Number of distinct table entries, the server count N, by brute force."""
     _check_lengths(assignment, params)
     return len({a + b for a in assignment.alpha for b in assignment.beta})
 

@@ -120,31 +120,19 @@ class FieldMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError("matrix dimensions must be positive")
+        # A float dimension passes the checks below, then breaks slicing.
+        if any(type(d) is not int or d < 1 for d in (self.rows, self.cols)):
+            raise ParameterError("matrix dimensions must be positive ints")
         if len(self.entries) != self.rows * self.cols:
             raise ParameterError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-
-def matrix_from_rows(p: int, rows: list[list[int]] | tuple) -> FieldMatrix:
-    """Build a matrix with every entry reduced mod p."""
-    if not rows or not rows[0]:
-        raise ParameterError("matrix needs at least one row and column")
-    cols = len(rows[0])
-    if any(len(r) != cols for r in rows):
-        raise ParameterError("ragged rows")
-    return FieldMatrix(len(rows), cols, tuple(e % p for r in rows for e in r))
 
 
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

@@ -10,8 +10,10 @@ between the two for square problems (K = L = T) by splitting the mask
 exponents into G runs anchored at consecutive multiples of K.
 
 Server counts have closed forms for small and big (piecewise in K, L, T);
-the grouped family is counted by enumeration only.  All rates are exact
-``fractions.Fraction`` values.
+the grouped family is counted by enumeration only.  A built code carries
+its term set J from ``build_code``; ``degree_table.count_terms`` is the
+oracle for the closed forms and the grouped sweep's count.  All rates are
+exact ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -25,18 +27,24 @@ from .degree_table import (
     count_terms,
     is_decodable,
     is_t_secure_assignment,
+    outer_sum,
+    terms,
 )
 from .errors import ParameterError
 
 
 @dataclass(frozen=True)
 class PolynomialCode:
-    """A validated code: parameters, exponents, and its true server count."""
+    """A validated code: parameters, exponent vectors, and its ascending term set J."""
 
     params: SchemeParams
     assignment: ExponentAssignment
-    n_servers: int
+    exponents: tuple[int, ...]
     scheme_label: str
+
+    @property
+    def n_servers(self) -> int:
+        return len(self.exponents)
 
     @property
     def alpha_masks(self) -> tuple[int, ...]:
@@ -45,10 +53,6 @@ class PolynomialCode:
     @property
     def beta_masks(self) -> tuple[int, ...]:
         return self.assignment.beta[self.params.l:]
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.params.k * self.params.l, self.n_servers)
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class OptimizationResult:
 def build_code(
     params: SchemeParams, assignment: ExponentAssignment, scheme_label: str
 ) -> PolynomialCode:
-    """Validate an assignment and wrap it with its recomputed server count."""
+    """Validate an assignment and wrap it with its term set J, built here once per code."""
     if not is_decodable(assignment, params):
         raise ParameterError(f"{scheme_label} assignment is not decodable for {params}")
     if not is_t_secure_assignment(assignment, params):
@@ -84,7 +88,7 @@ def build_code(
     return PolynomialCode(
         params=params,
         assignment=assignment,
-        n_servers=count_terms(assignment, params),
+        exponents=terms(outer_sum(assignment, params)),
         scheme_label=scheme_label,
     )
 

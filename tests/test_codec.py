@@ -85,7 +85,8 @@ def test_non_int_points_rejected():
 
 
 def _mask_matrix(p, points, exponents):
-    return gf.matrix_from_rows(p, [[pow(x, e, p) for x in points] for e in exponents])
+    entries = tuple(pow(x, e, p) for e in exponents for x in points)
+    return FieldMatrix(len(exponents), len(points), entries)
 
 
 def test_mask_mds_matches_full_enumeration():
@@ -121,7 +122,7 @@ def test_mask_mds_matches_full_enumeration():
 
 def _oracle_rejection(code, field, g):
     # The plan conditions by determinant and full minor enumeration.
-    p, exponents = field.p, codec.code_exponents(code)
+    p, exponents = field.p, code.exponents
     points = tuple(pow(g, n, p) for n in range(code.n_servers))
     if gf.det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
         return "gv"
@@ -234,7 +235,7 @@ def test_encode_hand_example():
 
 
 def _grid_block(m, rows, cols, i, j):
-    entries = (m.at(i * rows + r, j * cols + c) for r in range(rows) for c in range(cols))
+    entries = (m.row(i * rows + r)[j * cols + c] for r in range(rows) for c in range(cols))
     return FieldMatrix(rows, cols, tuple(entries))
 
 
@@ -425,8 +426,11 @@ def test_server_evaluate():
     assert all(
         codec.server_evaluate(zero_bundle, n).entries == (0,) for n in range(3)
     )
-    with pytest.raises(ParameterError):
-        codec.server_evaluate(bundle, 5)
+    # Out of range, or not an int: a float index used to reach tuple
+    # indexing and raise a bare TypeError.
+    for n in (5, 3, -1, 1.0, 0.0, True, "0", None):
+        with pytest.raises(ParameterError):
+            codec.server_evaluate(bundle, n)
 
 
 def test_decode_tiny_product():
@@ -567,7 +571,7 @@ def test_singular_plan_raises_on_every_decode():
     # never a bare ValueError from pow(0, -1, p), and it is not cached.
     codec._decoder.cache_clear()
     code = fixture_code()
-    plan = codec.EvaluationPlan(PrimeFieldSpec(29), 28, codec.code_exponents(code))
+    plan = codec.EvaluationPlan(PrimeFieldSpec(29), 28, code.exponents)
     responses = (FieldMatrix(1, 1, (0,)),) * 18
     for attempt in range(1, 4):
         with pytest.raises(SingularMatrixError):
@@ -612,8 +616,7 @@ def test_plan_soundness_reverify():
             p = plan.field.p
             assert gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
             for exps in (fresh.alpha_masks, fresh.beta_masks):
-                rows = [[pow(x, e, p) for x in plan.points] for e in exps]
-                assert gf.is_mds(p, gf.matrix_from_rows(p, rows))
+                assert gf.is_mds(p, _mask_matrix(p, plan.points, exps))
 
 
 def test_cost_examples():

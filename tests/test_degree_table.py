@@ -39,16 +39,16 @@ def test_assignment_validation():
 
 def test_outer_sum_reference_table():
     table = outer_sum(SMALL_332, P332)
-    assert table.entries[0] == (0, 3, 6, 9, 10)
-    assert table.entries[-1] == (12, 15, 18, 21, 22)
-    assert table.entries[3] == (9, 12, 15, 18, 19)
+    assert table[0] == (0, 3, 6, 9, 10)
+    assert table[-1] == (12, 15, 18, 21, 22)
+    assert table[3] == (9, 12, 15, 18, 19)
 
 
 def test_outer_sum_trivial_cases():
     zero = outer_sum(ExponentAssignment((0, 0), (0, 0)), SchemeParams(1, 1, 1))
-    assert zero.entries == ((0, 0), (0, 0))
+    assert zero == ((0, 0), (0, 0))
     table = outer_sum(ExponentAssignment((0, 1), (5, 7)), SchemeParams(1, 1, 1))
-    assert table.entries == ((5, 7), (6, 8))
+    assert table == ((5, 7), (6, 8))
 
 
 def test_outer_sum_length_mismatch():
@@ -122,8 +122,8 @@ def test_shift_invariance():
         shifted = ExponentAssignment(tuple(a + c for a in alpha), beta)
         t_base = outer_sum(base, params)
         t_shift = outer_sum(shifted, params)
-        assert t_shift.entries == tuple(
-            tuple(e + c for e in row) for row in t_base.entries
+        assert t_shift == tuple(
+            tuple(e + c for e in row) for row in t_base
         )
         assert count_terms(base, params) == count_terms(shifted, params)
         assert is_decodable(base, params) == is_decodable(shifted, params)
@@ -145,7 +145,7 @@ def test_count_bound_and_equality_condition():
         cells = (k + t) * (l + t)
         assert n <= cells
         all_entries = [
-            e for row in outer_sum(assignment, params).entries for e in row
+            e for row in outer_sum(assignment, params) for e in row
         ]
         assert (n == cells) == (len(set(all_entries)) == len(all_entries))
 

@@ -15,6 +15,11 @@ J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
 P62 = 2**62 - 57
 
 
+def _raw(rows):
+    # A FieldMatrix literal: entries kept as given, not reduced.
+    return FieldMatrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
+
+
 def test_primality():
     assert gf.is_prime(2)
     assert gf.is_prime(29)
@@ -37,13 +42,16 @@ def test_field_spec_validation():
 
 
 def test_matrix_construction():
-    m = gf.matrix_from_rows(5, [[6, 7], [8, 9]])
+    m = FieldMatrix(2, 2, [1, 2, 3, 4])
     assert m.entries == (1, 2, 3, 4)
-    assert m.at(1, 0) == 3
+    assert m.row(1) == (3, 4)
     with pytest.raises(ParameterError):
         FieldMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ParameterError):
-        gf.matrix_from_rows(5, [[1, 2], [3]])
+    # Dimensions must be positive ints: a float dimension used to construct
+    # and then break encode's slicing with a bare TypeError.
+    for rows, cols in ((2.0, 2.0), (2.0, 2), (2, 2.0), (True, 4), ("2", 2), (0, 4), (-2, -2)):
+        with pytest.raises(ParameterError):
+            FieldMatrix(rows, cols, (1, 2, 3, 4))
 
 
 def test_generalized_vandermonde_examples():
@@ -69,7 +77,7 @@ def test_det_reference_value():
 def test_det_trivial():
     ident = FieldMatrix(4, 4, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     assert gf.det(13, ident) == 1
-    repeated = gf.matrix_from_rows(13, [[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+    repeated = _raw([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     assert gf.det(13, repeated) == 0
     with pytest.raises(ParameterError):
         gf.det(13, FieldMatrix(2, 3, (0,) * 6))
@@ -80,8 +88,8 @@ def test_det_multiplicative():
     for _ in range(40):
         p = rng.choice([5, 13, 101, 2**31 - 1])
         n = rng.randint(1, 5)
-        a = gf.matrix_from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        b = gf.matrix_from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        a = _raw([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        b = _raw([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         assert gf.det(p, gf.mat_mul(p, a, b)) == gf.det(p, a) * gf.det(p, b) % p
 
 
@@ -97,19 +105,17 @@ def test_vandermonde_invertible_iff_distinct():
 
 def test_is_mds_examples():
     points = list(range(1, 19))
-    p_matrix = gf.matrix_from_rows(
-        29, [[pow(x, 9, 29) for x in points], [pow(x, 12, 29) for x in points]]
-    )
+    p_matrix = _raw([[pow(x, 9, 29) for x in points], [pow(x, 12, 29) for x in points]])
     assert gf.is_mds(29, p_matrix)
 
-    with_zero_col = gf.matrix_from_rows(7, [[1, 0, 2], [3, 0, 4]])
+    with_zero_col = _raw([[1, 0, 2], [3, 0, 4]])
     assert not gf.is_mds(7, with_zero_col)
 
-    row = gf.matrix_from_rows(7, [[1, 2, 3, 4, 5, 6]])
+    row = _raw([[1, 2, 3, 4, 5, 6]])
     assert gf.is_mds(7, row)
 
     with pytest.raises(ParameterError):
-        gf.is_mds(7, gf.matrix_from_rows(7, [[1], [2]]))
+        gf.is_mds(7, _raw([[1], [2]]))
 
 
 def _vanishing_minors(p, m):
@@ -118,7 +124,7 @@ def _vanishing_minors(p, m):
     return [
         cols
         for cols in itertools.combinations(range(m.cols), t)
-        if gf.det(p, FieldMatrix(t, t, tuple(m.at(i, j) for i in range(t) for j in cols))) == 0
+        if gf.det(p, FieldMatrix(t, t, tuple(m.row(i)[j] for i in range(t) for j in cols))) == 0
     ]
 
 
@@ -220,7 +226,7 @@ def test_is_mds_takes_no_determinant(monkeypatch):
 
     monkeypatch.setattr(gf, "det", refuse)
     p, points = 1483, range(1, 40)
-    assert gf.is_mds(p, gf.matrix_from_rows(p, [[pow(x, e, p) for x in points] for e in range(4)]))
+    assert gf.is_mds(p, _raw([[pow(x, e, p) for x in points] for e in range(4)]))
 
 
 def _triple_loop(p, a, b):
@@ -232,11 +238,6 @@ def _triple_loop(p, a, b):
             for x in range(m):
                 expected[i][j] = (expected[i][j] + a[i][x] * b[x][j]) % p
     return expected
-
-
-def _raw(rows):
-    # A FieldMatrix literal: entries kept as given, not reduced.
-    return FieldMatrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
 
 
 def _slot_bytes(p, m):
@@ -252,18 +253,18 @@ def test_mat_mul_matches_triple_loop():
             a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
             b = [[rng.randrange(p) for _ in range(q)] for _ in range(m)]
             expected = _triple_loop(p, a, b)
-            got = gf.mat_mul(p, gf.matrix_from_rows(p, a), gf.matrix_from_rows(p, b))
+            got = gf.mat_mul(p, _raw(a), _raw(b))
             assert (got.rows, got.cols) == (n, q)
             assert got.to_rows() == expected, (p, n, m, q)
-        top = gf.matrix_from_rows(p, [[p - 1] * 4] * 2)
-        assert gf.mat_mul(p, top, gf.matrix_from_rows(p, [[p - 1]] * 4)).entries == (4 % p,) * 2
+        top = _raw([[p - 1] * 4] * 2)
+        assert gf.mat_mul(p, top, _raw([[p - 1]] * 4)).entries == (4 % p,) * 2
 
     # The encode, server and decode products of an (8,8,2) multiplication
     # of a 128x64 by a 64x128 matrix, all on the packed branch.
     for n, m, q in ((83, 10, 1024), (16, 64, 16), (64, 83, 256)):
         a = [[rng.randrange(11383) for _ in range(m)] for _ in range(n)]
         b = [[rng.randrange(11383) for _ in range(q)] for _ in range(m)]
-        got = gf.mat_mul(11383, gf.matrix_from_rows(11383, a), gf.matrix_from_rows(11383, b))
+        got = gf.mat_mul(11383, _raw(a), _raw(b))
         assert got.to_rows() == _triple_loop(11383, a, b), (n, m, q)
 
     # Every slot width: 1 byte; 2 bytes; 3 and 4 bytes (4-byte slots); 5
@@ -293,8 +294,8 @@ def test_mat_mul_matches_triple_loop():
 
 
 def test_mat_ops():
-    a = gf.matrix_from_rows(5, [[1, 2], [3, 4]])
-    b = gf.matrix_from_rows(5, [[2, 0], [1, 3]])
+    a = _raw([[1, 2], [3, 4]])
+    b = _raw([[2, 0], [1, 3]])
     assert gf.mat_mul(5, a, b).to_rows() == [[4, 1], [0, 2]]
     with pytest.raises(ParameterError):
         gf.mat_mul(5, a, FieldMatrix(3, 2, (0,) * 6))

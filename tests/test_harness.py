@@ -4,12 +4,16 @@ import dataclasses
 
 import pytest
 
-from gasp import codec, gf, harness
+from gasp import codec, degree_table, gf, harness, schemes
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
+
+
+def _matrix(rows):
+    return FieldMatrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
 
 
 def test_run_sdmm_fixture():
@@ -69,11 +73,17 @@ def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # scheme.  A grouped code's mask check walks its T x T minors in
     # gf.is_mds by shared elimination, with no determinant either.  The grouped
     # (4,4,4), G = 2 session succeeds at its default field p = 1447, with
-    # g = 21.
+    # g = 21.  Nor does a session run the brute-force term count: the code
+    # carries its term set, built once from the degree table.
     def refuse(*args):
         raise AssertionError("gf.det ran inside run_sdmm")
 
+    def refuse_count(*args):
+        raise AssertionError("count_terms ran inside run_sdmm")
+
     monkeypatch.setattr(gf, "det", refuse)
+    for module in (degree_table, schemes):
+        monkeypatch.setattr(module, "count_terms", refuse_count)
     codec._decoder.cache_clear()
     transcript = harness.run_sdmm(
         SchemeParams(k, l, t), scheme=scheme, shapes=BlockShapes(2 * k, 2, 2 * l), g=g, seed=1
@@ -103,7 +113,7 @@ def test_mds_audit_fixture_passes():
 def test_mds_audit_duplicated_point():
     # g = 12 has order 4 over F_29, so the 18 points repeat 1, 12, 28, 17.
     code = gasp_auto(SchemeParams(3, 3, 2))
-    plan = EvaluationPlan(PrimeFieldSpec(29), 12, codec.code_exponents(code))
+    plan = EvaluationPlan(PrimeFieldSpec(29), 12, code.exponents)
     assert plan.points[:5] == (1, 12, 28, 17, 1)
     report = harness.mds_audit(code, plan)
     assert not report.gv_det_nonzero
@@ -152,8 +162,8 @@ def test_mds_audit_matches_oracle_at_every_generator():
                 masks = [[[pow(x, e, p) for x in points] for e in side]
                          for side in (code.alpha_masks, code.beta_masks)]
                 expected = (
-                    gf.det(p, gf.matrix_from_rows(p, gv)) != 0,
-                    *(gf.is_mds(p, gf.matrix_from_rows(p, rows)) for rows in masks),
+                    gf.det(p, _matrix(gv)) != 0,
+                    *(gf.is_mds(p, _matrix(rows)) for rows in masks),
                 )
                 report = harness.mds_audit(code, EvaluationPlan(PrimeFieldSpec(p), g, exponents))
                 got = (report.gv_det_nonzero, report.p_mds, report.q_mds)
@@ -201,7 +211,7 @@ def test_exhaustive_audit_t2():
 def test_exhaustive_audit_corrupted_plan_fails():
     # g = 0 puts servers 1 and 2 at the point 0, where f(0) = A leaks.
     code = gasp_auto(SchemeParams(1, 1, 1))
-    plan = EvaluationPlan(PrimeFieldSpec(5), 0, codec.code_exponents(code))
+    plan = EvaluationPlan(PrimeFieldSpec(5), 0, code.exponents)
     assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasp.degree_table import SchemeParams, count_terms
+from gasp.degree_table import SchemeParams, count_terms, outer_sum, terms
 from gasp.errors import ParameterError
 from gasp.schemes import (
     code_for_scheme,
@@ -165,9 +165,16 @@ def test_dominance_and_small_beats_big():
 
 
 def test_schemes_always_valid_codes():
-    for params in grid(max_kl=6):
-        code_for_scheme(params, "small")
-        code_for_scheme(params, "big")
+    # Every code carries the term set of its degree table, built once in
+    # build_code; the brute-force oracles must agree with it.
+    codes = [code_for_scheme(params, s) for params in grid(max_kl=6) for s in ("small", "big")]
+    codes += [
+        code_for_scheme(SchemeParams(k, k, k), "grouped", g=g)
+        for k in range(1, 7) for g in range(1, k + 1)
+    ]
+    for code in codes:
+        assert code.exponents == terms(outer_sum(code.assignment, code.params)), code
+        assert code.n_servers == count_terms(code.assignment, code.params), code
 
 
 def test_download_rate_rendering():
