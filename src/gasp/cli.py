@@ -91,20 +91,13 @@ def cmd_optimize(args, parser) -> int:
         print(f"infeasible: need N >= 2T+1, got N={args.n}, T={args.t}", file=sys.stderr)
         return 1
     best = schemes.optimize_gasp(args.n, args.t)
-    if best is None:
-        print("no feasible (K, L) found", file=sys.stderr)
-        return 1
     print(
         f"gasp: K={best.k} L={best.l} servers={best.n_used} rate={format_rate(best.rate)}"
     )
-    pair = schemes.kakar_heuristic(args.n, args.t)
-    if pair is None:
-        print("kakar: no solution")
-    else:
-        k_hat, l_hat = pair
-        used = (k_hat + args.t) * (l_hat + 1) - 1
-        rate = schemes.kakar_rate(args.n, args.t)
-        print(f"kakar: K={k_hat} L={l_hat} servers={used} rate={format_rate(rate)}")
+    k_hat, l_hat = schemes.kakar_heuristic(args.n, args.t)
+    used = (k_hat + args.t) * (l_hat + 1) - 1
+    rate = schemes.kakar_rate(args.n, args.t)
+    print(f"kakar: K={k_hat} L={l_hat} servers={used} rate={format_rate(rate)}")
     return 0
 
 

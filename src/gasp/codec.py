@@ -10,12 +10,13 @@ Blocks and shares have one layout, the stack: a matrix whose row j is
 block j flattened row-major.  A side's data blocks followed by its T
 masks form one stack, so all N shares of that side are a single product
 of the N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and
-beta_j) with that stack; row n is server n's share.  Decode stacks the N
-responses the same way.  Only the KL coefficients at alpha_k + beta_l
-carry block products, so decode multiplies the response stack by the KL
-matching rows of the inverse generalized Vandermonde matrix.  Those
-prepared KL x N rows are built once per plan and cached, and A @ B is
-reassembled from the product's KL rows.
+beta_j), built by :func:`gf.generalized_vandermonde`, with that stack;
+row n is server n's share.  Decode stacks the N responses the same way.
+Only the KL coefficients at alpha_k + beta_l carry block products, so
+decode multiplies the response stack by the KL matching rows of the
+inverse generalized Vandermonde matrix.  Those prepared KL x N rows
+are built once per plan and cached, and A @ B is reassembled from the
+product's KL rows.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
 at g ** n.  The code carries its term set J, built once from its degree
@@ -25,12 +26,13 @@ The generalized Vandermonde matrix [x_n ** e_j] over J is then
 [y_j ** n], an ordinary Vandermonde matrix in the nodes y_j = g ** e_j,
 so it is invertible exactly when those N nodes are pairwise distinct,
 and its inverse's rows are Lagrange basis polynomials, built from one
-master polynomial with no elimination.  Plan search scans g = 2, 3, ... and returns the first g whose nodes are
-distinct and whose two T x N mask power matrices have every maximal
-minor invertible, which is what makes any T shares jointly uniform.
-That mask condition is decided by :func:`gf.is_power_mds`, whose
-docstring holds the proof of the O(N) certificate that covers the small
-and big codes; the audit calls the same function.
+master polynomial with no elimination.  Plan search scans g = 2, 3, ...
+and returns the first g whose nodes are distinct and whose two T x N
+mask power matrices have every maximal minor invertible, which is what
+makes any T shares jointly uniform.  That mask condition is decided by
+:func:`gf.is_power_mds`, whose docstring holds the proof of the O(N)
+certificate that covers the small and big codes; the audit calls the
+same function.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class BlockShapes:
 
     def __post_init__(self) -> None:
         for name, value in (("r", self.r), ("s", self.s), ("t", self.t)):
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -236,10 +238,7 @@ def _shares(
     """One side's shares: [x_n ** e_j] @ (data stack, then masks), one row per server."""
     mask_entries = tuple(chain.from_iterable(m.entries for m in masks))
     stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_entries)
-    powers = FieldMatrix(
-        len(points), len(exponents), tuple(pow(x, e, p) for x in points for e in exponents)
-    )
-    product = gf.mat_mul(p, powers, stack)
+    product = gf.mat_mul(p, gf.generalized_vandermonde(p, points, exponents), stack)
     return tuple(FieldMatrix(rows, cols, product.row(n)) for n in range(product.rows))
 
 
@@ -356,8 +355,8 @@ def decode(
     exactly A_k B_l, so decode computes only those KL rows, in (k, l)
     order: one product of the prepared KL x N rows of GV^-1 with the
     response stack.  The prepared rows are built from Lagrange basis
-    polynomials at the first decode on a plan and reused after that.  The KL product
-    rows are reassembled into A @ B.
+    polynomials at the first decode on a plan and reused after that.
+    The KL product rows are reassembled into A @ B.
     """
     p = plan.field.p
     params = code.params

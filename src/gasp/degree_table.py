@@ -38,7 +38,7 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         for name, value in (("k", self.k), ("l", self.l), ("t", self.t)):
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -55,7 +55,7 @@ class ExponentAssignment:
         for name, vec in (("alpha", self.alpha), ("beta", self.beta)):
             if not vec:
                 raise ParameterError(f"{name} must be non-empty")
-            if any(not isinstance(e, int) or e < 0 for e in vec):
+            if any(type(e) is not int or e < 0 for e in vec):
                 raise ParameterError(f"{name} entries must be nonnegative integers")
         # Table entries are pairwise sums; reject anything that could not be
         # stored in a 63-bit word.

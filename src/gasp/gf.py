@@ -8,6 +8,9 @@ invertible by construction and whose decoder is built by Lagrange
 interpolation.  It is an oracle: ``harness.mds_audit`` takes the
 determinant of the full generalized Vandermonde matrix, and the tests
 check the codec's fast paths and ``is_mds`` against it.
+``generalized_vandermonde`` is the one builder of power matrices
+[x_n ** e_j] with a row per point: encode's two share matrices and the
+audit's generalized Vandermonde matrix.
 ``is_mds`` takes no determinant: it walks the column subsets depth first,
 shares one elimination among all subsets with a common prefix, and
 decides every subset under a node with two rows left by one test that
@@ -197,17 +200,16 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 
 def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
-    """Matrix [points[n] ** j for j in exponents], exponents ascending."""
-    pts = [x % p for x in points]
-    exps = tuple(sorted(set(exponents)))
-    if len(pts) != len(exps):
-        raise ParameterError(
-            f"need as many points as exponents, got {len(pts)} points and {len(exps)} exponents"
-        )
-    if exps and exps[0] < 0:
+    """Power matrix [x ** e mod p], a row per point and a column per exponent.
+
+    Both keep the caller's order.  This builds encode's share matrices
+    and the audit's generalized Vandermonde matrix over the term set J.
+    """
+    exps = tuple(exponents)
+    if any(e < 0 for e in exps):
         raise ParameterError("exponents must be nonnegative")
-    entries = tuple(pow(x, j, p) for x in pts for j in exps)
-    return FieldMatrix(len(pts), len(exps), entries)
+    pts = tuple(points)
+    return FieldMatrix(len(pts), len(exps), tuple(pow(x, e, p) for x in pts for e in exps))
 
 
 def det(p: int, m: FieldMatrix) -> int:

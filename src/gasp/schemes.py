@@ -216,58 +216,63 @@ def rate_report(params: SchemeParams) -> RateReport:
     )
 
 
-def kakar_heuristic(n: int, t: int) -> tuple[int, int] | None:
+def _check_pool(n: int, t: int) -> None:
+    # bool is an int subclass, and a float N would make K and L floats.
+    if type(t) is not int or t < 1:
+        raise ParameterError(f"t must be a positive integer, got {t!r}")
+    if type(n) is not int or n < 2 * t + 1:
+        raise ParameterError(f"need an int N >= 2T+1, got N={n!r}, T={t}")
+
+
+def kakar_heuristic(n: int, t: int) -> tuple[int, int]:
     """Near-optimal (K, L) for the gap-free baseline with N workers.
 
     L is the smallest positive integer at least -3/2 + sqrt(1/4 + N/T),
-    then K = floor((N+1)/(L+1) - T).  Returns None when no K >= 1 fits.
+    then K = floor((N+1)/(L+1)) - T, so (K+T)(L+1) - 1 <= N: the pair
+    fits the pool.  N and T must be ints with T >= 1 and N >= 2T+1, and
+    then K >= 1, so every valid pool gets an answer.  If L = 1, then
+    K = floor((N+1)/2) - T >= 1 because N+1 >= 2T+2.  If L >= 2, then
+    L-1 failed the test, which squared reads T*L*(L+1) < N.  So
+    N+1 - (T+1)(L+1) >= T*L*(L+1) + 2 - (T+1)(L+1) = (L-1)(T(L+1) - 1),
+    which is nonnegative, and K >= (T+1) - T = 1.
     """
-    if n < 2 * t + 1:
-        raise ParameterError(f"need N >= 2T+1, got N={n}, T={t}")
+    _check_pool(n, t)
     # l_hat >= -3/2 + sqrt(1/4 + n/t)  <=>  (2*t*l_hat + 3*t)^2 >= t^2 + 4*n*t
     d = t * t + 4 * n * t
     l_hat = 1
     while (2 * t * l_hat + 3 * t) ** 2 < d:
         l_hat += 1
     k_hat = (n + 1 - t * (l_hat + 1)) // (l_hat + 1)
-    if k_hat < 1:
-        return None
-    assert (k_hat + t) * (l_hat + 1) - 1 <= n
+    assert k_hat >= 1 and (k_hat + t) * (l_hat + 1) - 1 <= n
     return k_hat, l_hat
 
 
-def kakar_rate(n: int, t: int) -> Fraction | None:
-    """Rate achieved by the baseline heuristic with N workers, or None."""
-    pair = kakar_heuristic(n, t)
-    if pair is None:
-        return None
-    k_hat, l_hat = pair
-    return Fraction(k_hat * l_hat, (k_hat + t) * (l_hat + 1) - 1)
+def kakar_rate(n: int, t: int) -> Fraction:
+    """Rate of the gap-free baseline at the heuristic's (K, L) for N workers."""
+    return rate_r2(SchemeParams(*kakar_heuristic(n, t), t))
 
 
-def optimize_gasp(n: int, t: int) -> OptimizationResult | None:
+def optimize_gasp(n: int, t: int) -> OptimizationResult:
     """Brute-force the best (K, L) whose combined scheme fits N workers.
 
     Maximizes KL / min(n_small, n_big) over all K, L with KL <= N (every
     branch of both counting formulas is >= KL, so nothing larger can fit).
-    Ties break toward smaller K+L, then smaller K.
+    Ties break toward smaller K+L, then smaller K.  N and T must be ints
+    with T >= 1 and N >= 2T+1, and then there is always an answer:
+    (K, L) = (1, 1) needs n_big = 2T+1 <= N servers.
     """
-    if n < 2 * t + 1:
-        raise ParameterError(f"need N >= 2T+1, got N={n}, T={t}")
-    best: OptimizationResult | None = None
-    best_key: tuple[Fraction, int, int] | None = None
-    for k in range(1, n + 1):
-        for l in range(1, n // k + 1):
-            params = SchemeParams(k, l, t)
-            n_used = min(n_small_closed(params), n_big_closed(params))
-            if n_used > n:
-                continue
-            rate = Fraction(k * l, n_used)
-            key = (-rate, k + l, k)
-            if best_key is None or key < best_key:
-                best = OptimizationResult(k=k, l=l, n_used=n_used, rate=rate)
-                best_key = key
-    return best
+    _check_pool(n, t)
+
+    def fits():
+        for k in range(1, n + 1):
+            for l in range(1, n // k + 1):
+                params = SchemeParams(k, l, t)
+                n_used = min(n_small_closed(params), n_big_closed(params))
+                if n_used <= n:
+                    yield download_rate(params, n_used), params, n_used
+
+    rate, params, n_used = min(fits(), key=lambda c: (-c[0], c[1].k + c[1].l, c[1].k))
+    return OptimizationResult(k=params.k, l=params.l, n_used=n_used, rate=rate)
 
 
 def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
@@ -282,7 +287,7 @@ def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
     rows = []
     for g in range(1, k + 1):
         n = count_terms(gasp_grouped(k, g), params)
-        rows.append((g, n, Fraction(k * k, n)))
+        rows.append((g, n, download_rate(params, n)))
     return rows
 
 

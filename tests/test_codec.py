@@ -409,6 +409,15 @@ def test_encode_shape_errors():
         )
 
 
+def test_block_shapes_validation():
+    assert BlockShapes(1, 2, 3).s == 2
+    # bool is an int subclass; True used to pass as a size of 1.
+    for bad in (0, -1, 1.5, True):
+        for dims in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ParameterError):
+                BlockShapes(*dims)
+
+
 def test_server_evaluate():
     code = gasp_auto(SchemeParams(1, 1, 1))
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))

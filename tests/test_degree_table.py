@@ -26,6 +26,10 @@ def test_params_validation():
         SchemeParams(0, 1, 1)
     with pytest.raises(ParameterError):
         SchemeParams(1, 1, -2)
+    # bool is an int subclass; True used to pass as 1.
+    for args in ((True, 1, 1), (1, True, 1), (1, 1, True), (1.0, 1, 1)):
+        with pytest.raises(ParameterError):
+            SchemeParams(*args)
 
 
 def test_assignment_validation():
@@ -33,6 +37,9 @@ def test_assignment_validation():
         ExponentAssignment((0, -1), (0, 1))
     with pytest.raises(ParameterError):
         ExponentAssignment((2**62,), (2**62,))
+    for alpha, beta in (((False, True), (False, True)), ((0, 1), (0, True)), ((0, 1.0), (0, 1))):
+        with pytest.raises(ParameterError):
+            ExponentAssignment(alpha, beta)
     # largest admissible pair is fine
     ExponentAssignment((2**62,), (2**62 - 1,))
 

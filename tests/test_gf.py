@@ -65,8 +65,12 @@ def test_generalized_vandermonde_examples():
     cls = gf.generalized_vandermonde(7, (2, 3, 5), (0, 1, 2))
     assert cls.to_rows() == [[1, 2, 4], [1, 3, 2], [1, 5, 4]]
 
+    # Any shape, columns in the caller's order: neither sorted nor deduplicated.
+    rect = gf.generalized_vandermonde(7, (1, 2, 3), (2, 0, 2, 1))
+    assert rect.to_rows() == [[1, 1, 1, 1], [4, 1, 4, 2], [2, 1, 2, 3]]
+
     with pytest.raises(ParameterError):
-        gf.generalized_vandermonde(7, (1, 2), (0, 1, 2))
+        gf.generalized_vandermonde(7, (1, 2), (0, -1))
 
 
 def test_det_reference_value():

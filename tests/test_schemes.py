@@ -207,17 +207,21 @@ def test_kakar_heuristic_values():
     assert (12 + 5) * (2 + 1) - 1 == 50
     assert kakar_heuristic(50, 24) == (1, 1)
     assert kakar_heuristic(3, 1) == (1, 1)
-    with pytest.raises(ParameterError):
-        kakar_heuristic(4, 2)
+    # N and T are ints with T >= 1 and N >= 2T+1; T = 0 used to answer (4, 1)
+    # and a float N a float K.
+    for n, t in ((4, 2), (7, 0), (7, -1), (5.0, 2), (5, 2.0), (True, 1), (7, True)):
+        with pytest.raises(ParameterError):
+            kakar_heuristic(n, t)
+        with pytest.raises(ParameterError):
+            kakar_rate(n, t)
 
 
 def test_kakar_fits_worker_pool():
-    for n in range(3, 61):
+    # Every valid pool gets a pair with K, L >= 1 that fits it.
+    for n in range(3, 301):
         for t in range(1, (n - 1) // 2 + 1):
-            pair = kakar_heuristic(n, t)
-            if pair is not None:
-                k, l = pair
-                assert (k + t) * (l + 1) - 1 <= n
+            k, l = kakar_heuristic(n, t)
+            assert k >= 1 and l >= 1 and (k + t) * (l + 1) - 1 <= n, (n, t)
 
 
 def _optimize_oracle(n, t):
@@ -235,7 +239,7 @@ def _optimize_oracle(n, t):
             key = (-Fraction(k * l, n_used), k + l, k)
             if best is None or key < best[0]:
                 best = (key, (k, l, n_used, Fraction(k * l, n_used)))
-    return best[1] if best else None
+    return best[1]
 
 
 @pytest.mark.parametrize("n,t", [(50, 1), (50, 24), (3, 1), (30, 4)])
@@ -252,14 +256,16 @@ def test_optimize_gasp_examples():
     assert (best.k, best.l, best.n_used, best.rate) == (1, 1, 49, Fraction(1, 49))
     best = optimize_gasp(3, 1)
     assert (best.k, best.l, best.n_used, best.rate) == (1, 1, 3, Fraction(1, 3))
+    # A float N used to raise a bare TypeError.
+    for n, t in ((4, 2), (7, 0), (5.0, 2), (5, 2.0), (True, 1), (7, True)):
+        with pytest.raises(ParameterError):
+            optimize_gasp(n, t)
 
 
 def test_optimize_never_below_kakar():
     for n in range(3, 61):
         for t in range(1, (n - 1) // 2 + 1):
-            baseline = kakar_rate(n, t)
-            if baseline is not None:
-                assert optimize_gasp(n, t).rate >= baseline, (n, t)
+            assert optimize_gasp(n, t).rate >= kakar_rate(n, t), (n, t)
 
 
 def test_grouped_sweep_published_tables():
