@@ -61,6 +61,7 @@ from .schemes import (
     kakar_heuristic,
     kakar_rate,
     n_big_closed,
+    n_gap_free,
     n_small_closed,
     optimize_gasp,
     rate_r1,

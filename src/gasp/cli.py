@@ -94,10 +94,9 @@ def cmd_optimize(args, parser) -> int:
     print(
         f"gasp: K={best.k} L={best.l} servers={best.n_used} rate={format_rate(best.rate)}"
     )
-    k_hat, l_hat = schemes.kakar_heuristic(args.n, args.t)
-    used = (k_hat + args.t) * (l_hat + 1) - 1
-    rate = schemes.kakar_rate(args.n, args.t)
-    print(f"kakar: K={k_hat} L={l_hat} servers={used} rate={format_rate(rate)}")
+    kakar = SchemeParams(*schemes.kakar_heuristic(args.n, args.t), args.t)
+    rate = format_rate(schemes.rate_r2(kakar))
+    print(f"kakar: K={kakar.k} L={kakar.l} servers={schemes.n_gap_free(kakar)} rate={rate}")
     return 0
 
 

@@ -6,12 +6,13 @@ linear combination of blocks per server.  Each server multiplies its two
 shares; the user interpolates the product polynomial from the N returned
 matrices and reads every block product A_k B_l off its own coefficient.
 
-Blocks and shares have one layout, the stack: a matrix whose row j is
-block j flattened row-major.  A side's data blocks followed by its T
-masks form one stack, so all N shares of that side are a single product
-of the N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and
-beta_j), built by :func:`gf.generalized_vandermonde`, with that stack;
-row n is server n's share.  Decode stacks the N responses the same way.
+Blocks have one layout, the stack: a matrix whose row j is block j
+flattened row-major.  A side's T masks are T more blocks (one T-row
+stack, :class:`MaskSet`), so its data blocks followed by its masks form
+one stack, and all N shares of that side are a single product of the
+N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j),
+built by :func:`gf.generalized_vandermonde`, with that stack; row n is
+server n's share.  Decode stacks the N responses the same way.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
 decode multiplies the response stack by the KL matching rows of the
 inverse generalized Vandermonde matrix.  Those prepared KL x N rows
@@ -40,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -82,6 +84,7 @@ class EvaluationPlan:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_type("field", self.field, PrimeFieldSpec)
         object.__setattr__(self, "exponents", tuple(self.exponents))
         # A float generator passes the range check, then breaks pow.
         if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
@@ -100,10 +103,14 @@ class EvaluationPlan:
 
 @dataclass(frozen=True)
 class MaskSet:
-    """The T random matrices added to each side before sharing."""
+    """Each side's T random masks as one stack: row i is mask i, flattened row-major.
 
-    r_masks: tuple[FieldMatrix, ...]
-    s_masks: tuple[FieldMatrix, ...]
+    ``r_masks`` is T x (r/K * s) and hides A's row blocks; ``s_masks`` is
+    T x (s * t/L) and hides B's column blocks.
+    """
+
+    r_masks: FieldMatrix
+    s_masks: FieldMatrix
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,8 @@ def default_field(code: PolynomialCode) -> PrimeFieldSpec:
 
     The multiplicative group then has order at least max(J) * N, so small
     generators usually have order above max(J), which makes the nodes
-    g ** e, e in J, distinct; g = 2 is accepted at every default field
-    the tests and the benchmark use.
+    g ** e, e in J, distinct.  Usually, not always: the benchmark's grouped
+    (4,4,4) G = 2 code first plans at g = 21 over its default p = 1,447.
     """
     return PrimeFieldSpec(gf.next_prime(code.exponents[-1] * code.n_servers))
 
@@ -168,6 +175,7 @@ def find_evaluation_plan(
     """
     if field is None:
         field = default_field(code)
+    _check_type("field", field, PrimeFieldSpec)
     p, n = field.p, code.n_servers
     if p <= n:
         raise ParameterError(f"field must satisfy p > N, got p={p}, N={n}")
@@ -193,17 +201,24 @@ def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
         raise ParameterError("plan exponents do not match the code's term set")
 
 
-def _check_shapes(code: PolynomialCode, shapes: BlockShapes) -> None:
-    if shapes.r % code.params.k:
-        raise ParameterError(f"K={code.params.k} must divide r={shapes.r}")
-    if shapes.t % code.params.l:
-        raise ParameterError(f"L={code.params.l} must divide t={shapes.t}")
+def _block_sizes(code: PolynomialCode, shapes: BlockShapes) -> tuple[int, int]:
+    """(r/K, t/L): the rows of A's row blocks and the columns of B's column blocks."""
+    k, l = code.params.k, code.params.l
+    if shapes.r % k:
+        raise ParameterError(f"K={k} must divide r={shapes.r}")
+    if shapes.t % l:
+        raise ParameterError(f"L={l} must divide t={shapes.t}")
+    return shapes.r // k, shapes.t // l
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    # None, a list of rows or a bare modulus would fail later on an attribute or len().
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> None:
-    # A missing response (None) or a list of rows would fail below on .rows.
-    if not isinstance(m, FieldMatrix):
-        raise ParameterError(f"{name} must be a FieldMatrix, got {type(m).__name__}")
+    _check_type(name, m, FieldMatrix)
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
     # Exactness needs int entries: a float passes the range check, then rounds.
@@ -233,11 +248,10 @@ def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
 
 
 def _shares(
-    p: int, points, exponents, data: FieldMatrix, masks, rows: int, cols: int
+    p: int, points, exponents, data: FieldMatrix, masks: FieldMatrix, rows: int, cols: int
 ) -> tuple[FieldMatrix, ...]:
-    """One side's shares: [x_n ** e_j] @ (data stack, then masks), one row per server."""
-    mask_entries = tuple(chain.from_iterable(m.entries for m in masks))
-    stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_entries)
+    """One side's shares: [x_n ** e_j] @ (data stack, then mask stack), one row per server."""
+    stack = FieldMatrix(len(exponents), data.cols, data.entries + masks.entries)
     product = gf.mat_mul(p, gf.generalized_vandermonde(p, points, exponents), stack)
     return tuple(FieldMatrix(rows, cols, product.row(n)) for n in range(product.rows))
 
@@ -258,35 +272,24 @@ def encode(
     one product: the N x (K+T) matrix [a_n ** alpha_j] times the stack
     of A's K row blocks and the R masks (for g, [a_n ** beta_j] times
     B's L column blocks and the S masks).  Masks are drawn from a
-    seeded uniform source, R before S, unless injected via ``masks``
-    (for audits).
+    seeded uniform source, one T-row stack per side, R before S, unless
+    injected via ``masks`` (for audits) as a :class:`MaskSet`.
     """
     p = plan.field.p
     params = code.params
     _check_plan(code, plan)
-    _check_shapes(code, shapes)
+    block_rows, block_cols = _block_sizes(code, shapes)
     _check_matrix("A", a, shapes.r, shapes.s, p)
     _check_matrix("B", b, shapes.s, shapes.t, p)
 
-    block_rows = shapes.r // params.k
-    block_cols = shapes.t // params.l
+    r_size, s_size = block_rows * shapes.s, shapes.s * block_cols
     if masks is None:
         rng = random.Random(seed)
-        masks = MaskSet(
-            r_masks=tuple(
-                random_matrix(p, block_rows, shapes.s, rng) for _ in range(params.t)
-            ),
-            s_masks=tuple(
-                random_matrix(p, shapes.s, block_cols, rng) for _ in range(params.t)
-            ),
-        )
+        masks = MaskSet(*(random_matrix(p, params.t, size, rng) for size in (r_size, s_size)))
     else:
-        for i, m in enumerate(masks.r_masks):
-            _check_matrix(f"r_masks[{i}]", m, block_rows, shapes.s, p)
-        for i, m in enumerate(masks.s_masks):
-            _check_matrix(f"s_masks[{i}]", m, shapes.s, block_cols, p)
-        if len(masks.r_masks) != params.t or len(masks.s_masks) != params.t:
-            raise ParameterError(f"need T={params.t} masks per side")
+        _check_type("masks", masks, MaskSet)
+        _check_matrix("r_masks", masks.r_masks, params.t, r_size, p)
+        _check_matrix("s_masks", masks.s_masks, params.t, s_size, p)
 
     points = plan.points
     f_shares = _shares(
@@ -361,12 +364,11 @@ def decode(
     p = plan.field.p
     params = code.params
     _check_plan(code, plan)
-    _check_shapes(code, shapes)
+    block_rows, block_cols = _block_sizes(code, shapes)
     n = code.n_servers
+    _check_type("responses", responses, Sequence)
     if len(responses) != n:
         raise ParameterError(f"need all {n} responses, got {len(responses)}")
-    block_rows = shapes.r // params.k
-    block_cols = shapes.t // params.l
     for i, resp in enumerate(responses):
         _check_matrix(f"responses[{i}]", resp, block_rows, block_cols, p)
 
@@ -382,9 +384,6 @@ def decode(
 
 def cost(code: PolynomialCode, shapes: BlockShapes) -> CostReport:
     """Exact symbol counts for one full multiplication."""
-    _check_shapes(code, shapes)
+    block_rows, block_cols = _block_sizes(code, shapes)
     n = code.n_servers
-    k, l = code.params.k, code.params.l
-    upload = n * (shapes.r * shapes.s // k + shapes.s * shapes.t // l)
-    download = n * shapes.r * shapes.t // (k * l)
-    return CostReport(upload_symbols=upload, download_symbols=download)
+    return CostReport(n * (block_rows + block_cols) * shapes.s, n * block_rows * block_cols)

@@ -15,19 +15,19 @@ over all mask values, is identical regardless of the secrets, i.e. that
 observations carry zero information.  Every share comes from
 ``codec.encode`` itself.
 
-The audit enumerates one side at a time: every A with every T-tuple of
-R masks, then every B with every T-tuple of S masks.  The f-shares
-depend only on (A, R) and the g-shares only on (B, S), so the joint
-count of an observation (u, v) under secrets (A, B) is F_A[u] * G_B[v],
-with F_A and G_B one side's multisets.  Those products agree for all
-(A, B) iff F_A is the same for every A and G_B for every B (sum over v:
-the total |G_B| is the same for every B), so the two sides decide the
-joint verdict exactly.  Here a, b, r and s count the entries of A, B,
-one R mask and one S mask; the work is (p ** (a + T*r) + p ** (b + T*s))
-* C(N, T) steps, where the joint enumeration took
-p ** (a + b + T*r + T*s) * C(N, T).  Exact distribution equality is the
-strongest checkable statement, so nothing is sampled; requests above
-``AUDIT_BUDGET`` steps are refused.
+The audit enumerates one side at a time: every A with every R mask
+stack, then every B with every S mask stack.  The f-shares depend only
+on (A, R) and the g-shares only on (B, S), so the joint count of an
+observation (u, v) under secrets (A, B) is F_A[u] * G_B[v], with F_A and
+G_B one side's multisets.  Those products agree for all (A, B) iff F_A
+is the same for every A and G_B for every B (sum over v: the total |G_B|
+is the same for every B), so the two sides decide the joint verdict
+exactly.  Here a, b, r and s count the entries of A, B, one R mask and
+one S mask (a stack of T masks has T*r or T*s); the work is
+(p ** (a + T*r) + p ** (b + T*s)) * C(N, T) steps, where the joint
+enumeration took p ** (a + b + T*r + T*s) * C(N, T).  Exact
+distribution equality is the strongest checkable statement, so nothing
+is sampled; requests above ``AUDIT_BUDGET`` steps are refused.
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ def exhaustive_privacy_audit(
     """Exact distributional privacy check by total enumeration, one side at a time.
 
     For every T-subset of servers and every secret A, count
-    the observed f-share tuples over all T-tuples of R masks; then do the
-    same for every B and the S masks.  Every share comes from
+    the observed f-share tuples over all R mask stacks; then do the
+    same for every B and the S mask stacks.  Every share comes from
     ``codec.encode`` with the enumerated masks injected and the other
     side's secret and masks at zero, so the audit checks the shipped
     encoder.  Returns True iff, on each side, every secret gives the
     same multisets as the first one.  With ``zero_masks`` the masks are
-    pinned to zero instead of enumerated, which models a broken scheme
-    and should make the audit fail.
+    pinned to zero instead of enumerated (one zero stack per side), which
+    models a broken scheme and should make the audit fail.
 
     Checking the sides apart decides exactly what comparing the joint
     observations of (A, B) would.  Since f depends only on (A, R) and g
@@ -202,7 +202,7 @@ def exhaustive_privacy_audit(
     F_A[u] * G_B[v], where F_A and G_B are the side multisets above.
     If F_A and G_B are the same for every A and every B, so are their
     products.  Conversely, summing the joint counts over v gives
-    |G_B| * F_A, and |G_B| is the number of S-mask tuples whatever B is,
+    |G_B| * F_A, and |G_B| is the number of S-mask stacks whatever B is,
     so equal joint counts force equal F_A; likewise for G_B.
 
     Only T-subsets are checked, and that loses nothing: the shares a
@@ -226,42 +226,38 @@ def exhaustive_privacy_audit(
     if plan.field.p != p:
         raise ParameterError("plan field does not match audit field")
     n = code.n_servers
-    codec._check_shapes(code, shapes)
+    block_rows, block_cols = codec._block_sizes(code, shapes)
 
     t = params.t
     a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
-    r_shape, s_shape = (shapes.r // params.k, shapes.s), (shapes.s, shapes.t // params.l)
-    masks_per_side = 0 if zero_masks else t
+    r_shape, s_shape = (t, block_rows * shapes.s), (t, shapes.s * block_cols)
+    # Masks pinned to zero enumerate the single value 0.
+    mask_values = range(1) if zero_masks else range(p)
+    # Per side: every secret times every mask stack, once per T-subset.
     steps = comb(n, t) * (
-        p ** (math.prod(a_shape) + masks_per_side * math.prod(r_shape))
-        + p ** (math.prod(b_shape) + masks_per_side * math.prod(s_shape))
+        p ** math.prod(a_shape) * len(mask_values) ** math.prod(r_shape)
+        + p ** math.prod(b_shape) * len(mask_values) ** math.prod(s_shape)
     )
     if steps > AUDIT_BUDGET:
         raise BudgetExceededError(
             f"audit needs {steps} steps, budget is {AUDIT_BUDGET}; not sampling"
         )
 
-    def matrix_tuples(shape, count: int, values):
-        # Every count-tuple of matrices of this shape with entries drawn from values.
-        rows, cols = shape
-        size = rows * cols
-        for flat in itertools.product(values, repeat=count * size):
-            yield tuple(
-                FieldMatrix(rows, cols, flat[i * size:(i + 1) * size]) for i in range(count)
-            )
+    def matrices(shape, values):
+        # Every matrix of this shape with entries drawn from values.
+        for flat in itertools.product(values, repeat=math.prod(shape)):
+            yield FieldMatrix(*shape, flat)
 
     subsets = list(itertools.combinations(range(n), t))
-    # Masks pinned to zero enumerate the single value 0.
-    mask_values = range(1) if zero_masks else range(p)
 
     def side_is_private(secret_shape, mask_shape, shares_of) -> bool:
-        # Per subset, the multiset of observed share tuples over all mask tuples,
+        # Per subset, the multiset of observed share tuples over all mask stacks,
         # compared between every secret and the first one.
-        mask_tuples = list(matrix_tuples(mask_shape, t, mask_values))
+        mask_stacks = list(matrices(mask_shape, mask_values))
         reference = None
-        for (secret,) in matrix_tuples(secret_shape, 1, range(p)):
+        for secret in matrices(secret_shape, range(p)):
             counters = [Counter() for _ in subsets]
-            for masks in mask_tuples:
+            for masks in mask_stacks:
                 shares = [m.entries for m in shares_of(secret, masks)]
                 for counter, subset in zip(counters, subsets):
                     counter[tuple(shares[i] for i in subset)] += 1
@@ -271,14 +267,12 @@ def exhaustive_privacy_audit(
                 return False
         return True
 
-    def zeros(shape) -> FieldMatrix:
-        return FieldMatrix(*shape, (0,) * math.prod(shape))
-
     def encode(a, b, r_masks, s_masks) -> ShareBundle:
         return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
 
-    zero_a, zero_b = zeros(a_shape), zeros(b_shape)
-    zero_r, zero_s = (zeros(r_shape),) * t, (zeros(s_shape),) * t
+    zero_a, zero_b, zero_r, zero_s = (
+        FieldMatrix(*dims, (0,) * math.prod(dims)) for dims in (a_shape, b_shape, r_shape, s_shape)
+    )
     return side_is_private(
         a_shape, r_shape, lambda a, masks: encode(a, zero_b, masks, zero_s).f_shares
     ) and side_is_private(

@@ -141,8 +141,9 @@ def gasp_grouped(k: int, g: int) -> ExponentAssignment:
     integers starting at K*K + G*K when R > 0.  Beta is the same as in
     the big construction.  G=1 reproduces big, G=K reproduces small.
     """
-    if not 1 <= g <= k:
-        raise ParameterError(f"group count must satisfy 1 <= G <= K, got G={g}, K={k}")
+    # bool is an int subclass, and a float G or K breaks range().
+    if type(k) is not int or type(g) is not int or not 1 <= g <= k:
+        raise ParameterError(f"group count must be an int 1 <= G <= K, got G={g!r}, K={k!r}")
     q, r = divmod(k, g)
     masks = [k * k + grp * k + i for grp in range(g) for i in range(q)]
     masks += [k * k + g * k + i for i in range(r)]
@@ -195,10 +196,14 @@ def rate_r1(k: int, t: int) -> Fraction:
     return Fraction(k * k, (k + t) * (k + t))
 
 
+def n_gap_free(params: SchemeParams) -> int:
+    """Server count (K+T)(L+1)-1 of the gap-free competitor."""
+    return (params.k + params.t) * (params.l + 1) - 1
+
+
 def rate_r2(params: SchemeParams) -> Fraction:
     """Baseline rate KL/((K+T)(L+1)-1) of the gap-free competitor."""
-    k, l, t = params.k, params.l, params.t
-    return Fraction(k * l, (k + t) * (l + 1) - 1)
+    return Fraction(params.k * params.l, n_gap_free(params))
 
 
 def rate_report(params: SchemeParams) -> RateReport:
@@ -243,7 +248,7 @@ def kakar_heuristic(n: int, t: int) -> tuple[int, int]:
     while (2 * t * l_hat + 3 * t) ** 2 < d:
         l_hat += 1
     k_hat = (n + 1 - t * (l_hat + 1)) // (l_hat + 1)
-    assert k_hat >= 1 and (k_hat + t) * (l_hat + 1) - 1 <= n
+    assert k_hat >= 1 and n_gap_free(SchemeParams(k_hat, l_hat, t)) <= n
     return k_hat, l_hat
 
 

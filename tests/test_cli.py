@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gasp.cli import main
+from gasp.schemes import optimize_gasp
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -167,6 +168,28 @@ def test_optimize_output(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--n", "3", "--t", "1")
     assert "gasp: K=1 L=1 servers=3 rate=0.333" in out
     assert "kakar: K=1 L=1 servers=3 rate=0.333" in out
+
+
+def test_optimize_matches_golden():
+    # Reads the optimizer table the benchmark checks; the file is not rewritten.
+    lines = (GOLDEN / "optimize_n50.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "T,K,L,n_used,rate"
+    rows = []
+    for t in range(1, 25):
+        best = optimize_gasp(50, t)
+        rows.append(f"{t},{best.k},{best.l},{best.n_used},{best.rate}")
+    assert lines[1:] == rows
+
+
+def test_optimize_kakar_servers_are_gap_free_count(capsys):
+    for n in range(3, 61):
+        for t in range(1, (n - 1) // 2 + 1):
+            code, out, _ = run_cli(capsys, "optimize", "--n", str(n), "--t", str(t))
+            assert code == 0
+            kakar = out.splitlines()[1].split()
+            assert kakar[0] == "kakar:"
+            k, l, servers = (int(field.split("=")[1]) for field in kakar[1:4])
+            assert servers == (k + t) * (l + 1) - 1 <= n, (n, t)
 
 
 def test_optimize_infeasible(capsys):

@@ -33,6 +33,9 @@ def test_fixture_plan_accepted():
 def test_plan_field_too_small():
     with pytest.raises(ParameterError):
         codec.find_evaluation_plan(fixture_code(), PrimeFieldSpec(17))
+    # A bare modulus instead of a PrimeFieldSpec used to fail on field.p.
+    with pytest.raises(ParameterError, match="field must be a PrimeFieldSpec, got int"):
+        codec.find_evaluation_plan(fixture_code(), field=5)
 
 
 def test_plan_search_tiny_field():
@@ -77,6 +80,9 @@ def test_non_int_points_rejected():
     for generator in (-1, 7):
         with pytest.raises(ParameterError):
             codec.EvaluationPlan(PrimeFieldSpec(7), generator, (0, 1, 2))
+    # So must the field be a PrimeFieldSpec: a bare modulus failed on field.p.
+    with pytest.raises(ParameterError):
+        codec.EvaluationPlan(7, 2, (0, 1, 2))
     # Exponents likewise: a float or bool exponent compared equal to the
     # int one, passed the term-set check, and then broke pow in decode.
     for exponents in ((0.0, 1.0, 2.0), (0, 1, 2.0), (False, True, 2), (-1, 0, 1), ("0", "1")):
@@ -225,10 +231,7 @@ def test_encode_hand_example():
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
-    masks = MaskSet(
-        r_masks=(FieldMatrix(1, 1, (3,)),),
-        s_masks=(FieldMatrix(1, 1, (2,)),),
-    )
+    masks = MaskSet(r_masks=FieldMatrix(1, 1, (3,)), s_masks=FieldMatrix(1, 1, (2,)))
     bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
     assert tuple(s.entries[0] for s in bundle.f_shares) == ((2 + 3) % 5, (2 + 6) % 5, (2 + 12) % 5)
     assert tuple(s.entries[0] for s in bundle.g_shares) == ((3 + 2) % 5, (3 + 4) % 5, (3 + 8) % 5)
@@ -237,6 +240,11 @@ def test_encode_hand_example():
 def _grid_block(m, rows, cols, i, j):
     entries = (m.row(i * rows + r)[j * cols + c] for r in range(rows) for c in range(cols))
     return FieldMatrix(rows, cols, tuple(entries))
+
+
+def _split(stack, rows, cols):
+    # The blocks of a stack: row i is block i, flattened row-major.
+    return [FieldMatrix(rows, cols, stack.row(i)) for i in range(stack.rows)]
 
 
 def _naive_shares(p, points, exponents, blocks):
@@ -279,20 +287,21 @@ def test_encode_matches_naive_sum(scheme, k, l, t, g):
     a_blocks = [_grid_block(a, rows, s, i, 0) for i in range(k)]
     b_blocks = [_grid_block(b, s, cols, 0, j) for j in range(l)]
 
-    # Seeded masks: T row-side masks, then T column-side masks, one stream.
+    # Seeded masks: T row-side masks, then T column-side masks, one stream,
+    # drawn here as separate matrices to pin the order encode draws its stacks in.
     mask_rng = random.Random(99)
     r_masks = [codec.random_matrix(p, rows, s, mask_rng) for _ in range(t)]
     s_masks = [codec.random_matrix(p, s, cols, mask_rng) for _ in range(t)]
     injected = MaskSet(
-        tuple(codec.random_matrix(p, rows, s, rng) for _ in range(t)),
-        tuple(codec.random_matrix(p, s, cols, rng) for _ in range(t)),
+        codec.random_matrix(p, t, rows * s, rng), codec.random_matrix(p, t, s * cols, rng)
     )
+    injected_r, injected_s = _split(injected.r_masks, rows, s), _split(injected.s_masks, s, cols)
     alpha, beta = code.assignment.alpha, code.assignment.beta
-    cases = [(99, None, r_masks, s_masks), (0, injected, injected.r_masks, injected.s_masks)]
+    cases = [(99, None, r_masks, s_masks), (0, injected, injected_r, injected_s)]
     for seed, masks, rs, ss in cases:
         bundle = codec.encode(a, b, code, plan, shapes, seed=seed, masks=masks)
-        assert bundle.f_shares == _naive_shares(p, plan.points, alpha, a_blocks + list(rs))
-        assert bundle.g_shares == _naive_shares(p, plan.points, beta, b_blocks + list(ss))
+        assert bundle.f_shares == _naive_shares(p, plan.points, alpha, a_blocks + rs)
+        assert bundle.g_shares == _naive_shares(p, plan.points, beta, b_blocks + ss)
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(p, a, b)
 
@@ -315,8 +324,8 @@ def test_each_side_depends_only_on_its_own_inputs(scheme, k, l, t, g):
         return (
             codec.random_matrix(p, shapes.r, shapes.s, rng),
             codec.random_matrix(p, shapes.s, shapes.t, rng),
-            tuple(codec.random_matrix(p, 2, shapes.s, rng) for _ in range(t)),
-            tuple(codec.random_matrix(p, shapes.s, 2, rng) for _ in range(t)),
+            codec.random_matrix(p, t, 2 * shapes.s, rng),
+            codec.random_matrix(p, t, shapes.s * 2, rng),
         )
 
     def encode(a, b, r_masks, s_masks):
@@ -345,9 +354,9 @@ def test_non_int_entries_rejected():
     with pytest.raises(ParameterError):
         codec.encode(a, FieldMatrix(1, 1, (5.0,)), code, plan, shapes)
     with pytest.raises(ParameterError):
-        codec.encode(a, b, code, plan, shapes, masks=MaskSet((one_float,), (one,)))
+        codec.encode(a, b, code, plan, shapes, masks=MaskSet(one_float, one))
     with pytest.raises(ParameterError):
-        codec.encode(a, b, code, plan, shapes, masks=MaskSet((one,), (one_float,)))
+        codec.encode(a, b, code, plan, shapes, masks=MaskSet(one, one_float))
 
     bundle = codec.encode(a, b, code, plan, shapes)
     responses = [codec.server_evaluate(bundle, n) for n in range(3)]
@@ -373,6 +382,12 @@ def test_non_matrix_inputs_rejected():
             codec.decode(broken, code, plan, shapes)
     with pytest.raises(ParameterError, match="A must be a FieldMatrix, got list"):
         codec.encode([[2]], b, code, plan, shapes)
+    # No response list at all, and a plain pair of masks instead of a MaskSet,
+    # used to raise a bare TypeError and AttributeError.
+    with pytest.raises(ParameterError, match="responses must be a Sequence, got NoneType"):
+        codec.decode(None, code, plan, shapes)
+    with pytest.raises(ParameterError, match="masks must be a MaskSet, got tuple"):
+        codec.encode(a, b, code, plan, shapes, masks=(a, b))
 
 
 def test_encode_zero_masks_degenerate():
@@ -382,9 +397,7 @@ def test_encode_zero_masks_degenerate():
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
     zero = FieldMatrix(1, 1, (0,))
-    bundle = codec.encode(
-        a, b, code, plan, shapes, masks=MaskSet((zero,), (zero,))
-    )
+    bundle = codec.encode(a, b, code, plan, shapes, masks=MaskSet(zero, zero))
     assert all(s == a for s in bundle.f_shares)
 
 
@@ -407,6 +420,22 @@ def test_encode_shape_errors():
             plan,
             BlockShapes(6, 2, 3),
         )
+    # Injected masks are one T-row stack per side; T = 2 here, and each mask
+    # of the r x s = 3 x 2 problem is 1 x 2 on A's side and 2 x 1 on B's.
+    a, b = FieldMatrix(3, 2, (0,) * 6), FieldMatrix(2, 3, (0,) * 6)
+    shapes = BlockShapes(3, 2, 3)
+    zeros = FieldMatrix(2, 2, (0,) * 4)
+    assert codec.encode(a, b, code, plan, shapes, masks=MaskSet(zeros, zeros)).n_servers == 18
+    one_mask = FieldMatrix(1, 2, (0,) * 2)
+    bad_masks = [
+        MaskSet(one_mask, zeros),  # T - 1 rows
+        MaskSet(zeros, FieldMatrix(3, 2, (0,) * 6)),  # T + 1 rows
+        MaskSet(zeros, FieldMatrix(2, 3, (0,) * 6)),  # rows of the wrong width
+        MaskSet((one_mask, one_mask), (one_mask, one_mask)),  # one matrix per mask
+    ]
+    for masks in bad_masks:
+        with pytest.raises(ParameterError):
+            codec.encode(a, b, code, plan, shapes, masks=masks)
 
 
 def test_block_shapes_validation():
@@ -424,13 +453,13 @@ def test_server_evaluate():
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
-    masks = MaskSet((FieldMatrix(1, 1, (3,)),), (FieldMatrix(1, 1, (2,)),))
+    masks = MaskSet(FieldMatrix(1, 1, (3,)), FieldMatrix(1, 1, (2,)))
     bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
     # at point 1: (2+3)(3+2) = 25 = 0 mod 5
     assert codec.server_evaluate(bundle, 0).entries == (0,)
 
     zero_b = FieldMatrix(1, 1, (0,))
-    zmask = MaskSet((FieldMatrix(1, 1, (0,)),), (FieldMatrix(1, 1, (0,)),))
+    zmask = MaskSet(FieldMatrix(1, 1, (0,)), FieldMatrix(1, 1, (0,)))
     zero_bundle = codec.encode(a, zero_b, code, plan, shapes, masks=zmask)
     assert all(
         codec.server_evaluate(zero_bundle, n).entries == (0,) for n in range(3)

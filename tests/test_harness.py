@@ -102,6 +102,12 @@ def test_run_sdmm_refuses_group_count_without_grouped_scheme():
         harness.run_sdmm(SchemeParams(4, 4, 4), g=2)
 
 
+def test_run_sdmm_refuses_field_of_wrong_type():
+    # A bare modulus instead of a PrimeFieldSpec used to fail on field.p.
+    with pytest.raises(ParameterError):
+        harness.run_sdmm(SchemeParams(1, 1, 1), field=5)
+
+
 def test_mds_audit_fixture_passes():
     code = gasp_auto(SchemeParams(3, 3, 2))
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(29))
@@ -259,8 +265,8 @@ def test_exhaustive_audit_runs_shipped_encoder(monkeypatch):
     shipped = codec.encode
 
     def leaky_encode(a, b, code, plan, shapes, masks):
-        def zeroed(ms):
-            return tuple(FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in ms)
+        def zeroed(m):
+            return FieldMatrix(m.rows, m.cols, (0,) * len(m.entries))
 
         return shipped(
             a, b, code, plan, shapes, masks=MaskSet(zeroed(masks.r_masks), zeroed(masks.s_masks))

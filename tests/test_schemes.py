@@ -300,3 +300,10 @@ def test_code_for_scheme_rejects_bad_input():
     for scheme in ("small", "big", "auto"):
         with pytest.raises(ParameterError):
             code_for_scheme(SchemeParams(4, 4, 4), scheme, g=2)
+    # G and K are ints: True used to build a code labelled grouped(True), and
+    # a float G or K raised a bare TypeError.
+    for g in (True, 2.0):
+        with pytest.raises(ParameterError):
+            code_for_scheme(SchemeParams(3, 3, 3), "grouped", g=g)
+    with pytest.raises(ParameterError):
+        gasp_grouped(3.0, 1)
