@@ -31,9 +31,11 @@ master polynomial with no elimination.  Plan search scans g = 2, 3, ...
 and returns the first g whose nodes are distinct and whose two T x N
 mask power matrices have every maximal minor invertible, which is what
 makes any T shares jointly uniform.  That mask condition is decided by
-:func:`gf.is_power_mds`, whose docstring holds the proof of the O(N)
-certificate that covers the small and big codes; the audit calls the
-same function.
+:func:`gf.is_power_mds`, whose docstring holds the proofs of the O(N)
+certificate that covers the small and big codes and of the anchored
+minor walk that decides grouped codes; the audit calls the same
+function.  A grouped code that the default field refuses is planned
+over a larger fallback field, described in :func:`find_evaluation_plan`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import gf
-from .errors import ParameterError, PlanSearchError, SingularMatrixError
+from .errors import ParameterError, PlanSearchError, SingularMatrixError, check_type
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode
 
@@ -84,7 +86,7 @@ class EvaluationPlan:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_type("field", self.field, PrimeFieldSpec)
+        check_type("field", self.field, PrimeFieldSpec)
         object.__setattr__(self, "exponents", tuple(self.exponents))
         # A float generator passes the range check, then breaks pow.
         if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
@@ -145,6 +147,10 @@ def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     generators usually have order above max(J), which makes the nodes
     g ** e, e in J, distinct.  Usually, not always: the benchmark's grouped
     (4,4,4) G = 2 code first plans at g = 21 over its default p = 1,447.
+    Some grouped codes find no generator at all over this field, such as
+    (5,5,5) with G = 2 or 3 and (6,6,6) with G = 2, 3 or 4; plan search
+    then rescans once over its fallback field, the smallest prime above
+    4 * C(N, T), as :func:`find_evaluation_plan` describes.
     """
     return PrimeFieldSpec(gf.next_prime(code.exponents[-1] * code.n_servers))
 
@@ -166,16 +172,40 @@ def find_evaluation_plan(
     and the beta-mask power matrices for every maximal minor nonzero, by
     :func:`gf.is_power_mds`: an O(N) certificate for mask exponents in
     arithmetic progression (the small and big codes), and otherwise the
-    exact walk of :func:`gf.is_mds`, which raises
+    exact minor walk of :func:`gf.is_mds`, anchored at column 0 because
+    the points g ** n are geometric, which raises
     :class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.  At most
     ``MAX_CANDIDATES`` generators are tried; a failed search raises
     :class:`PlanSearchError` with the number of candidates rejected for
     each condition.  ``seed`` is unused: the search is deterministic, and
     the keyword stays only for callers that still pass it.
+
+    Without a ``field``, the search runs over :func:`default_field`.  If
+    that scan fails and a mask side is no progression (a grouped code),
+    it rescans once over the fallback field p = next_prime(4 * C(N, T)),
+    and that scan's result or error is the search's.  The size is a
+    heuristic: if each of the C(N, T) minors of a side vanished at a
+    random g with chance about 1 / p, all of them would pass with chance
+    about 3 / 4.  It only picks p; every verdict there is still exact.
+    At that field g = 2 passes for every grouped code with K <= 6 that
+    the default field refuses.  A plan the default field finds is never
+    replaced, and an explicit ``field`` is scanned alone.
     """
-    if field is None:
-        field = default_field(code)
-    _check_type("field", field, PrimeFieldSpec)
+    check_type("code", code, PolynomialCode)
+    if field is not None:
+        return _scan_generators(code, field)
+    try:
+        return _scan_generators(code, default_field(code))
+    except PlanSearchError:
+        if gf.is_progression(code.alpha_masks) and gf.is_progression(code.beta_masks):
+            raise
+    fallback = gf.next_prime(4 * math.comb(code.n_servers, code.params.t))
+    return _scan_generators(code, PrimeFieldSpec(fallback))
+
+
+def _scan_generators(code: PolynomialCode, field: PrimeFieldSpec) -> EvaluationPlan:
+    """Scan g = 2, 3, ... over one field, as :func:`find_evaluation_plan` describes."""
+    check_type("field", field, PrimeFieldSpec)
     p, n = field.p, code.n_servers
     if p <= n:
         raise ParameterError(f"field must satisfy p > N, got p={p}, N={n}")
@@ -197,12 +227,15 @@ def find_evaluation_plan(
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
+    check_type("code", code, PolynomialCode)
+    check_type("plan", plan, EvaluationPlan)
     if plan.exponents != code.exponents:
         raise ParameterError("plan exponents do not match the code's term set")
 
 
 def _block_sizes(code: PolynomialCode, shapes: BlockShapes) -> tuple[int, int]:
     """(r/K, t/L): the rows of A's row blocks and the columns of B's column blocks."""
+    check_type("shapes", shapes, BlockShapes)
     k, l = code.params.k, code.params.l
     if shapes.r % k:
         raise ParameterError(f"K={k} must divide r={shapes.r}")
@@ -211,14 +244,8 @@ def _block_sizes(code: PolynomialCode, shapes: BlockShapes) -> tuple[int, int]:
     return shapes.r // k, shapes.t // l
 
 
-def _check_type(name: str, value, cls: type) -> None:
-    # None, a list of rows or a bare modulus would fail later on an attribute or len().
-    if not isinstance(value, cls):
-        raise ParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-
-
 def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> None:
-    _check_type(name, m, FieldMatrix)
+    check_type(name, m, FieldMatrix)
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
     # Exactness needs int entries: a float passes the range check, then rounds.
@@ -275,9 +302,9 @@ def encode(
     seeded uniform source, one T-row stack per side, R before S, unless
     injected via ``masks`` (for audits) as a :class:`MaskSet`.
     """
+    _check_plan(code, plan)
     p = plan.field.p
     params = code.params
-    _check_plan(code, plan)
     block_rows, block_cols = _block_sizes(code, shapes)
     _check_matrix("A", a, shapes.r, shapes.s, p)
     _check_matrix("B", b, shapes.s, shapes.t, p)
@@ -287,7 +314,7 @@ def encode(
         rng = random.Random(seed)
         masks = MaskSet(*(random_matrix(p, params.t, size, rng) for size in (r_size, s_size)))
     else:
-        _check_type("masks", masks, MaskSet)
+        check_type("masks", masks, MaskSet)
         _check_matrix("r_masks", masks.r_masks, params.t, r_size, p)
         _check_matrix("s_masks", masks.s_masks, params.t, s_size, p)
 
@@ -361,12 +388,12 @@ def decode(
     polynomials at the first decode on a plan and reused after that.
     The KL product rows are reassembled into A @ B.
     """
+    _check_plan(code, plan)
     p = plan.field.p
     params = code.params
-    _check_plan(code, plan)
     block_rows, block_cols = _block_sizes(code, shapes)
     n = code.n_servers
-    _check_type("responses", responses, Sequence)
+    check_type("responses", responses, Sequence)
     if len(responses) != n:
         raise ParameterError(f"need all {n} responses, got {len(responses)}")
     for i, resp in enumerate(responses):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument type check that raises one."""
 
 
 class GaspError(Exception):
@@ -7,6 +7,17 @@ class GaspError(Exception):
 
 class ParameterError(GaspError, ValueError):
     """Invalid argument, out-of-range parameter, or shape mismatch."""
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a ``cls``.
+
+    Called where an argument enters the package: None, a tuple of sizes,
+    a list of rows or a bare modulus would otherwise fail later on an
+    attribute or ``len()`` with a bare ``AttributeError`` or ``TypeError``.
+    """
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 class SingularMatrixError(GaspError, ArithmeticError):
@@ -39,6 +50,8 @@ class BudgetExceededError(GaspError, RuntimeError):
     Raised by the exhaustive privacy audit and by the MDS walk of
     ``gf.is_mds``, each before doing any work.  Plan search and the
     algebraic audit reach the walk only through ``gf.is_power_mds``, for
-    mask exponents that are no arithmetic progression (grouped codes);
-    the small and big codes take its O(N) certificate and never raise it.
+    mask exponents that are no arithmetic progression (grouped codes),
+    anchored at column 0 on a plan's geometric points and checked against
+    that smaller cost; the small and big codes take its O(N) certificate
+    and never raise it.
     """

@@ -17,7 +17,13 @@ decides every subset under a node with two rows left by one test that
 the ratios of those rows are distinct.  ``is_power_mds`` is the mask
 condition of a plan, shared by plan search and ``harness.mds_audit``:
 its docstring proves the O(N) certificate for exponents in arithmetic
-progression, and it walks with ``is_mds`` for any other exponents.
+progression, and for any other exponents it runs the walk of
+``is_mds``.  On geometric points x_n = x_0 * r ** n, as a plan's points
+g ** n are, that walk is anchored: column n + a of [x_n ** e_i] is
+diag(r ** (a * e_i)) times column n, so the minor on a column set S is
+a nonzero multiple of the minor on S - min(S), which holds column 0.
+Only the subsets that hold column 0 are walked, about N / (T - 2) times
+fewer steps than all of them.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -122,14 +128,15 @@ class FieldMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        # Most callers pass a tuple already; copying it again is pure cost.
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
         # A float dimension passes the checks below, then breaks slicing.
-        if any(type(d) is not int or d < 1 for d in (self.rows, self.cols)):
+        rows, cols = self.rows, self.cols
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
             raise ParameterError("matrix dimensions must be positive ints")
-        if len(self.entries) != self.rows * self.cols:
-            raise ParameterError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.entries) != rows * cols:
+            raise ParameterError(f"expected {rows * cols} entries, got {len(self.entries)}")
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -278,14 +285,30 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
     mod p first.
 
     This is the general check and the tests' oracle for
-    :func:`is_power_mds`, which calls it for mask exponents that are not
-    an arithmetic progression (grouped codes) and decides progression
-    masks by the O(N) certificate its docstring proves.
+    :func:`is_power_mds`, which shares its walk for mask exponents that
+    are not an arithmetic progression (grouped codes), restricted to the
+    subsets that hold column 0 when the points are geometric, and decides
+    progression masks by the O(N) certificate its docstring proves.
     """
     t, n = m.rows, m.cols
     if t > n:
         raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
-    cost = comb(n, max(t - 2, 0)) * n
+    return _mds_walk(p, [[e % p for e in m.row(i)] for i in range(t)], anchored=False)
+
+
+def _mds_walk(p: int, rows: list[list[int]], anchored: bool) -> bool:
+    """The walk of :func:`is_mds` on T reduced rows of N entries, T <= N.
+
+    With ``anchored`` and T >= 3, the top level takes only column 0, so
+    only the T-subsets that hold column 0 are decided; the docstring of
+    :func:`is_power_mds` proves that this decides all of them when the
+    columns come from geometric points.  That walk visits C(N - 2, T - 3)
+    nodes and costs about C(N - 1, T - 3) * N steps, which is checked
+    against ``MDS_WALK_BUDGET`` as the full walk's cost is.
+    """
+    t, n = len(rows), len(rows[0])
+    anchored = anchored and t > 2
+    cost = (comb(n - 1, t - 3) if anchored else comb(n, max(t - 2, 0))) * n
     if cost > MDS_WALK_BUDGET:
         raise BudgetExceededError(
             f"MDS check of {t} x {n} needs {cost} steps, budget is {MDS_WALK_BUDGET}"
@@ -303,23 +326,38 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
                 return False
             keys = [x * pow(y, -1, p) % p if y else p for x, y in zip(u, v)]
             return len(set(keys)) == len(keys)
-        for c in range(len(rows[0]) - len(rows) + 1):
-            dots = [row[c] for row in rows]
-            k = next((i for i, x in enumerate(dots) if x), None)
-            if k is None:
-                return False
-            tail = rows[k][c + 1:]
-            inv_pv = pow(dots[k], -1, p)
-            rest = []
-            for i, row in enumerate(rows):
-                if i != k:
-                    factor = dots[i] * inv_pv % p
-                    rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
-            if not extend(rest):
-                return False
-        return True
+        return all(choose(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
 
-    return extend([[e % p for e in m.row(i)] for i in range(t)])
+    def choose(rows: list[list[int]], c: int) -> bool:
+        # Add column c to the chosen ones and walk every subset that extends them.
+        dots = [row[c] for row in rows]
+        k = next((i for i, x in enumerate(dots) if x), None)
+        if k is None:
+            return False
+        tail = rows[k][c + 1:]
+        inv_pv = pow(dots[k], -1, p)
+        rest = []
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = dots[i] * inv_pv % p
+                rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
+        return extend(rest)
+
+    return choose(rows, 0) if anchored else extend(rows)
+
+
+def is_progression(exponents) -> bool:
+    """True iff the exponents are e0, e0 + d, e0 + 2d, ...; one or two always are."""
+    return len({b - a for a, b in zip(exponents, exponents[1:])}) <= 1
+
+
+def _is_geometric(p: int, points) -> bool:
+    """True iff x_0 != 0 and x_(n+1) = r * x_n mod p for one ratio r != 0."""
+    x0 = points[0] % p
+    if not x0:
+        return False
+    r = points[1] * pow(x0, -1, p) % p
+    return r != 0 and all((y - r * x) % p == 0 for x, y in zip(points, points[1:]))
 
 
 def is_power_mds(p: int, points, exponents) -> bool:
@@ -331,26 +369,42 @@ def is_power_mds(p: int, points, exponents) -> bool:
     the single decision behind plan search (``codec.find_evaluation_plan``)
     and the algebraic audit (``harness.mds_audit``).
 
-    When the T exponents form a progression e0 + d*i (T = 1 counts as
-    one), the minor on points x_1..x_T factors as prod x_j ** e0 times
-    the Vandermonde determinant of the x_j ** d, so it is nonzero iff
-    each x_j ** e0 is nonzero and, for T >= 2, the x_j ** d are pairwise
-    distinct.  That holds for every T-subset iff it holds for all N
-    points at once: since T <= N, a zero entry or a colliding pair of
-    d-th powers extends to a T-subset whose minor vanishes.  So the
-    small and big codes, whose mask exponents are progressions, are
-    decided in O(N).  Any other exponent set, such as the runs of a
-    grouped code, goes to :func:`is_mds`, which decides all C(N, T)
-    minors in about C(N, T - 2) * N steps and raises
-    :class:`BudgetExceededError` above ``MDS_WALK_BUDGET``.
+    *Progression certificate.*  When the T exponents form a progression
+    e0 + d*i (T = 1 counts as one), the minor on points x_1..x_T factors
+    as prod x_j ** e0 times the Vandermonde determinant of the x_j ** d,
+    so it is nonzero iff each x_j ** e0 is nonzero and, for T >= 2, the
+    x_j ** d are pairwise distinct.  That holds for every T-subset iff it
+    holds for all N points at once: since T <= N, a zero entry or a
+    colliding pair of d-th powers extends to a T-subset whose minor
+    vanishes.  So the small and big codes, whose mask exponents are
+    progressions, are decided in O(N).
+
+    *Anchored walk.*  Any other exponent set, such as the runs of a
+    grouped code, is decided by the minor walk of :func:`is_mds`.  When
+    the points are geometric, x_n = x_0 * r ** n with x_0 and r nonzero
+    mod p, as every plan's points g ** n are for g != 0, the walk needs
+    only the subsets that hold column 0.  Column n + a of the matrix is
+    diag(r ** (a * e_i)) times column n, so for a column set S with
+    smallest member a, the submatrix on S is diag(r ** (a * e_i)) times
+    the submatrix on S - a, and its minor is r ** (a * sum e_i), a
+    nonzero factor, times the minor on S - a.  S - a lies in 0..N-1 and
+    holds column 0, so every minor vanishes iff one that holds column 0
+    does.  The proof uses the points only, not the exponents.  Deciding
+    those subsets costs about C(N - 1, T - 3) * N steps, N / (T - 2)
+    times fewer than the full walk's C(N, T - 2) * N (18 times at N = 36,
+    T = 4).  Points that are not geometric, such as a zero point or an
+    arbitrary set, take the full walk.  Either walk raises
+    :class:`BudgetExceededError` when its own cost exceeds
+    ``MDS_WALK_BUDGET``.  Checking that the points are geometric is O(N)
+    and runs only for exponents that are no progression.
     """
     t, n = len(exponents), len(points)
     if t > n:
         raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    if not is_progression(exponents):
+        rows = [[pow(x, e, p) for x in points] for e in exponents]
+        return _mds_walk(p, rows, anchored=_is_geometric(p, points))
     e0 = exponents[0]
-    d = exponents[1] - e0 if t > 1 else 0
-    if any(e != e0 + d * i for i, e in enumerate(exponents)):
-        return is_mds(p, FieldMatrix(t, n, tuple(pow(x, e, p) for e in exponents for x in points)))
     if not all(pow(x, e0, p) for x in points):
         return False
-    return t == 1 or len({pow(x, d, p) for x in points}) == n
+    return t == 1 or len({pow(x, exponents[1] - e0, p) for x in points}) == n

@@ -30,7 +30,7 @@ from .degree_table import (
     outer_sum,
     terms,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_type
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,7 @@ def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> 
     The group count ``g`` is required for grouped codes and refused for
     the others, which have no groups.
     """
+    check_type("params", params, SchemeParams)
     if g is not None and scheme != "grouped":
         raise ParameterError(f"a group count G applies only to the grouped scheme, not {scheme!r}")
     if scheme == "small":

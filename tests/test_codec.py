@@ -1,6 +1,7 @@
 """Plan search, encoding, server evaluation, decoding, and cost accounting."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -186,27 +187,31 @@ def test_every_plan_passes_the_audits():
 
 
 def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
-    calls = []
-    full_is_mds = gf.is_mds
+    # Counts the minor walk that gf.is_mds and gf.is_power_mds share, by
+    # shape, and whether it was anchored at column 0.
+    calls, anchors = [], []
+    walk = gf._mds_walk
 
-    def counting_is_mds(p, m):
-        calls.append((m.rows, m.cols))
-        return full_is_mds(p, m)
+    def counting_walk(p, rows, anchored):
+        calls.append((len(rows), len(rows[0])))
+        anchors.append(anchored)
+        return walk(p, rows, anchored)
 
-    monkeypatch.setattr(gf, "is_mds", counting_is_mds)
+    monkeypatch.setattr(gf, "_mds_walk", counting_walk)
     small = code_for_scheme(SchemeParams(4, 4, 3), "small")
     plan = codec.find_evaluation_plan(small, PrimeFieldSpec(137))  # g = 2 fails on alpha
     assert plan.generator == 3
     codec.find_evaluation_plan(code_for_scheme(SchemeParams(2, 2, 3), "big"))
     assert calls == []
 
-    # The grouped alpha masks 16, 17, 20, 21 are no progression: one
-    # gf.is_mds walk over all C(36, 4) minors per generator, 2 to 21; the
-    # beta masks 16..19 are.
+    # The grouped alpha masks 16, 17, 20, 21 are no progression: one walk
+    # of the 4 x 36 mask matrix per generator, 2 to 21, anchored because
+    # the points g ** n are geometric; the beta masks 16..19 are a progression.
     grouped = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=2)
     grouped_plan = codec.find_evaluation_plan(grouped)
     assert grouped_plan.generator == 21
     assert calls == [(4, 36)] * 20
+    assert all(anchors)
 
     # The audit decides each side by the same function: the progression
     # certificate for both small-code sides, one walk for the grouped alpha side.
@@ -215,6 +220,36 @@ def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
     assert calls == []
     assert harness.mds_audit(grouped, grouped_plan).all_pass
     assert calls == [(4, 36)]
+
+
+def test_fallback_field_only_when_the_default_field_refuses_a_grouped_code(monkeypatch):
+    # (5,5,5) G = 2 finds no generator over its default field; without a
+    # field, plan search rescans over next_prime(4 * C(N, T)) and g = 2
+    # passes there.  Given the default field explicitly, it scans that alone.
+    code = code_for_scheme(SchemeParams(5, 5, 5), "grouped", g=2)
+    field = codec.default_field(code)
+    with pytest.raises(PlanSearchError) as err:
+        codec.find_evaluation_plan(code, field)
+    assert err.value.rejections == {"gv": 2, "alpha_mds": 198, "beta_mds": 0}
+    plan = codec.find_evaluation_plan(code)
+    assert plan.field.p == gf.next_prime(4 * math.comb(55, 5)) == 13_915_081
+    assert plan.generator == 2
+    assert harness.mds_audit(code, plan).all_pass
+
+    # With every mask check failing, a grouped code whose masks are both
+    # progressions (G = 3 at K = 4) is refused over its default field
+    # alone, and one whose alpha masks are not is rescanned once.
+    fields = []
+    # append returns None, so every mask check records its field and fails.
+    monkeypatch.setattr(gf, "is_power_mds", lambda p, points, exponents: fields.append(p))
+    progression = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=3)
+    with pytest.raises(PlanSearchError):
+        codec.find_evaluation_plan(progression)
+    assert set(fields) == {codec.default_field(progression).p}
+    del fields[:]
+    with pytest.raises(PlanSearchError):
+        codec.find_evaluation_plan(code)
+    assert set(fields) == {field.p, 13_915_081}
 
 
 def test_default_field_heuristic():
@@ -388,6 +423,33 @@ def test_non_matrix_inputs_rejected():
         codec.decode(None, code, plan, shapes)
     with pytest.raises(ParameterError, match="masks must be a MaskSet, got tuple"):
         codec.encode(a, b, code, plan, shapes, masks=(a, b))
+
+
+_CODE_221 = gasp_auto(SchemeParams(2, 2, 1))
+_A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda plan: codec.encode(_A_21, _B_12, _CODE_221, plan, (2, 1, 2)), "shapes"),
+        (lambda plan: codec.cost(_CODE_221, (2, 1, 2)), "shapes"),
+        (lambda plan: codec.encode(_A_21, _B_12, _CODE_221, None, BlockShapes(2, 1, 2)), "plan"),
+        (lambda plan: codec.find_evaluation_plan(None), "code"),
+        (lambda plan: harness.mds_audit(_CODE_221, None), "plan"),
+        (lambda plan: harness.run_sdmm((2, 2, 1)), "params"),
+        (lambda plan: harness.exhaustive_privacy_audit(
+            SchemeParams(1, 1, 1), 5, shapes=(1, 1, 1)), "shapes"),
+    ],
+    ids=["encode-shapes", "cost-shapes", "encode-plan", "plan-search-code", "audit-plan",
+         "session-params", "exhaustive-shapes"],
+)
+def test_wrong_argument_types_raise_parameter_error(call, expected):
+    # A tuple of sizes, a tuple of parameters or None used to fail on an
+    # attribute with a bare AttributeError.
+    plan = codec.find_evaluation_plan(_CODE_221)
+    with pytest.raises(ParameterError, match=f"^{expected} must be a [A-Za-z]+, got"):
+        call(plan)
 
 
 def test_encode_zero_masks_degenerate():

@@ -1,13 +1,16 @@
 """Prime-field arithmetic, determinants, and the MDS check."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from gasp import gf
+from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
+from gasp.schemes import code_for_scheme, gasp_grouped
 
 # Fixture from the worked small example: 18 points, 18 exponents, p = 29.
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
@@ -231,6 +234,61 @@ def test_is_mds_takes_no_determinant(monkeypatch):
     monkeypatch.setattr(gf, "det", refuse)
     p, points = 1483, range(1, 40)
     assert gf.is_mds(p, _raw([[pow(x, e, p) for x in points] for e in range(4)]))
+
+
+def test_anchored_walk_matches_full_walk(monkeypatch):
+    # gf.is_power_mds against the full walk of gf.is_mds on geometric
+    # points g ** 0 .. g ** (N - 1), g = 2 .. 13, over three fields, for
+    # the alpha masks of every grouped code with K <= 5 and G = 2 .. K - 1.
+    # N is the code's server count up to K = 4; the K = 5 masks take
+    # N = 12 and 20, where the full walk stays cheap.  Over F_31 most g
+    # have order below N, so points repeat; over F_1447 the (4,4,4) G = 2
+    # masks fail at every g here, and over F_13,915,081 nearly all pass.
+    # Masks that are a progression take the certificate instead, which the
+    # grid keeps as a control.
+    walks = []
+    walk = gf._mds_walk
+
+    def spy(p, rows, anchored):
+        walks.append(anchored)
+        return walk(p, rows, anchored)
+
+    monkeypatch.setattr(gf, "_mds_walk", spy)
+    verdicts = set()
+    for k in (3, 4, 5):
+        for groups in range(2, k):
+            masks = gasp_grouped(k, groups).alpha[k:]
+            n_code = code_for_scheme(SchemeParams(k, k, k), "grouped", g=groups).n_servers
+            for n in (n_code,) if k < 5 else (12, 20):
+                for p in (31, 1447, 13_915_081):
+                    for g in range(2, 14):
+                        points = tuple(pow(g, i, p) for i in range(n))
+                        rows = tuple(pow(x, e, p) for e in masks for x in points)
+                        expected = gf.is_mds(p, FieldMatrix(k, n, rows))
+                        del walks[:]
+                        got = gf.is_power_mds(p, points, masks)
+                        assert got == expected, (k, groups, n, p, g)
+                        path = "certificate" if not walks else walks == [True]
+                        verdicts.add((path, expected, len(set(points)) < n))
+    # The anchored walk passes, fails on distinct points and fails on
+    # repeated ones; no walk on these points goes unanchored.
+    assert {(True, True, False), (True, False, False), (True, False, True)} <= verdicts
+    assert {path for path, _, _ in verdicts} == {True, "certificate"}
+
+
+def test_anchored_walk_decides_a_matrix_over_the_full_walk_budget():
+    # The (6,6,6) G = 4 alpha masks at the code's fallback field, g = 2:
+    # the full walk of this 6 x 84 matrix would cost C(84, 4) * 84, about
+    # 1.6e8 steps, over MDS_WALK_BUDGET; anchored at column 0 it costs
+    # C(83, 3) * 84, about 7.7e6, and passes.
+    masks = gasp_grouped(6, 4).alpha[6:]
+    n = code_for_scheme(SchemeParams(6, 6, 6), "grouped", g=4).n_servers
+    p = gf.next_prime(4 * math.comb(n, 6))
+    assert (n, p) == (84, 1_625_926_193)
+    points = tuple(pow(2, i, p) for i in range(n))
+    assert gf.is_power_mds(p, points, masks)
+    with pytest.raises(BudgetExceededError):
+        gf.is_mds(p, FieldMatrix(6, n, tuple(pow(x, e, p) for e in masks for x in points)))
 
 
 def _triple_loop(p, a, b):

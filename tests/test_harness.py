@@ -70,8 +70,8 @@ def test_run_sdmm_stage_seconds():
 def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # Plans are invertible by construction and decode interpolates, so a
     # session takes no determinant and solves no linear system, for every
-    # scheme.  A grouped code's mask check walks its T x T minors in
-    # gf.is_mds by shared elimination, with no determinant either.  The grouped
+    # scheme.  A grouped code's mask check walks its T x T minors by
+    # shared elimination, with no determinant either.  The grouped
     # (4,4,4), G = 2 session succeeds at its default field p = 1447, with
     # g = 21.  Nor does a session run the brute-force term count: the code
     # carries its term set, built once from the degree table.
@@ -94,6 +94,30 @@ def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     )
     if scheme == "grouped":
         assert (transcript.plan.field.p, transcript.plan.generator) == (1447, 21)
+
+
+def test_run_sdmm_decodes_every_grouped_code_up_to_k5():
+    # Every grouped (K,K,K) with K <= 5 and G = 1 .. K decodes A @ B.  All
+    # plan over their default field except (5,5,5) with G = 2 and 3, which
+    # the default field refuses and the fallback field next_prime(4 * C(N, T))
+    # serves at g = 2.  The (4,4,4) plans stay where they were.
+    fallback = {(5, 2): (13_915_081, 2), (5, 3): (21_846_059, 2)}
+    kept = {(4, 2): (1447, 21), (4, 3): (1931, 2)}
+    for k in range(1, 6):
+        for g in range(1, k + 1):
+            transcript = harness.run_sdmm(
+                SchemeParams(k, k, k), scheme="grouped", g=g, shapes=BlockShapes(2 * k, 2, k)
+            )
+            plan = transcript.plan
+            assert transcript.product == gf.mat_mul(
+                plan.field.p, transcript.matrix_a, transcript.matrix_b
+            )
+            if (k, g) in fallback:
+                assert (plan.field.p, plan.generator) == fallback[k, g]
+            else:
+                assert plan.field == codec.default_field(transcript.code), (k, g)
+            if (k, g) in kept:
+                assert (plan.field.p, plan.generator) == kept[k, g]
 
 
 def test_run_sdmm_refuses_group_count_without_grouped_scheme():
