@@ -25,7 +25,8 @@ table by :func:`schemes.build_code`; nothing here rebuilds the table,
 and a plan is checked against the code by comparing the two tuples.
 The generalized Vandermonde matrix [x_n ** e_j] over J is then
 [y_j ** n], an ordinary Vandermonde matrix in the nodes y_j = g ** e_j,
-so it is invertible exactly when those N nodes are pairwise distinct,
+so it is invertible exactly when those N nodes are pairwise distinct
+(:func:`_distinct_nodes`, for plan search, the decoder and the audit),
 and its inverse's rows are Lagrange basis polynomials, built from one
 master polynomial with no elimination.  Plan search scans g = 2, 3, ...
 and returns the first g whose nodes are distinct and whose two T x N
@@ -48,7 +49,13 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import gf
-from .errors import ParameterError, PlanSearchError, SingularMatrixError, check_type
+from .errors import (
+    ParameterError,
+    PlanSearchError,
+    SingularMatrixError,
+    check_positive,
+    check_type,
+)
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode
 
@@ -66,8 +73,7 @@ class BlockShapes:
 
     def __post_init__(self) -> None:
         for name, value in (("r", self.r), ("s", self.s), ("t", self.t)):
-            if type(value) is not int or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+            check_positive(name, value)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,19 @@ def _powers(p: int, base: int, exponents) -> tuple[int, ...]:
     return tuple(pow(base, e, p) for e in exponents)
 
 
+def _distinct_nodes(p: int, generator: int, exponents) -> bool:
+    """True iff the nodes g ** e mod p, one per exponent e, are pairwise distinct.
+
+    The generalized Vandermonde matrix [(g ** n) ** e_j] is [y_j ** n],
+    the ordinary Vandermonde matrix in the nodes y_j = g ** e_j, whose
+    determinant prod_{i < j} (y_j - y_i) is nonzero mod p exactly when
+    no two nodes are equal.  Plan search, the decoder and
+    ``harness.mds_audit`` all decide GV invertibility here, in O(N).
+    """
+    nodes = _powers(p, generator, exponents)
+    return len(set(nodes)) == len(nodes)
+
+
 def find_evaluation_plan(
     code: PolynomialCode,
     field: PrimeFieldSpec | None = None,
@@ -214,7 +233,7 @@ def _scan_generators(code: PolynomialCode, field: PrimeFieldSpec) -> EvaluationP
     candidates = range(2, min(p, 2 + MAX_CANDIDATES))
     for g in candidates:
         plan = EvaluationPlan(field, g, exponents)
-        if len(set(_powers(p, g, exponents))) < n:
+        if not _distinct_nodes(p, g, exponents):
             reason = "gv"
         elif not gf.is_power_mds(p, plan.points, code.alpha_masks):
             reason = "alpha_mds"
@@ -235,6 +254,7 @@ def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
 
 def _block_sizes(code: PolynomialCode, shapes: BlockShapes) -> tuple[int, int]:
     """(r/K, t/L): the rows of A's row blocks and the columns of B's column blocks."""
+    check_type("code", code, PolynomialCode)
     check_type("shapes", shapes, BlockShapes)
     k, l = code.params.k, code.params.l
     if shapes.r % k:
@@ -332,6 +352,7 @@ def encode(
 
 def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
     """What server n computes: the product of its two shares."""
+    check_type("bundle", bundle, ShareBundle)
     # A float index passes the range check, then breaks tuple indexing.
     if type(n) is not int or not 0 <= n < bundle.n_servers:
         raise ParameterError(f"server index must be an int in [0, N), got {n!r}")
@@ -354,9 +375,9 @@ def _decoder(
     Colliding nodes make GV singular and raise :class:`SingularMatrixError`,
     which the cache does not keep.
     """
-    nodes = _powers(p, generator, exponents)
-    if len(set(nodes)) < len(nodes):
+    if not _distinct_nodes(p, generator, exponents):
         raise SingularMatrixError("nodes g ** e collide: the Vandermonde matrix is singular")
+    nodes = _powers(p, generator, exponents)
     master = [1]  # coefficients of P, lowest degree first
     for y in nodes:
         master = [(a - y * b) % p for a, b in zip([0] + master, master + [0])]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 
 ENTRY_BITS = 63
 _ENTRY_LIMIT = 1 << ENTRY_BITS
@@ -38,8 +38,7 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         for name, value in (("k", self.k), ("l", self.l), ("t", self.t)):
-            if type(value) is not int or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+            check_positive(name, value)
 
 
 @dataclass(frozen=True)

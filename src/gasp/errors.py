@@ -20,6 +20,12 @@ def check_type(name: str, value, cls: type) -> None:
         raise ParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an int >= 1, not a bool or float."""
+    if type(value) is not int or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
 class SingularMatrixError(GaspError, ArithmeticError):
     """A matrix inversion hit a singular matrix."""
 

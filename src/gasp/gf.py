@@ -1,29 +1,28 @@
 """Exact arithmetic and dense linear algebra over prime fields.
 
 Everything here is integer-exact: no floating point anywhere.  Matrices
-are immutable row-major tuples.  ``det`` is plain Gaussian elimination
-with pivoting by first nonzero entry, eliminating below each pivot.  It
-does not run on the library's multiplication path, whose plans are
-invertible by construction and whose decoder is built by Lagrange
-interpolation.  It is an oracle: ``harness.mds_audit`` takes the
-determinant of the full generalized Vandermonde matrix, and the tests
-check the codec's fast paths and ``is_mds`` against it.
+are immutable row-major tuples.  Nothing here takes a determinant.  The
+library's plans are invertible by construction, its decoder is built by
+Lagrange interpolation, and whether a plan's generalized Vandermonde
+matrix is invertible is decided in O(N) by the node check in ``codec``,
+for plan search, the decoder and ``harness.mds_audit`` alike; the tests
+keep a determinant by elimination as the oracle for that check and for
+``is_mds``.
 ``generalized_vandermonde`` is the one builder of power matrices
-[x_n ** e_j] with a row per point: encode's two share matrices and the
-audit's generalized Vandermonde matrix.
-``is_mds`` takes no determinant: it walks the column subsets depth first,
-shares one elimination among all subsets with a common prefix, and
-decides every subset under a node with two rows left by one test that
-the ratios of those rows are distinct.  ``is_power_mds`` is the mask
-condition of a plan, shared by plan search and ``harness.mds_audit``:
-its docstring proves the O(N) certificate for exponents in arithmetic
-progression, and for any other exponents it runs the walk of
-``is_mds``.  On geometric points x_n = x_0 * r ** n, as a plan's points
-g ** n are, that walk is anchored: column n + a of [x_n ** e_i] is
-diag(r ** (a * e_i)) times column n, so the minor on a column set S is
-a nonzero multiple of the minor on S - min(S), which holds column 0.
-Only the subsets that hold column 0 are walked, about N / (T - 2) times
-fewer steps than all of them.
+[x_n ** e_j] with a row per point: encode's two share matrices.
+``is_mds`` walks the column subsets depth first, shares one elimination
+among all subsets with a common prefix, and decides every subset under
+a node with two rows left by one test that the ratios of those rows are
+distinct.  ``is_power_mds`` is the mask condition of a plan, shared by
+plan search and ``harness.mds_audit``: its docstring proves the O(N)
+certificate for exponents in arithmetic progression, and for any other
+exponents it runs the walk of ``is_mds``.  On geometric points
+x_n = x_0 * r ** n, as a plan's points g ** n are, that walk is
+anchored: column n + a of [x_n ** e_i] is diag(r ** (a * e_i)) times
+column n, so the minor on a column set S is a nonzero multiple of the
+minor on S - min(S), which holds column 0.  Only the subsets that hold
+column 0 are walked, about N / (T - 2) times fewer steps than all of
+them.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -141,9 +140,6 @@ class FieldMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
 
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Product a @ b mod p; entries of a and b may be any ints.
@@ -209,40 +205,13 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
     """Power matrix [x ** e mod p], a row per point and a column per exponent.
 
-    Both keep the caller's order.  This builds encode's share matrices
-    and the audit's generalized Vandermonde matrix over the term set J.
+    Both keep the caller's order.  This builds encode's share matrices.
     """
     exps = tuple(exponents)
     if any(e < 0 for e in exps):
         raise ParameterError("exponents must be nonnegative")
     pts = tuple(points)
     return FieldMatrix(len(pts), len(exps), tuple(pow(x, e, p) for x in pts for e in exps))
-
-
-def det(p: int, m: FieldMatrix) -> int:
-    """Determinant mod p via elimination with pivoting by first nonzero entry."""
-    if m.rows != m.cols:
-        raise ParameterError("determinant needs a square matrix")
-    n = m.rows
-    a = m.to_rows()
-    result = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result % p
-        pv = a[col][col] % p
-        result = result * pv % p
-        inv_pv = pow(pv, -1, p)
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv_pv % p
-            if factor:
-                row_r, row_c = a[r], a[col]
-                for c2 in range(col, n):
-                    row_r[c2] = (row_r[c2] - factor * row_c[c2]) % p
-    return result
 
 
 def is_mds(p: int, m: FieldMatrix) -> bool:

@@ -2,13 +2,13 @@
 
 Privacy is checked two ways.  ``mds_audit`` re-derives the algebraic
 sufficient conditions (invertible generalized Vandermonde matrix, both
-mask power matrices MDS) from the code and the generator.  It takes the
-full determinant of the generalized Vandermonde matrix, O(N^3), and
-decides each mask side by :func:`gf.is_power_mds`, the function plan
-search uses; that docstring holds the proof.  The small and big codes
-are decided in O(N) per side, so the audit reaches every plan that
-``demo`` makes for them; only a grouped code's side walks its minors and
-may raise :class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.
+mask power matrices MDS) from the code and the generator, by the
+functions plan search calls: the O(N) node check
+``codec._distinct_nodes`` and :func:`gf.is_power_mds` on each mask side;
+their docstrings hold the proofs.  The small and big codes are decided
+in O(N) per side, so the audit reaches every plan that ``demo`` makes
+for them; only a grouped code's side walks its minors and may raise
+:class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.
 At tiny scale, ``exhaustive_privacy_audit`` checks the real thing: that
 for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
@@ -44,7 +44,7 @@ from math import comb
 from . import codec, gf
 from .codec import BlockShapes, CostReport, EvaluationPlan, MaskSet, ShareBundle
 from .degree_table import SchemeParams
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import BudgetExceededError, ParameterError, VerificationError, check_type
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode, code_for_scheme
 
@@ -125,6 +125,7 @@ def run_sdmm(
     code = code_for_scheme(params, scheme, g=g)
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
+    check_type("shapes", shapes, BlockShapes)
     plan = codec.find_evaluation_plan(code, field=field)
     lap("plan")
 
@@ -158,19 +159,17 @@ def run_sdmm(
 def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     """Re-verify the three sufficient conditions from the code and the generator.
 
-    The points g ** n are rebuilt from the plan's generator, and the
-    generalized Vandermonde matrix gets a full determinant, a check
-    independent of plan search, which only compares the nodes g ** e.
-    Each mask side is decided by :func:`gf.is_power_mds`, the same
-    function plan search calls; the tests check it against the minor
-    walk of :func:`gf.is_mds` over a grid.  A plan whose exponents are
-    not the code's term set is refused, as ``encode`` refuses it.
+    The nodes g ** e and the points g ** n are rebuilt from the plan's
+    generator.  The GV condition is decided by ``codec._distinct_nodes``
+    and each mask side by :func:`gf.is_power_mds`, the functions plan
+    search calls; the tests check both against brute force over a grid.
+    A plan whose exponents are not the code's term set is refused, as
+    ``encode`` refuses it.
     """
     codec._check_plan(code, plan)
     p, points = plan.field.p, plan.points
-    gv = gf.generalized_vandermonde(p, points, plan.exponents)
     return MdsAuditReport(
-        gv_det_nonzero=gf.det(p, gv) != 0,
+        gv_det_nonzero=codec._distinct_nodes(p, plan.generator, plan.exponents),
         p_mds=gf.is_power_mds(p, points, code.alpha_masks),
         q_mds=gf.is_power_mds(p, points, code.beta_masks),
     )
@@ -218,11 +217,12 @@ def exhaustive_privacy_audit(
     still pass it.
     """
     field = PrimeFieldSpec(p)
+    code = code_for_scheme(params, "auto")
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
-    code = code_for_scheme(params, "auto")
     if plan is None:
         plan = codec.find_evaluation_plan(code, field=field)
+    codec._check_plan(code, plan)
     if plan.field.p != p:
         raise ParameterError("plan field does not match audit field")
     n = code.n_servers

@@ -30,7 +30,7 @@ from .degree_table import (
     outer_sum,
     terms,
 )
-from .errors import ParameterError, check_type
+from .errors import ParameterError, check_positive, check_type
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,8 @@ def download_rate(params: SchemeParams, n: int) -> Fraction:
 
 def rate_r1(k: int, t: int) -> Fraction:
     """Baseline rate K^2/(K+T)^2 of the square-partition competitor."""
+    check_positive("k", k)
+    check_positive("t", t)
     return Fraction(k * k, (k + t) * (k + t))
 
 
@@ -223,8 +225,7 @@ def rate_report(params: SchemeParams) -> RateReport:
 
 def _check_pool(n: int, t: int) -> None:
     # bool is an int subclass, and a float N would make K and L floats.
-    if type(t) is not int or t < 1:
-        raise ParameterError(f"t must be a positive integer, got {t!r}")
+    check_positive("t", t)
     if type(n) is not int or n < 2 * t + 1:
         raise ParameterError(f"need an int N >= 2T+1, got N={n!r}, T={t}")
 
@@ -286,8 +287,7 @@ def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
     No closed form is known for the grouped count, so N comes from
     enumerating the degree table each time.
     """
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+    check_positive("k", k)
     params = SchemeParams(k, k, k)
     rows = []
     for g in range(1, k + 1):

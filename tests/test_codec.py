@@ -12,6 +12,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
+from test_oracles import det
 
 
 def fixture_code():
@@ -27,7 +28,7 @@ def test_fixture_plan_accepted():
     assert plan.generator == 2
     assert plan.points == tuple(pow(2, n, 29) for n in range(18))
     assert plan.exponents == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
-    assert gf.det(29, gf.generalized_vandermonde(29, plan.points, plan.exponents)) != 0
+    assert det(29, gf.generalized_vandermonde(29, plan.points, plan.exponents)) != 0
     assert harness.mds_audit(fixture_code(), plan).all_pass
 
 
@@ -44,7 +45,7 @@ def test_plan_search_tiny_field():
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7))
     assert (plan.generator, plan.points) == (2, (1, 2, 4))
     # re-verification from scratch
-    assert gf.det(7, gf.generalized_vandermonde(7, plan.points, plan.exponents)) != 0
+    assert det(7, gf.generalized_vandermonde(7, plan.points, plan.exponents)) != 0
 
 
 def test_plan_search_deterministic_and_bounded(monkeypatch):
@@ -131,7 +132,7 @@ def _oracle_rejection(code, field, g):
     # The plan conditions by determinant and full minor enumeration.
     p, exponents = field.p, code.exponents
     points = tuple(pow(g, n, p) for n in range(code.n_servers))
-    if gf.det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
+    if det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
         return "gv"
     if not gf.is_mds(p, _mask_matrix(p, points, code.alpha_masks)):
         return "alpha_mds"
@@ -440,9 +441,16 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
         (lambda plan: harness.run_sdmm((2, 2, 1)), "params"),
         (lambda plan: harness.exhaustive_privacy_audit(
             SchemeParams(1, 1, 1), 5, shapes=(1, 1, 1)), "shapes"),
+        (lambda plan: harness.run_sdmm(SchemeParams(2, 2, 1), shapes=(2, 1, 2)), "shapes"),
+        (lambda plan: harness.exhaustive_privacy_audit(None, 7), "params"),
+        (lambda plan: harness.exhaustive_privacy_audit(
+            SchemeParams(1, 1, 1), 7, plan=(1, 2)), "plan"),
+        (lambda plan: codec.cost(None, BlockShapes(2, 1, 2)), "code"),
+        (lambda plan: codec.server_evaluate(None, 0), "bundle"),
     ],
     ids=["encode-shapes", "cost-shapes", "encode-plan", "plan-search-code", "audit-plan",
-         "session-params", "exhaustive-shapes"],
+         "session-params", "exhaustive-shapes", "session-shapes", "exhaustive-params",
+         "exhaustive-plan", "cost-code", "server-bundle"],
 )
 def test_wrong_argument_types_raise_parameter_error(call, expected):
     # A tuple of sizes, a tuple of parameters or None used to fail on an
@@ -636,7 +644,7 @@ def test_prepared_decoder_matches_full_solve():
             rows = codec._decoder(p, plan.generator, plan.exponents, needed)
             # GV is invertible, so rows @ GV = the unit rows fixes the rows uniquely.
             gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
-            assert gf.det(p, gv) != 0
+            assert det(p, gv) != 0
             identity_rows = tuple(int(i == j) for i in needed for j in range(n))
             assert gf.mat_mul(p, rows, gv) == FieldMatrix(len(needed), n, identity_rows)
 
@@ -714,7 +722,7 @@ def test_plan_soundness_reverify():
             plan = codec.find_evaluation_plan(code_for_scheme(params, scheme), field)
             fresh = code_for_scheme(params, scheme)
             p = plan.field.p
-            assert gf.det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
+            assert det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
             for exps in (fresh.alpha_masks, fresh.beta_masks):
                 assert gf.is_mds(p, _mask_matrix(p, plan.points, exps))
 

@@ -10,6 +10,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
+from test_oracles import det
 
 
 def _matrix(rows):
@@ -69,19 +70,15 @@ def test_run_sdmm_stage_seconds():
 )
 def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # Plans are invertible by construction and decode interpolates, so a
-    # session takes no determinant and solves no linear system, for every
-    # scheme.  A grouped code's mask check walks its T x T minors by
-    # shared elimination, with no determinant either.  The grouped
-    # (4,4,4), G = 2 session succeeds at its default field p = 1447, with
-    # g = 21.  Nor does a session run the brute-force term count: the code
-    # carries its term set, built once from the degree table.
-    def refuse(*args):
-        raise AssertionError("gf.det ran inside run_sdmm")
-
+    # session solves no linear system, for every scheme; the library has no
+    # determinant to take.  A grouped code's mask check walks its T x T
+    # minors by shared elimination.  The grouped (4,4,4), G = 2 session
+    # succeeds at its default field p = 1447, with g = 21.  Nor does a
+    # session run the brute-force term count: the code carries its term
+    # set, built once from the degree table.
     def refuse_count(*args):
         raise AssertionError("count_terms ran inside run_sdmm")
 
-    monkeypatch.setattr(gf, "det", refuse)
     for module in (degree_table, schemes):
         monkeypatch.setattr(module, "count_terms", refuse_count)
     codec._decoder.cache_clear()
@@ -174,8 +171,8 @@ def test_mds_audit_rejects_plan_of_other_code():
 def test_mds_audit_matches_oracle_at_every_generator():
     # Every g in range(p), including g = 0 and generators of small order, at
     # the four smallest primes above N.  The oracle rebuilds the points and
-    # the term set itself and takes gf.det of the full GV matrix and the
-    # minor walk of gf.is_mds on each mask side.  The grouped (4,4,4), G = 2
+    # the term set itself, eliminates the full GV matrix to its determinant
+    # and takes the minor walk of gf.is_mds on each mask side.  The grouped (4,4,4), G = 2
     # alpha masks 16, 17, 20, 21 are no progression, so the audit walks them.
     codes = [code_for_scheme(SchemeParams(2, 2, 2), s) for s in ("small", "big")]
     codes += [code_for_scheme(SchemeParams(k, k, k), "grouped", g=2) for k in (3, 4)]
@@ -192,7 +189,7 @@ def test_mds_audit_matches_oracle_at_every_generator():
                 masks = [[[pow(x, e, p) for x in points] for e in side]
                          for side in (code.alpha_masks, code.beta_masks)]
                 expected = (
-                    gf.det(p, _matrix(gv)) != 0,
+                    det(p, _matrix(gv)) != 0,
                     *(gf.is_mds(p, _matrix(rows)) for rows in masks),
                 )
                 report = harness.mds_audit(code, EvaluationPlan(PrimeFieldSpec(p), g, exponents))

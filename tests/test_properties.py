@@ -12,6 +12,7 @@ from gasp.codec import BlockShapes
 from gasp.degree_table import SchemeParams, count_terms
 from gasp.schemes import code_for_scheme, gasp_big, gasp_small, n_big_closed, n_small_closed
 from test_gf import _raw, _triple_loop
+from test_oracles import rows
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -59,7 +60,7 @@ def test_mat_mul_matches_triple_loop_random_shapes(p, n, m, q, entries, seed):
     a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)]
     b = [[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)]
     got = gf.mat_mul(p, _raw(a), _raw(b))
-    assert got.to_rows() == _triple_loop(p, a, b)
+    assert rows(got) == _triple_loop(p, a, b)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

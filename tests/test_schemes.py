@@ -191,6 +191,10 @@ def test_baseline_rates():
     assert rate_r1(3, 2) == Fraction(9, 25)
     assert rate_r2(SchemeParams(3, 3, 2)) == Fraction(9, 19)
     assert rate_r2(SchemeParams(1, 1, 1)) == Fraction(1, 3)
+    # K and T are positive ints: (0, 0) used to raise a bare ZeroDivisionError.
+    for k, t in ((0, 0), (0, 2), (3, 0), (3.0, 2), (3, 2.0), (True, 1), (3, -1)):
+        with pytest.raises(ParameterError, match="must be a positive integer"):
+            rate_r1(k, t)
 
 
 def test_rate_report():
@@ -282,6 +286,10 @@ def test_grouped_sweep_published_tables():
 
 def test_grouped_sweep_trivial():
     assert grouped_sweep(1) == [(1, 3, Fraction(1, 3))]
+    # None and a string used to raise a bare TypeError from k < 1.
+    for k in (0, -1, None, "a", 2.0, True):
+        with pytest.raises(ParameterError, match="^k must be a positive integer"):
+            grouped_sweep(k)
 
 
 def test_grouped_tail_groups_coincide():
