@@ -13,7 +13,11 @@ At tiny scale, ``exhaustive_privacy_audit`` checks the real thing: that
 for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
 observations carry zero information.  Every share comes from
-``codec.encode`` itself.
+``codec.encode`` itself, one call per secret: all mask stacks of a
+secret sit side by side in one wide instance, whose shares hold each
+stack's shares as fixed slices (the proof is in the audit's docstring).
+Each subset's multiset is a sorted list of observed share tuples, which
+Python compares in C.
 
 The audit enumerates one side at a time: every A with every R mask
 stack, then every B with every S mask stack.  The f-shares depend only
@@ -37,7 +41,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -185,7 +188,7 @@ def exhaustive_privacy_audit(
 ) -> bool:
     """Exact distributional privacy check by total enumeration, one side at a time.
 
-    For every T-subset of servers and every secret A, count
+    For every T-subset of servers and every secret A, collect
     the observed f-share tuples over all R mask stacks; then do the
     same for every B and the S mask stacks.  Every share comes from
     ``codec.encode`` with the enumerated masks injected and the other
@@ -207,6 +210,25 @@ def exhaustive_privacy_audit(
     Only T-subsets are checked, and that loses nothing: the shares a
     smaller coalition sees are part of what some T-subset sees, so if no
     T-subset learns anything, neither does a smaller one.
+
+    All M mask stacks of one secret are encoded by one ``codec.encode``
+    call on a wide instance whose inner dimension s is s * M.  Write
+    interleave_w(x_1, ..., x_M) for the first w entries of each x_c in
+    turn, then the next w of each, and so on (:func:`_interleave`).  On
+    the A side, w = s: A' repeats each row of A M times, so its row block
+    k, flattened, is interleave_s(A_k, ..., A_k), and row t of R' is
+    interleave_s(R_t of stack 1, ..., R_t of stack M).  On the B side,
+    w = s * t/L, a whole block: B' is B stacked M times, so its column
+    block l, flattened, is B_l repeated M times, and row t of S'
+    concatenates S_t of every stack.  Either way every row of the wide
+    stack, blocks then masks, is interleave_w of that row of the M
+    narrow stacks.  Server n's share is the sum over j of x_n ** e_j
+    times stack row j, computed entry by entry, and interleave_w only
+    moves entries, so the wide share is interleave_w of the M narrow
+    shares: columns c*s ... (c+1)*s of each row of the f-share, and rows
+    c*s ... (c+1)*s of the g-share, are exactly what encoding stack c
+    alone gives.  The multisets are then compared as sorted lists of
+    share tuples.
 
     Raises :class:`BudgetExceededError` before doing any work if the
     enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted as
@@ -243,38 +265,87 @@ def exhaustive_privacy_audit(
             f"audit needs {steps} steps, budget is {AUDIT_BUDGET}; not sampling"
         )
 
-    def matrices(shape, values):
-        # Every matrix of this shape with entries drawn from values.
-        for flat in itertools.product(values, repeat=math.prod(shape)):
-            yield FieldMatrix(*shape, flat)
-
     subsets = list(itertools.combinations(range(n), t))
 
-    def side_is_private(secret_shape, mask_shape, shares_of) -> bool:
-        # Per subset, the multiset of observed share tuples over all mask stacks,
+    def side_is_private(a_side: bool, secret_size: int, mask_size: int) -> bool:
+        # Per subset, the sorted observed share tuples over all mask stacks,
         # compared between every secret and the first one.
-        mask_stacks = list(matrices(mask_shape, mask_values))
+        stacks = list(itertools.product(mask_values, repeat=mask_size))
         reference = None
-        for secret in matrices(secret_shape, range(p)):
-            counters = [Counter() for _ in subsets]
-            for masks in mask_stacks:
-                shares = [m.entries for m in shares_of(secret, masks)]
-                for counter, subset in zip(counters, subsets):
-                    counter[tuple(shares[i] for i in subset)] += 1
+        for secret in itertools.product(range(p), repeat=secret_size):
+            columns = _wide_encode(code, plan, shapes, a_side, secret, stacks)
+            observed = [
+                sorted(zip(*[column for i in subset for column in columns[i]]))
+                for subset in subsets
+            ]
             if reference is None:
-                reference = counters
-            elif counters != reference:
+                reference = observed
+            elif observed != reference:
                 return False
         return True
 
-    def encode(a, b, r_masks, s_masks) -> ShareBundle:
-        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
-
-    zero_a, zero_b, zero_r, zero_s = (
-        FieldMatrix(*dims, (0,) * math.prod(dims)) for dims in (a_shape, b_shape, r_shape, s_shape)
-    )
     return side_is_private(
-        a_shape, r_shape, lambda a, masks: encode(a, zero_b, masks, zero_s).f_shares
-    ) and side_is_private(
-        b_shape, s_shape, lambda b, masks: encode(zero_a, b, zero_r, masks).g_shares
-    )
+        True, math.prod(a_shape), math.prod(r_shape)
+    ) and side_is_private(False, math.prod(b_shape), math.prod(s_shape))
+
+
+def _wide_encode(
+    code: PolynomialCode,
+    plan: EvaluationPlan,
+    shapes: BlockShapes,
+    a_side: bool,
+    secret: tuple[int, ...],
+    stacks: list[tuple[int, ...]],
+) -> list[list[tuple[int, ...]]]:
+    """One side's shares under every mask stack, from one ``codec.encode`` call.
+
+    ``secret`` is A (``a_side``) or B and each of the M ``stacks`` one
+    T-mask stack for that side, all flattened row-major; the other side
+    is zero.  Returns, server by server, the :func:`_columns` of its
+    wide share: zipped, they give its share under each stack in order.
+    """
+    t, count = code.params.t, len(stacks)
+    block_rows, block_cols = codec._block_sizes(code, shapes)
+    wide = BlockShapes(shapes.r, shapes.s * count, shapes.t)
+
+    def zeros(rows, cols) -> FieldMatrix:
+        return FieldMatrix(rows, cols, (0,) * (rows * cols))
+
+    if a_side:
+        chunk = shapes.s
+        a = FieldMatrix(shapes.r, wide.s, _interleave((secret,) * count, chunk))
+        r_masks = FieldMatrix(t, block_rows * wide.s, _interleave(stacks, chunk))
+        b, s_masks = zeros(wide.s, shapes.t), zeros(t, wide.s * block_cols)
+    else:
+        chunk = shapes.s * block_cols
+        b = FieldMatrix(wide.s, shapes.t, secret * count)
+        s_masks = FieldMatrix(t, wide.s * block_cols, _interleave(stacks, chunk))
+        a, r_masks = zeros(shapes.r, wide.s), zeros(t, block_rows * wide.s)
+    bundle = codec.encode(a, b, code, plan, wide, masks=MaskSet(r_masks, s_masks))
+    shares = bundle.f_shares if a_side else bundle.g_shares
+    return [_columns(share.entries, chunk, count) for share in shares]
+
+
+def _interleave(flats, chunk: int) -> tuple[int, ...]:
+    """Equal-length tuples laid side by side, ``chunk`` entries at a time.
+
+    The result holds chunk 0 of every tuple in order, then chunk 1 of
+    every tuple, and so on; ``chunk`` must divide the common length.
+    """
+    return tuple(itertools.chain.from_iterable(
+        flat[j:j + chunk] for j in range(0, len(flats[0]), chunk) for flat in flats
+    ))
+
+
+def _columns(entries, chunk: int, count: int) -> list[tuple[int, ...]]:
+    """Undo :func:`_interleave` of ``count`` tuples, by position.
+
+    Column i holds entry i of every tuple in order, so zipping the
+    columns gives back the tuples.
+    """
+    span = chunk * count
+    return [
+        entries[start + i:start + span:chunk]
+        for start in range(0, len(entries), span)
+        for i in range(chunk)
+    ]

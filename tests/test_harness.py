@@ -1,6 +1,7 @@
 """Simulated sessions, the algebraic audit, and the exhaustive privacy audit."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -303,3 +304,45 @@ def test_exhaustive_audit_multi_entry_blocks(shapes):
     params = SchemeParams(1, 1, 1)
     assert harness.exhaustive_privacy_audit(params, 5, shapes=shapes)
     assert not harness.exhaustive_privacy_audit(params, 5, shapes=shapes, zero_masks=True)
+
+
+@pytest.mark.parametrize(
+    "params, shapes",
+    [
+        (SchemeParams(1, 1, 1), BlockShapes(2, 2, 2)),
+        (SchemeParams(2, 2, 2), BlockShapes(4, 3, 6)),
+        (SchemeParams(3, 2, 2), BlockShapes(6, 2, 4)),
+    ],
+)
+def test_wide_encode_slices_are_narrow_encodes(params, shapes):
+    # Each mask stack's slice of the audit's one wide encode is exactly
+    # the shares that encoding that stack alone gives.
+    code = code_for_scheme(params, "auto")
+    plan = codec.find_evaluation_plan(code)
+    p, t = plan.field.p, params.t
+    block_rows, block_cols = shapes.r // params.k, shapes.t // params.l
+    rng = random.Random(shapes.r * 100 + shapes.s * 10 + shapes.t)
+    a = codec.random_matrix(p, shapes.r, shapes.s, rng)
+    b = codec.random_matrix(p, shapes.s, shapes.t, rng)
+    sizes = (block_rows * shapes.s, shapes.s * block_cols)
+    r_stacks, s_stacks = (
+        [codec.random_matrix(p, t, size, rng) for _ in range(5)] for size in sizes
+    )
+    zero_r, zero_s = (FieldMatrix(t, size, (0,) * (t * size)) for size in sizes)
+    zero_a, zero_b = (FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in (a, b))
+
+    def encode(a, b, r_masks, s_masks):
+        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+
+    for a_side, secret, stacks in ((True, a, r_stacks), (False, b, s_stacks)):
+        wide = harness._wide_encode(
+            code, plan, shapes, a_side, secret.entries, [m.entries for m in stacks]
+        )
+        assert len(wide) == code.n_servers
+        for c, masks in enumerate(stacks):
+            if a_side:
+                narrow = encode(a, zero_b, masks, zero_s).f_shares
+            else:
+                narrow = encode(zero_a, b, zero_r, masks).g_shares
+            for columns, share in zip(wide, narrow):
+                assert list(zip(*columns))[c] == share.entries

@@ -1,19 +1,31 @@
-"""The determinant by elimination, the tests' oracle for the GV node check.
+"""Brute-force oracles the tests check the library against.
 
 The library decides whether a plan's generalized Vandermonde matrix is
 invertible by comparing its nodes g ** e (``codec._distinct_nodes``), and
 takes no determinant anywhere.  The tests check that decision, in plan
 search, the decoder and ``harness.mds_audit``, against ``det`` here, and
 compare matrices with literals through ``rows``.
+
+``privacy_audit`` is the exhaustive privacy audit as first written: one
+``codec.encode`` call per (secret, mask stack) and ``Counter``
+multisets.  ``harness.exhaustive_privacy_audit`` encodes all of a
+secret's mask stacks in one wide call; its verdicts are checked against
+this one here.
 """
 
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from gasp import gf
+from gasp import codec, gf, harness
+from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
+from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError
-from gasp.gf import FieldMatrix
+from gasp.gf import FieldMatrix, PrimeFieldSpec
+from gasp.schemes import code_for_scheme
 
 # Term set of the worked small example (K, L, T) = (3, 3, 2): N = 18.
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
@@ -71,3 +83,99 @@ def test_det_multiplicative():
         n = rng.randint(1, 5)
         a, b = (FieldMatrix(n, n, tuple(rng.randrange(p) for _ in range(n * n))) for _ in "ab")
         assert det(p, gf.mat_mul(p, a, b)) == det(p, a) * det(p, b) % p
+
+
+def privacy_audit(params, p, shapes=None, plan=None, zero_masks=False) -> bool:
+    """The exhaustive audit's verdict, by one ``codec.encode`` per (secret, mask stack)."""
+    code = code_for_scheme(params, "auto")
+    if shapes is None:
+        shapes = BlockShapes(params.k, 1, params.l)
+    if plan is None:
+        plan = codec.find_evaluation_plan(code, field=PrimeFieldSpec(p))
+    t = params.t
+    block_rows, block_cols = shapes.r // params.k, shapes.t // params.l
+    a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
+    r_shape, s_shape = (t, block_rows * shapes.s), (t, shapes.s * block_cols)
+    mask_values = range(1) if zero_masks else range(p)
+    subsets = list(itertools.combinations(range(code.n_servers), t))
+
+    def matrices(shape, values):
+        for flat in itertools.product(values, repeat=math.prod(shape)):
+            yield FieldMatrix(*shape, flat)
+
+    def side_is_private(secret_shape, mask_shape, shares_of) -> bool:
+        mask_stacks = list(matrices(mask_shape, mask_values))
+        reference = None
+        for secret in matrices(secret_shape, range(p)):
+            counters = [Counter() for _ in subsets]
+            for masks in mask_stacks:
+                shares = [m.entries for m in shares_of(secret, masks)]
+                for counter, subset in zip(counters, subsets):
+                    counter[tuple(shares[i] for i in subset)] += 1
+            if reference is None:
+                reference = counters
+            elif counters != reference:
+                return False
+        return True
+
+    def encode(a, b, r_masks, s_masks):
+        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+
+    zero_a, zero_b, zero_r, zero_s = (
+        FieldMatrix(*dims, (0,) * math.prod(dims)) for dims in (a_shape, b_shape, r_shape, s_shape)
+    )
+    return side_is_private(
+        a_shape, r_shape, lambda a, masks: encode(a, zero_b, masks, zero_s).f_shares
+    ) and side_is_private(
+        b_shape, s_shape, lambda b, masks: encode(zero_a, b, zero_r, masks).g_shares
+    )
+
+
+def _plan(params, p, generator):
+    # None is the verified plan; g = 0 puts two servers at the point 0, and
+    # g = -1, that is p - 1, has order 2, so the points repeat 1, p - 1, 1, ...
+    if generator is None:
+        return None
+    exponents = code_for_scheme(params, "auto").exponents
+    return EvaluationPlan(PrimeFieldSpec(p), generator % p, exponents)
+
+
+@pytest.mark.parametrize("generator", [None, 0, -1])
+@pytest.mark.parametrize("zero_masks", [False, True])
+@pytest.mark.parametrize(
+    "params, p, shapes",
+    [
+        (SchemeParams(1, 1, 1), 5, None),
+        (SchemeParams(1, 1, 1), 7, None),
+        (SchemeParams(1, 1, 2), 7, None),
+        (SchemeParams(2, 2, 1), 11, None),
+        (SchemeParams(1, 1, 1), 5, BlockShapes(1, 1, 2)),
+        (SchemeParams(1, 1, 1), 5, BlockShapes(2, 1, 1)),
+        (SchemeParams(1, 1, 1), 5, BlockShapes(1, 2, 1)),
+    ],
+)
+def test_exhaustive_audit_matches_oracle(params, p, shapes, zero_masks, generator):
+    plan = _plan(params, p, generator)
+    expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
+    got = harness.exhaustive_privacy_audit(
+        params, p, shapes=shapes, plan=plan, zero_masks=zero_masks
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "zero_masks, generator", [(True, None), (True, 0), (True, -1), (False, 0)]
+)
+def test_exhaustive_audit_matches_oracle_on_wide_blocks(zero_masks, generator):
+    # r/K, s and t/L are all 2.  A passing verdict here takes the oracle
+    # 2 * 5 ** 8 encodes, one per (secret, mask stack), so only the cases
+    # that stop at the second secret or have one mask stack are compared;
+    # the layout test in test_harness.py checks the wide encode itself at
+    # shapes like these.
+    params, p, shapes = SchemeParams(1, 1, 1), 5, BlockShapes(2, 2, 2)
+    plan = _plan(params, p, generator)
+    expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
+    assert expected is False
+    assert harness.exhaustive_privacy_audit(
+        params, p, shapes=shapes, plan=plan, zero_masks=zero_masks
+    ) is expected
