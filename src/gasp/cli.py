@@ -36,7 +36,8 @@ def _params(args) -> SchemeParams:
     return SchemeParams(args.k, args.l, args.t)
 
 
-def cmd_table(args, parser) -> int:
+def _check_scheme(args, parser) -> None:
+    # Usage errors (exit 2) for --scheme and --g, shared by table, demo and audit.
     if args.scheme != "grouped" and args.g is not None:
         parser.error("--g is only valid with --scheme grouped")
     if args.scheme == "grouped":
@@ -44,6 +45,10 @@ def cmd_table(args, parser) -> int:
             parser.error("--scheme grouped requires --g")
         if not (args.k == args.l == args.t):
             parser.error("--scheme grouped requires k = l = t")
+
+
+def cmd_table(args, parser) -> int:
+    _check_scheme(args, parser)
     params = _params(args)
     code = schemes.code_for_scheme(params, args.scheme, g=args.g)
     table = outer_sum(code.assignment, params)
@@ -101,6 +106,7 @@ def cmd_optimize(args, parser) -> int:
 
 
 def cmd_demo(args, parser) -> int:
+    _check_scheme(args, parser)
     params = _params(args)
     r = args.r if args.r is not None else 2 * args.k
     s = args.s if args.s is not None else 2
@@ -110,9 +116,11 @@ def cmd_demo(args, parser) -> int:
     field = PrimeFieldSpec(args.p) if args.p is not None else None
     transcript = harness.run_sdmm(
         params,
+        scheme=args.scheme,
         shapes=BlockShapes(r, s, tcols),
         field=field,
         seed=args.seed,
+        g=args.g,
     )
     print(transcript.summary())
     print("AB verified")
@@ -120,10 +128,14 @@ def cmd_demo(args, parser) -> int:
 
 
 def cmd_audit(args, parser) -> int:
+    _check_scheme(args, parser)
     if args.zero_masks and not args.exhaustive:
         parser.error("--zero-masks is only valid with --exhaustive")
+    # The exhaustive audit builds the auto code itself.
+    if args.exhaustive and args.scheme != "auto":
+        parser.error("--exhaustive is only valid with --scheme auto")
     params = _params(args)
-    code = schemes.code_for_scheme(params, "auto")
+    code = schemes.code_for_scheme(params, args.scheme, g=args.g)
     field = PrimeFieldSpec(args.p) if args.p is not None else None
     plan = codec.find_evaluation_plan(code, field=field)
     report = harness.mds_audit(code, plan)
@@ -147,6 +159,11 @@ def cmd_audit(args, parser) -> int:
     return 0 if ok else 1
 
 
+def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scheme", choices=["small", "big", "auto", "grouped"], default="auto")
+    sub.add_argument("--g", type=int, default=None, help="group count (grouped only)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gasp",
@@ -158,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--l", type=int, required=True)
     p_table.add_argument("--t", type=int, required=True)
-    p_table.add_argument(
-        "--scheme", choices=["small", "big", "auto", "grouped"], default="auto"
-    )
-    p_table.add_argument("--g", type=int, default=None, help="group count (grouped only)")
+    _add_scheme_arguments(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_rate = sub.add_parser("rate-sweep", help="CSV of counts and rates over T")
@@ -185,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--k", type=int, required=True)
     p_demo.add_argument("--l", type=int, required=True)
     p_demo.add_argument("--t", type=int, required=True)
+    _add_scheme_arguments(p_demo)
     p_demo.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--r", type=int, default=None, help="rows of A (default 2k)")
@@ -196,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--k", type=int, required=True)
     p_audit.add_argument("--l", type=int, required=True)
     p_audit.add_argument("--t", type=int, required=True)
+    _add_scheme_arguments(p_audit)
     p_audit.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument(

@@ -13,8 +13,8 @@ are pairwise distinct (security).
 
 Everything in this module is a pure function on immutable values, and
 ``count_terms`` is deliberately brute force: it is the oracle against
-which the closed-form server counts in :mod:`gasp.schemes` are tested,
-and it counts the grouped sweep's codes, which have no closed form.
+which the tests hold the closed-form server counts in :mod:`gasp.schemes`
+and the grouped sweep's bitmask count.  No library path calls it.
 """
 
 from __future__ import annotations

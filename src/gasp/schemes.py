@@ -10,10 +10,13 @@ between the two for square problems (K = L = T) by splitting the mask
 exponents into G runs anchored at consecutive multiples of K.
 
 Server counts have closed forms for small and big (piecewise in K, L, T);
-the grouped family is counted by enumeration only.  A built code carries
-its term set J from ``build_code``; ``degree_table.count_terms`` is the
-oracle for the closed forms and the grouped sweep's count.  All rates are
-exact ``fractions.Fraction`` values.
+the grouped family has none, and ``grouped_sweep`` counts it as a sumset
+of bitmasks.  ``optimize_gasp`` searches (K, L) on the closed forms in
+ints, under a lower bound on both of them.  A built code carries its term
+set J from ``build_code``.  ``degree_table.count_terms`` is the
+brute-force oracle that the tests hold the closed forms and the grouped
+count against; no table command calls it.  All rates are exact
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from fractions import Fraction
 from .degree_table import (
     ExponentAssignment,
     SchemeParams,
-    count_terms,
     is_decodable,
     is_t_secure_assignment,
     outer_sum,
@@ -152,12 +154,15 @@ def gasp_grouped(k: int, g: int) -> ExponentAssignment:
     return ExponentAssignment(alpha, beta)
 
 
-def n_big_closed(params: SchemeParams) -> int:
-    """Closed-form server count of the big construction."""
-    k, l, t = params.k, params.l, params.t
+def _n_big(k: int, l: int, t: int) -> int:
     if l <= k:
         return (k + t) * (l + 1) - 1 if t < k else 2 * k * l + 2 * t - 1
     return (l + t) * (k + 1) - 1 if t < l else 2 * k * l + 2 * t - 1
+
+
+def n_big_closed(params: SchemeParams) -> int:
+    """Closed-form server count of the big construction."""
+    return _n_big(params.k, params.l, params.t)
 
 
 def _n_small_oriented(k: int, l: int, t: int) -> int:
@@ -259,39 +264,77 @@ def kakar_rate(n: int, t: int) -> Fraction:
 
 
 def optimize_gasp(n: int, t: int) -> OptimizationResult:
-    """Brute-force the best (K, L) whose combined scheme fits N workers.
+    """Exact search for the best (K, L) whose combined scheme fits N workers.
 
-    Maximizes KL / min(n_small, n_big) over all K, L with KL <= N (every
-    branch of both counting formulas is >= KL, so nothing larger can fit).
-    Ties break toward smaller K+L, then smaller K.  N and T must be ints
+    Maximizes KL / min(n_small, n_big) over every (K, L) that fits, with
+    ties broken toward smaller K+L, then smaller K.  N and T must be ints
     with T >= 1 and N >= 2T+1, and then there is always an answer:
-    (K, L) = (1, 1) needs n_big = 2T+1 <= N servers.
+    (K, L) = (1, 1) needs n_big = 2T+1 <= N servers.  Rates are compared
+    by cross-multiplying ints; only the winner gets a ``Fraction``.
+
+    Every branch of both closed forms is at least B = (K+1)(L+1) + T - 2,
+    so a pair fits only if B <= N, that is L <= (N+1-K-T) // (K+1), and
+    no L >= 1 is left once 2K > N-T.  Branch by branch, count - B is:
+
+    * big, T < max(K, L): (T-1)*min(K, L), since for L <= K the count is
+      (K+T)(L+1) - 1 and the other orientation is its mirror image;
+    * big, T >= max(K, L): 2KL + 2T - 1 - B = (K-1)(L-1) + T - 1;
+    * small, in the orientation k <= l of ``_n_small_oriented`` (B is
+      symmetric in K and L):
+      - l = 1: t*t - t for t < k, and k(t-1) for t >= k;
+      - t = 1 < k: 0;
+      - 2 <= t < k: t*t - 2;
+      - k <= t <= k(l-1)+1: k(t-1) + (t-2) - (t-2)//k, where
+        (t-2)//k <= t-2 for t >= 2, and both are -1 at t = 1;
+      - t > k(l-1)+1: (k-1)(l-1) + k(t-1).
+
+    All of these are nonnegative for K, L, T >= 1.
     """
     _check_pool(n, t)
+    best_k, best_l, best_n = 1, 1, _n_big(1, 1, t)
+    for k in range(1, (n - t) // 2 + 1):
+        for l in range(1, (n + 1 - k - t) // (k + 1) + 1):
+            small = _n_small_oriented(k, l, t) if k <= l else _n_small_oriented(l, k, t)
+            n_used = min(small, _n_big(k, l, t))
+            if n_used > n:
+                continue
+            gain = k * l * best_n - best_k * best_l * n_used
+            if gain > 0 or gain == 0 and (k + l, k) < (best_k + best_l, best_k):
+                best_k, best_l, best_n = k, l, n_used
+    rate = Fraction(best_k * best_l, best_n)
+    return OptimizationResult(k=best_k, l=best_l, n_used=best_n, rate=rate)
 
-    def fits():
-        for k in range(1, n + 1):
-            for l in range(1, n // k + 1):
-                params = SchemeParams(k, l, t)
-                n_used = min(n_small_closed(params), n_big_closed(params))
-                if n_used <= n:
-                    yield download_rate(params, n_used), params, n_used
 
-    rate, params, n_used = min(fits(), key=lambda c: (-c[0], c[1].k + c[1].l, c[1].k))
-    return OptimizationResult(k=params.k, l=params.l, n_used=n_used, rate=rate)
+def _sumset_size(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    # Bit b of the mask is set iff b is in beta, so the mask shifted by a
+    # holds a + beta, and the OR over alpha holds the whole table.
+    mask = 0
+    for b in beta:
+        mask |= 1 << b
+    table = 0
+    for a in alpha:
+        table |= mask << a
+    return table.bit_count()
 
 
 def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
     """(G, N, rate) for every group count G = 1..K at K = L = T.
 
-    No closed form is known for the grouped count, so N comes from
-    enumerating the degree table each time.
+    No closed form is known for the grouped count.  N is the size of the
+    sumset alpha + beta, read off bitmasks: beta becomes the int with bit
+    b set for each b in beta, so N = popcount(OR over a in alpha of
+    (mask << a)), K + T shifts instead of (K+T)(L+T) set inserts.  Every
+    alpha exponent is below K*K + G*K + K <= 2K^2 + K (``gasp_grouped``)
+    and every beta exponent below K^2 + K, so the table fits in
+    3K^2 + 2K bits for every K.  ``degree_table.count_terms`` stays the
+    brute-force oracle for this count.
     """
     check_positive("k", k)
     params = SchemeParams(k, k, k)
     rows = []
     for g in range(1, k + 1):
-        n = count_terms(gasp_grouped(k, g), params)
+        assignment = gasp_grouped(k, g)
+        n = _sumset_size(assignment.alpha, assignment.beta)
         rows.append((g, n, download_rate(params, n)))
     return rows
 

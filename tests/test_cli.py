@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from gasp import harness
 from gasp.cli import main
+from gasp.harness import mds_audit
 from gasp.schemes import optimize_gasp
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -250,6 +252,43 @@ def test_cli_module_entry_point():
     assert "AB verified" in result.stdout
 
 
+def test_demo_grouped(capsys):
+    code, out, _ = run_cli(
+        capsys, "demo", "--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped", "--g", "2"
+    )
+    assert code == 0
+    assert "scheme=grouped(2)" in out
+    assert "n_servers=36" in out
+    assert "AB verified" in out
+
+
+def test_demo_big_scheme(capsys):
+    # (3,3,2) auto is small (N = 18); big asks for the other code (N = 19).
+    code, out, _ = run_cli(
+        capsys, "demo", "--k", "3", "--l", "3", "--t", "2", "--scheme", "big"
+    )
+    assert code == 0
+    assert "n_servers=19" in out
+    assert "AB verified" in out
+
+
+@pytest.mark.parametrize("command", ["table", "demo", "audit"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "4", "--l", "4", "--t", "4", "--g", "2"],
+        ["--k", "4", "--l", "4", "--t", "4", "--scheme", "big", "--g", "2"],
+        ["--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped"],
+        ["--k", "4", "--l", "3", "--t", "4", "--scheme", "grouped", "--g", "2"],
+        ["--k", "4", "--l", "4", "--t", "4", "--scheme", "nonsense"],
+    ],
+)
+def test_scheme_usage_errors(capsys, command, flags):
+    with pytest.raises(SystemExit) as err:
+        main([command, *flags])
+    assert err.value.code == 2
+
+
 def test_demo_bad_divisibility(capsys):
     with pytest.raises(SystemExit) as err:
         main(["demo", "--k", "3", "--l", "3", "--t", "2", "--r", "4"])
@@ -272,6 +311,36 @@ def test_audit_fixture(capsys):
     assert "gv_det_nonzero=true" in out
     assert "p_mds=true" in out
     assert "q_mds=true" in out
+
+
+def test_audit_grouped(capsys, monkeypatch):
+    # The auto (4,4,4) code passes too, so record which code was audited.
+    audited = []
+
+    def recording_audit(code, plan):
+        audited.append((code.scheme_label, code.n_servers))
+        return mds_audit(code, plan)
+
+    monkeypatch.setattr(harness, "mds_audit", recording_audit)
+    code, out, _ = run_cli(
+        capsys, "audit", "--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped", "--g", "2"
+    )
+    assert code == 0
+    assert out.splitlines() == ["gv_det_nonzero=true", "p_mds=true", "q_mds=true"]
+    assert audited == [("grouped(2)", 36)]
+
+
+@pytest.mark.parametrize("scheme", ["small", "big", "grouped"])
+def test_audit_exhaustive_needs_auto_scheme(capsys, scheme):
+    # The exhaustive audit builds the auto code, so it cannot audit another.
+    g = ["--g", "1"] if scheme == "grouped" else []
+    with pytest.raises(SystemExit) as err:
+        main([
+            "audit", "--k", "1", "--l", "1", "--t", "1", "--p", "5",
+            "--scheme", scheme, *g, "--exhaustive",
+        ])
+    assert err.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_audit_big_t8_passes(capsys):

@@ -76,12 +76,13 @@ def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
     # minors by shared elimination.  The grouped (4,4,4), G = 2 session
     # succeeds at its default field p = 1447, with g = 21.  Nor does a
     # session run the brute-force term count: the code carries its term
-    # set, built once from the degree table.
+    # set, built once from the degree table.  schemes no longer imports
+    # the name, so the patch in degree_table is the one that can fire.
     def refuse_count(*args):
         raise AssertionError("count_terms ran inside run_sdmm")
 
-    for module in (degree_table, schemes):
-        monkeypatch.setattr(module, "count_terms", refuse_count)
+    assert not hasattr(schemes, "count_terms")
+    monkeypatch.setattr(degree_table, "count_terms", refuse_count)
     codec._decoder.cache_clear()
     transcript = harness.run_sdmm(
         SchemeParams(k, l, t), scheme=scheme, shapes=BlockShapes(2 * k, 2, 2 * l), g=g, seed=1

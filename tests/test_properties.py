@@ -1,6 +1,7 @@
 """Property tests: decode inverts encode on random codes, shapes and masks;
 the packed matrix product equals the triple loop; the closed-form server
-counts equal the term-counting oracle."""
+counts equal the term-counting oracle and never fall below the
+optimizer's loop bound."""
 
 import random
 
@@ -71,3 +72,15 @@ def test_closed_form_counts_match_oracle(k, l, data):
     params = SchemeParams(k, l, t)
     assert n_small_closed(params) == count_terms(gasp_small(params), params)
     assert n_big_closed(params) == count_terms(gasp_big(params), params)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 40), l=st.integers(1, 40), data=st.data())
+def test_closed_forms_respect_the_optimizer_bound(k, l, data):
+    # optimize_gasp stops L at (N+1-K-T) // (K+1) because both counts are
+    # at least (K+1)(L+1) + T - 2; a closed form that dips below it would
+    # let the search skip a pair that fits.
+    t = data.draw(st.integers(1, 2 * max(k, l) + 3), label="t")
+    params = SchemeParams(k, l, t)
+    bound = (k + 1) * (l + 1) + t - 2
+    assert min(n_small_closed(params), n_big_closed(params)) >= bound

@@ -29,7 +29,7 @@ def test_readme_cli_examples(tmp_path, capsys):
     # line whose comment says it must fail, 0 for the rest.  Output files go
     # to tmp_path instead of the working directory.
     lines = [line for line in _block("## CLI", "sh").splitlines() if line.startswith("gasp ")]
-    assert len(lines) == 9
+    assert len(lines) == 11
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         if "--out" in argv:

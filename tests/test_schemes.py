@@ -1,5 +1,6 @@
 """Scheme constructions, closed-form counts, rates, and the optimizers."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -228,16 +229,24 @@ def test_kakar_fits_worker_pool():
             assert k >= 1 and l >= 1 and (k + t) * (l + 1) - 1 <= n, (n, t)
 
 
+@functools.lru_cache(maxsize=None)
+def _enumerated_servers(k, l, t):
+    # min(n_small, n_big) by enumerating both tables; cached because the
+    # pool sweep below asks for the same (K, L, T) under many N.
+    params = SchemeParams(k, l, t)
+    return min(
+        count_terms(gasp_small(params), params),
+        count_terms(gasp_big(params), params),
+    )
+
+
 def _optimize_oracle(n, t):
-    # Independent route: brute force with enumerated (not closed-form) counts.
+    # Independent route: brute force with enumerated (not closed-form)
+    # counts, over every K, L with KL <= N rather than the search's bound.
     best = None
     for k in range(1, n + 1):
         for l in range(1, n // k + 1):
-            params = SchemeParams(k, l, t)
-            n_used = min(
-                count_terms(gasp_small(params), params),
-                count_terms(gasp_big(params), params),
-            )
+            n_used = _enumerated_servers(k, l, t)
             if n_used > n:
                 continue
             key = (-Fraction(k * l, n_used), k + l, k)
@@ -251,6 +260,15 @@ def test_optimize_gasp_matches_independent_oracle(n, t):
     got = optimize_gasp(n, t)
     expected = _optimize_oracle(n, t)
     assert (got.k, got.l, got.n_used, got.rate) == expected
+
+
+def test_optimize_gasp_matches_independent_oracle_on_every_small_pool():
+    # Every valid (N, T) with N <= 30: the search's loop bound and its
+    # integer rate comparison against the enumerated counts and Fractions.
+    for n in range(3, 31):
+        for t in range(1, (n - 1) // 2 + 1):
+            got = optimize_gasp(n, t)
+            assert (got.k, got.l, got.n_used, got.rate) == _optimize_oracle(n, t), (n, t)
 
 
 def test_optimize_gasp_examples():
@@ -282,6 +300,14 @@ def test_grouped_sweep_published_tables():
     k36 = {g: n for g, n, _ in grouped_sweep(36)}
     assert [k36[g] for g in range(1, 9)] == [2663, 2068, 1894, 1825, 1821, 1792, 1825, 1830]
     assert (k36[34], k36[35], k36[36]) == (2664, 2697, 2697)
+
+
+def test_grouped_sweep_matches_count_terms():
+    # The bitmask sumset count against the brute-force oracle, every G.
+    for k in range(1, 41):
+        params = SchemeParams(k, k, k)
+        expected = [count_terms(gasp_grouped(k, g), params) for g in range(1, k + 1)]
+        assert [n for _, n, _ in grouped_sweep(k)] == expected, k
 
 
 def test_grouped_sweep_trivial():
