@@ -320,7 +320,7 @@ def encode(
     of A's K row blocks and the R masks (for g, [a_n ** beta_j] times
     B's L column blocks and the S masks).  Masks are drawn from a
     seeded uniform source, one T-row stack per side, R before S, unless
-    injected via ``masks`` (for audits) as a :class:`MaskSet`.
+    given as a :class:`MaskSet` via ``masks``.
     """
     _check_plan(code, plan)
     p = plan.field.p

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_positive
+from .errors import ParameterError, check_positive, check_type
 
 ENTRY_BITS = 63
 _ENTRY_LIMIT = 1 << ENTRY_BITS
@@ -63,6 +63,8 @@ class ExponentAssignment:
 
 
 def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None:
+    check_type("assignment", assignment, ExponentAssignment)
+    check_type("params", params, SchemeParams)
     if len(assignment.alpha) != params.k + params.t:
         raise ParameterError(
             f"alpha has {len(assignment.alpha)} entries, expected K+T={params.k + params.t}"

@@ -174,12 +174,12 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     The protocol's large products gain most: at (K, L, T) = (8, 8, 2),
     p = 11,383, best of 5, encode (83x10 by 10x1024) ran 6.2x faster than
     the schoolbook loop, a server's 16x64 by 64x16 product 2.6x and decode
-    (64x83 by 83x256) 5.8x.  The exhaustive audit encodes all M mask
-    stacks of a secret at once, so its products have M times a block's
-    entries as columns and pack once that reaches 8.  The schoolbook side
-    keeps the 2x2 products of small sessions, the audit's encodes with
-    masks pinned to zero and moduli above about 2**32 / sqrt(m), which no
-    workload here uses.
+    (64x83 by 83x256) 5.8x.  The exhaustive audit computes one side's
+    shares under all M mask stacks of a secret in one product, whose
+    columns are M times a block's entries, so it packs once that reaches
+    8.  The schoolbook side keeps the 2x2 products of small sessions, the
+    audit's products with masks pinned to zero and moduli above about
+    2**32 / sqrt(m), which no workload here uses.
     """
     if a.cols != b.rows:
         raise ParameterError("shape mismatch in matrix product")

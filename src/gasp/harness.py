@@ -12,12 +12,12 @@ for them; only a grouped code's side walks its minors and may raise
 At tiny scale, ``exhaustive_privacy_audit`` checks the real thing: that
 for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
-observations carry zero information.  Every share comes from
-``codec.encode`` itself, one call per secret: all mask stacks of a
-secret sit side by side in one wide instance, whose shares hold each
-stack's shares as fixed slices (the proof is in the audit's docstring).
-Each subset's multiset is a sorted list of observed share tuples, which
-Python compares in C.
+observations carry zero information.  Every share comes from the
+codec's own block layout and share product (``codec._stack`` and
+``codec._shares``), one product per secret: a side's mask stacks sit
+side by side, so each stack's shares are fixed column slices of the
+result (see the audit's docstring).  Each subset's multiset is a
+sorted list of observed share tuples, which Python compares in C.
 
 The audit enumerates one side at a time: every A with every R mask
 stack, then every B with every S mask stack.  The f-shares depend only
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import codec, gf
-from .codec import BlockShapes, CostReport, EvaluationPlan, MaskSet, ShareBundle
+from .codec import BlockShapes, CostReport, EvaluationPlan, ShareBundle
 from .degree_table import SchemeParams
 from .errors import BudgetExceededError, ParameterError, VerificationError, check_type
 from .gf import FieldMatrix, PrimeFieldSpec
@@ -191,12 +191,14 @@ def exhaustive_privacy_audit(
     For every T-subset of servers and every secret A, collect
     the observed f-share tuples over all R mask stacks; then do the
     same for every B and the S mask stacks.  Every share comes from
-    ``codec.encode`` with the enumerated masks injected and the other
-    side's secret and masks at zero, so the audit checks the shipped
-    encoder.  Returns True iff, on each side, every secret gives the
-    same multisets as the first one.  With ``zero_masks`` the masks are
-    pinned to zero instead of enumerated (one zero stack per side), which
-    models a broken scheme and should make the audit fail.
+    ``codec._stack`` and ``codec._shares``, the block layout and the
+    share product that ``codec.encode`` runs, so the audit checks the
+    shipped share routine; ``encode``'s input checks and mask drawing,
+    which it skips, are covered by the codec tests.  Returns True iff,
+    on each side, every secret gives the same multisets as the first
+    one.  With ``zero_masks`` the masks are pinned to zero instead of
+    enumerated (one zero stack per side), which models a broken scheme
+    and should make the audit fail.
 
     Checking the sides apart decides exactly what comparing the joint
     observations of (A, B) would.  Since f depends only on (A, R) and g
@@ -211,24 +213,15 @@ def exhaustive_privacy_audit(
     smaller coalition sees are part of what some T-subset sees, so if no
     T-subset learns anything, neither does a smaller one.
 
-    All M mask stacks of one secret are encoded by one ``codec.encode``
-    call on a wide instance whose inner dimension s is s * M.  Write
-    interleave_w(x_1, ..., x_M) for the first w entries of each x_c in
-    turn, then the next w of each, and so on (:func:`_interleave`).  On
-    the A side, w = s: A' repeats each row of A M times, so its row block
-    k, flattened, is interleave_s(A_k, ..., A_k), and row t of R' is
-    interleave_s(R_t of stack 1, ..., R_t of stack M).  On the B side,
-    w = s * t/L, a whole block: B' is B stacked M times, so its column
-    block l, flattened, is B_l repeated M times, and row t of S'
-    concatenates S_t of every stack.  Either way every row of the wide
-    stack, blocks then masks, is interleave_w of that row of the M
-    narrow stacks.  Server n's share is the sum over j of x_n ** e_j
-    times stack row j, computed entry by entry, and interleave_w only
-    moves entries, so the wide share is interleave_w of the M narrow
-    shares: columns c*s ... (c+1)*s of each row of the f-share, and rows
-    c*s ... (c+1)*s of the g-share, are exactly what encoding stack c
-    alone gives.  The multisets are then compared as sorted lists of
-    share tuples.
+    One ``codec._shares`` call per secret covers all M mask stacks.  A
+    block has w entries (r/K * s for A, s * t/L for B); the side's M
+    stacks sit side by side as one T x (w * M) mask matrix, built once,
+    and the secret's data stack is repeated M times the same way.  A
+    product with column groups side by side is the products side by
+    side, so row n of the result holds server n's share under stacks 0,
+    1, ..., M - 1 in turn, and entry i of every stack's share is
+    ``share.entries[i::w]``.  The multisets are then compared as sorted
+    lists of share tuples.
 
     Raises :class:`BudgetExceededError` before doing any work if the
     enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted as
@@ -252,13 +245,13 @@ def exhaustive_privacy_audit(
 
     t = params.t
     a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
-    r_shape, s_shape = (t, block_rows * shapes.s), (t, shapes.s * block_cols)
+    r_width, s_width = block_rows * shapes.s, shapes.s * block_cols
     # Masks pinned to zero enumerate the single value 0.
     mask_values = range(1) if zero_masks else range(p)
     # Per side: every secret times every mask stack, once per T-subset.
     steps = comb(n, t) * (
-        p ** math.prod(a_shape) * len(mask_values) ** math.prod(r_shape)
-        + p ** math.prod(b_shape) * len(mask_values) ** math.prod(s_shape)
+        p ** math.prod(a_shape) * len(mask_values) ** (t * r_width)
+        + p ** math.prod(b_shape) * len(mask_values) ** (t * s_width)
     )
     if steps > AUDIT_BUDGET:
         raise BudgetExceededError(
@@ -267,13 +260,16 @@ def exhaustive_privacy_audit(
 
     subsets = list(itertools.combinations(range(n), t))
 
-    def side_is_private(a_side: bool, secret_size: int, mask_size: int) -> bool:
+    def side_is_private(exponents, grid, secret_shape, width: int) -> bool:
         # Per subset, the sorted observed share tuples over all mask stacks,
         # compared between every secret and the first one.
-        stacks = list(itertools.product(mask_values, repeat=mask_size))
+        stacks = list(itertools.product(mask_values, repeat=t * width))
+        masks = FieldMatrix(t, width * len(stacks), _interleave(stacks, width))
         reference = None
-        for secret in itertools.product(range(p), repeat=secret_size):
-            columns = _wide_encode(code, plan, shapes, a_side, secret, stacks)
+        for entries in itertools.product(range(p), repeat=math.prod(secret_shape)):
+            secret = FieldMatrix(*secret_shape, entries)
+            shares = _side_shares(plan, exponents, secret, grid, masks, width)
+            columns = [[share.entries[i::width] for i in range(width)] for share in shares]
             observed = [
                 sorted(zip(*[column for i in subset for column in columns[i]]))
                 for subset in subsets
@@ -285,45 +281,30 @@ def exhaustive_privacy_audit(
         return True
 
     return side_is_private(
-        True, math.prod(a_shape), math.prod(r_shape)
-    ) and side_is_private(False, math.prod(b_shape), math.prod(s_shape))
+        code.assignment.alpha, (params.k, 1), a_shape, r_width
+    ) and side_is_private(code.assignment.beta, (1, params.l), b_shape, s_width)
 
 
-def _wide_encode(
-    code: PolynomialCode,
+def _side_shares(
     plan: EvaluationPlan,
-    shapes: BlockShapes,
-    a_side: bool,
-    secret: tuple[int, ...],
-    stacks: list[tuple[int, ...]],
-) -> list[list[tuple[int, ...]]]:
-    """One side's shares under every mask stack, from one ``codec.encode`` call.
+    exponents,
+    secret: FieldMatrix,
+    grid: tuple[int, int],
+    masks: FieldMatrix,
+    width: int,
+) -> tuple[FieldMatrix, ...]:
+    """One side's 1 x (width * M) shares of ``secret`` under M mask stacks at once.
 
-    ``secret`` is A (``a_side``) or B and each of the M ``stacks`` one
-    T-mask stack for that side, all flattened row-major; the other side
-    is zero.  Returns, server by server, the :func:`_columns` of its
-    wide share: zipped, they give its share under each stack in order.
+    ``masks`` is the T x (width * M) matrix of the M stacks side by side,
+    ``grid`` the side's block grid and ``width`` a block's entries; columns
+    c * width ... (c + 1) * width of server n's share are its share under
+    stack c.
     """
-    t, count = code.params.t, len(stacks)
-    block_rows, block_cols = codec._block_sizes(code, shapes)
-    wide = BlockShapes(shapes.r, shapes.s * count, shapes.t)
-
-    def zeros(rows, cols) -> FieldMatrix:
-        return FieldMatrix(rows, cols, (0,) * (rows * cols))
-
-    if a_side:
-        chunk = shapes.s
-        a = FieldMatrix(shapes.r, wide.s, _interleave((secret,) * count, chunk))
-        r_masks = FieldMatrix(t, block_rows * wide.s, _interleave(stacks, chunk))
-        b, s_masks = zeros(wide.s, shapes.t), zeros(t, wide.s * block_cols)
-    else:
-        chunk = shapes.s * block_cols
-        b = FieldMatrix(wide.s, shapes.t, secret * count)
-        s_masks = FieldMatrix(t, wide.s * block_cols, _interleave(stacks, chunk))
-        a, r_masks = zeros(shapes.r, wide.s), zeros(t, block_rows * wide.s)
-    bundle = codec.encode(a, b, code, plan, wide, masks=MaskSet(r_masks, s_masks))
-    shares = bundle.f_shares if a_side else bundle.g_shares
-    return [_columns(share.entries, chunk, count) for share in shares]
+    data = codec._stack(secret, *grid)
+    data = FieldMatrix(
+        data.rows, masks.cols, _interleave([data.entries] * (masks.cols // width), width)
+    )
+    return codec._shares(plan.field.p, plan.points, exponents, data, masks, 1, masks.cols)
 
 
 def _interleave(flats, chunk: int) -> tuple[int, ...]:
@@ -335,17 +316,3 @@ def _interleave(flats, chunk: int) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(
         flat[j:j + chunk] for j in range(0, len(flats[0]), chunk) for flat in flats
     ))
-
-
-def _columns(entries, chunk: int, count: int) -> list[tuple[int, ...]]:
-    """Undo :func:`_interleave` of ``count`` tuples, by position.
-
-    Column i holds entry i of every tuple in order, so zipping the
-    columns gives back the tuples.
-    """
-    span = chunk * count
-    return [
-        entries[start + i:start + span:chunk]
-        for start in range(0, len(entries), span)
-        for i in range(chunk)
-    ]

@@ -191,8 +191,7 @@ def n_small_closed(params: SchemeParams) -> int:
 
 def download_rate(params: SchemeParams, n: int) -> Fraction:
     """Ratio of desired output blocks to downloaded blocks, KL/N."""
-    if n < 1:
-        raise ParameterError(f"server count must be positive, got {n}")
+    check_positive("n", n)
     return Fraction(params.k * params.l, n)
 
 

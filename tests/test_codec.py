@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gasp import codec, gf, harness
+from gasp import codec, degree_table, gf, harness, schemes
 from gasp.codec import BlockShapes, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
@@ -447,14 +447,24 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
             SchemeParams(1, 1, 1), 7, plan=(1, 2)), "plan"),
         (lambda plan: codec.cost(None, BlockShapes(2, 1, 2)), "code"),
         (lambda plan: codec.server_evaluate(None, 0), "bundle"),
+        (lambda plan: degree_table.outer_sum(None, _CODE_221.params), "assignment"),
+        (lambda plan: degree_table.count_terms(_CODE_221.assignment, (2, 2, 1)), "params"),
+        (lambda plan: degree_table.is_decodable(
+            (_CODE_221.assignment.alpha, _CODE_221.assignment.beta), _CODE_221.params),
+         "assignment"),
+        (lambda plan: degree_table.is_t_secure_assignment(_CODE_221.assignment, -1), "params"),
+        (lambda plan: schemes.build_code(_CODE_221.params, [0, 1, 2], "big"), "assignment"),
+        (lambda plan: schemes.build_code(None, _CODE_221.assignment, "big"), "params"),
     ],
     ids=["encode-shapes", "cost-shapes", "encode-plan", "plan-search-code", "audit-plan",
          "session-params", "exhaustive-shapes", "session-shapes", "exhaustive-params",
-         "exhaustive-plan", "cost-code", "server-bundle"],
+         "exhaustive-plan", "cost-code", "server-bundle", "outer-sum-assignment",
+         "count-terms-params", "decodable-assignment", "t-secure-params",
+         "build-code-assignment", "build-code-params"],
 )
 def test_wrong_argument_types_raise_parameter_error(call, expected):
-    # A tuple of sizes, a tuple of parameters or None used to fail on an
-    # attribute with a bare AttributeError.
+    # A tuple of sizes, a tuple of parameters, a list, -1 or None used to
+    # fail on an attribute with a bare AttributeError.
     plan = codec.find_evaluation_plan(_CODE_221)
     with pytest.raises(ParameterError, match=f"^{expected} must be a [A-Za-z]+, got"):
         call(plan)

@@ -282,22 +282,25 @@ def test_exhaustive_audit_rejects_plan_of_other_code():
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 7, plan=other)
 
 
-def test_exhaustive_audit_runs_shipped_encoder(monkeypatch):
-    # An encoder that ignores its masks must fail the audit, which is only
-    # possible if the audit's shares come from codec.encode.
-    shipped = codec.encode
+def test_exhaustive_audit_runs_codec_share_routine(monkeypatch):
+    # A share routine that ignores its masks must fail the audit and change
+    # encode's shares, which is only possible if both call codec._shares.
+    shipped = codec._shares
 
-    def leaky_encode(a, b, code, plan, shapes, masks):
-        def zeroed(m):
-            return FieldMatrix(m.rows, m.cols, (0,) * len(m.entries))
+    def leaky_shares(p, points, exponents, data, masks, rows, cols):
+        zeroed = FieldMatrix(masks.rows, masks.cols, (0,) * len(masks.entries))
+        return shipped(p, points, exponents, data, zeroed, rows, cols)
 
-        return shipped(
-            a, b, code, plan, shapes, masks=MaskSet(zeroed(masks.r_masks), zeroed(masks.s_masks))
-        )
-
-    assert harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
-    monkeypatch.setattr(codec, "encode", leaky_encode)
-    assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
+    params, shapes = SchemeParams(1, 1, 1), BlockShapes(1, 1, 1)
+    code = code_for_scheme(params, "auto")
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
+    one = FieldMatrix(1, 1, (1,))
+    masks = MaskSet(FieldMatrix(1, 1, (2,)), FieldMatrix(1, 1, (3,)))
+    honest = codec.encode(one, one, code, plan, shapes, masks=masks)
+    assert harness.exhaustive_privacy_audit(params, 5)
+    monkeypatch.setattr(codec, "_shares", leaky_shares)
+    assert not harness.exhaustive_privacy_audit(params, 5)
+    assert codec.encode(one, one, code, plan, shapes, masks=masks) != honest
 
 
 @pytest.mark.parametrize("shapes", [BlockShapes(1, 1, 2), BlockShapes(2, 1, 1)])
@@ -315,9 +318,9 @@ def test_exhaustive_audit_multi_entry_blocks(shapes):
         (SchemeParams(3, 2, 2), BlockShapes(6, 2, 4)),
     ],
 )
-def test_wide_encode_slices_are_narrow_encodes(params, shapes):
-    # Each mask stack's slice of the audit's one wide encode is exactly
-    # the shares that encoding that stack alone gives.
+def test_side_shares_slices_are_narrow_encodes(params, shapes):
+    # Each mask stack's slice of the audit's one share product per secret
+    # is exactly the shares that encoding that stack alone gives.
     code = code_for_scheme(params, "auto")
     plan = codec.find_evaluation_plan(code)
     p, t = plan.field.p, params.t
@@ -325,25 +328,30 @@ def test_wide_encode_slices_are_narrow_encodes(params, shapes):
     rng = random.Random(shapes.r * 100 + shapes.s * 10 + shapes.t)
     a = codec.random_matrix(p, shapes.r, shapes.s, rng)
     b = codec.random_matrix(p, shapes.s, shapes.t, rng)
-    sizes = (block_rows * shapes.s, shapes.s * block_cols)
+    r_width, s_width = block_rows * shapes.s, shapes.s * block_cols
     r_stacks, s_stacks = (
-        [codec.random_matrix(p, t, size, rng) for _ in range(5)] for size in sizes
+        [codec.random_matrix(p, t, width, rng) for _ in range(5)] for width in (r_width, s_width)
     )
-    zero_r, zero_s = (FieldMatrix(t, size, (0,) * (t * size)) for size in sizes)
+    zero_r, zero_s = (FieldMatrix(t, width, (0,) * (t * width)) for width in (r_width, s_width))
     zero_a, zero_b = (FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in (a, b))
 
     def encode(a, b, r_masks, s_masks):
         return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
 
-    for a_side, secret, stacks in ((True, a, r_stacks), (False, b, s_stacks)):
-        wide = harness._wide_encode(
-            code, plan, shapes, a_side, secret.entries, [m.entries for m in stacks]
+    sides = (
+        (True, code.assignment.alpha, a, (params.k, 1), r_stacks, r_width),
+        (False, code.assignment.beta, b, (1, params.l), s_stacks, s_width),
+    )
+    for a_side, exponents, secret, grid, stacks, width in sides:
+        masks = FieldMatrix(
+            t, width * len(stacks), harness._interleave([m.entries for m in stacks], width)
         )
+        wide = harness._side_shares(plan, exponents, secret, grid, masks, width)
         assert len(wide) == code.n_servers
-        for c, masks in enumerate(stacks):
+        for c, stack in enumerate(stacks):
             if a_side:
-                narrow = encode(a, zero_b, masks, zero_s).f_shares
+                narrow = encode(a, zero_b, stack, zero_s).f_shares
             else:
-                narrow = encode(zero_a, b, zero_r, masks).g_shares
-            for columns, share in zip(wide, narrow):
-                assert list(zip(*columns))[c] == share.entries
+                narrow = encode(zero_a, b, zero_r, stack).g_shares
+            for share, expected in zip(wide, narrow):
+                assert share.entries[c * width:(c + 1) * width] == expected.entries

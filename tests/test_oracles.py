@@ -8,9 +8,9 @@ compare matrices with literals through ``rows``.
 
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
-multisets.  ``harness.exhaustive_privacy_audit`` encodes all of a
-secret's mask stacks in one wide call; its verdicts are checked against
-this one here.
+multisets.  ``harness.exhaustive_privacy_audit`` computes one side's
+shares under all of a secret's mask stacks in one ``codec._shares``
+product; its verdicts are checked against this one here.
 """
 
 import itertools
@@ -170,8 +170,8 @@ def test_exhaustive_audit_matches_oracle_on_wide_blocks(zero_masks, generator):
     # r/K, s and t/L are all 2.  A passing verdict here takes the oracle
     # 2 * 5 ** 8 encodes, one per (secret, mask stack), so only the cases
     # that stop at the second secret or have one mask stack are compared;
-    # the layout test in test_harness.py checks the wide encode itself at
-    # shapes like these.
+    # the layout test in test_harness.py checks the audit's per-secret
+    # share product itself at shapes like these.
     params, p, shapes = SchemeParams(1, 1, 1), 5, BlockShapes(2, 2, 2)
     plan = _plan(params, p, generator)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)

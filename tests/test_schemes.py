@@ -186,6 +186,10 @@ def test_download_rate_rendering():
     assert format_rate(Fraction(36, 83)) == "0.434"
     with pytest.raises(ParameterError):
         download_rate(SchemeParams(1, 1, 1), 0)
+    # A server count that is no int used to raise a bare TypeError.
+    for n in (None, "x", [1], 1.5, True):
+        with pytest.raises(ParameterError, match="n must be a positive integer"):
+            download_rate(SchemeParams(1, 1, 1), n)
 
 
 def test_baseline_rates():
