@@ -31,12 +31,13 @@ and its inverse's rows are Lagrange basis polynomials, built from one
 master polynomial with no elimination.  Plan search scans g = 2, 3, ...
 and returns the first g whose nodes are distinct and whose two T x N
 mask power matrices have every maximal minor invertible, which is what
-makes any T shares jointly uniform.  That mask condition is decided by
-:func:`gf.is_power_mds`, whose docstring holds the proofs of the O(N)
-certificate that covers the small and big codes and of the anchored
-minor walk that decides grouped codes; the audit calls the same
-function.  A grouped code that the default field refuses is planned
-over a larger fallback field, described in :func:`find_evaluation_plan`.
+makes any T shares jointly uniform.  That mask condition is decided from
+the generator by :func:`gf.is_power_mds`, whose docstring holds the
+proofs of the O(N) certificate that covers the small and big codes and
+of the minor walk anchored at column 0 that decides grouped codes; the
+audit calls the same function.  A grouped code that the default field
+refuses is planned over a larger fallback field, described in
+:func:`find_evaluation_plan`.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     then rescans once over its fallback field, the smallest prime above
     4 * C(N, T), as :func:`find_evaluation_plan` describes.
     """
+    check_type("code", code, PolynomialCode)
     return PrimeFieldSpec(gf.next_prime(code.exponents[-1] * code.n_servers))
 
 
@@ -189,11 +191,12 @@ def find_evaluation_plan(
     nodes g ** e, e in J, for pairwise distinctness (the generalized
     Vandermonde matrix is invertible iff they are), then the alpha-mask
     and the beta-mask power matrices for every maximal minor nonzero, by
-    :func:`gf.is_power_mds`: an O(N) certificate for mask exponents in
-    arithmetic progression (the small and big codes), and otherwise the
-    exact minor walk of :func:`gf.is_mds`, anchored at column 0 because
-    the points g ** n are geometric, which raises
-    :class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.  At most
+    :func:`gf.is_power_mds` on g: an O(N) certificate for mask exponents
+    in arithmetic progression (the small and big codes), and otherwise
+    the exact minor walk anchored at column 0, which the points g ** n
+    allow since they are geometric, and which raises
+    :class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.  Only the
+    accepted g becomes an :class:`EvaluationPlan`.  At most
     ``MAX_CANDIDATES`` generators are tried; a failed search raises
     :class:`PlanSearchError` with the number of candidates rejected for
     each condition.  ``seed`` is unused: the search is deterministic, and
@@ -232,15 +235,14 @@ def _scan_generators(code: PolynomialCode, field: PrimeFieldSpec) -> EvaluationP
     rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
     candidates = range(2, min(p, 2 + MAX_CANDIDATES))
     for g in candidates:
-        plan = EvaluationPlan(field, g, exponents)
         if not _distinct_nodes(p, g, exponents):
             reason = "gv"
-        elif not gf.is_power_mds(p, plan.points, code.alpha_masks):
+        elif not gf.is_power_mds(p, g, n, code.alpha_masks):
             reason = "alpha_mds"
-        elif not gf.is_power_mds(p, plan.points, code.beta_masks):
+        elif not gf.is_power_mds(p, g, n, code.beta_masks):
             reason = "beta_mds"
         else:
-            return plan
+            return EvaluationPlan(field, g, exponents)
         rejections[reason] += 1
     raise PlanSearchError(len(candidates), rejections)
 

@@ -85,6 +85,7 @@ def outer_sum(
 
 def terms(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Distinct table entries, ascending: the term set J of the code."""
+    check_type("table", table, tuple)
     return tuple(sorted({e for row in table for e in row}))
 
 

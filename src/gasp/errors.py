@@ -54,10 +54,9 @@ class BudgetExceededError(GaspError, RuntimeError):
     """An enumeration refused to start because it would exceed its step budget.
 
     Raised by the exhaustive privacy audit and by the MDS walk of
-    ``gf.is_mds``, each before doing any work.  Plan search and the
-    algebraic audit reach the walk only through ``gf.is_power_mds``, for
-    mask exponents that are no arithmetic progression (grouped codes),
-    anchored at column 0 on a plan's geometric points and checked against
-    that smaller cost; the small and big codes take its O(N) certificate
-    and never raise it.
+    ``gf.is_power_mds``, each before doing any work.  Plan search and the
+    algebraic audit take that walk only for mask exponents that are no
+    arithmetic progression (grouped codes); it is anchored at column 0 on
+    a plan's geometric points, and its cost is checked as such.  The
+    small and big codes take the O(N) certificate and never raise it.
     """

@@ -6,23 +6,19 @@ library's plans are invertible by construction, its decoder is built by
 Lagrange interpolation, and whether a plan's generalized Vandermonde
 matrix is invertible is decided in O(N) by the node check in ``codec``,
 for plan search, the decoder and ``harness.mds_audit`` alike; the tests
-keep a determinant by elimination as the oracle for that check and for
-``is_mds``.
+keep a determinant by elimination as the oracle for that check.
 ``generalized_vandermonde`` is the one builder of power matrices
 [x_n ** e_j] with a row per point: encode's two share matrices.
-``is_mds`` walks the column subsets depth first, shares one elimination
-among all subsets with a common prefix, and decides every subset under
-a node with two rows left by one test that the ratios of those rows are
-distinct.  ``is_power_mds`` is the mask condition of a plan, shared by
-plan search and ``harness.mds_audit``: its docstring proves the O(N)
-certificate for exponents in arithmetic progression, and for any other
-exponents it runs the walk of ``is_mds``.  On geometric points
-x_n = x_0 * r ** n, as a plan's points g ** n are, that walk is
-anchored: column n + a of [x_n ** e_i] is diag(r ** (a * e_i)) times
-column n, so the minor on a column set S is a nonzero multiple of the
-minor on S - min(S), which holds column 0.  Only the subsets that hold
-column 0 are walked, about N / (T - 2) times fewer steps than all of
-them.
+``is_power_mds`` is the mask condition of a plan with generator g, for
+plan search and ``harness.mds_audit``: every maximal minor of
+[(g ** n) ** e_i] is nonzero.  It decides g = 0 directly, exponents in
+arithmetic progression by an O(N) certificate, and any others by a walk
+over the column subsets that hold column 0, which suffices since the
+points g ** n are geometric; its docstring has the proofs.  The walk
+shares one elimination among all subsets with a common prefix and
+decides every subset under a node with two rows left by one test that
+the ratios of those rows are distinct.  The tests keep the walk over all
+subsets of any matrix as their oracle.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on narrow shapes it multiplies by Kronecker substitution.
@@ -64,7 +60,7 @@ _SLOT_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 _SLOT_LIMIT = 1 << 64
 _BYTE_ORDER = sys.byteorder
 
-# is_mds refuses a walk whose cost, C(N, T - 2) * N entries, exceeds this.
+# is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
 MDS_WALK_BUDGET = 10**8
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
@@ -217,70 +213,100 @@ def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
     return FieldMatrix(len(pts), len(exps), tuple(pow(x, e, p) for x in pts for e in exps))
 
 
-def is_mds(p: int, m: FieldMatrix) -> bool:
-    """True iff every maximal (rows x rows) minor has nonzero determinant.
+def is_progression(exponents) -> bool:
+    """True iff the exponents are e0, e0 + d, e0 + 2d, ...; one or two always are."""
+    return len({b - a for a, b in zip(exponents, exponents[1:])}) <= 1
 
-    Every T-subset of the N columns is decided exactly, none is sampled,
+
+def _geometric(p: int, r: int, n: int) -> list[int]:
+    """r ** 0, ..., r ** (n - 1) mod p, by running products."""
+    row = [1] * n
+    for i in range(1, n):
+        row[i] = row[i - 1] * r % p
+    return row
+
+
+def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
+    """True iff every T x T minor of the power matrix [(g ** j) ** e_i] is nonzero.
+
+    The matrix has a row per exponent and a column per point g ** j,
+    j < N: the mask condition of a GASP plan with generator g, under which
+    any T servers' shares of one side are jointly uniform.  Plan search
+    and ``harness.mds_audit`` both decide it here.  A row
+    (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.
+
+    *g = 0.*  The points are 1, 0, 0, ...: column 0 is all ones and every
+    other column is z, z_i = 1 iff e_i = 0.  A T-subset that holds two
+    copies of z is singular, and T <= N forces one unless T = 1 or
+    T = N = 2.  So the check passes iff T = 1 and either N = 1 or
+    e_0 = 0 (z is no zero column), or T = N = 2 and z is not parallel to
+    the ones.
+
+    *Progression certificate.*  When the T exponents form a progression
+    e0 + d*i (T = 1 counts as one), the minor on points x_1..x_T factors
+    as prod x_j ** e0 times the Vandermonde determinant of the x_j ** d,
+    so it is nonzero iff each x_j ** e0 is nonzero and, for T >= 2, the
+    x_j ** d are pairwise distinct.  For g != 0 no point is zero.  A
+    colliding pair of d-th powers (g ** d) ** j extends to a T-subset
+    whose minor vanishes, since T <= N, so the check passes iff those N
+    powers are distinct: O(N) for the small and big codes.
+
+    *Anchored walk.*  Any other exponent set, such as the runs of a
+    grouped code, has T >= 3 and goes to :func:`_mds_walk`, which decides
+    the subsets that hold column 0.  That decides all of them: column
+    j + a is diag(g ** (a * e_i)) times column j, so for a column set S
+    with smallest member a, the minor on S is g ** (a * sum e_i), a
+    nonzero factor, times the minor on S - a, which holds column 0.
+    """
+    t = len(exponents)
+    if t > n:
+        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    g %= p
+    if not g:
+        zero = [e == 0 for e in exponents]
+        if t == 1:
+            return n == 1 or zero[0]
+        return t == n == 2 and zero[0] != zero[1]
+    if is_progression(exponents):
+        return t == 1 or len(set(_geometric(p, pow(g, exponents[1] - exponents[0], p), n))) == n
+    return _mds_walk(p, [_geometric(p, pow(g, e, p), n) for e in exponents])
+
+
+def _mds_walk(p: int, rows: list[list[int]]) -> bool:
+    """True iff every T-subset of the columns that holds column 0 is independent.
+
+    ``rows`` are T >= 3 rows of N reduced entries.  No subset is sampled,
     so True is a proof.  The subsets are walked depth first in
     lexicographic order, and subsets with a common prefix share its
     elimination.  At depth d the walk has chosen d linearly independent
     columns S and holds a basis of the T - d vectors orthogonal to all
-    of them; at depth 0 that is the identity basis.  Each basis vector v
-    is kept as the row v @ m of its dot products with the columns that
-    may still be chosen, so adding column c reads column c of those rows:
+    of them, starting from the identity basis, each vector v kept as the
+    row v @ m of its dots with the columns that may still be chosen.
+    Adding column c reads column c of those rows.  If every dot is zero,
+    c lies in span(S): some T-subset holds S and c, its minor vanishes,
+    and the check returns False.  Otherwise the first nonzero dot is the
+    pivot; eliminating it from the other rows leaves a basis orthogonal
+    to S and c, and the walk goes down on the columns after c.  Depth 0
+    takes column 0 only.
 
-    * if every dot is zero, c lies in span(S).  The walk only tries a c
-      that leaves at least T - 1 - d columns after it, so some T-subset
-      contains S and c, its minor vanishes, and the check returns False;
-    * otherwise the first nonzero dot is the pivot.  Eliminating it from
-      the other rows leaves a basis of the T - d - 1 vectors orthogonal
-      to S and c, and the walk goes one level down on the columns after c.
+    At depth T - 2 two vectors u and v remain, and for columns c and d
+    after the prefix, det[S, c, d] is nonzero iff (u_c, v_c) and
+    (u_d, v_d) are not parallel.  So every pair is decided at once: no
+    pair may be (0, 0), and the keys u_c / v_c, with p standing in when
+    v_c = 0, must be pairwise distinct.  The inverses take one ``pow``
+    per leaf by batch inversion (Montgomery 1987): with P_c the product of
+    the v before c, 1 / v_c = P_c / P_(c+1), and walking back from the
+    one inverse 1 / P_N, each 1 / P_c is 1 / P_(c+1) times v_c.
 
-    The walk stops at depth T - 2, where two vectors u and v remain.  For
-    columns c and d after the prefix, det[S, c, d] is nonzero iff the
-    2 x 2 minor u_c v_d - u_d v_c is, that is iff the pairs (u_c, v_c)
-    and (u_d, v_d) are not parallel.  So every pair is decided at once:
-    no pair (u_c, v_c) may be (0, 0), and the keys u_c / v_c mod p, with
-    the key p standing in when v_c = 0, must be pairwise distinct.  That
-    costs one inverse per column and one set; T = 2 is the whole walk,
-    and T = 1 asks only that no entry is zero.  Every T-subset is decided
-    as one prefix plus one pair.
-
-    The walk visits C(N - T + d, d) nodes at depth d, C(N - 1, T - 2) in
-    all.  Making a node updates fewer than T rows of at most N entries,
-    and a two-row node computes at most N keys, so the walk costs about
-    C(N, T - 2) * N entry steps, not the C(N, T) of one test per minor.
-    If that count (N when T = 1) exceeds ``MDS_WALK_BUDGET`` = 10**8, the
-    check raises :class:`BudgetExceededError` before doing any work.  The
-    walk holds one set of rows per level, at most T * T * N entries, and
-    never a list of subsets.  Entries may be any ints; they are reduced
-    mod p first.
-
-    This is the general check and the tests' oracle for
-    :func:`is_power_mds`, which shares its walk for mask exponents that
-    are not an arithmetic progression (grouped codes), restricted to the
-    subsets that hold column 0 when the points are geometric, and decides
-    progression masks by the O(N) certificate its docstring proves.
-    """
-    t, n = m.rows, m.cols
-    if t > n:
-        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
-    return _mds_walk(p, [[e % p for e in m.row(i)] for i in range(t)], anchored=False)
-
-
-def _mds_walk(p: int, rows: list[list[int]], anchored: bool) -> bool:
-    """The walk of :func:`is_mds` on T reduced rows of N entries, T <= N.
-
-    With ``anchored`` and T >= 3, the top level takes only column 0, so
-    only the T-subsets that hold column 0 are decided; the docstring of
-    :func:`is_power_mds` proves that this decides all of them when the
-    columns come from geometric points.  That walk visits C(N - 2, T - 3)
-    nodes and costs about C(N - 1, T - 3) * N steps, which is checked
-    against ``MDS_WALK_BUDGET`` as the full walk's cost is.
+    The walk visits C(N - 2, T - 3) nodes, each updating fewer than T
+    rows of at most N entries, so it costs about C(N - 1, T - 3) * N
+    entry steps, not the C(N, T) of one test per minor.  Above
+    ``MDS_WALK_BUDGET`` = 10**8 it raises :class:`BudgetExceededError`
+    before doing any work.  It holds one set of rows per level and never
+    a list of subsets.  The tests' oracle is the walk over all subsets.
     """
     t, n = len(rows), len(rows[0])
-    anchored = anchored and t > 2
-    cost = (comb(n - 1, t - 3) if anchored else comb(n, max(t - 2, 0))) * n
+    cost = comb(n - 1, t - 3) * n
     if cost > MDS_WALK_BUDGET:
         raise BudgetExceededError(
             f"MDS check of {t} x {n} needs {cost} steps, budget is {MDS_WALK_BUDGET}"
@@ -289,16 +315,30 @@ def _mds_walk(p: int, rows: list[list[int]], anchored: bool) -> bool:
     def extend(rows: list[list[int]]) -> bool:
         # rows[i][j] = v_i . (column j after the last one chosen), for a
         # basis v of the vectors orthogonal to the chosen columns.
-        if len(rows) == 1:
-            return 0 not in rows[0]
-        if len(rows) == 2:
-            u, v = rows
-            # Residues are nonnegative, so x | y is 0 only for the pair (0, 0).
-            if 0 in map(operator.or_, u, v):
-                return False
-            keys = [x * pow(y, -1, p) % p if y else p for x, y in zip(u, v)]
-            return len(set(keys)) == len(keys)
-        return all(choose(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
+        if len(rows) > 2:
+            return all(choose(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
+        u, v = rows
+        # Residues are nonnegative, so x | y is 0 only for the pair (0, 0).
+        if 0 in map(operator.or_, u, v):
+            return False
+        # Keys u_c / v_c, with p for v_c = 0: two p keys collide, and one
+        # collides with nothing, so its column is dropped.
+        zeros = v.count(0)
+        if zeros > 1:
+            return False
+        if zeros:
+            u, v = zip(*[(x, y) for x, y in zip(u, v) if y])
+        # before[c] = v_0 ... v_(c-1); inv = 1 / (v_0 ... v_c), walked backwards.
+        before, acc = [], 1
+        for y in v:
+            before.append(acc)
+            acc = acc * y % p
+        inv = pow(acc, -1, p)
+        keys = []
+        for x, b, y in zip(reversed(u), reversed(before), reversed(v)):
+            keys.append(x * b * inv % p)
+            inv = inv * y % p
+        return len(set(keys)) == len(keys)
 
     def choose(rows: list[list[int]], c: int) -> bool:
         # Add column c to the chosen ones and walk every subset that extends them.
@@ -307,76 +347,13 @@ def _mds_walk(p: int, rows: list[list[int]], anchored: bool) -> bool:
         if k is None:
             return False
         tail = rows[k][c + 1:]
-        inv_pv = pow(dots[k], -1, p)
+        # Negated, so that each entry is one nonnegative sum: x - f*y is slower.
+        neg_inv_pv = -pow(dots[k], -1, p)
         rest = []
         for i, row in enumerate(rows):
             if i != k:
-                factor = dots[i] * inv_pv % p
-                rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
+                factor = dots[i] * neg_inv_pv % p
+                rest.append([(x + factor * y) % p for x, y in zip(row[c + 1:], tail)])
         return extend(rest)
 
-    return choose(rows, 0) if anchored else extend(rows)
-
-
-def is_progression(exponents) -> bool:
-    """True iff the exponents are e0, e0 + d, e0 + 2d, ...; one or two always are."""
-    return len({b - a for a, b in zip(exponents, exponents[1:])}) <= 1
-
-
-def _is_geometric(p: int, points) -> bool:
-    """True iff x_0 != 0 and x_(n+1) = r * x_n mod p for one ratio r != 0."""
-    x0 = points[0] % p
-    if not x0:
-        return False
-    r = points[1] * pow(x0, -1, p) % p
-    return r != 0 and all((y - r * x) % p == 0 for x, y in zip(points, points[1:]))
-
-
-def is_power_mds(p: int, points, exponents) -> bool:
-    """True iff every T x T minor of the power matrix [x_n ** e_i] is nonzero.
-
-    The matrix has one row per exponent and one column per point, so
-    with T exponents and N points this is the mask condition of a GASP
-    plan: any T servers' shares of one side are jointly uniform.  It is
-    the single decision behind plan search (``codec.find_evaluation_plan``)
-    and the algebraic audit (``harness.mds_audit``).
-
-    *Progression certificate.*  When the T exponents form a progression
-    e0 + d*i (T = 1 counts as one), the minor on points x_1..x_T factors
-    as prod x_j ** e0 times the Vandermonde determinant of the x_j ** d,
-    so it is nonzero iff each x_j ** e0 is nonzero and, for T >= 2, the
-    x_j ** d are pairwise distinct.  That holds for every T-subset iff it
-    holds for all N points at once: since T <= N, a zero entry or a
-    colliding pair of d-th powers extends to a T-subset whose minor
-    vanishes.  So the small and big codes, whose mask exponents are
-    progressions, are decided in O(N).
-
-    *Anchored walk.*  Any other exponent set, such as the runs of a
-    grouped code, is decided by the minor walk of :func:`is_mds`.  When
-    the points are geometric, x_n = x_0 * r ** n with x_0 and r nonzero
-    mod p, as every plan's points g ** n are for g != 0, the walk needs
-    only the subsets that hold column 0.  Column n + a of the matrix is
-    diag(r ** (a * e_i)) times column n, so for a column set S with
-    smallest member a, the submatrix on S is diag(r ** (a * e_i)) times
-    the submatrix on S - a, and its minor is r ** (a * sum e_i), a
-    nonzero factor, times the minor on S - a.  S - a lies in 0..N-1 and
-    holds column 0, so every minor vanishes iff one that holds column 0
-    does.  The proof uses the points only, not the exponents.  Deciding
-    those subsets costs about C(N - 1, T - 3) * N steps, N / (T - 2)
-    times fewer than the full walk's C(N, T - 2) * N (18 times at N = 36,
-    T = 4).  Points that are not geometric, such as a zero point or an
-    arbitrary set, take the full walk.  Either walk raises
-    :class:`BudgetExceededError` when its own cost exceeds
-    ``MDS_WALK_BUDGET``.  Checking that the points are geometric is O(N)
-    and runs only for exponents that are no progression.
-    """
-    t, n = len(exponents), len(points)
-    if t > n:
-        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
-    if not is_progression(exponents):
-        rows = [[pow(x, e, p) for x in points] for e in exponents]
-        return _mds_walk(p, rows, anchored=_is_geometric(p, points))
-    e0 = exponents[0]
-    if not all(pow(x, e0, p) for x in points):
-        return False
-    return t == 1 or len({pow(x, exponents[1] - e0, p) for x in points}) == n
+    return choose(rows, 0)

@@ -170,11 +170,11 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     ``encode`` refuses it.
     """
     codec._check_plan(code, plan)
-    p, points = plan.field.p, plan.points
+    p, g, n = plan.field.p, plan.generator, code.n_servers
     return MdsAuditReport(
-        gv_det_nonzero=codec._distinct_nodes(p, plan.generator, plan.exponents),
-        p_mds=gf.is_power_mds(p, points, code.alpha_masks),
-        q_mds=gf.is_power_mds(p, points, code.beta_masks),
+        gv_det_nonzero=codec._distinct_nodes(p, g, plan.exponents),
+        p_mds=gf.is_power_mds(p, g, n, code.alpha_masks),
+        q_mds=gf.is_power_mds(p, g, n, code.beta_masks),
     )
 
 

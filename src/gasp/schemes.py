@@ -79,6 +79,12 @@ class OptimizationResult:
     rate: Fraction
 
 
+def _klt(params: SchemeParams) -> tuple[int, int, int]:
+    """(K, L, T) of ``params`` once its type is checked; each reader of params here starts so."""
+    check_type("params", params, SchemeParams)
+    return params.k, params.l, params.t
+
+
 def build_code(
     params: SchemeParams, assignment: ExponentAssignment, scheme_label: str
 ) -> PolynomialCode:
@@ -101,7 +107,7 @@ def gasp_big(params: SchemeParams) -> ExponentAssignment:
     For L <= K the data exponents are 0..K-1 down the rows and multiples
     of K across the columns; for K < L the two progressions trade places.
     """
-    k, l, t = params.k, params.l, params.t
+    k, l, t = _klt(params)
     masks = tuple(k * l + i for i in range(t))
     if l <= k:
         alpha = tuple(range(k)) + masks
@@ -118,7 +124,7 @@ def gasp_small(params: SchemeParams) -> ExponentAssignment:
     For K <= L: alpha masks are KL, KL+K, ..., KL+K(T-1) and beta masks
     are KL, KL+1, ..., KL+T-1.  For L < K the roles swap.
     """
-    k, l, t = params.k, params.l, params.t
+    k, l, t = _klt(params)
     if k <= l:
         alpha = tuple(range(k)) + tuple(k * l + k * i for i in range(t))
         beta = tuple(k * j for j in range(l)) + tuple(k * l + i for i in range(t))
@@ -130,7 +136,8 @@ def gasp_small(params: SchemeParams) -> ExponentAssignment:
 
 def gasp_auto(params: SchemeParams) -> PolynomialCode:
     """Pick small for T < min(K, L), big otherwise, and build the code."""
-    if params.t < min(params.k, params.l):
+    k, l, t = _klt(params)
+    if t < min(k, l):
         return build_code(params, gasp_small(params), "small")
     return build_code(params, gasp_big(params), "big")
 
@@ -162,7 +169,7 @@ def _n_big(k: int, l: int, t: int) -> int:
 
 def n_big_closed(params: SchemeParams) -> int:
     """Closed-form server count of the big construction."""
-    return _n_big(params.k, params.l, params.t)
+    return _n_big(*_klt(params))
 
 
 def _n_small_oriented(k: int, l: int, t: int) -> int:
@@ -183,7 +190,7 @@ def _n_small_oriented(k: int, l: int, t: int) -> int:
 
 def n_small_closed(params: SchemeParams) -> int:
     """Closed-form server count of the small construction."""
-    k, l, t = params.k, params.l, params.t
+    k, l, t = _klt(params)
     if k <= l:
         return _n_small_oriented(k, l, t)
     return _n_small_oriented(l, k, t)
@@ -191,8 +198,9 @@ def n_small_closed(params: SchemeParams) -> int:
 
 def download_rate(params: SchemeParams, n: int) -> Fraction:
     """Ratio of desired output blocks to downloaded blocks, KL/N."""
+    k, l, _ = _klt(params)
     check_positive("n", n)
-    return Fraction(params.k * params.l, n)
+    return Fraction(k * l, n)
 
 
 def rate_r1(k: int, t: int) -> Fraction:
@@ -204,17 +212,18 @@ def rate_r1(k: int, t: int) -> Fraction:
 
 def n_gap_free(params: SchemeParams) -> int:
     """Server count (K+T)(L+1)-1 of the gap-free competitor."""
-    return (params.k + params.t) * (params.l + 1) - 1
+    k, l, t = _klt(params)
+    return (k + t) * (l + 1) - 1
 
 
 def rate_r2(params: SchemeParams) -> Fraction:
     """Baseline rate KL/((K+T)(L+1)-1) of the gap-free competitor."""
-    return Fraction(params.k * params.l, n_gap_free(params))
+    return download_rate(params, n_gap_free(params))
 
 
 def rate_report(params: SchemeParams) -> RateReport:
     """Counts and rates of both constructions plus the literature baselines."""
-    n_small = n_small_closed(params)
+    n_small = n_small_closed(params)  # checks the type of params first
     n_big = n_big_closed(params)
     n_gasp = n_small if params.t < min(params.k, params.l) else n_big
     return RateReport(
@@ -344,7 +353,7 @@ def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> 
     The group count ``g`` is required for grouped codes and refused for
     the others, which have no groups.
     """
-    check_type("params", params, SchemeParams)
+    k, l, t = _klt(params)
     if g is not None and scheme != "grouped":
         raise ParameterError(f"a group count G applies only to the grouped scheme, not {scheme!r}")
     if scheme == "small":
@@ -356,13 +365,14 @@ def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> 
     if scheme == "grouped":
         if g is None:
             raise ParameterError("grouped scheme needs a group count G")
-        if not (params.k == params.l == params.t):
+        if not (k == l == t):
             raise ParameterError("grouped scheme is defined only for K = L = T")
-        return build_code(params, gasp_grouped(params.k, g), f"grouped({g})")
+        return build_code(params, gasp_grouped(k, g), f"grouped({g})")
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
 def format_rate(rate: Fraction) -> str:
     """Render a rate with exactly three decimals, rounding half-up."""
+    check_type("rate", rate, Fraction)
     scaled = (2000 * rate.numerator + rate.denominator) // (2 * rate.denominator)
     return f"{scaled // 1000}.{scaled % 1000:03d}"

@@ -12,7 +12,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
-from test_oracles import det
+from test_oracles import det, is_mds, mask_matrix
 
 
 def fixture_code():
@@ -55,7 +55,7 @@ def test_plan_search_deterministic_and_bounded(monkeypatch):
     assert a == codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=4)
     # A field with room for more than MAX_CANDIDATES generators tries no
     # more; over F_1009 no g in 2..201 has g ** 2 == 1 or g == 1.
-    monkeypatch.setattr(gf, "is_power_mds", lambda p, points, exponents: False)
+    monkeypatch.setattr(gf, "is_power_mds", lambda p, g, n, exponents: False)
     with pytest.raises(PlanSearchError) as err:
         codec.find_evaluation_plan(code, PrimeFieldSpec(1009))
     assert err.value.attempts == codec.MAX_CANDIDATES == 200
@@ -92,15 +92,12 @@ def test_non_int_points_rejected():
             codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
 
 
-def _mask_matrix(p, points, exponents):
-    entries = tuple(pow(x, e, p) for e in exponents for x in points)
-    return FieldMatrix(len(exponents), len(points), entries)
-
-
 def test_mask_mds_matches_full_enumeration():
-    # Oracle grid: the O(N) certificate against every maximal minor.  Point
-    # sets hold 0 and, whenever gcd(d, p - 1) > 1, colliding d-th powers.
-    rng = random.Random(0)
+    # Oracle grid: gf.is_power_mds against the walk over every maximal
+    # minor, at every g in F_p: g = 0, whose points are 1, 0, 0, ..., g = 1,
+    # whose points all coincide, and every g of small order.  Exponent sets
+    # hold 0 or not, and are progressions or not; whenever
+    # gcd(d, p - 1) > 1, d-th powers collide.
     progressions = [
         tuple(e0 + d * i for i in range(t))
         for t in (1, 2, 3) for d in (1, 2, 3, 4) for e0 in (0, 1, 5)
@@ -111,32 +108,31 @@ def test_mask_mds_matches_full_enumeration():
         for exponents in progressions + others:
             t = len(exponents)
             for n in (t, t + 2):
-                if n > p:
-                    continue
-                point_sets = [tuple(range(n))]
-                point_sets += [tuple(rng.sample(range(p), n)) for _ in range(4)]
-                if n < p:
-                    point_sets.append(tuple(range(1, n + 1)))
-                for points in point_sets:
-                    expected = gf.is_mds(p, _mask_matrix(p, points, exponents))
-                    got = gf.is_power_mds(p, points, exponents)
-                    assert got == expected, (p, points, exponents)
-                    verdicts.add((expected, 0 in points, exponents in others))
-    # Passes and failures, with and without a zero point, on both paths.
-    assert verdicts == set(itertools.product((True, False), repeat=3))
+                for g in range(p):
+                    expected = is_mds(p, mask_matrix(p, g, n, exponents))
+                    got = gf.is_power_mds(p, g, n, exponents)
+                    assert got == expected, (p, g, n, exponents)
+                    verdicts.add((expected, min(g, 2), exponents in others, 0 in exponents))
+    # Passes and failures at g = 0, at g = 1 and at other g, with and
+    # without a zero exponent, on both paths, except where no matrix can
+    # pass: g = 1 with T >= 2, and g = 0 with T >= 3, which every
+    # non-progression has.
+    never = {(True, 1, True, zero) for zero in (False, True)}
+    never |= {(True, 0, True, zero) for zero in (False, True)}
+    assert verdicts == set(itertools.product((True, False), (0, 1, 2), (False, True), (False, True))) - never
     with pytest.raises(ParameterError):
-        gf.is_power_mds(7, (1, 2), (1, 2, 3))
+        gf.is_power_mds(7, 2, 2, (1, 2, 3))
 
 
 def _oracle_rejection(code, field, g):
     # The plan conditions by determinant and full minor enumeration.
-    p, exponents = field.p, code.exponents
-    points = tuple(pow(g, n, p) for n in range(code.n_servers))
+    p, exponents, n = field.p, code.exponents, code.n_servers
+    points = tuple(pow(g, j, p) for j in range(n))
     if det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
         return "gv"
-    if not gf.is_mds(p, _mask_matrix(p, points, code.alpha_masks)):
+    if not is_mds(p, mask_matrix(p, g, n, code.alpha_masks)):
         return "alpha_mds"
-    if not gf.is_mds(p, _mask_matrix(p, points, code.beta_masks)):
+    if not is_mds(p, mask_matrix(p, g, n, code.beta_masks)):
         return "beta_mds"
     return None
 
@@ -188,15 +184,13 @@ def test_every_plan_passes_the_audits():
 
 
 def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
-    # Counts the minor walk that gf.is_mds and gf.is_power_mds share, by
-    # shape, and whether it was anchored at column 0.
-    calls, anchors = [], []
+    # Counts the minor walk of gf.is_power_mds by shape.
+    calls = []
     walk = gf._mds_walk
 
-    def counting_walk(p, rows, anchored):
+    def counting_walk(p, rows):
         calls.append((len(rows), len(rows[0])))
-        anchors.append(anchored)
-        return walk(p, rows, anchored)
+        return walk(p, rows)
 
     monkeypatch.setattr(gf, "_mds_walk", counting_walk)
     small = code_for_scheme(SchemeParams(4, 4, 3), "small")
@@ -206,13 +200,12 @@ def test_plan_search_enumerates_minors_only_for_grouped_codes(monkeypatch):
     assert calls == []
 
     # The grouped alpha masks 16, 17, 20, 21 are no progression: one walk
-    # of the 4 x 36 mask matrix per generator, 2 to 21, anchored because
-    # the points g ** n are geometric; the beta masks 16..19 are a progression.
+    # of the 4 x 36 mask matrix per generator, 2 to 21; the beta masks
+    # 16..19 are a progression.
     grouped = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=2)
     grouped_plan = codec.find_evaluation_plan(grouped)
     assert grouped_plan.generator == 21
     assert calls == [(4, 36)] * 20
-    assert all(anchors)
 
     # The audit decides each side by the same function: the progression
     # certificate for both small-code sides, one walk for the grouped alpha side.
@@ -242,7 +235,7 @@ def test_fallback_field_only_when_the_default_field_refuses_a_grouped_code(monke
     # alone, and one whose alpha masks are not is rescanned once.
     fields = []
     # append returns None, so every mask check records its field and fails.
-    monkeypatch.setattr(gf, "is_power_mds", lambda p, points, exponents: fields.append(p))
+    monkeypatch.setattr(gf, "is_power_mds", lambda p, g, n, exponents: fields.append(p))
     progression = code_for_scheme(SchemeParams(4, 4, 4), "grouped", g=3)
     with pytest.raises(PlanSearchError):
         codec.find_evaluation_plan(progression)
@@ -251,6 +244,28 @@ def test_fallback_field_only_when_the_default_field_refuses_a_grouped_code(monke
     with pytest.raises(PlanSearchError):
         codec.find_evaluation_plan(code)
     assert set(fields) == {field.p, 13_915_081}
+
+
+# (K, G) -> (p, g) of the plan that plan search returns for the grouped
+# (K,K,K) code, recorded before the mask check took the generator.
+GROUPED_PLANS = {
+    (1, 1): (7, 2),
+    (2, 1): (113, 2), (2, 2): (127, 3),
+    (3, 1): (509, 2), (3, 2): (631, 3), (3, 3): (631, 3),
+    (4, 1): (1483, 2), (4, 2): (1447, 21), (4, 3): (1931, 2), (4, 4): (1931, 2),
+    (5, 1): (3433, 2), (5, 2): (13_915_081, 2), (5, 3): (21_846_059, 2),
+    (5, 4): (4591, 2), (5, 5): (4591, 2),
+}
+
+
+def test_grouped_plans_pinned():
+    # Every grouped code with K <= 5 and every G keeps its plan.
+    for k in range(1, 6):
+        for groups in range(1, k + 1):
+            code = code_for_scheme(SchemeParams(k, k, k), "grouped", g=groups)
+            plan = codec.find_evaluation_plan(code)
+            assert (plan.field.p, plan.generator) == GROUPED_PLANS[k, groups], (k, groups)
+    assert len(GROUPED_PLANS) == 15
 
 
 def test_default_field_heuristic():
@@ -734,7 +749,7 @@ def test_plan_soundness_reverify():
             p = plan.field.p
             assert det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
             for exps in (fresh.alpha_masks, fresh.beta_masks):
-                assert gf.is_mds(p, _mask_matrix(p, plan.points, exps))
+                assert is_mds(p, mask_matrix(p, plan.generator, fresh.n_servers, exps))
 
 
 def test_cost_examples():

@@ -11,7 +11,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_grouped
-from test_oracles import J_332, det, rows
+from test_oracles import J_332, det, is_mds, mask_matrix, rows
 
 # The largest prime below 2**62, the widest modulus a field admits.
 P62 = 2**62 - 57
@@ -88,16 +88,16 @@ def test_vandermonde_invertible_iff_distinct():
 def test_is_mds_examples():
     points = list(range(1, 19))
     p_matrix = _raw([[pow(x, 9, 29) for x in points], [pow(x, 12, 29) for x in points]])
-    assert gf.is_mds(29, p_matrix)
+    assert is_mds(29, p_matrix)
 
     with_zero_col = _raw([[1, 0, 2], [3, 0, 4]])
-    assert not gf.is_mds(7, with_zero_col)
+    assert not is_mds(7, with_zero_col)
 
     row = _raw([[1, 2, 3, 4, 5, 6]])
-    assert gf.is_mds(7, row)
+    assert is_mds(7, row)
 
     with pytest.raises(ParameterError):
-        gf.is_mds(7, _raw([[1], [2]]))
+        is_mds(7, _raw([[1], [2]]))
 
 
 def _vanishing_minors(p, m):
@@ -169,7 +169,7 @@ def test_is_mds_agrees_with_direct_enumeration():
             columns = _lift(p, columns, rng)
         m = _from_columns(columns)
         expected = not _vanishing_minors(p, m)
-        assert gf.is_mds(p, m) == expected, (p, columns)
+        assert is_mds(p, m) == expected, (p, columns)
         verdicts.add((m.rows, m.rows == m.cols, expected))
     # Passes and failures at every T, with T < N and with T = N.
     assert verdicts == set(itertools.product(range(1, 6), (False, True), (False, True)))
@@ -191,7 +191,7 @@ def test_is_mds_finds_the_last_minor(p, t, n):
             break
     else:
         pytest.fail("no matrix found whose only vanishing minor is the last")
-    assert not gf.is_mds(p, m)
+    assert not is_mds(p, m)
 
 
 def test_is_mds_refuses_a_walk_over_budget():
@@ -199,18 +199,19 @@ def test_is_mds_refuses_a_walk_over_budget():
     # before the walk: a zero first column would end it at the first node.
     wide = FieldMatrix(10, 60, (0,) * 600)
     with pytest.raises(BudgetExceededError, match=f"budget is {gf.MDS_WALK_BUDGET}$"):
-        gf.is_mds(7, wide)
+        is_mds(7, wide)
 
 
 def test_is_mds_takes_no_determinant():
-    # The library has no determinant; the one elimination is the tests' oracle.
-    assert not hasattr(gf, "det")
+    # The library has no determinant and no check of an arbitrary matrix:
+    # the elimination and the walk over all subsets are the tests' oracles.
+    assert not any(hasattr(gf, name) for name in ("det", "is_mds", "_is_geometric"))
     p, points = 1483, range(1, 40)
-    assert gf.is_mds(p, _raw([[pow(x, e, p) for x in points] for e in range(4)]))
+    assert is_mds(p, _raw([[pow(x, e, p) for x in points] for e in range(4)]))
 
 
 def test_anchored_walk_matches_full_walk(monkeypatch):
-    # gf.is_power_mds against the full walk of gf.is_mds on geometric
+    # gf.is_power_mds against the oracle's walk over all subsets, on the
     # points g ** 0 .. g ** (N - 1), g = 2 .. 13, over three fields, for
     # the alpha masks of every grouped code with K <= 5 and G = 2 .. K - 1.
     # N is the code's server count up to K = 4; the K = 5 masks take
@@ -222,9 +223,9 @@ def test_anchored_walk_matches_full_walk(monkeypatch):
     walks = []
     walk = gf._mds_walk
 
-    def spy(p, rows, anchored):
-        walks.append(anchored)
-        return walk(p, rows, anchored)
+    def spy(p, rows):
+        walks.append(len(rows))
+        return walk(p, rows)
 
     monkeypatch.setattr(gf, "_mds_walk", spy)
     verdicts = set()
@@ -235,18 +236,17 @@ def test_anchored_walk_matches_full_walk(monkeypatch):
             for n in (n_code,) if k < 5 else (12, 20):
                 for p in (31, 1447, 13_915_081):
                     for g in range(2, 14):
-                        points = tuple(pow(g, i, p) for i in range(n))
-                        rows = tuple(pow(x, e, p) for e in masks for x in points)
-                        expected = gf.is_mds(p, FieldMatrix(k, n, rows))
+                        expected = is_mds(p, mask_matrix(p, g, n, masks))
                         del walks[:]
-                        got = gf.is_power_mds(p, points, masks)
+                        got = gf.is_power_mds(p, g, n, masks)
                         assert got == expected, (k, groups, n, p, g)
-                        path = "certificate" if not walks else walks == [True]
-                        verdicts.add((path, expected, len(set(points)) < n))
-    # The anchored walk passes, fails on distinct points and fails on
-    # repeated ones; no walk on these points goes unanchored.
-    assert {(True, True, False), (True, False, False), (True, False, True)} <= verdicts
-    assert {path for path, _, _ in verdicts} == {True, "certificate"}
+                        assert walks in ([], [k])
+                        path = "walk" if walks else "certificate"
+                        repeated = len({pow(g, i, p) for i in range(n)}) < n
+                        verdicts.add((path, expected, repeated))
+    # The walk passes, fails on distinct points and fails on repeated ones.
+    assert {("walk", True, False), ("walk", False, False), ("walk", False, True)} <= verdicts
+    assert {path for path, _, _ in verdicts} == {"walk", "certificate"}
 
 
 def test_anchored_walk_decides_a_matrix_over_the_full_walk_budget():
@@ -258,10 +258,50 @@ def test_anchored_walk_decides_a_matrix_over_the_full_walk_budget():
     n = code_for_scheme(SchemeParams(6, 6, 6), "grouped", g=4).n_servers
     p = gf.next_prime(4 * math.comb(n, 6))
     assert (n, p) == (84, 1_625_926_193)
-    points = tuple(pow(2, i, p) for i in range(n))
-    assert gf.is_power_mds(p, points, masks)
+    assert gf.is_power_mds(p, 2, n, masks)
     with pytest.raises(BudgetExceededError):
-        gf.is_mds(p, FieldMatrix(6, n, tuple(pow(x, e, p) for e in masks for x in points)))
+        is_mds(p, mask_matrix(p, 2, n, masks))
+
+
+def test_anchored_walk_refuses_a_walk_over_budget():
+    # The (7,7,7) G = 2 alpha masks over N = 98 points: even anchored at
+    # column 0 the walk costs C(97, 4) * 98, about 3.4e8 steps.  g = 0
+    # is decided directly and never walks, so it has no budget to exceed.
+    masks = gasp_grouped(7, 2).alpha[7:]
+    with pytest.raises(BudgetExceededError, match=f"budget is {gf.MDS_WALK_BUDGET}$"):
+        gf.is_power_mds(1_000_003, 2, 98, masks)
+    assert not gf.is_power_mds(1_000_003, 0, 98, masks)
+
+
+@pytest.mark.parametrize("p", [1_625_926_193, 2**61 - 1])
+def test_walk_leaf_matches_minors_at_large_p(p):
+    # A first column (1, 0, 0) is the pivot with nothing to eliminate, so
+    # the walk's only leaf gets rows 1 and 2 after column 0 as its u and v.
+    # Its verdict must be that every 3 x 3 minor on columns {0, c, d} is
+    # nonzero, for leaves whose v holds no zero, one zero or two zeros,
+    # with keys that are distinct or that collide.
+    rng = random.Random(p % 1000)
+    verdicts = set()
+    for zeros in (0, 1, 2):
+        for collide in (False, True):
+            for _ in range(10):
+                m = rng.randrange(4, 12)
+                u = [rng.randrange(1, p) for _ in range(m)]
+                v = [rng.randrange(1, p) for _ in range(m)]
+                for c in rng.sample(range(m), zeros):
+                    v[c] = 0
+                if collide:
+                    c, d = rng.sample([i for i in range(m) if v[i]], 2)
+                    scale = rng.randrange(2, p)
+                    u[d], v[d] = u[c] * scale % p, v[c] * scale % p
+                rows = [[1] + [rng.randrange(p) for _ in range(m)], [0] + u, [0] + v]
+                expected = all(
+                    det(p, FieldMatrix(3, 3, tuple(row[j] for row in rows for j in (0, c, d))))
+                    for c, d in itertools.combinations(range(1, m + 1), 2)
+                )
+                assert gf._mds_walk(p, rows) == expected, (zeros, collide, u, v)
+                verdicts.add((zeros, expected))
+    assert verdicts == {(0, True), (0, False), (1, True), (1, False), (2, False)}
 
 
 def _triple_loop(p, a, b):

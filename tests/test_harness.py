@@ -11,7 +11,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
-from test_oracles import det
+from test_oracles import det, is_mds
 
 
 def _matrix(rows):
@@ -174,8 +174,9 @@ def test_mds_audit_matches_oracle_at_every_generator():
     # Every g in range(p), including g = 0 and generators of small order, at
     # the four smallest primes above N.  The oracle rebuilds the points and
     # the term set itself, eliminates the full GV matrix to its determinant
-    # and takes the minor walk of gf.is_mds on each mask side.  The grouped (4,4,4), G = 2
-    # alpha masks 16, 17, 20, 21 are no progression, so the audit walks them.
+    # and walks every minor of each mask side with the oracle's is_mds.  The
+    # grouped (4,4,4), G = 2 alpha masks 16, 17, 20, 21 are no progression,
+    # so the audit walks them.
     codes = [code_for_scheme(SchemeParams(2, 2, 2), s) for s in ("small", "big")]
     codes += [code_for_scheme(SchemeParams(k, k, k), "grouped", g=2) for k in (3, 4)]
     verdicts = set()
@@ -192,7 +193,7 @@ def test_mds_audit_matches_oracle_at_every_generator():
                          for side in (code.alpha_masks, code.beta_masks)]
                 expected = (
                     det(p, _matrix(gv)) != 0,
-                    *(gf.is_mds(p, _matrix(rows)) for rows in masks),
+                    *(is_mds(p, _matrix(rows)) for rows in masks),
                 )
                 report = harness.mds_audit(code, EvaluationPlan(PrimeFieldSpec(p), g, exponents))
                 got = (report.gv_det_nonzero, report.p_mds, report.q_mds)

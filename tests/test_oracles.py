@@ -6,6 +6,13 @@ takes no determinant anywhere.  The tests check that decision, in plan
 search, the decoder and ``harness.mds_audit``, against ``det`` here, and
 compare matrices with literals through ``rows``.
 
+``is_mds`` decides whether every maximal minor of any matrix is nonzero
+by walking all its column subsets.  The library's mask check,
+``gf.is_power_mds``, takes a generator instead of a matrix and walks only
+the subsets that hold column 0; the tests check it, with plan search and
+``harness.mds_audit``, against ``is_mds`` here, and ``is_mds`` against
+``det`` on every minor.
+
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
 multisets.  ``harness.exhaustive_privacy_audit`` computes one side's
@@ -15,6 +22,7 @@ product; its verdicts are checked against this one here.
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
@@ -23,7 +31,7 @@ import pytest
 from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
-from gasp.errors import ParameterError
+from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme
 
@@ -60,6 +68,70 @@ def det(p: int, m: FieldMatrix) -> int:
                 for c2 in range(col, n):
                     row_r[c2] = (row_r[c2] - factor * row_c[c2]) % p
     return result
+
+
+def is_mds(p: int, m: FieldMatrix) -> bool:
+    """True iff every maximal (rows x rows) minor of m has nonzero determinant.
+
+    Every T-subset of the N columns is decided exactly.  The subsets are
+    walked depth first in lexicographic order, and subsets with a common
+    prefix share its elimination.  At depth d the walk has chosen d
+    linearly independent columns S and holds a basis of the T - d vectors
+    orthogonal to all of them, starting from the identity basis, each
+    vector v kept as the row v @ m of its dots with the columns that may
+    still be chosen.  If every dot with a column c is zero, c lies in
+    span(S), so some T-subset holding S and c is singular; otherwise the
+    first nonzero dot is the pivot, and eliminating it leaves a basis
+    orthogonal to S and c.  With two vectors u, v left, det[S, c, d] is
+    nonzero iff (u_c, v_c) and (u_d, v_d) are not parallel: no pair may
+    be (0, 0), and the keys u_c / v_c (p when v_c = 0) must be distinct.
+    T = 1 asks only that no entry is zero.
+
+    The walk costs about C(N, T - 2) * N entry steps and is refused above
+    ``gf.MDS_WALK_BUDGET``, as the library's walk is.  Entries may be any
+    ints; they are reduced mod p first.
+    """
+    t, n = m.rows, m.cols
+    if t > n:
+        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    cost = math.comb(n, max(t - 2, 0)) * n
+    if cost > gf.MDS_WALK_BUDGET:
+        raise BudgetExceededError(
+            f"MDS check of {t} x {n} needs {cost} steps, budget is {gf.MDS_WALK_BUDGET}"
+        )
+
+    def extend(rows):
+        if len(rows) == 1:
+            return 0 not in rows[0]
+        if len(rows) == 2:
+            u, v = rows
+            if 0 in map(operator.or_, u, v):
+                return False
+            keys = [x * pow(y, -1, p) % p if y else p for x, y in zip(u, v)]
+            return len(set(keys)) == len(keys)
+        return all(choose(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
+
+    def choose(rows, c):
+        dots = [row[c] for row in rows]
+        k = next((i for i, x in enumerate(dots) if x), None)
+        if k is None:
+            return False
+        tail = rows[k][c + 1:]
+        inv_pv = pow(dots[k], -1, p)
+        rest = []
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = dots[i] * inv_pv % p
+                rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
+        return extend(rest)
+
+    return extend([[e % p for e in m.row(i)] for i in range(t)])
+
+
+def mask_matrix(p: int, g: int, n: int, exponents) -> FieldMatrix:
+    """The power matrix [(g ** j) ** e mod p], a row per exponent e and a column per j < n."""
+    points = [pow(g, j, p) for j in range(n)]
+    return FieldMatrix(len(exponents), n, tuple(pow(x, e, p) for e in exponents for x in points))
 
 
 def test_det_reference_value():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gasp
 from gasp.degree_table import SchemeParams, count_terms, outer_sum, terms
 from gasp.errors import ParameterError
 from gasp.schemes import (
@@ -345,3 +346,27 @@ def test_code_for_scheme_rejects_bad_input():
             code_for_scheme(SchemeParams(3, 3, 3), "grouped", g=g)
     with pytest.raises(ParameterError):
         gasp_grouped(3.0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, args, arg",
+    [
+        ("default_field", (None,), "code"),
+        ("format_rate", (None,), "rate"),
+        ("gasp_auto", (None,), "params"),
+        ("gasp_big", (None,), "params"),
+        ("gasp_small", (None,), "params"),
+        ("n_big_closed", (None,), "params"),
+        ("n_gap_free", (None,), "params"),
+        ("n_small_closed", (None,), "params"),
+        ("rate_r2", (None,), "params"),
+        ("rate_report", (None,), "params"),
+        ("terms", (None,), "table"),
+        ("download_rate", (None, 3), "params"),
+    ],
+)
+def test_none_argument_raises_parameter_error(name, args, arg):
+    # Each of these used to fail on None with a bare AttributeError or,
+    # for terms, a bare TypeError.
+    with pytest.raises(ParameterError, match=f"^{arg} must be a [A-Za-z]+, got NoneType$"):
+        getattr(gasp, name)(*args)
