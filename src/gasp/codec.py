@@ -106,8 +106,8 @@ class EvaluationPlan:
 
     @property
     def points(self) -> tuple[int, ...]:
-        """The evaluation points g ** 0, ..., g ** (N-1), one per server."""
-        return _powers(self.field.p, self.generator, range(len(self.exponents)))
+        """The evaluation points g ** 0, ..., g ** (N-1), one per server, by running products."""
+        return tuple(gf._geometric(self.field.p, self.generator, len(self.exponents)))
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,26 @@ the ratios of those rows are distinct.  The tests keep the walk over all
 subsets of any matrix as their oracle.
 
 ``mat_mul`` computes the user's encode, every server's product and the
-decode.  Except on narrow shapes it multiplies by Kronecker substitution.
-Both operands are first reduced mod p.  Row k of b becomes one Python
-int whose slot j, ``width`` bytes wide, holds b[k][j]; row i of the
-product is then the single sum of big-integer products
-a[i][0]*packed[0] + ... + a[i][m-1]*packed[m-1], which CPython computes
-in C.  Slot j of that sum is exactly a[i][0]*b[0][j] + ... +
-a[i][m-1]*b[m-1][j]: every term lies in [0, (p-1)**2], so a slot never
-exceeds m*(p-1)**2, and the slots are byte-aligned and wide enough to
-hold that bound.  No slot carries into the next, and no term is
-negative, so none borrows from it.  One ``to_bytes`` call unpacks a row
-and each slot is reduced mod p.  The width is rounded up to 1, 2, 4 or 8
-bytes, so ``array`` packs the slots and ``memoryview.cast`` reads them
-back.  A bound that needs more than 8 bytes, m*(p-1)**2 >= 2**64 (p
-above about 2**32 / sqrt(m)), sends the product to the schoolbook loop.
+decode.  Except on narrow shapes it multiplies by Kronecker substitution,
+for every modulus p < 2**62.  Row k of b becomes one Python int whose
+slot j, ``width`` bytes wide, holds b[k][j]; row i of the product is then
+the single sum of big-integer products a[i][0]*packed[0] + ... +
+a[i][m-1]*packed[m-1], which CPython computes in C.  If every entry of a
+lies in [0, A] and every entry of b in [0, B], slot j of that sum is
+exactly a[i][0]*b[0][j] + ... + a[i][m-1]*b[m-1][j], since each term lies
+in [0, A*B], a slot never exceeds m*A*B, and ``width`` is the exact byte
+count of m*A*B.  No slot carries into the next, and no term is negative,
+so none borrows from it.  The operands are taken as they are when
+``array('Q')`` accepts all their entries and every entry's bytes stay
+within those of p - 1: no byte above p - 1's top byte, and that byte no
+larger than p - 1's.  A and B are then the largest such int,
+(t + 1) * 256**(k - 1) - 1 for p - 1 of k bytes with top byte t, which
+is below 2 * p.  Otherwise both operands are reduced mod p first, and
+A = B = p - 1.  The product rows are joined into one little-endian
+buffer and each slot is reduced mod p once.  Slots of 1, 2 or 4 bytes
+are read as they are, others are copied into whole 8-byte words, and a
+slot of several words is combined as the sum of word_i * (2**(64*i) mod
+p) before its one mod.
 """
 
 from __future__ import annotations
@@ -54,11 +60,6 @@ _MODULUS_LIMIT = 1 << MODULUS_BITS
 # mat_mul packs b when a has at least two rows and b at least this many
 # columns; its docstring gives the measurements behind the number.
 _PACK_MIN_COLS = 8
-# Slot widths in bytes that ``array`` packs and ``memoryview.cast`` unpacks,
-# and the bound the widest of them, 8 bytes, holds.
-_SLOT_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
-_SLOT_LIMIT = 1 << 64
-_BYTE_ORDER = sys.byteorder
 
 # is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
 MDS_WALK_BUDGET = 10**8
@@ -138,67 +139,129 @@ class FieldMatrix:
 
 
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Product a @ b mod p; entries of a and b may be any ints.
+    """Product a @ b mod p, for 2 <= p < 2**62; entries of a and b may be any ints.
 
     Shapes where a has one row or b has fewer than ``_PACK_MIN_COLS`` = 8
     columns take the schoolbook branch: each entry is one row of a dotted
-    with one column of b, then reduced.  So do products whose slot bound
-    m*(p-1)**2 does not fit in 8 bytes.  All other shapes take the packed
-    branch described in the module docstring.
+    with one column of b, then reduced.  All other shapes take the packed
+    branch described in the module docstring, whatever the modulus.
 
-    Why that rule: packing costs about one step per entry of b and of the
-    product on top of the m big-integer terms per row, so it pays only when
-    each packed row serves several rows of a and holds several columns.
-    With one row in a, packing b alone touches every entry of b once,
-    which is all the work the schoolbook branch does.  Measured on
-    CPython 3.11 (2 CPUs), schoolbook time over packed time at
-    p = 11,383, by rows of a and q = columns of b, geometric mean over
+    Why that rule: packing costs about one step per entry of a, of b and
+    of the product on top of the m big-integer terms per row, so it pays
+    only when each packed row serves several rows of a and holds several
+    columns.  With one row in a, packing b alone touches every entry of b
+    once, which is all the work the schoolbook branch does.  Measured on
+    CPython 3.11 (2 CPUs, shared host), schoolbook time over packed time
+    at p = 11,383, by rows of a and q = columns of b, geometric mean over
     m = columns of a in {1, 2, 8, 64}:
 
     ========  =====  =====  =====  =====  =====
     rows(a)   q = 4  q = 6  q = 8  q = 16 q = 64
     ========  =====  =====  =====  =====  =====
-    1          0.58   0.69   0.73   0.91   1.33
-    2          0.68   0.84   0.80   1.33   2.05
-    3          0.68   1.00   1.14   1.55   2.28
-    16         0.95   1.10   1.44   2.11   3.63
+    1          0.38   0.46   0.50   0.74   1.67
+    2          0.53   0.62   0.73   1.08   2.10
+    3          0.59   0.74   1.00   1.26   2.65
+    16         0.98   1.56   1.71   2.62   4.47
     ========  =====  =====  =====  =====  =====
 
-    The boundary is not sharp: 2 rows by 8 columns still lose 20%, and
-    16 rows by 6 columns would gain 10%; one column count keeps the rule a
-    single constant.  At p = 7 the numbers are within about 25% of these.
-    The protocol's large products gain most: at (K, L, T) = (8, 8, 2),
-    p = 11,383, best of 5, encode (83x10 by 10x1024) ran 6.2x faster than
-    the schoolbook loop, a server's 16x64 by 64x16 product 2.6x and decode
-    (64x83 by 83x256) 5.8x.  The exhaustive audit computes one side's
-    shares under all M mask stacks of a secret in one product, whose
-    columns are M times a block's entries, so it packs once that reaches
-    8.  The schoolbook side keeps the 2x2 products of small sessions, the
-    audit's products with masks pinned to zero and moduli above about
-    2**32 / sqrt(m), which no workload here uses.
+    Repeated runs differ by up to about 15%.  The boundary is not sharp:
+    2 rows by 8 columns lose about 25%, and 16 rows by 6 columns would
+    gain about 50%; one column count keeps the rule a single constant.
+    At p = 2**61 - 1, whose slots take two or three words, the ratios at
+    2 and 3 rows are within about 15% of these, and at 16 rows they fall
+    to about 80% at q = 16 and half at q = 64.  The protocol's large
+    products gain most.  Best of 5, at (K, L, T) = (8, 8, 2), encode
+    (83x10 by 10x1024) ran 6.4x faster than the schoolbook loop at
+    p = 11,383 and 3.3x at p = 2**61 - 1, a server's 16x64 by 64x16
+    product 3.1x and 3.6x, and decode (64x83 by 83x256) 7.9x and 5.0x.
+    The exhaustive audit computes one side's shares under all M
+    mask stacks of a secret in one product, whose columns are M times a
+    block's entries, so it packs once that reaches 8.  The schoolbook
+    side keeps the 2x2 products of small sessions and the audit's
+    products with masks pinned to zero.
     """
     if a.cols != b.rows:
         raise ParameterError("shape mismatch in matrix product")
     n, m, q = a.rows, a.cols, b.cols
-    # Every product entry sums m terms of at most (p-1)**2; the bound is
-    # computed only for shapes that may pack.
-    if n < 2 or q < _PACK_MIN_COLS or (bound := m * (p - 1) ** 2) >= _SLOT_LIMIT:
+    if n < 2 or q < _PACK_MIN_COLS:
         a_rows = [a.row(i) for i in range(n)]
         b_cols = [b.entries[j::q] for j in range(q)]
         entries = tuple(sum(map(operator.mul, row, col)) % p for row in a_rows for col in b_cols)
         return FieldMatrix(n, q, entries)
-    a_entries = [e % p for e in a.entries]
-    # Bytes per slot, rounded up to a power of two.
-    width = 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
-    code = _SLOT_TYPECODES[width]
-    slots = array(code, [e % p for e in b.entries]).tobytes()
+    # a's entries, then b's; each is at most bound.
+    entries, words, bound = _operands(p, a.entries + b.entries)
+    width = ((m * bound * bound).bit_length() + 7) // 8
+    # Slot k of the packed rows holds entry k of b: the low bytes of its
+    # 8-byte word, those within p - 1's.  Its higher bytes are zero.
+    slots = bytearray(m * q * width)
+    start = 8 * n * m
+    for j in range(((p - 1).bit_length() + 7) // 8):
+        slots[j::width] = words[start + j::8]
     step = q * width
-    packed = [int.from_bytes(slots[k:k + step], _BYTE_ORDER) for k in range(0, m * step, step)]
-    entries = []
-    for i in range(0, n * m, m):
-        row = sum(map(operator.mul, a_entries[i:i + m], packed)).to_bytes(step, _BYTE_ORDER)
-        entries.extend(map(operator.mod, memoryview(row).cast(code), itertools.repeat(p)))
-    return FieldMatrix(n, q, tuple(entries))
+    view = memoryview(slots)
+    packed = [int.from_bytes(view[k:k + step], "little") for k in range(0, m * step, step)]
+    product = b"".join(
+        sum(map(operator.mul, entries[i:i + m], packed)).to_bytes(step, "little")
+        for i in range(0, n * m, m)
+    )
+    return FieldMatrix(n, q, _unpack(p, product, width))
+
+
+def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]:
+    """The entries, their little-endian 8-byte words and a bound on them.
+
+    The entries are kept as they are when ``array('Q')`` accepts them and
+    their bytes stay within those of p - 1, which one ``translate`` per
+    byte column decides in C; the bound is then the largest int whose
+    bytes do.  Otherwise they are reduced mod p and the bound is p - 1.
+    """
+    size = ((p - 1).bit_length() + 7) // 8
+    shift = 8 * (size - 1)
+    top = (p - 1) >> shift
+    try:
+        raw = _little_endian(array("Q", entries)).tobytes()
+    except OverflowError:
+        pass  # an entry below 0 or at least 2**64
+    else:
+        if not raw[size - 1::8].translate(None, bytes(range(top + 1))) and not any(
+            raw[j::8].translate(None, b"\0") for j in range(size, 8)
+        ):
+            return entries, raw, ((top + 1) << shift) - 1
+    entries = list(map(operator.mod, entries, itertools.repeat(p)))
+    return entries, _little_endian(array("Q", entries)).tobytes(), p - 1
+
+
+def _little_endian(words: array) -> array:
+    """``words`` with little-endian items, the byte order of packed slots."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _unpack(p: int, data: bytes, width: int) -> tuple[int, ...]:
+    """The little-endian ``width``-byte slots of ``data``, each reduced mod p."""
+    if width in (1, 2, 4):
+        # The unsigned 1-, 2- and 4-byte array codes.
+        code, per = "BHI"[width // 2], 1
+    else:
+        # Each slot becomes ``per`` whole 8-byte words, low word first.
+        code, per = "Q", (width + 7) // 8
+        stride = 8 * per
+        if width < stride:
+            words = bytearray(len(data) // width * stride)
+            for j in range(width):
+                words[j::stride] = data[j::width]
+            data = words
+    # A view of the buffer on a little-endian host, a swapped copy elsewhere.
+    if sys.byteorder == "little":
+        words = memoryview(data).cast(code)
+    else:
+        words = _little_endian(array(code, data))
+    slots = words[::per]
+    for i in range(1, per):
+        weight = pow(2, 64 * i, p)
+        slots = map(operator.add, slots, map(operator.mul, words[i::per], itertools.repeat(weight)))
+    return tuple(map(operator.mod, slots, itertools.repeat(p)))
 
 
 def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:

@@ -32,6 +32,17 @@ def test_fixture_plan_accepted():
     assert harness.mds_audit(fixture_code(), plan).all_pass
 
 
+def test_plan_points_are_powers_of_the_generator():
+    # points is built by running products; each must equal one pow, at
+    # g = 0 (1, 0, 0, ...), g = 1 (all ones), g = p - 1 (alternating signs)
+    # and a generator of full order.
+    for p in (2, 7, 29, 11383, 2**61 - 1):
+        for g in sorted({0, 1, 2 % p, p - 1}):
+            for n in (1, 2, 3, 17, 64):
+                plan = codec.EvaluationPlan(PrimeFieldSpec(p), g, range(n))
+                assert plan.points == tuple(pow(g, j, p) for j in range(n)), (p, g, n)
+
+
 def test_plan_field_too_small():
     with pytest.raises(ParameterError):
         codec.find_evaluation_plan(fixture_code(), PrimeFieldSpec(17))

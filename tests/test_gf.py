@@ -315,8 +315,17 @@ def _triple_loop(p, a, b):
     return expected
 
 
-def _slot_bytes(p, m):
-    return ((m * (p - 1) ** 2).bit_length() + 7) // 8
+def _slot_bytes(p, m, bound=None):
+    # Bytes of the slot bound m * A * A for operands at most A, by default p - 1.
+    bound = p - 1 if bound is None else bound
+    return ((m * bound**2).bit_length() + 7) // 8
+
+
+def _byte_bound(p):
+    # The largest int whose bytes stay within those of p - 1: no byte above
+    # its top byte, and that byte no larger.  Operands up to it pack as given.
+    shift = 8 * (((p - 1).bit_length() + 7) // 8 - 1)
+    return ((((p - 1) >> shift) + 1) << shift) - 1
 
 
 def test_mat_mul_matches_triple_loop():
@@ -342,11 +351,10 @@ def test_mat_mul_matches_triple_loop():
         got = gf.mat_mul(11383, _raw(a), _raw(b))
         assert rows(got) == _triple_loop(11383, a, b), (n, m, q)
 
-    # Every slot width: 1 byte; 2 bytes; 3 and 4 bytes (4-byte slots); 5
-    # and 8 bytes (8-byte slots); wider, which takes the schoolbook branch.
+    # Slot bounds m*(p-1)**2 of 1, 2, 3, 4, 5, 8, 9 and 17 bytes; every
+    # width packs, the ones above 8 bytes in two or three 8-byte words.
     # Each width is checked on raw literals, entries shifted by multiples
-    # of p to lie above p - 1 or below 0, and on all-(p-1) operands, whose
-    # slot sums m*(p-1)**2 reach the bound the width is chosen for.
+    # of p to lie above p - 1 or below 0, and on all-(p-1) operands.
     widths = [(5, 15), (5, 16), (251, 1), (251, 2), (11383, 33), (11383, 83),
               (2**31 - 1, 4), (2**31 - 1, 5), (P62, 64)]
     assert [_slot_bytes(p, m) for p, m in widths] == [1, 2, 2, 3, 4, 5, 8, 9, 17]
@@ -358,6 +366,46 @@ def test_mat_mul_matches_triple_loop():
         assert rows(got) == _triple_loop(p, a, b), (p, m)
         top = gf.mat_mul(p, _raw([[p - 1] * m] * 3), _raw([[p - 1] * 9] * m))
         assert top.entries == (m % p,) * 27, (p, m)
+
+    # Every exact slot width from 1 to 17 bytes, with bounds just below and
+    # just above 2**64 (8 and 9 bytes) and 2**128 (16 and 17 bytes).
+    # Reduced operands and operands up to the byte bound A, those in [p, A]
+    # too, pack as given, so the slot bound is m*A*A; all-A operands reach
+    # it.  Operands with an entry above A, at or above 2**64 or below 0 are
+    # reduced first.  At (257, 255) and (11383, 33) m*A*A takes one byte
+    # more than m*(p-1)**2.
+    exact = [(5, 15), (139, 3), (4093, 1), (24571, 7), (257, 255), (131071, 64), (11383, 33),
+             (11862013, 2), (16777213, 83), (1912602623, 5), (1912602623, 6),
+             (21474836479, 9), (1099511627689, 1), (2199023255531, 33), (140737488355213, 4),
+             (1688849860263901, 6), (7036874417766359, 100), (648518346341351309, 3),
+             (2**61 - 1, 64), (2**61 - 1, 65), (P62, 64)]
+    got_widths = [_slot_bytes(p, m, _byte_bound(p)) for p, m in exact]
+    assert got_widths == [1, 2, 3, 4, 4, 5, 5, 6, 7, 8, 9, 9, 10, 11, 12, 13, 14, 15, 16, 17, 17]
+    assert [_slot_bytes(p, m) for p, m in ((257, 255), (11383, 33))] == [3, 4]
+    for p, m in exact:
+        bound = _byte_bound(p)
+        assert p - 1 <= bound < 2 * p, p
+        assert (bound.bit_length() + 7) // 8 == ((p - 1).bit_length() + 7) // 8, p
+        for lo, hi in ((0, p), (0, bound + 1), (p, bound + 1)):
+            if lo < hi:
+                a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(3)]
+                b = [[rng.randrange(lo, hi) for _ in range(9)] for _ in range(m)]
+                assert rows(gf.mat_mul(p, _raw(a), _raw(b))) == _triple_loop(p, a, b), (p, m)
+        for e in (bound, bound + 1):
+            top = gf.mat_mul(p, _raw([[e] * m] * 3), _raw([[e] * 9] * m))
+            assert top.entries == (m * e * e % p,) * 27, (p, m, e)
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
+        b = [[rng.randrange(p) for _ in range(9)] for _ in range(m)]
+        above = 256 ** ((bound.bit_length() + 7) // 8)  # a 1 in the byte above p - 1's
+        for outside in (bound + 1, above, 2**64 - 1, 2**64, 2**64 + p, 2**70 + 1, -1, -(2**64)):
+            for side in (0, 1):
+                given, want = ([[r[:] for r in x] for x in (a, b)] for _ in range(2))
+                given[side][-1][-1], want[side][-1][-1] = outside, outside % p
+                got = gf.mat_mul(p, _raw(given[0]), _raw(given[1]))
+                assert rows(got) == _triple_loop(p, *want), (p, m, outside, side)
+        zeros = gf.mat_mul(p, _raw([[0] * m] * 3), _raw([[0] * 9] * m))
+        assert zeros.entries == (0,) * 27, (p, m)
+        assert gf.mat_mul(p, _raw(a), _raw([[0] * 9] * m)).entries == (0,) * 27, (p, m)
 
     # All-(p-1) operands at the widest inner dimension, on both sides of
     # the column cut.

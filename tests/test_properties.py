@@ -49,14 +49,15 @@ def test_decode_inverts_encode(scheme, k, l, t, block_rows, inner, block_cols, s
     n=st.integers(1, 24),
     m=st.integers(1, 24),
     q=st.integers(1, 24),
-    entries=st.sampled_from(["reduced", "above", "below", "both"]),
+    entries=st.sampled_from(["reduced", "above", "below", "both", "huge"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mat_mul_matches_triple_loop_random_shapes(p, n, m, q, entries, seed):
     # Raw entries outside [0, p): both branches must reduce them.
     rng = random.Random(seed)
     lo, hi = {
-        "reduced": (0, p), "above": (0, 4 * p), "below": (-3 * p, p), "both": (-3 * p, 3 * p)
+        "reduced": (0, p), "above": (0, 4 * p), "below": (-3 * p, p), "both": (-3 * p, 3 * p),
+        "huge": (0, 2**70),
     }[entries]
     a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)]
     b = [[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)]
