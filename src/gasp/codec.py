@@ -54,6 +54,7 @@ from .errors import (
     ParameterError,
     PlanSearchError,
     SingularMatrixError,
+    check_int,
     check_positive,
     check_type,
 )
@@ -94,6 +95,7 @@ class EvaluationPlan:
 
     def __post_init__(self) -> None:
         check_type("field", self.field, PrimeFieldSpec)
+        check_type("exponents", self.exponents, Sequence)
         object.__setattr__(self, "exponents", tuple(self.exponents))
         # A float generator passes the range check, then breaks pow.
         if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
@@ -131,6 +133,8 @@ class ShareBundle:
     g_shares: tuple[FieldMatrix, ...]
 
     def __post_init__(self) -> None:
+        check_type("f_shares", self.f_shares, Sequence)
+        check_type("g_shares", self.g_shares, Sequence)
         if len(self.f_shares) != len(self.g_shares):
             raise ParameterError("share lists must have equal length")
 
@@ -167,8 +171,8 @@ def _powers(p: int, base: int, exponents) -> tuple[int, ...]:
     return tuple(pow(base, e, p) for e in exponents)
 
 
-def _distinct_nodes(p: int, generator: int, exponents) -> bool:
-    """True iff the nodes g ** e mod p, one per exponent e, are pairwise distinct.
+def _distinct_nodes(nodes: tuple[int, ...]) -> bool:
+    """True iff the nodes g ** e mod p (``_powers``) are pairwise distinct.
 
     The generalized Vandermonde matrix [(g ** n) ** e_j] is [y_j ** n],
     the ordinary Vandermonde matrix in the nodes y_j = g ** e_j, whose
@@ -176,7 +180,6 @@ def _distinct_nodes(p: int, generator: int, exponents) -> bool:
     no two nodes are equal.  Plan search, the decoder and
     ``harness.mds_audit`` all decide GV invertibility here, in O(N).
     """
-    nodes = _powers(p, generator, exponents)
     return len(set(nodes)) == len(nodes)
 
 
@@ -235,7 +238,7 @@ def _scan_generators(code: PolynomialCode, field: PrimeFieldSpec) -> EvaluationP
     rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
     candidates = range(2, min(p, 2 + MAX_CANDIDATES))
     for g in candidates:
-        if not _distinct_nodes(p, g, exponents):
+        if not _distinct_nodes(_powers(p, g, exponents)):
             reason = "gv"
         elif not gf.is_power_mds(p, g, n, code.alpha_masks):
             reason = "alpha_mds"
@@ -325,6 +328,7 @@ def encode(
     given as a :class:`MaskSet` via ``masks``.
     """
     _check_plan(code, plan)
+    check_int("seed", seed)
     p = plan.field.p
     params = code.params
     block_rows, block_cols = _block_sizes(code, shapes)
@@ -377,9 +381,9 @@ def _decoder(
     Colliding nodes make GV singular and raise :class:`SingularMatrixError`,
     which the cache does not keep.
     """
-    if not _distinct_nodes(p, generator, exponents):
-        raise SingularMatrixError("nodes g ** e collide: the Vandermonde matrix is singular")
     nodes = _powers(p, generator, exponents)
+    if not _distinct_nodes(nodes):
+        raise SingularMatrixError("nodes g ** e collide: the Vandermonde matrix is singular")
     master = [1]  # coefficients of P, lowest degree first
     for y in nodes:
         master = [(a - y * b) % p for a, b in zip([0] + master, master + [0])]

@@ -20,6 +20,7 @@ and the grouped sweep's bitmask count.  No library path calls it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_positive, check_type
@@ -49,9 +50,10 @@ class ExponentAssignment:
     beta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        for name, vec in (("alpha", self.alpha), ("beta", self.beta)):
+        for name in ("alpha", "beta"):
+            check_type(name, getattr(self, name), Sequence)
+            vec = tuple(getattr(self, name))
+            object.__setattr__(self, name, vec)
             if not vec:
                 raise ParameterError(f"{name} must be non-empty")
             if any(type(e) is not int or e < 0 for e in vec):
@@ -86,6 +88,8 @@ def outer_sum(
 def terms(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Distinct table entries, ascending: the term set J of the code."""
     check_type("table", table, tuple)
+    for row in table:
+        check_type("table row", row, tuple)
     return tuple(sorted({e for row in table for e in row}))
 
 

@@ -26,6 +26,12 @@ def check_positive(name: str, value) -> None:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_int(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an int, not a bool or float."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 class SingularMatrixError(GaspError, ArithmeticError):
     """A matrix inversion hit a singular matrix."""
 
@@ -39,6 +45,7 @@ class PlanSearchError(GaspError, RuntimeError):
     """
 
     def __init__(self, attempts: int, rejections: dict[str, int]):
+        check_type("rejections", rejections, dict)
         reasons = ", ".join(f"{name} {count}" for name, count in rejections.items() if count)
         message = f"no valid generator among {attempts} candidates"
         super().__init__(f"{message}: {reasons}" if reasons else message)

@@ -49,10 +49,11 @@ import itertools
 import operator
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, ParameterError, check_type
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -126,6 +127,7 @@ class FieldMatrix:
     def __post_init__(self) -> None:
         # Most callers pass a tuple already; copying it again is pure cost.
         if type(self.entries) is not tuple:
+            check_type("entries", self.entries, Sequence)
             object.__setattr__(self, "entries", tuple(self.entries))
         # A float dimension passes the checks below, then breaks slicing.
         rows, cols = self.rows, self.cols

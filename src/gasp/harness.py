@@ -47,7 +47,7 @@ from math import comb
 from . import codec, gf
 from .codec import BlockShapes, CostReport, EvaluationPlan, ShareBundle
 from .degree_table import SchemeParams
-from .errors import BudgetExceededError, ParameterError, VerificationError, check_type
+from .errors import BudgetExceededError, ParameterError, VerificationError, check_int, check_type
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode, code_for_scheme
 
@@ -116,6 +116,7 @@ def run_sdmm(
     ``decode``, and ``verify`` (the direct product check and the cost
     count).
     """
+    check_int("seed", seed)
     stage_seconds = {}
     clock = time.perf_counter()
 
@@ -172,7 +173,7 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     codec._check_plan(code, plan)
     p, g, n = plan.field.p, plan.generator, code.n_servers
     return MdsAuditReport(
-        gv_det_nonzero=codec._distinct_nodes(p, g, plan.exponents),
+        gv_det_nonzero=codec._distinct_nodes(codec._powers(p, g, plan.exponents)),
         p_mds=gf.is_power_mds(p, g, n, code.alpha_masks),
         q_mds=gf.is_power_mds(p, g, n, code.beta_masks),
     )

@@ -1,17 +1,26 @@
 """Exponent-vector constructions and their closed-form server counts.
 
-Two families are built here.  The "small" construction strides the mask
-exponents of the finer-partitioned side so that its cross terms collapse
-onto the coarse progression already present in the table; it wins when
-the collusion tolerance T is below min(K, L).  The "big" construction
-packs all mask exponents into one run of consecutive integers, which is
-better once T reaches min(K, L).  The grouped construction interpolates
-between the two for square problems (K = L = T) by splitting the mask
-exponents into G runs anchored at consecutive multiples of K.
+The big, small and grouped codes are one layout with three settings,
+built by ``_layout``.  A "unit" side of m blocks (m = K or L) holds the
+data exponents 0 .. m-1; the other side holds the multiples 0, m, 2m,
+... of m and the masks KL, ..., KL+T-1.  The unit side's masks are runs
+of consecutive integers in the gaps of the degree table, run (a, length)
+starting at KL + a*m:
 
-Server counts have closed forms for small and big (piecewise in K, L, T);
-the grouped family has none, and ``grouped_sweep`` counts it as a sumset
-of bitmasks.  ``optimize_gasp`` searches (K, L) on the closed forms in
+* big: the larger side is the unit side, with the one run (0, T); it is
+  better once T reaches min(K, L);
+* small: the smaller side is the unit side, with the T runs (i, 1), so
+  its cross terms collapse onto the coarse progression already in the
+  table; it wins when T < min(K, L);
+* grouped, for square problems K = L = T: alpha is the unit side, with
+  G runs (i, Q), Q = floor(K/G), then (G, R) when R = K - Q*G > 0.  It
+  interpolates between big (G = 1) and small (G = K).
+
+Server counts have closed forms for small and big, piecewise in K, L, T
+and symmetric in K and L, so each is written for one orientation (big
+over max(K, L) and min(K, L), small in ``_n_small``).  The grouped
+family has none, and ``grouped_sweep`` counts it as a sumset of
+bitmasks.  ``optimize_gasp`` searches (K, L) on the closed forms in
 ints, under a lower bound on both of them.  A built code carries its term
 set J from ``build_code``.  ``degree_table.count_terms`` is the
 brute-force oracle that the tests hold the closed forms and the grouped
@@ -101,6 +110,21 @@ def build_code(
     )
 
 
+def _layout(params: SchemeParams, unit_is_alpha: bool, runs) -> ExponentAssignment:
+    """The one GASP layout: a unit side, the multiples of its size, and mask runs.
+
+    The unit side (alpha if ``unit_is_alpha``, else beta) holds the data
+    exponents 0 .. m-1, m its block count, then for each run (a, length)
+    the masks KL + a*m, ..., KL + a*m + length - 1.  The other side holds
+    the multiples 0, m, 2m, ... of m, then the masks KL, ..., KL+T-1.
+    """
+    k, l, t = params.k, params.l, params.t
+    m, n = (k, l) if unit_is_alpha else (l, k)
+    unit = tuple(range(m)) + tuple(k * l + a * m + i for a, length in runs for i in range(length))
+    other = tuple(range(0, m * n, m)) + tuple(range(k * l, k * l + t))
+    return ExponentAssignment(unit, other) if unit_is_alpha else ExponentAssignment(other, unit)
+
+
 def gasp_big(params: SchemeParams) -> ExponentAssignment:
     """Masks on both sides are KL, KL+1, ..., KL+T-1.
 
@@ -108,14 +132,7 @@ def gasp_big(params: SchemeParams) -> ExponentAssignment:
     of K across the columns; for K < L the two progressions trade places.
     """
     k, l, t = _klt(params)
-    masks = tuple(k * l + i for i in range(t))
-    if l <= k:
-        alpha = tuple(range(k)) + masks
-        beta = tuple(k * j for j in range(l)) + masks
-    else:
-        alpha = tuple(l * i for i in range(k)) + masks
-        beta = tuple(range(l)) + masks
-    return ExponentAssignment(alpha, beta)
+    return _layout(params, l <= k, [(0, t)])
 
 
 def gasp_small(params: SchemeParams) -> ExponentAssignment:
@@ -125,21 +142,12 @@ def gasp_small(params: SchemeParams) -> ExponentAssignment:
     are KL, KL+1, ..., KL+T-1.  For L < K the roles swap.
     """
     k, l, t = _klt(params)
-    if k <= l:
-        alpha = tuple(range(k)) + tuple(k * l + k * i for i in range(t))
-        beta = tuple(k * j for j in range(l)) + tuple(k * l + i for i in range(t))
-    else:
-        alpha = tuple(l * i for i in range(k)) + tuple(k * l + i for i in range(t))
-        beta = tuple(range(l)) + tuple(k * l + l * i for i in range(t))
-    return ExponentAssignment(alpha, beta)
+    return _layout(params, k <= l, [(i, 1) for i in range(t)])
 
 
 def gasp_auto(params: SchemeParams) -> PolynomialCode:
     """Pick small for T < min(K, L), big otherwise, and build the code."""
-    k, l, t = _klt(params)
-    if t < min(k, l):
-        return build_code(params, gasp_small(params), "small")
-    return build_code(params, gasp_big(params), "big")
+    return code_for_scheme(params, "auto")
 
 
 def gasp_grouped(k: int, g: int) -> ExponentAssignment:
@@ -154,17 +162,13 @@ def gasp_grouped(k: int, g: int) -> ExponentAssignment:
     if type(k) is not int or type(g) is not int or not 1 <= g <= k:
         raise ParameterError(f"group count must be an int 1 <= G <= K, got G={g!r}, K={k!r}")
     q, r = divmod(k, g)
-    masks = [k * k + grp * k + i for grp in range(g) for i in range(q)]
-    masks += [k * k + g * k + i for i in range(r)]
-    alpha = tuple(range(k)) + tuple(masks)
-    beta = tuple(k * j for j in range(k)) + tuple(k * k + i for i in range(k))
-    return ExponentAssignment(alpha, beta)
+    runs = [(grp, q) for grp in range(g)] + [(g, r)] * (r > 0)
+    return _layout(SchemeParams(k, k, k), True, runs)
 
 
 def _n_big(k: int, l: int, t: int) -> int:
-    if l <= k:
-        return (k + t) * (l + 1) - 1 if t < k else 2 * k * l + 2 * t - 1
-    return (l + t) * (k + 1) - 1 if t < l else 2 * k * l + 2 * t - 1
+    hi, lo = max(k, l), min(k, l)
+    return (hi + t) * (lo + 1) - 1 if t < hi else 2 * k * l + 2 * t - 1
 
 
 def n_big_closed(params: SchemeParams) -> int:
@@ -172,9 +176,12 @@ def n_big_closed(params: SchemeParams) -> int:
     return _n_big(*_klt(params))
 
 
-def _n_small_oriented(k: int, l: int, t: int) -> int:
-    # Piecewise count for the k <= l orientation.  Branch boundaries meet:
-    # the floor term makes t = k and t = k(l-1)+1 agree across branches.
+def _n_small(k: int, l: int, t: int) -> int:
+    # The count is symmetric in K and L; the piecewise form is for k <= l.
+    # Branch boundaries meet: the floor term makes t = k and t = k(l-1)+1
+    # agree across branches.
+    if l < k:
+        k, l = l, k
     if l == 1:
         if t < k:
             return 2 * k + t * t
@@ -190,10 +197,7 @@ def _n_small_oriented(k: int, l: int, t: int) -> int:
 
 def n_small_closed(params: SchemeParams) -> int:
     """Closed-form server count of the small construction."""
-    k, l, t = _klt(params)
-    if k <= l:
-        return _n_small_oriented(k, l, t)
-    return _n_small_oriented(l, k, t)
+    return _n_small(*_klt(params))
 
 
 def download_rate(params: SchemeParams, n: int) -> Fraction:
@@ -278,7 +282,10 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     ties broken toward smaller K+L, then smaller K.  N and T must be ints
     with T >= 1 and N >= 2T+1, and then there is always an answer:
     (K, L) = (1, 1) needs n_big = 2T+1 <= N servers.  Rates are compared
-    by cross-multiplying ints; only the winner gets a ``Fraction``.
+    by cross-multiplying ints; only the winner gets a ``Fraction``.  Both
+    counts are symmetric in K and L, so a pair and its mirror image tie on
+    rate and on K+L, and the one with K <= L wins; the search walks only
+    L >= K.
 
     Every branch of both closed forms is at least B = (K+1)(L+1) + T - 2,
     so a pair fits only if B <= N, that is L <= (N+1-K-T) // (K+1), and
@@ -287,7 +294,7 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     * big, T < max(K, L): (T-1)*min(K, L), since for L <= K the count is
       (K+T)(L+1) - 1 and the other orientation is its mirror image;
     * big, T >= max(K, L): 2KL + 2T - 1 - B = (K-1)(L-1) + T - 1;
-    * small, in the orientation k <= l of ``_n_small_oriented`` (B is
+    * small, in the orientation k <= l of ``_n_small`` (B is
       symmetric in K and L):
       - l = 1: t*t - t for t < k, and k(t-1) for t >= k;
       - t = 1 < k: 0;
@@ -301,9 +308,8 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     _check_pool(n, t)
     best_k, best_l, best_n = 1, 1, _n_big(1, 1, t)
     for k in range(1, (n - t) // 2 + 1):
-        for l in range(1, (n + 1 - k - t) // (k + 1) + 1):
-            small = _n_small_oriented(k, l, t) if k <= l else _n_small_oriented(l, k, t)
-            n_used = min(small, _n_big(k, l, t))
+        for l in range(k, (n + 1 - k - t) // (k + 1) + 1):
+            n_used = min(_n_small(k, l, t), _n_big(k, l, t))
             if n_used > n:
                 continue
             gain = k * l * best_n - best_k * best_l * n_used
@@ -356,12 +362,12 @@ def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> 
     k, l, t = _klt(params)
     if g is not None and scheme != "grouped":
         raise ParameterError(f"a group count G applies only to the grouped scheme, not {scheme!r}")
+    if scheme == "auto":
+        scheme = "small" if t < min(k, l) else "big"
     if scheme == "small":
         return build_code(params, gasp_small(params), "small")
     if scheme == "big":
         return build_code(params, gasp_big(params), "big")
-    if scheme == "auto":
-        return gasp_auto(params)
     if scheme == "grouped":
         if g is None:
             raise ParameterError("grouped scheme needs a group count G")

@@ -13,6 +13,11 @@ the subsets that hold column 0; the tests check it, with plan search and
 ``harness.mds_audit``, against ``is_mds`` here, and ``is_mds`` against
 ``det`` on every minor.
 
+``gasp_big_oracle``, ``gasp_small_oracle`` and ``gasp_grouped_oracle``
+are the three mask constructions as first written, each laying out its
+own exponents and orientation.  The library builds all three from one
+layout, ``schemes._layout``; the tests check it against these.
+
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
 multisets.  ``harness.exhaustive_privacy_audit`` computes one side's
@@ -30,7 +35,7 @@ import pytest
 
 from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
-from gasp.degree_table import SchemeParams
+from gasp.degree_table import ExponentAssignment, SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme
@@ -132,6 +137,41 @@ def mask_matrix(p: int, g: int, n: int, exponents) -> FieldMatrix:
     """The power matrix [(g ** j) ** e mod p], a row per exponent e and a column per j < n."""
     points = [pow(g, j, p) for j in range(n)]
     return FieldMatrix(len(exponents), n, tuple(pow(x, e, p) for e in exponents for x in points))
+
+
+def gasp_big_oracle(params: SchemeParams) -> ExponentAssignment:
+    """``schemes.gasp_big`` as first written, each orientation spelled out."""
+    k, l, t = params.k, params.l, params.t
+    masks = tuple(k * l + i for i in range(t))
+    if l <= k:
+        alpha = tuple(range(k)) + masks
+        beta = tuple(k * j for j in range(l)) + masks
+    else:
+        alpha = tuple(l * i for i in range(k)) + masks
+        beta = tuple(range(l)) + masks
+    return ExponentAssignment(alpha, beta)
+
+
+def gasp_small_oracle(params: SchemeParams) -> ExponentAssignment:
+    """``schemes.gasp_small`` as first written, each orientation spelled out."""
+    k, l, t = params.k, params.l, params.t
+    if k <= l:
+        alpha = tuple(range(k)) + tuple(k * l + k * i for i in range(t))
+        beta = tuple(k * j for j in range(l)) + tuple(k * l + i for i in range(t))
+    else:
+        alpha = tuple(l * i for i in range(k)) + tuple(k * l + i for i in range(t))
+        beta = tuple(range(l)) + tuple(k * l + l * i for i in range(t))
+    return ExponentAssignment(alpha, beta)
+
+
+def gasp_grouped_oracle(k: int, g: int) -> ExponentAssignment:
+    """``schemes.gasp_grouped`` as first written: G runs of Q, then a run of R."""
+    q, r = divmod(k, g)
+    masks = [k * k + grp * k + i for grp in range(g) for i in range(q)]
+    masks += [k * k + g * k + i for i in range(r)]
+    alpha = tuple(range(k)) + tuple(masks)
+    beta = tuple(k * j for j in range(k)) + tuple(k * k + i for i in range(k))
+    return ExponentAssignment(alpha, beta)
 
 
 def test_det_reference_value():

@@ -26,6 +26,7 @@ from gasp.schemes import (
     rate_r2,
     rate_report,
 )
+from test_oracles import gasp_big_oracle, gasp_grouped_oracle, gasp_small_oracle
 
 
 def grid(max_kl=12):
@@ -88,6 +89,21 @@ def test_gasp_auto_choice():
     code = gasp_auto(SchemeParams(1, 1, 5))
     assert code.scheme_label == "big"
     assert code.n_servers == 11
+
+
+def test_layout_matches_oracles():
+    # The one layout against the three constructions as first written: big
+    # and small for every K, L <= 8 and T <= 11, grouped for every K <= 11
+    # and 1 <= G <= K.  CI runs a wider grid.
+    for k in range(1, 9):
+        for l in range(1, 9):
+            for t in range(1, 12):
+                params = SchemeParams(k, l, t)
+                assert gasp_big(params) == gasp_big_oracle(params), params
+                assert gasp_small(params) == gasp_small_oracle(params), params
+    for k in range(1, 12):
+        for g in range(1, k + 1):
+            assert gasp_grouped(k, g) == gasp_grouped_oracle(k, g), (k, g)
 
 
 def test_grouped_masks_published_values():
@@ -157,6 +173,12 @@ def test_closed_form_symmetry():
                 a, b = SchemeParams(k, l, t), SchemeParams(l, k, t)
                 assert n_big_closed(a) == n_big_closed(b)
                 assert n_small_closed(a) == n_small_closed(b)
+                # The big count as first written, one branch per orientation.
+                if l <= k:
+                    mirrored = (k + t) * (l + 1) - 1 if t < k else 2 * k * l + 2 * t - 1
+                else:
+                    mirrored = (l + t) * (k + 1) - 1 if t < l else 2 * k * l + 2 * t - 1
+                assert n_big_closed(a) == mirrored, a
 
 
 def test_dominance_and_small_beats_big():
