@@ -11,8 +11,9 @@ flattened row-major.  A side's T masks are T more blocks (one T-row
 stack, :class:`MaskSet`), so its data blocks followed by its masks form
 one stack, and all N shares of that side are a single product of the
 N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j),
-built by :func:`gf.generalized_vandermonde`, with that stack; row n is
-server n's share.  Decode stacks the N responses the same way.
+built by :func:`gf.generalized_vandermonde` from the plan's generator
+and N, with that stack; row n is server n's share.  Decode stacks the N
+responses the same way.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
 decode multiplies the response stack by the KL matching rows of the
 inverse generalized Vandermonde matrix.  Those prepared KL x N rows
@@ -300,12 +301,13 @@ def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
 
 
 def _shares(
-    p: int, points, exponents, data: FieldMatrix, masks: FieldMatrix, rows: int, cols: int
+    p: int, g: int, n: int, exponents, data: FieldMatrix, masks: FieldMatrix,
+    rows: int, cols: int,
 ) -> tuple[FieldMatrix, ...]:
-    """One side's shares: [x_n ** e_j] @ (data stack, then mask stack), one row per server."""
+    """One side's shares: [(g ** i) ** e_j] @ (data stack, then mask stack), row i for server i."""
     stack = FieldMatrix(len(exponents), data.cols, data.entries + masks.entries)
-    product = gf.mat_mul(p, gf.generalized_vandermonde(p, points, exponents), stack)
-    return tuple(FieldMatrix(rows, cols, product.row(n)) for n in range(product.rows))
+    product = gf.mat_mul(p, gf.generalized_vandermonde(p, g, n, exponents), stack)
+    return tuple(FieldMatrix(rows, cols, product.row(i)) for i in range(n))
 
 
 def encode(
@@ -344,13 +346,13 @@ def encode(
         _check_matrix("r_masks", masks.r_masks, params.t, r_size, p)
         _check_matrix("s_masks", masks.s_masks, params.t, s_size, p)
 
-    points = plan.points
+    g, n = plan.generator, code.n_servers
     f_shares = _shares(
-        p, points, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
+        p, g, n, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
         block_rows, shapes.s,
     )
     g_shares = _shares(
-        p, points, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
+        p, g, n, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
         shapes.s, block_cols,
     )
     return ShareBundle(plan.field, f_shares, g_shares)

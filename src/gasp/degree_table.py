@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ParameterError, check_positive, check_type
 
@@ -86,11 +87,18 @@ def outer_sum(
 
 
 def terms(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Distinct table entries, ascending: the term set J of the code."""
+    """Distinct table entries, ascending: the term set J of the code.
+
+    Entries must be nonnegative ints, as in :class:`ExponentAssignment`:
+    None would break the sort, and a float or bool would join J.
+    """
     check_type("table", table, tuple)
     for row in table:
         check_type("table row", row, tuple)
-    return tuple(sorted({e for row in table for e in row}))
+    entries = list(chain.from_iterable(table))
+    if set(map(type, entries)) - {int} or min(entries, default=0) < 0:
+        raise ParameterError("table entries must be nonnegative integers")
+    return tuple(sorted(set(entries)))
 
 
 def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:

@@ -17,7 +17,8 @@ def check_type(name: str, value, cls: type) -> None:
     attribute or ``len()`` with a bare ``AttributeError`` or ``TypeError``.
     """
     if not isinstance(value, cls):
-        raise ParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        kind = f"an {cls.__name__}" if cls.__name__[0] in "AEIOUaeiou" else f"a {cls.__name__}"
+        raise ParameterError(f"{name} must be {kind}, got {type(value).__name__}")
 
 
 def check_positive(name: str, value) -> None:

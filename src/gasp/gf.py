@@ -8,7 +8,10 @@ matrix is invertible is decided in O(N) by the node check in ``codec``,
 for plan search, the decoder and ``harness.mds_audit`` alike; the tests
 keep a determinant by elimination as the oracle for that check.
 ``generalized_vandermonde`` is the one builder of power matrices
-[x_n ** e_j] with a row per point: encode's two share matrices.
+[(g ** n) ** e_j] with a row per point g ** n: encode's two share
+matrices.  It builds each exponent's column by running products, the
+rows ``is_power_mds`` builds; the tests keep the builder over any
+points, one ``pow`` per entry, as its oracle.
 ``is_power_mds`` is the mask condition of a plan with generator g, for
 plan search and ``harness.mds_audit``: every maximal minor of
 [(g ** n) ** e_i] is nonzero.  It decides g = 0 directly, exponents in
@@ -21,15 +24,24 @@ the ratios of those rows are distinct.  The tests keep the walk over all
 subsets of any matrix as their oracle.
 
 ``mat_mul`` computes the user's encode, every server's product and the
-decode.  Except on narrow shapes it multiplies by Kronecker substitution,
-for every modulus p < 2**62.  Row k of b becomes one Python int whose
-slot j, ``width`` bytes wide, holds b[k][j]; row i of the product is then
-the single sum of big-integer products a[i][0]*packed[0] + ... +
-a[i][m-1]*packed[m-1], which CPython computes in C.  If every entry of a
-lies in [0, A] and every entry of b in [0, B], slot j of that sum is
-exactly a[i][0]*b[0][j] + ... + a[i][m-1]*b[m-1][j], since each term lies
-in [0, A*B], a slot never exceeds m*A*B, and ``width`` is the exact byte
-count of m*A*B.  No slot carries into the next, and no term is negative,
+decode.  Except on small products it multiplies by Kronecker
+substitution, for every modulus p < 2**62, and packs along the
+product's long side.  When a has no more rows than b has columns, row k
+of b becomes one Python int whose slot j, ``width`` bytes wide, holds
+b[k][j]; row i of the product is then the single sum of big-integer
+products a[i][0]*packed[0] + ... + a[i][m-1]*packed[m-1], which CPython
+computes in C.  When a is taller than b is wide, as encode's N x (K+T)
+power matrix and decode's KL x N rows are against blocks of fewer
+entries than there are servers, the same core computes b^T @ a^T, whose
+packed rows are a's columns, and the product is transposed back.  The
+operands are transposed by one slice per column and the product, which
+has only the short side's rows, by zipping them, all in C.  Either way
+the packed ints run along the long side and the sums number the short
+side.  If every
+entry of a lies in [0, A] and every entry of b in [0, B], slot j of that
+sum is exactly a[i][0]*b[0][j] + ... + a[i][m-1]*b[m-1][j], since each
+term lies in [0, A*B], a slot never exceeds m*A*B, and ``width`` is the
+exact byte count of m*A*B.  No slot carries into the next, and no term is negative,
 so none borrows from it.  The operands are taken as they are when
 ``array('Q')`` accepts all their entries and every entry's bytes stay
 within those of p - 1: no byte above p - 1's top byte, and that byte no
@@ -58,9 +70,9 @@ from .errors import BudgetExceededError, ParameterError, check_type
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
 
-# mat_mul packs b when a has at least two rows and b at least this many
-# columns; its docstring gives the measurements behind the number.
-_PACK_MIN_COLS = 8
+# mat_mul packs when the product has at least this many entries; its
+# docstring gives the measurements behind the number.
+_PACK_MIN_ENTRIES = 64
 
 # is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
 MDS_WALK_BUDGET = 10**8
@@ -143,53 +155,90 @@ class FieldMatrix:
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Product a @ b mod p, for 2 <= p < 2**62; entries of a and b may be any ints.
 
-    Shapes where a has one row or b has fewer than ``_PACK_MIN_COLS`` = 8
-    columns take the schoolbook branch: each entry is one row of a dotted
-    with one column of b, then reduced.  All other shapes take the packed
-    branch described in the module docstring, whatever the modulus.
+    Products of fewer than ``_PACK_MIN_ENTRIES`` = 64 entries take the
+    schoolbook branch: each entry is one row of a dotted with one column
+    of b, then reduced.  All others take the packed branch described in
+    the module docstring, whatever the modulus, packing b's rows when a
+    has no more rows than b has columns and a's columns otherwise.
 
-    Why that rule: packing costs about one step per entry of a, of b and
-    of the product on top of the m big-integer terms per row, so it pays
-    only when each packed row serves several rows of a and holds several
-    columns.  With one row in a, packing b alone touches every entry of b
-    once, which is all the work the schoolbook branch does.  Measured on
-    CPython 3.11 (2 CPUs, shared host), schoolbook time over packed time
-    at p = 11,383, by rows of a and q = columns of b, geometric mean over
-    m = columns of a in {1, 2, 8, 64}:
+    Why that rule: the schoolbook branch makes one Python-level dot
+    product per entry of the product, while the packed branch costs a
+    fixed set-up and one step per entry of a, of b and of the product,
+    all in C, on top of one big-integer term per entry of the short
+    operand; so what decides is the product's size.  Packing a's columns
+    adds the transposes and breaks even later than packing b's rows, at
+    about 64 entries, where the one rule is set.  Measured on CPython
+    3.11 (2 CPUs, shared host), schoolbook time over packed time by the
+    product's short side (rows of a, or columns of b) and long side,
+    geometric mean over m = columns of a in {1, 2, 8, 64}; each cell
+    reads "b's rows packed / a's columns packed", the short side being
+    a's rows in the first and b's columns in the second:
 
-    ========  =====  =====  =====  =====  =====
-    rows(a)   q = 4  q = 6  q = 8  q = 16 q = 64
-    ========  =====  =====  =====  =====  =====
-    1          0.38   0.46   0.50   0.74   1.67
-    2          0.53   0.62   0.73   1.08   2.10
-    3          0.59   0.74   1.00   1.26   2.65
-    16         0.98   1.56   1.71   2.62   4.47
-    ========  =====  =====  =====  =====  =====
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
+    p = 11,383
+    ---------------------------------------------------------------------------------
+    short  long 4       long 8       long 16      long 24      long 33      long 64
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
+    1      0.40 / 0.25  0.55 / 0.36  0.76 / 0.53  0.90 / 0.65  1.04 / 0.79  1.47 / 1.06
+    2      0.52 / 0.32  0.76 / 0.47  1.12 / 0.76  1.36 / 0.96  1.63 / 1.13  2.10 / 1.48
+    3      0.62 / 0.39  0.93 / 0.61  1.39 / 0.90  1.69 / 1.11  1.95 / 1.31  2.58 / 1.71
+    4      0.67 / 0.67  1.03 / 0.63  1.50 / 0.98  1.93 / 1.29  2.24 / 1.48  2.82 / 2.06
+    8                   1.35 / 1.42  2.05 / 1.38  2.55 / 1.70  2.87 / 2.02  3.61 / 2.67
+    16                               2.51 / 2.48  3.06 / 1.93  3.50 / 2.43  4.36 / 3.16
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
 
-    Repeated runs differ by up to about 15%.  The boundary is not sharp:
-    2 rows by 8 columns lose about 25%, and 16 rows by 6 columns would
-    gain about 50%; one column count keeps the rule a single constant.
-    At p = 2**61 - 1, whose slots take two or three words, the ratios at
-    2 and 3 rows are within about 15% of these, and at 16 rows they fall
-    to about 80% at q = 16 and half at q = 64.  The protocol's large
-    products gain most.  Best of 5, at (K, L, T) = (8, 8, 2), encode
-    (83x10 by 10x1024) ran 6.4x faster than the schoolbook loop at
-    p = 11,383 and 3.3x at p = 2**61 - 1, a server's 16x64 by 64x16
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
+    p = 2**61 - 1
+    ---------------------------------------------------------------------------------
+    short  long 4       long 8       long 16      long 24      long 33      long 64
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
+    1      0.43 / 0.29  0.65 / 0.43  0.79 / 0.64  0.93 / 0.74  0.98 / 0.82  1.23 / 0.98
+    2      0.60 / 0.41  0.87 / 0.68  1.10 / 0.88  1.41 / 1.00  1.45 / 1.10  1.61 / 1.47
+    3      0.76 / 0.60  1.06 / 0.79  1.21 / 1.12  1.52 / 1.18  1.64 / 1.34  1.79 / 1.40
+    4      0.79 / 0.82  1.13 / 0.85  1.48 / 1.16  1.64 / 1.50  1.81 / 1.51  1.73 / 1.76
+    8                   1.26 / 1.67  1.64 / 1.59  2.31 / 1.69  2.02 / 1.85  2.21 / 2.06
+    16                               2.05 / 2.17  2.29 / 2.03  2.18 / 1.67  2.57 / 2.32
+    =====  ===========  ===========  ===========  ===========  ===========  ===========
+
+    Repeated runs differ by up to about 15%, and square shapes (short =
+    long) take the same branch in both cells.  Packing a's columns breaks
+    even at 64 entries (0.98 to 1.16 at 1 by 64 and 4 by 16) and gains
+    above.  Packing b's rows gains from about 32 entries, so below the
+    cut it would still gain up to about 40%, at 2 by 24 or 3 by 16, where
+    packing a's columns loses or gains at most 12%.  One size keeps the
+    rule one symmetric constant.  The protocol's large products gain
+    most, and all pack b's rows.  Best of 5, at (K, L, T) = (8, 8, 2),
+    encode (83x10 by 10x1024) ran 6.4x faster than the schoolbook loop
+    at p = 11,383 and 3.3x at p = 2**61 - 1, a server's 16x64 by 64x16
     product 3.1x and 3.6x, and decode (64x83 by 83x256) 7.9x and 5.0x.
-    The exhaustive audit computes one side's shares under all M
-    mask stacks of a secret in one product, whose columns are M times a
-    block's entries, so it packs once that reaches 8.  The schoolbook
-    side keeps the 2x2 products of small sessions and the audit's
-    products with masks pinned to zero.
+    A (4,4,3) session on 2x2 blocks packs a's columns in encode (33x7
+    by 7x4) and decode (16x33 by 33x4), which the former rule left to
+    the schoolbook loop.  The exhaustive audit computes one side's
+    shares under all M mask stacks of a secret in one product, whose
+    columns are M times a block's entries, so it packs once the product
+    reaches 64 entries.  The schoolbook side keeps the 2x2 products of
+    small sessions and the audit's products with masks pinned to zero.
     """
     if a.cols != b.rows:
         raise ParameterError("shape mismatch in matrix product")
-    n, m, q = a.rows, a.cols, b.cols
-    if n < 2 or q < _PACK_MIN_COLS:
+    n, q = a.rows, b.cols
+    if n * q < _PACK_MIN_ENTRIES:
         a_rows = [a.row(i) for i in range(n)]
         b_cols = [b.entries[j::q] for j in range(q)]
         entries = tuple(sum(map(operator.mul, row, col)) % p for row in a_rows for col in b_cols)
         return FieldMatrix(n, q, entries)
+    if n > q:
+        # Pack a's columns: a @ b is the transpose of b^T @ a^T, which packs a^T's rows.
+        # That product has only q < n rows, so zipping them transposes it back.
+        product = _packed(p, _transpose(b), _transpose(a))
+        columns = zip(*map(product.row, range(q)))
+        return FieldMatrix(n, q, tuple(itertools.chain.from_iterable(columns)))
+    return _packed(p, a, b)
+
+
+def _packed(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """a @ b mod p, packing b's rows as the module docstring describes."""
+    n, m, q = a.rows, a.cols, b.cols
     # a's entries, then b's; each is at most bound.
     entries, words, bound = _operands(p, a.entries + b.entries)
     width = ((m * bound * bound).bit_length() + 7) // 8
@@ -207,6 +256,14 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         for i in range(0, n * m, m)
     )
     return FieldMatrix(n, q, _unpack(p, product, width))
+
+
+def _transpose(m: FieldMatrix) -> FieldMatrix:
+    """m^T: row j is column j of m, the slice ``entries[j::cols]``, all taken in C."""
+    cols = m.cols
+    steps = map(slice, range(cols), itertools.repeat(None), itertools.repeat(cols))
+    entries = tuple(itertools.chain.from_iterable(map(m.entries.__getitem__, steps)))
+    return FieldMatrix(cols, m.rows, entries)
 
 
 def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]:
@@ -266,16 +323,20 @@ def _unpack(p: int, data: bytes, width: int) -> tuple[int, ...]:
     return tuple(map(operator.mod, slots, itertools.repeat(p)))
 
 
-def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
-    """Power matrix [x ** e mod p], a row per point and a column per exponent.
+def generalized_vandermonde(p: int, g: int, n: int, exponents) -> FieldMatrix:
+    """Power matrix [(g ** i) ** e mod p], a row per point g ** i, i < n.
 
-    Both keep the caller's order.  This builds encode's share matrices.
+    It has a column per exponent, in the caller's order.  Column e is
+    (g ** e) ** 0 ... (g ** e) ** (n - 1), built by running products as
+    ``is_power_mds`` builds its rows, so the matrix takes one ``pow`` per
+    exponent instead of one per entry.  This builds encode's share
+    matrices.
     """
     exps = tuple(exponents)
     if any(e < 0 for e in exps):
         raise ParameterError("exponents must be nonnegative")
-    pts = tuple(points)
-    return FieldMatrix(len(pts), len(exps), tuple(pow(x, e, p) for x in pts for e in exps))
+    columns = [_geometric(p, pow(g, e, p), n) for e in exps]
+    return FieldMatrix(n, len(exps), tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def is_progression(exponents) -> bool:

@@ -305,7 +305,8 @@ def _side_shares(
     data = FieldMatrix(
         data.rows, masks.cols, _interleave([data.entries] * (masks.cols // width), width)
     )
-    return codec._shares(plan.field.p, plan.points, exponents, data, masks, 1, masks.cols)
+    p, g, n = plan.field.p, plan.generator, len(plan.exponents)
+    return codec._shares(p, g, n, exponents, data, masks, 1, masks.cols)
 
 
 def _interleave(flats, chunk: int) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from gasp.schemes import (
     n_small_closed,
     optimize_gasp,
 )
-from test_oracles import det
+from test_oracles import det, generalized_vandermonde
 
 RATE_TOL = Fraction(1, 1000)
 
@@ -61,7 +61,7 @@ def test_criterion_2_reference_fixture():
     assert count_terms(assignment, params) == 18
     j = terms(outer_sum(assignment, params))
     assert j == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
-    gv = gf.generalized_vandermonde(29, range(1, 19), j)
+    gv = generalized_vandermonde(29, range(1, 19), j)
     assert det(29, gv) == 20
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE 2 reference fixture (N=18, det=20 mod 29): PASS [{elapsed:.2f}s]")

@@ -12,7 +12,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_auto
-from test_oracles import det, is_mds, mask_matrix
+from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix
 
 
 def fixture_code():
@@ -28,7 +28,7 @@ def test_fixture_plan_accepted():
     assert plan.generator == 2
     assert plan.points == tuple(pow(2, n, 29) for n in range(18))
     assert plan.exponents == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
-    assert det(29, gf.generalized_vandermonde(29, plan.points, plan.exponents)) != 0
+    assert det(29, generalized_vandermonde(29, plan.points, plan.exponents)) != 0
     assert harness.mds_audit(fixture_code(), plan).all_pass
 
 
@@ -56,7 +56,7 @@ def test_plan_search_tiny_field():
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7))
     assert (plan.generator, plan.points) == (2, (1, 2, 4))
     # re-verification from scratch
-    assert det(7, gf.generalized_vandermonde(7, plan.points, plan.exponents)) != 0
+    assert det(7, generalized_vandermonde(7, plan.points, plan.exponents)) != 0
 
 
 def test_plan_search_deterministic_and_bounded(monkeypatch):
@@ -139,7 +139,7 @@ def _oracle_rejection(code, field, g):
     # The plan conditions by determinant and full minor enumeration.
     p, exponents, n = field.p, code.exponents, code.n_servers
     points = tuple(pow(g, j, p) for j in range(n))
-    if det(p, gf.generalized_vandermonde(p, points, exponents)) == 0:
+    if det(p, generalized_vandermonde(p, points, exponents)) == 0:
         return "gv"
     if not is_mds(p, mask_matrix(p, g, n, code.alpha_masks)):
         return "alpha_mds"
@@ -450,6 +450,11 @@ def test_non_matrix_inputs_rejected():
         codec.decode(None, code, plan, shapes)
     with pytest.raises(ParameterError, match="masks must be a MaskSet, got tuple"):
         codec.encode(a, b, code, plan, shapes, masks=(a, b))
+    # "an" before a vowel.
+    with pytest.raises(ParameterError, match="^plan must be an EvaluationPlan, got NoneType$"):
+        harness.mds_audit(code, None)
+    with pytest.raises(ParameterError, match="^assignment must be an ExponentAssignment, got"):
+        degree_table.outer_sum(None, code.params)
 
 
 _CODE_221 = gasp_auto(SchemeParams(2, 2, 1))
@@ -492,7 +497,9 @@ def test_wrong_argument_types_raise_parameter_error(call, expected):
     # A tuple of sizes, a tuple of parameters, a list, -1 or None used to
     # fail on an attribute with a bare AttributeError.
     plan = codec.find_evaluation_plan(_CODE_221)
-    with pytest.raises(ParameterError, match=f"^{expected} must be a [A-Za-z]+, got"):
+    # "an" before a vowel: "plan must be an EvaluationPlan", "shapes must be a BlockShapes".
+    article = "(a [^AEIOU]|an [AEIOU])"
+    with pytest.raises(ParameterError, match=f"^{expected} must be {article}[A-Za-z]*, got"):
         call(plan)
 
 
@@ -679,7 +686,7 @@ def test_prepared_decoder_matches_full_solve():
             needed = tuple(index[x + y] for x in alpha for y in beta)
             rows = codec._decoder(p, plan.generator, plan.exponents, needed)
             # GV is invertible, so rows @ GV = the unit rows fixes the rows uniquely.
-            gv = gf.generalized_vandermonde(p, plan.points, plan.exponents)
+            gv = generalized_vandermonde(p, plan.points, plan.exponents)
             assert det(p, gv) != 0
             identity_rows = tuple(int(i == j) for i in needed for j in range(n))
             assert gf.mat_mul(p, rows, gv) == FieldMatrix(len(needed), n, identity_rows)
@@ -758,7 +765,7 @@ def test_plan_soundness_reverify():
             plan = codec.find_evaluation_plan(code_for_scheme(params, scheme), field)
             fresh = code_for_scheme(params, scheme)
             p = plan.field.p
-            assert det(p, gf.generalized_vandermonde(p, plan.points, plan.exponents)) != 0
+            assert det(p, generalized_vandermonde(p, plan.points, plan.exponents)) != 0
             for exps in (fresh.alpha_masks, fresh.beta_masks):
                 assert is_mds(p, mask_matrix(p, plan.generator, fresh.n_servers, exps))
 

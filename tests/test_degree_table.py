@@ -74,6 +74,17 @@ def test_terms_trivial():
     assert terms(two) == (5, 6, 7, 8)
 
 
+def test_terms_refuses_entries_that_are_not_nonnegative_ints():
+    # None used to break the sort with a bare TypeError, and 1.5 or True
+    # used to join the term set; ExponentAssignment refuses all of them.
+    for bad in (None, 1.5, 2.0, True, False, -1, "3"):
+        for table in (((bad, 1),), ((0, 1), (2, bad)), ((bad,),)):
+            with pytest.raises(ParameterError, match="nonnegative integers"):
+                terms(table)
+    assert terms(((3, 1), (1, 0))) == (0, 1, 3)
+    assert terms(()) == ()
+
+
 def test_count_terms_reference_values():
     assert count_terms(SMALL_332, P332) == 18
     p444 = SchemeParams(4, 4, 4)

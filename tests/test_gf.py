@@ -1,5 +1,6 @@
 """Prime-field arithmetic, power matrices, and the MDS check."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme, gasp_grouped
-from test_oracles import J_332, det, is_mds, mask_matrix, rows
+from test_oracles import J_332, det, generalized_vandermonde, is_mds, mask_matrix, rows
 
 # The largest prime below 2**62, the widest modulus a field admits.
 P62 = 2**62 - 57
@@ -57,22 +58,47 @@ def test_matrix_construction():
 
 
 def test_generalized_vandermonde_examples():
-    m = gf.generalized_vandermonde(5, (2, 3), (0, 1))
+    # The oracle takes any points.
+    m = generalized_vandermonde(5, (2, 3), (0, 1))
     assert rows(m) == [[1, 2], [1, 3]]
 
-    big = gf.generalized_vandermonde(29, range(1, 19), J_332)
+    big = generalized_vandermonde(29, range(1, 19), J_332)
     assert big.row(0) == (1,) * 18
 
     # classical Vandermonde when the exponents are 0..N-1
-    cls = gf.generalized_vandermonde(7, (2, 3, 5), (0, 1, 2))
+    cls = generalized_vandermonde(7, (2, 3, 5), (0, 1, 2))
     assert rows(cls) == [[1, 2, 4], [1, 3, 2], [1, 5, 4]]
 
-    # Any shape, columns in the caller's order: neither sorted nor deduplicated.
-    rect = gf.generalized_vandermonde(7, (1, 2, 3), (2, 0, 2, 1))
-    assert rows(rect) == [[1, 1, 1, 1], [4, 1, 4, 2], [2, 1, 2, 3]]
+    # The library takes the generator: points 1, 3, 2 = 3 ** 0, 3 ** 1, 3 ** 2
+    # over F_7.  Any shape, columns in the caller's order: neither sorted
+    # nor deduplicated.
+    rect = gf.generalized_vandermonde(7, 3, 3, (2, 0, 2, 1))
+    assert rows(rect) == [[1, 1, 1, 1], [2, 1, 2, 3], [4, 1, 4, 2]]
+    assert rect == generalized_vandermonde(7, (1, 3, 2), (2, 0, 2, 1))
 
     with pytest.raises(ParameterError):
-        gf.generalized_vandermonde(7, (1, 2), (0, -1))
+        generalized_vandermonde(7, (1, 2), (0, -1))
+
+
+def test_generalized_vandermonde_matches_points_oracle():
+    # The running-product columns against one pow per entry at the points
+    # g ** 0 .. g ** (n - 1): g = 0 (points 1, 0, 0, ...), g = 1 (all
+    # ones), g = p - 1 (alternating signs), a g of full order, and g
+    # outside [0, p); exponents unsorted, repeated, holding 0 or not, and
+    # larger than p.
+    rng = random.Random(24)
+    exponent_sets = [(0,), (5,), (0, 1, 2), (3, 1, 2), (2, 2, 0, 2), (7, 0, 7, 1, 30), (40, 12)]
+    for p in (2, 7, 29, 11383, 2**61 - 1):
+        for g in sorted({0, 1, 2 % p, p - 1, p + 3, -2}):
+            for n in (1, 2, 5, 33):
+                for exponents in exponent_sets + [[rng.randrange(3 * p) for _ in range(4)]]:
+                    points = [pow(g, j, p) for j in range(n)]
+                    want = generalized_vandermonde(p, points, exponents)
+                    got = gf.generalized_vandermonde(p, g, n, exponents)
+                    assert got == want, (p, g, n, exponents)
+    for exponents in ((-1,), (0, 1, -3), (2, -1, 2)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            gf.generalized_vandermonde(11, 2, 3, exponents)
 
 
 def test_vandermonde_invertible_iff_distinct():
@@ -81,7 +107,7 @@ def test_vandermonde_invertible_iff_distinct():
         p = rng.choice([11, 101, 997])
         n = rng.randint(2, 6)
         points = [rng.randrange(p) for _ in range(n)]
-        m = gf.generalized_vandermonde(p, points, range(n))
+        m = generalized_vandermonde(p, points, range(n))
         assert (det(p, m) != 0) == (len(set(points)) == n)
 
 
@@ -328,8 +354,14 @@ def _byte_bound(p):
     return ((((p - 1) >> shift) + 1) << shift) - 1
 
 
+# (rows of a, columns of b) of products that take the packed branch, one
+# per orientation: b's rows packed, and a's columns packed.
+PACKED_SHAPES = ((3, 24), (24, 3))
+
+
 def test_mat_mul_matches_triple_loop():
     rng = random.Random(13)
+    assert all(n * q >= gf._PACK_MIN_ENTRIES for n, q in PACKED_SHAPES)
     dims = [(1, 1, 1), (1, 6, 1), (1, 3, 5), (4, 1, 3), (5, 3, 1), (2, 7, 3), (3, 3, 3)]
     dims += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(12)]
     for p in (5, 11383, gf.next_prime(2**61)):
@@ -344,8 +376,9 @@ def test_mat_mul_matches_triple_loop():
         assert gf.mat_mul(p, top, _raw([[p - 1]] * 4)).entries == (4 % p,) * 2
 
     # The encode, server and decode products of an (8,8,2) multiplication
-    # of a 128x64 by a 64x128 matrix, all on the packed branch.
-    for n, m, q in ((83, 10, 1024), (16, 64, 16), (64, 83, 256)):
+    # of a 128x64 by a 64x128 matrix, which pack b's rows, and those of a
+    # (4,4,3) session on 2x2 blocks, whose encode and decode pack a's columns.
+    for n, m, q in ((83, 10, 1024), (16, 64, 16), (64, 83, 256), (33, 7, 4), (16, 33, 4)):
         a = [[rng.randrange(11383) for _ in range(m)] for _ in range(n)]
         b = [[rng.randrange(11383) for _ in range(q)] for _ in range(m)]
         got = gf.mat_mul(11383, _raw(a), _raw(b))
@@ -353,27 +386,28 @@ def test_mat_mul_matches_triple_loop():
 
     # Slot bounds m*(p-1)**2 of 1, 2, 3, 4, 5, 8, 9 and 17 bytes; every
     # width packs, the ones above 8 bytes in two or three 8-byte words.
-    # Each width is checked on raw literals, entries shifted by multiples
-    # of p to lie above p - 1 or below 0, and on all-(p-1) operands.
+    # Each width is checked in both orientations on raw literals, entries
+    # shifted by multiples of p to lie above p - 1 or below 0, and on
+    # all-(p-1) operands.
     widths = [(5, 15), (5, 16), (251, 1), (251, 2), (11383, 33), (11383, 83),
               (2**31 - 1, 4), (2**31 - 1, 5), (P62, 64)]
     assert [_slot_bytes(p, m) for p, m in widths] == [1, 2, 2, 3, 4, 5, 8, 9, 17]
-    for p, m in widths:
-        a = [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
-        b = [[rng.randrange(p) for _ in range(9)] for _ in range(m)]
+    for (p, m), (n, q) in itertools.product(widths, PACKED_SHAPES):
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        b = [[rng.randrange(p) for _ in range(q)] for _ in range(m)]
         shifted = [_raw([[e + p * rng.randint(-3, 3) for e in r] for r in x]) for x in (a, b)]
         got = gf.mat_mul(p, *shifted)
-        assert rows(got) == _triple_loop(p, a, b), (p, m)
-        top = gf.mat_mul(p, _raw([[p - 1] * m] * 3), _raw([[p - 1] * 9] * m))
-        assert top.entries == (m % p,) * 27, (p, m)
+        assert rows(got) == _triple_loop(p, a, b), (p, m, n)
+        top = gf.mat_mul(p, _raw([[p - 1] * m] * n), _raw([[p - 1] * q] * m))
+        assert top.entries == (m % p,) * (n * q), (p, m, n)
 
     # Every exact slot width from 1 to 17 bytes, with bounds just below and
-    # just above 2**64 (8 and 9 bytes) and 2**128 (16 and 17 bytes).
-    # Reduced operands and operands up to the byte bound A, those in [p, A]
-    # too, pack as given, so the slot bound is m*A*A; all-A operands reach
-    # it.  Operands with an entry above A, at or above 2**64 or below 0 are
-    # reduced first.  At (257, 255) and (11383, 33) m*A*A takes one byte
-    # more than m*(p-1)**2.
+    # just above 2**64 (8 and 9 bytes) and 2**128 (16 and 17 bytes), in
+    # both orientations.  Reduced operands and operands up to the byte
+    # bound A, those in [p, A] too, pack as given, so the slot bound is
+    # m*A*A; all-A operands reach it.  Operands with an entry above A, at
+    # or above 2**64 or below 0, on either side, are reduced first.  At
+    # (257, 255) and (11383, 33) m*A*A takes one byte more than m*(p-1)**2.
     exact = [(5, 15), (139, 3), (4093, 1), (24571, 7), (257, 255), (131071, 64), (11383, 33),
              (11862013, 2), (16777213, 83), (1912602623, 5), (1912602623, 6),
              (21474836479, 9), (1099511627689, 1), (2199023255531, 33), (140737488355213, 4),
@@ -386,34 +420,73 @@ def test_mat_mul_matches_triple_loop():
         bound = _byte_bound(p)
         assert p - 1 <= bound < 2 * p, p
         assert (bound.bit_length() + 7) // 8 == ((p - 1).bit_length() + 7) // 8, p
+    for (p, m), (n, q) in itertools.product(exact, PACKED_SHAPES):
+        bound = _byte_bound(p)
         for lo, hi in ((0, p), (0, bound + 1), (p, bound + 1)):
             if lo < hi:
-                a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(3)]
-                b = [[rng.randrange(lo, hi) for _ in range(9)] for _ in range(m)]
-                assert rows(gf.mat_mul(p, _raw(a), _raw(b))) == _triple_loop(p, a, b), (p, m)
+                a = [[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)]
+                b = [[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)]
+                assert rows(gf.mat_mul(p, _raw(a), _raw(b))) == _triple_loop(p, a, b), (p, m, n)
         for e in (bound, bound + 1):
-            top = gf.mat_mul(p, _raw([[e] * m] * 3), _raw([[e] * 9] * m))
-            assert top.entries == (m * e * e % p,) * 27, (p, m, e)
-        a = [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
-        b = [[rng.randrange(p) for _ in range(9)] for _ in range(m)]
+            top = gf.mat_mul(p, _raw([[e] * m] * n), _raw([[e] * q] * m))
+            assert top.entries == (m * e * e % p,) * (n * q), (p, m, n, e)
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        b = [[rng.randrange(p) for _ in range(q)] for _ in range(m)]
         above = 256 ** ((bound.bit_length() + 7) // 8)  # a 1 in the byte above p - 1's
         for outside in (bound + 1, above, 2**64 - 1, 2**64, 2**64 + p, 2**70 + 1, -1, -(2**64)):
             for side in (0, 1):
                 given, want = ([[r[:] for r in x] for x in (a, b)] for _ in range(2))
                 given[side][-1][-1], want[side][-1][-1] = outside, outside % p
                 got = gf.mat_mul(p, _raw(given[0]), _raw(given[1]))
-                assert rows(got) == _triple_loop(p, *want), (p, m, outside, side)
-        zeros = gf.mat_mul(p, _raw([[0] * m] * 3), _raw([[0] * 9] * m))
-        assert zeros.entries == (0,) * 27, (p, m)
-        assert gf.mat_mul(p, _raw(a), _raw([[0] * 9] * m)).entries == (0,) * 27, (p, m)
+                assert rows(got) == _triple_loop(p, *want), (p, m, n, outside, side)
+        zeros = gf.mat_mul(p, _raw([[0] * m] * n), _raw([[0] * q] * m))
+        assert zeros.entries == (0,) * (n * q), (p, m, n)
+        assert gf.mat_mul(p, _raw(a), _raw([[0] * q] * m)).entries == (0,) * (n * q), (p, m, n)
 
     # All-(p-1) operands at the widest inner dimension, on both sides of
-    # the column cut.
-    cut = gf._PACK_MIN_COLS
+    # the size cut (n * q = 63 and 64) and of the orientation cut (n = q
+    # and n = q + 1).
     for p in (5, 11383, 2**31 - 1, P62):
-        for n, q in ((1, 1), (2, 3), (2, cut), (4, 2 * cut)):
+        for n, q in ((1, 1), (7, 9), (9, 7), (1, 64), (64, 1), (4, 16), (16, 4), (8, 8), (9, 8),
+                     (8, 9)):
             top = gf.mat_mul(p, _raw([[p - 1] * 400] * n), _raw([[p - 1] * q] * 400))
             assert top.entries == (400 % p,) * (n * q), (p, n, q)
+
+
+def test_mat_mul_branches(monkeypatch):
+    # The schoolbook branch takes products of fewer than 64 entries; the
+    # packed branch packs b's rows when a has no more rows than b has
+    # columns, and a's columns, through one transpose of each operand,
+    # otherwise.
+    calls = []
+    for name in ("_operands", "_transpose"):
+        monkeypatch.setattr(gf, name, functools.partial(_spy, calls, name, getattr(gf, name)))
+    packs_a = ["_transpose", "_transpose", "_operands"]
+    cases = {(1, 63): [], (63, 1): [], (7, 9): [], (1, 64): ["_operands"], (8, 8): ["_operands"],
+             (64, 1): packs_a, (9, 8): packs_a}
+    for (n, q), want in cases.items():
+        del calls[:]
+        product = gf.mat_mul(7, _raw([[3] * 5] * n), _raw([[2] * q] * 5))
+        assert product.entries == (30 % 7,) * (n * q) and calls == want, (n, q)
+
+
+def _spy(calls, name, fn, *args):
+    calls.append(name)
+    return fn(*args)
+
+
+def test_mat_mul_is_transpose_of_transposed_product():
+    # a @ b = (b^T @ a^T)^T on random shapes, each side of the orientation
+    # cut, with entries reduced or not.
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rng.choice((2, 7, 11383, 2**31 - 1, 2**61 - 1, P62))
+        n, m, q = rng.randint(1, 40), rng.randint(1, 12), rng.randint(1, 40)
+        lo, hi = rng.choice(((0, p), (-3 * p, 3 * p), (0, 2**64)))
+        a = _raw([[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)])
+        b = _raw([[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)])
+        at, bt = (_raw([list(c) for c in zip(*rows(x))]) for x in (a, b))
+        assert rows(gf.mat_mul(p, a, b)) == [list(c) for c in zip(*rows(gf.mat_mul(p, bt, at)))]
 
 
 def test_mat_ops():

@@ -288,9 +288,9 @@ def test_exhaustive_audit_runs_codec_share_routine(monkeypatch):
     # encode's shares, which is only possible if both call codec._shares.
     shipped = codec._shares
 
-    def leaky_shares(p, points, exponents, data, masks, rows, cols):
+    def leaky_shares(p, g, n, exponents, data, masks, rows, cols):
         zeroed = FieldMatrix(masks.rows, masks.cols, (0,) * len(masks.entries))
-        return shipped(p, points, exponents, data, zeroed, rows, cols)
+        return shipped(p, g, n, exponents, data, zeroed, rows, cols)
 
     params, shapes = SchemeParams(1, 1, 1), BlockShapes(1, 1, 1)
     code = code_for_scheme(params, "auto")

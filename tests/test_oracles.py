@@ -13,6 +13,12 @@ the subsets that hold column 0; the tests check it, with plan search and
 ``harness.mds_audit``, against ``is_mds`` here, and ``is_mds`` against
 ``det`` on every minor.
 
+``generalized_vandermonde`` is the power-matrix builder as first
+written, one ``pow`` per entry of [x ** e] for any points x.  The
+library's ``gf.generalized_vandermonde`` takes a generator instead of
+points and builds each column by running products; the tests check it
+against this one, and the GV determinants of plans use this one.
+
 ``gasp_big_oracle``, ``gasp_small_oracle`` and ``gasp_grouped_oracle``
 are the three mask constructions as first written, each laying out its
 own exponents and orientation.  The library builds all three from one
@@ -133,6 +139,15 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
     return extend([[e % p for e in m.row(i)] for i in range(t)])
 
 
+def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
+    """Power matrix [x ** e mod p], a row per point and a column per exponent, as given."""
+    exps = tuple(exponents)
+    if any(e < 0 for e in exps):
+        raise ParameterError("exponents must be nonnegative")
+    pts = tuple(points)
+    return FieldMatrix(len(pts), len(exps), tuple(pow(x, e, p) for x in pts for e in exps))
+
+
 def mask_matrix(p: int, g: int, n: int, exponents) -> FieldMatrix:
     """The power matrix [(g ** j) ** e mod p], a row per exponent e and a column per j < n."""
     points = [pow(g, j, p) for j in range(n)]
@@ -175,7 +190,7 @@ def gasp_grouped_oracle(k: int, g: int) -> ExponentAssignment:
 
 
 def test_det_reference_value():
-    m = gf.generalized_vandermonde(29, range(1, 19), J_332)
+    m = generalized_vandermonde(29, range(1, 19), J_332)
     assert det(29, m) == 20
 
 

@@ -390,5 +390,7 @@ def test_code_for_scheme_rejects_bad_input():
 def test_none_argument_raises_parameter_error(name, args, arg):
     # Each of these used to fail on None with a bare AttributeError or,
     # for terms, a bare TypeError.
-    with pytest.raises(ParameterError, match=f"^{arg} must be a [A-Za-z]+, got NoneType$"):
+    # "an" before a vowel, "a" before anything else.
+    article = "(a [^AEIOU]|an [AEIOU])"
+    with pytest.raises(ParameterError, match=f"^{arg} must be {article}[A-Za-z]*, got NoneType$"):
         getattr(gasp, name)(*args)
