@@ -23,11 +23,9 @@ from .codec import (
 from .degree_table import (
     ExponentAssignment,
     SchemeParams,
-    count_terms,
     is_decodable,
     is_t_secure_assignment,
     outer_sum,
-    terms,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,17 +47,14 @@ from .schemes import (
     OptimizationResult,
     PolynomialCode,
     RateReport,
-    build_code,
     code_for_scheme,
     download_rate,
     format_rate,
-    gasp_auto,
     gasp_big,
     gasp_grouped,
     gasp_small,
     grouped_sweep,
     kakar_heuristic,
-    kakar_rate,
     n_big_closed,
     n_gap_free,
     n_small_closed,

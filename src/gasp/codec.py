@@ -21,9 +21,10 @@ are built once per plan and cached, and A @ B is reassembled from the
 product's KL rows.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
-at g ** n.  The code carries its term set J, built once from its degree
-table by :func:`schemes.build_code`; nothing here rebuilds the table,
-and a plan is checked against the code by comparing the two tuples.
+at g ** n.  The code carries its term set J, derived once from its
+degree table by the :class:`schemes.PolynomialCode` constructor;
+nothing here rebuilds the table, and a plan is checked against the code
+by comparing the two tuples.
 The generalized Vandermonde matrix [x_n ** e_j] over J is then
 [y_j ** n], an ordinary Vandermonde matrix in the nodes y_j = g ** e_j,
 so it is invertible exactly when those N nodes are pairwise distinct
@@ -107,11 +108,6 @@ class EvaluationPlan:
         if list(self.exponents) != sorted(set(self.exponents)):
             raise ParameterError("exponents must be strictly increasing")
 
-    @property
-    def points(self) -> tuple[int, ...]:
-        """The evaluation points g ** 0, ..., g ** (N-1), one per server, by running products."""
-        return tuple(gf._geometric(self.field.p, self.generator, len(self.exponents)))
-
 
 @dataclass(frozen=True)
 class MaskSet:
@@ -134,8 +130,13 @@ class ShareBundle:
     g_shares: tuple[FieldMatrix, ...]
 
     def __post_init__(self) -> None:
-        check_type("f_shares", self.f_shares, Sequence)
-        check_type("g_shares", self.g_shares, Sequence)
+        # server_evaluate reads field.p and each share's shape.
+        check_type("field", self.field, PrimeFieldSpec)
+        for name in ("f_shares", "g_shares"):
+            shares = getattr(self, name)
+            check_type(name, shares, Sequence)
+            for i, share in enumerate(shares):
+                check_type(f"{name}[{i}]", share, FieldMatrix)
         if len(self.f_shares) != len(self.g_shares):
             raise ParameterError("share lists must have equal length")
 

@@ -5,16 +5,14 @@ row block of A plus one per random mask, and ``beta`` likewise for B.  The
 addition table alpha (+) beta, built by ``outer_sum`` as a tuple of rows,
 collects every exponent of x appearing in f(x)g(x).  Its distinct
 entries, ascending, are the term set J that decode interpolates, and
-their number is the number of servers N; :func:`gasp.schemes.build_code`
-builds the table once and stores J on the code.  The predicates below
-decide whether every block product A_k B_l can be read off the
-interpolated coefficients (decodability) and whether the mask exponents
-are pairwise distinct (security).
+their number is the number of servers N; the
+:class:`gasp.schemes.PolynomialCode` constructor derives J once per code.
+The predicates below decide whether every block product A_k B_l can be
+read off the interpolated coefficients (decodability) and whether the
+mask exponents are pairwise distinct (security); the constructor refuses
+an assignment that fails either.
 
-Everything in this module is a pure function on immutable values, and
-``count_terms`` is deliberately brute force: it is the oracle against
-which the tests hold the closed-form server counts in :mod:`gasp.schemes`
-and the grouped sweep's bitmask count.  No library path calls it.
+Everything in this module is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import ParameterError, check_positive, check_type
 
@@ -84,27 +81,6 @@ def outer_sum(
     """The (K+T) x (L+T) degree table as rows: entry (i, j) = alpha[i] + beta[j]."""
     _check_lengths(assignment, params)
     return tuple(tuple(a + b for b in assignment.beta) for a in assignment.alpha)
-
-
-def terms(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Distinct table entries, ascending: the term set J of the code.
-
-    Entries must be nonnegative ints, as in :class:`ExponentAssignment`:
-    None would break the sort, and a float or bool would join J.
-    """
-    check_type("table", table, tuple)
-    for row in table:
-        check_type("table row", row, tuple)
-    entries = list(chain.from_iterable(table))
-    if set(map(type, entries)) - {int} or min(entries, default=0) < 0:
-        raise ParameterError("table entries must be nonnegative integers")
-    return tuple(sorted(set(entries)))
-
-
-def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:
-    """Number of distinct table entries, the server count N, by brute force."""
-    _check_lengths(assignment, params)
-    return len({a + b for a in assignment.alpha for b in assignment.beta})
 
 
 def is_decodable(assignment: ExponentAssignment, params: SchemeParams) -> bool:

@@ -21,16 +21,17 @@ and symmetric in K and L, so each is written for one orientation (big
 over max(K, L) and min(K, L), small in ``_n_small``).  The grouped
 family has none, and ``grouped_sweep`` counts it as a sumset of
 bitmasks.  ``optimize_gasp`` searches (K, L) on the closed forms in
-ints, under a lower bound on both of them.  A built code carries its term
-set J from ``build_code``.  ``degree_table.count_terms`` is the
-brute-force oracle that the tests hold the closed forms and the grouped
-count against; no table command calls it.  All rates are exact
-``fractions.Fraction`` values.
+ints, under a lower bound on both of them.  A code is made only by the
+:class:`PolynomialCode` constructor, which refuses an assignment that is
+not decodable or not T-secure and derives the term set J.  The tests
+hold the closed forms and the grouped count against a brute-force term
+count (``count_terms`` in ``tests/test_oracles.py``).  All rates are
+exact ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degree_table import (
@@ -38,20 +39,32 @@ from .degree_table import (
     SchemeParams,
     is_decodable,
     is_t_secure_assignment,
-    outer_sum,
-    terms,
 )
 from .errors import ParameterError, check_positive, check_type
 
 
 @dataclass(frozen=True)
 class PolynomialCode:
-    """A validated code: parameters, exponent vectors, and its ascending term set J."""
+    """A valid code: parameters, exponent vectors, a label, and its term set J.
+
+    The constructor refuses an assignment that is not decodable or not
+    T-secure, and derives J, the distinct sums alpha_i + beta_j of the
+    degree table in ascending order, once per code; N = len(J).
+    """
 
     params: SchemeParams
     assignment: ExponentAssignment
-    exponents: tuple[int, ...]
     scheme_label: str
+    exponents: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        params, assignment = self.params, self.assignment
+        if not is_decodable(assignment, params):
+            raise ParameterError(f"{self.scheme_label} assignment is not decodable for {params}")
+        if not is_t_secure_assignment(assignment, params):
+            raise ParameterError(f"{self.scheme_label} assignment is not {params.t}-secure")
+        exponents = sorted({a + b for a in assignment.alpha for b in assignment.beta})
+        object.__setattr__(self, "exponents", tuple(exponents))
 
     @property
     def n_servers(self) -> int:
@@ -94,22 +107,6 @@ def _klt(params: SchemeParams) -> tuple[int, int, int]:
     return params.k, params.l, params.t
 
 
-def build_code(
-    params: SchemeParams, assignment: ExponentAssignment, scheme_label: str
-) -> PolynomialCode:
-    """Validate an assignment and wrap it with its term set J, built here once per code."""
-    if not is_decodable(assignment, params):
-        raise ParameterError(f"{scheme_label} assignment is not decodable for {params}")
-    if not is_t_secure_assignment(assignment, params):
-        raise ParameterError(f"{scheme_label} assignment is not {params.t}-secure")
-    return PolynomialCode(
-        params=params,
-        assignment=assignment,
-        exponents=terms(outer_sum(assignment, params)),
-        scheme_label=scheme_label,
-    )
-
-
 def _layout(params: SchemeParams, unit_is_alpha: bool, runs) -> ExponentAssignment:
     """The one GASP layout: a unit side, the multiples of its size, and mask runs.
 
@@ -143,11 +140,6 @@ def gasp_small(params: SchemeParams) -> ExponentAssignment:
     """
     k, l, t = _klt(params)
     return _layout(params, k <= l, [(i, 1) for i in range(t)])
-
-
-def gasp_auto(params: SchemeParams) -> PolynomialCode:
-    """Pick small for T < min(K, L), big otherwise, and build the code."""
-    return code_for_scheme(params, "auto")
 
 
 def gasp_grouped(k: int, g: int) -> ExponentAssignment:
@@ -270,11 +262,6 @@ def kakar_heuristic(n: int, t: int) -> tuple[int, int]:
     return k_hat, l_hat
 
 
-def kakar_rate(n: int, t: int) -> Fraction:
-    """Rate of the gap-free baseline at the heuristic's (K, L) for N workers."""
-    return rate_r2(SchemeParams(*kakar_heuristic(n, t), t))
-
-
 def optimize_gasp(n: int, t: int) -> OptimizationResult:
     """Exact search for the best (K, L) whose combined scheme fits N workers.
 
@@ -340,8 +327,8 @@ def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
     (mask << a)), K + T shifts instead of (K+T)(L+T) set inserts.  Every
     alpha exponent is below K*K + G*K + K <= 2K^2 + K (``gasp_grouped``)
     and every beta exponent below K^2 + K, so the table fits in
-    3K^2 + 2K bits for every K.  ``degree_table.count_terms`` stays the
-    brute-force oracle for this count.
+    3K^2 + 2K bits for every K.  The tests hold it against a brute-force
+    count of the table's distinct entries.
     """
     check_positive("k", k)
     params = SchemeParams(k, k, k)
@@ -365,20 +352,22 @@ def code_for_scheme(params: SchemeParams, scheme: str, g: int | None = None) -> 
     if scheme == "auto":
         scheme = "small" if t < min(k, l) else "big"
     if scheme == "small":
-        return build_code(params, gasp_small(params), "small")
+        return PolynomialCode(params, gasp_small(params), "small")
     if scheme == "big":
-        return build_code(params, gasp_big(params), "big")
+        return PolynomialCode(params, gasp_big(params), "big")
     if scheme == "grouped":
         if g is None:
             raise ParameterError("grouped scheme needs a group count G")
         if not (k == l == t):
             raise ParameterError("grouped scheme is defined only for K = L = T")
-        return build_code(params, gasp_grouped(k, g), f"grouped({g})")
+        return PolynomialCode(params, gasp_grouped(k, g), f"grouped({g})")
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
 def format_rate(rate: Fraction) -> str:
     """Render a rate with exactly three decimals, rounding half-up."""
     check_type("rate", rate, Fraction)
+    if rate < 0:
+        raise ParameterError(f"rate must be nonnegative, got {rate}")
     scaled = (2000 * rate.numerator + rate.denominator) // (2 * rate.denominator)
     return f"{scaled // 1000}.{scaled % 1000:03d}"

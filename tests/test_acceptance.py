@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line with its measured runtime.  Tolerances are pinned here and
 nowhere else; every numeric target is either a published table value or
-the output of the brute-force oracles in the library.
+the output of the brute-force oracles in ``test_oracles.py``.
 """
 
 import random
@@ -13,21 +13,20 @@ import pytest
 from gasp import codec, gf, harness, schemes
 from gasp.cli import main
 from gasp.codec import BlockShapes
-from gasp.degree_table import SchemeParams, count_terms, outer_sum, terms
+from gasp.degree_table import SchemeParams, outer_sum
 from gasp.errors import ParameterError
 from gasp.gf import PrimeFieldSpec
 from gasp.schemes import (
-    gasp_auto,
+    code_for_scheme,
     gasp_big,
     gasp_grouped,
     gasp_small,
     grouped_sweep,
-    kakar_rate,
     n_big_closed,
     n_small_closed,
     optimize_gasp,
 )
-from test_oracles import det, generalized_vandermonde
+from test_oracles import count_terms, det, generalized_vandermonde, kakar_rate, terms
 
 RATE_TOL = Fraction(1, 1000)
 
@@ -136,7 +135,7 @@ def test_criterion_5_roundtrip_exactness():
     runs_per_point = 100
     for k, l, t in [(1, 1, 1), (2, 2, 1), (3, 3, 2), (2, 3, 2)]:
         params = SchemeParams(k, l, t)
-        code = gasp_auto(params)
+        code = code_for_scheme(params, "auto")
         plan = codec.find_evaluation_plan(code)
         p = plan.field.p
         rng = random.Random(1000 * k + 100 * l + t)
@@ -172,7 +171,7 @@ def test_criterion_6_privacy_audits():
     assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 2), 7, zero_masks=True)
 
     # the plan at (3, 3, 2) passes the algebraic audit over 50 fields
-    code = gasp_auto(SchemeParams(3, 3, 2))
+    code = code_for_scheme(SchemeParams(3, 3, 2), "auto")
     p = codec.default_field(code).p
     for _ in range(50):
         plan = codec.find_evaluation_plan(code, PrimeFieldSpec(p))

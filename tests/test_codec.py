@@ -11,12 +11,12 @@ from gasp.codec import BlockShapes, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
-from gasp.schemes import code_for_scheme, gasp_auto
-from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix
+from gasp.schemes import code_for_scheme
+from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix, points
 
 
 def fixture_code():
-    return gasp_auto(SchemeParams(3, 3, 2))
+    return code_for_scheme(SchemeParams(3, 3, 2), "auto")
 
 
 def fixture_plan():
@@ -26,21 +26,21 @@ def fixture_plan():
 def test_fixture_plan_accepted():
     plan = fixture_plan()
     assert plan.generator == 2
-    assert plan.points == tuple(pow(2, n, 29) for n in range(18))
+    assert points(plan) == tuple(pow(2, n, 29) for n in range(18))
     assert plan.exponents == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
-    assert det(29, generalized_vandermonde(29, plan.points, plan.exponents)) != 0
+    assert det(29, generalized_vandermonde(29, points(plan), plan.exponents)) != 0
     assert harness.mds_audit(fixture_code(), plan).all_pass
 
 
 def test_plan_points_are_powers_of_the_generator():
-    # points is built by running products; each must equal one pow, at
-    # g = 0 (1, 0, 0, ...), g = 1 (all ones), g = p - 1 (alternating signs)
-    # and a generator of full order.
+    # gf._geometric builds the points of a plan by running products; each
+    # must equal one pow, at g = 0 (1, 0, 0, ...), g = 1 (all ones),
+    # g = p - 1 (alternating signs) and a generator of full order.
     for p in (2, 7, 29, 11383, 2**61 - 1):
         for g in sorted({0, 1, 2 % p, p - 1}):
             for n in (1, 2, 3, 17, 64):
                 plan = codec.EvaluationPlan(PrimeFieldSpec(p), g, range(n))
-                assert plan.points == tuple(pow(g, j, p) for j in range(n)), (p, g, n)
+                assert tuple(gf._geometric(p, g, n)) == points(plan), (p, g, n)
 
 
 def test_plan_field_too_small():
@@ -52,15 +52,15 @@ def test_plan_field_too_small():
 
 
 def test_plan_search_tiny_field():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7))
-    assert (plan.generator, plan.points) == (2, (1, 2, 4))
+    assert (plan.generator, points(plan)) == (2, (1, 2, 4))
     # re-verification from scratch
-    assert det(7, generalized_vandermonde(7, plan.points, plan.exponents)) != 0
+    assert det(7, generalized_vandermonde(7, points(plan), plan.exponents)) != 0
 
 
 def test_plan_search_deterministic_and_bounded(monkeypatch):
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     # The unused seed changes nothing.
     a = codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=3)
     assert a == codec.find_evaluation_plan(code, PrimeFieldSpec(7), seed=4)
@@ -280,16 +280,16 @@ def test_grouped_plans_pinned():
 
 
 def test_default_field_heuristic():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     assert codec.default_field(code).p == 7
     assert codec.default_field(fixture_code()).p == 397
 
 
 def test_encode_hand_example():
     # one block per side, one mask: f(x) = A + R x over F_5 at points 1, 2, 4
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
-    assert plan.points == (1, 2, 4)
+    assert points(plan) == (1, 2, 4)
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
@@ -362,8 +362,8 @@ def test_encode_matches_naive_sum(scheme, k, l, t, g):
     cases = [(99, None, r_masks, s_masks), (0, injected, injected_r, injected_s)]
     for seed, masks, rs, ss in cases:
         bundle = codec.encode(a, b, code, plan, shapes, seed=seed, masks=masks)
-        assert bundle.f_shares == _naive_shares(p, plan.points, alpha, a_blocks + rs)
-        assert bundle.g_shares == _naive_shares(p, plan.points, beta, b_blocks + ss)
+        assert bundle.f_shares == _naive_shares(p, points(plan), alpha, a_blocks + rs)
+        assert bundle.g_shares == _naive_shares(p, points(plan), beta, b_blocks + ss)
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(p, a, b)
 
@@ -404,7 +404,7 @@ def test_each_side_depends_only_on_its_own_inputs(scheme, k, l, t, g):
 def test_non_int_entries_rejected():
     # A float passes the range check 0 <= e < p, but its shares are floats
     # and this decode used to return (0.0,) instead of 15.
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(gf.next_prime(2**61)))
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (3,))
@@ -431,7 +431,7 @@ def test_non_int_entries_rejected():
 def test_non_matrix_inputs_rejected():
     # A server that did not answer (None) or a raw list of rows gets a
     # typed error, not an AttributeError on .rows.
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
@@ -457,7 +457,7 @@ def test_non_matrix_inputs_rejected():
         degree_table.outer_sum(None, code.params)
 
 
-_CODE_221 = gasp_auto(SchemeParams(2, 2, 1))
+_CODE_221 = code_for_scheme(SchemeParams(2, 2, 1), "auto")
 _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
 
 
@@ -479,19 +479,18 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
         (lambda plan: codec.cost(None, BlockShapes(2, 1, 2)), "code"),
         (lambda plan: codec.server_evaluate(None, 0), "bundle"),
         (lambda plan: degree_table.outer_sum(None, _CODE_221.params), "assignment"),
-        (lambda plan: degree_table.count_terms(_CODE_221.assignment, (2, 2, 1)), "params"),
         (lambda plan: degree_table.is_decodable(
             (_CODE_221.assignment.alpha, _CODE_221.assignment.beta), _CODE_221.params),
          "assignment"),
         (lambda plan: degree_table.is_t_secure_assignment(_CODE_221.assignment, -1), "params"),
-        (lambda plan: schemes.build_code(_CODE_221.params, [0, 1, 2], "big"), "assignment"),
-        (lambda plan: schemes.build_code(None, _CODE_221.assignment, "big"), "params"),
+        (lambda plan: schemes.PolynomialCode(_CODE_221.params, [0, 1, 2], "big"), "assignment"),
+        (lambda plan: schemes.PolynomialCode(None, _CODE_221.assignment, "big"), "params"),
     ],
     ids=["encode-shapes", "cost-shapes", "encode-plan", "plan-search-code", "audit-plan",
          "session-params", "exhaustive-shapes", "session-shapes", "exhaustive-params",
          "exhaustive-plan", "cost-code", "server-bundle", "outer-sum-assignment",
-         "count-terms-params", "decodable-assignment", "t-secure-params",
-         "build-code-assignment", "build-code-params"],
+         "decodable-assignment", "t-secure-params",
+         "polynomial-code-assignment", "polynomial-code-params"],
 )
 def test_wrong_argument_types_raise_parameter_error(call, expected):
     # A tuple of sizes, a tuple of parameters, a list, -1 or None used to
@@ -504,7 +503,7 @@ def test_wrong_argument_types_raise_parameter_error(call, expected):
 
 
 def test_encode_zero_masks_degenerate():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
@@ -561,7 +560,7 @@ def test_block_shapes_validation():
 
 
 def test_server_evaluate():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
@@ -584,8 +583,21 @@ def test_server_evaluate():
             codec.server_evaluate(bundle, n)
 
 
+def test_share_bundle_refuses_a_field_or_share_of_the_wrong_type():
+    # server_evaluate used to raise a bare AttributeError on these: None has
+    # no .p, and an int share no .cols.
+    share = FieldMatrix(1, 1, (2,))
+    codec.ShareBundle(PrimeFieldSpec(5), (share,), (share,))
+    with pytest.raises(ParameterError, match="^field must be a PrimeFieldSpec, got NoneType$"):
+        codec.ShareBundle(None, (share,), (share,))
+    with pytest.raises(ParameterError, match=r"^f_shares\[1\] must be a FieldMatrix, got int$"):
+        codec.ShareBundle(PrimeFieldSpec(5), (share, 3), (share, share))
+    with pytest.raises(ParameterError, match=r"^g_shares\[0\] must be a FieldMatrix, got NoneType$"):
+        codec.ShareBundle(PrimeFieldSpec(5), (share,), (None,))
+
+
 def test_decode_tiny_product():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
@@ -686,7 +698,7 @@ def test_prepared_decoder_matches_full_solve():
             needed = tuple(index[x + y] for x in alpha for y in beta)
             rows = codec._decoder(p, plan.generator, plan.exponents, needed)
             # GV is invertible, so rows @ GV = the unit rows fixes the rows uniquely.
-            gv = generalized_vandermonde(p, plan.points, plan.exponents)
+            gv = generalized_vandermonde(p, points(plan), plan.exponents)
             assert det(p, gv) != 0
             identity_rows = tuple(int(i == j) for i in needed for j in range(n))
             assert gf.mat_mul(p, rows, gv) == FieldMatrix(len(needed), n, identity_rows)
@@ -738,7 +750,7 @@ def test_roundtrip_full_small_grid():
         for l in range(1, 5):
             for t in range(1, 5):
                 params = SchemeParams(k, l, t)
-                code = gasp_auto(params)
+                code = code_for_scheme(params, "auto")
                 plan = codec.find_evaluation_plan(code)
                 p = plan.field.p
                 for _ in range(2):
@@ -765,7 +777,7 @@ def test_plan_soundness_reverify():
             plan = codec.find_evaluation_plan(code_for_scheme(params, scheme), field)
             fresh = code_for_scheme(params, scheme)
             p = plan.field.p
-            assert det(p, generalized_vandermonde(p, plan.points, plan.exponents)) != 0
+            assert det(p, generalized_vandermonde(p, points(plan), plan.exponents)) != 0
             for exps in (fresh.alpha_masks, fresh.beta_masks):
                 assert is_mds(p, mask_matrix(p, plan.generator, fresh.n_servers, exps))
 

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from gasp import codec, degree_table, gf, harness, schemes
+from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
-from gasp.schemes import code_for_scheme, gasp_auto
-from test_oracles import det, is_mds
+from gasp.schemes import code_for_scheme
+from test_oracles import det, is_mds, points
 
 
 def _matrix(rows):
@@ -69,20 +69,12 @@ def test_run_sdmm_stage_seconds():
     "scheme, k, l, t, g",
     [("small", 4, 4, 3, None), ("big", 4, 4, 4, None), ("grouped", 4, 4, 4, 2)],
 )
-def test_run_sdmm_runs_no_det_or_solve(monkeypatch, scheme, k, l, t, g):
+def test_run_sdmm_runs_no_det_or_solve(scheme, k, l, t, g):
     # Plans are invertible by construction and decode interpolates, so a
     # session solves no linear system, for every scheme; the library has no
     # determinant to take.  A grouped code's mask check walks its T x T
     # minors by shared elimination.  The grouped (4,4,4), G = 2 session
-    # succeeds at its default field p = 1447, with g = 21.  Nor does a
-    # session run the brute-force term count: the code carries its term
-    # set, built once from the degree table.  schemes no longer imports
-    # the name, so the patch in degree_table is the one that can fire.
-    def refuse_count(*args):
-        raise AssertionError("count_terms ran inside run_sdmm")
-
-    assert not hasattr(schemes, "count_terms")
-    monkeypatch.setattr(degree_table, "count_terms", refuse_count)
+    # succeeds at its default field p = 1447, with g = 21.
     codec._decoder.cache_clear()
     transcript = harness.run_sdmm(
         SchemeParams(k, l, t), scheme=scheme, shapes=BlockShapes(2 * k, 2, 2 * l), g=g, seed=1
@@ -132,7 +124,7 @@ def test_run_sdmm_refuses_field_of_wrong_type():
 
 
 def test_mds_audit_fixture_passes():
-    code = gasp_auto(SchemeParams(3, 3, 2))
+    code = code_for_scheme(SchemeParams(3, 3, 2), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(29))
     report = harness.mds_audit(code, plan)
     assert report.gv_det_nonzero and report.p_mds and report.q_mds
@@ -141,18 +133,18 @@ def test_mds_audit_fixture_passes():
 
 def test_mds_audit_duplicated_point():
     # g = 12 has order 4 over F_29, so the 18 points repeat 1, 12, 28, 17.
-    code = gasp_auto(SchemeParams(3, 3, 2))
+    code = code_for_scheme(SchemeParams(3, 3, 2), "auto")
     plan = EvaluationPlan(PrimeFieldSpec(29), 12, code.exponents)
-    assert plan.points[:5] == (1, 12, 28, 17, 1)
+    assert points(plan)[:5] == (1, 12, 28, 17, 1)
     report = harness.mds_audit(code, plan)
     assert not report.gv_det_nonzero
     assert not report.all_pass
 
 
 def test_mds_audit_zero_point():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = EvaluationPlan(PrimeFieldSpec(7), 0, (0, 1, 2))
-    assert plan.points == (1, 0, 0)
+    assert points(plan) == (1, 0, 0)
     report = harness.mds_audit(code, plan)
     assert not report.p_mds
 
@@ -164,7 +156,7 @@ def test_mds_audit_rejects_plan_of_other_code():
     small = code_for_scheme(params, "small")
     big = code_for_scheme(params, "big")
     big_plan = codec.find_evaluation_plan(big, PrimeFieldSpec(1009))
-    assert len(big_plan.points) == small.n_servers
+    assert len(points(big_plan)) == small.n_servers
     assert harness.mds_audit(big, big_plan).all_pass
     with pytest.raises(ParameterError):
         harness.mds_audit(small, big_plan)
@@ -220,7 +212,7 @@ def test_exhaustive_audit_t1():
 def test_exhaustive_audit_every_verified_plan():
     # Any plan the search accepts should pass the distributional check.
     params = SchemeParams(1, 1, 1)
-    code = gasp_auto(params)
+    code = code_for_scheme(params, "auto")
     for p in (5, 7):
         plan = codec.find_evaluation_plan(code, PrimeFieldSpec(p))
         assert harness.exhaustive_privacy_audit(params, p, plan=plan), p
@@ -240,7 +232,7 @@ def test_exhaustive_audit_t2():
 
 def test_exhaustive_audit_corrupted_plan_fails():
     # g = 0 puts servers 1 and 2 at the point 0, where f(0) = A leaks.
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = EvaluationPlan(PrimeFieldSpec(5), 0, code.exponents)
     assert not harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
 
@@ -270,7 +262,7 @@ def test_exhaustive_audit_reach_over_f11(k, l, t):
 
 
 def test_exhaustive_audit_rejects_mismatched_plan():
-    code = gasp_auto(SchemeParams(1, 1, 1))
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(7))
     with pytest.raises(ParameterError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5, plan=plan)
@@ -278,7 +270,7 @@ def test_exhaustive_audit_rejects_mismatched_plan():
 
 def test_exhaustive_audit_rejects_plan_of_other_code():
     # A verified (1,1,2) plan has five points; the (1,1,1) code uses three.
-    other = codec.find_evaluation_plan(gasp_auto(SchemeParams(1, 1, 2)), PrimeFieldSpec(7))
+    other = codec.find_evaluation_plan(code_for_scheme(SchemeParams(1, 1, 2), "auto"), PrimeFieldSpec(7))
     with pytest.raises(ParameterError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 7, plan=other)
 

@@ -24,6 +24,14 @@ are the three mask constructions as first written, each laying out its
 own exponents and orientation.  The library builds all three from one
 layout, ``schemes._layout``; the tests check it against these.
 
+``terms`` and ``count_terms`` read a degree table entry by entry: its
+term set J and its size N.  The library derives J once per code, in the
+``schemes.PolynomialCode`` constructor, and counts grouped codes as
+bitmask sumsets; the tests hold both, and the closed-form server counts,
+against these.  ``points`` takes one ``pow`` per evaluation point of a
+plan, and ``kakar_rate`` is the gap-free baseline's rate at the Kakar
+heuristic's (K, L).
+
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
 multisets.  ``harness.exhaustive_privacy_audit`` computes one side's
@@ -36,15 +44,16 @@ import math
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
-from gasp.degree_table import ExponentAssignment, SchemeParams
+from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
-from gasp.schemes import code_for_scheme
+from gasp.schemes import code_for_scheme, kakar_heuristic, rate_r2
 
 # Term set of the worked small example (K, L, T) = (3, 3, 2): N = 18.
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
@@ -187,6 +196,26 @@ def gasp_grouped_oracle(k: int, g: int) -> ExponentAssignment:
     alpha = tuple(range(k)) + tuple(masks)
     beta = tuple(k * j for j in range(k)) + tuple(k * k + i for i in range(k))
     return ExponentAssignment(alpha, beta)
+
+
+def terms(table) -> tuple[int, ...]:
+    """Distinct entries of a degree table, ascending: the term set J of its code."""
+    return tuple(sorted(set(itertools.chain.from_iterable(table))))
+
+
+def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:
+    """Number of distinct degree-table entries, the server count N, by brute force."""
+    return len(terms(outer_sum(assignment, params)))
+
+
+def points(plan: EvaluationPlan) -> tuple[int, ...]:
+    """The evaluation points g ** 0, ..., g ** (N-1) of a plan, one ``pow`` each."""
+    return tuple(pow(plan.generator, n, plan.field.p) for n in range(len(plan.exponents)))
+
+
+def kakar_rate(n: int, t: int) -> Fraction:
+    """Rate of the gap-free baseline at the heuristic's (K, L) for N workers."""
+    return rate_r2(SchemeParams(*kakar_heuristic(n, t), t))
 
 
 def test_det_reference_value():

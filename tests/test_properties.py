@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from gasp import codec, gf
 from gasp.codec import BlockShapes
-from gasp.degree_table import SchemeParams, count_terms
+from gasp.degree_table import SchemeParams
 from gasp.schemes import code_for_scheme, gasp_big, gasp_small, n_big_closed, n_small_closed
 from test_gf import _raw, _triple_loop
-from test_oracles import rows
+from test_oracles import count_terms, rows
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

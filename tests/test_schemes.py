@@ -1,24 +1,24 @@
 """Scheme constructions, closed-form counts, rates, and the optimizers."""
 
 import functools
+import inspect
 from fractions import Fraction
 
 import pytest
 
 import gasp
-from gasp.degree_table import SchemeParams, count_terms, outer_sum, terms
+from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import ParameterError
 from gasp.schemes import (
+    PolynomialCode,
     code_for_scheme,
     download_rate,
     format_rate,
-    gasp_auto,
     gasp_big,
     gasp_grouped,
     gasp_small,
     grouped_sweep,
     kakar_heuristic,
-    kakar_rate,
     n_big_closed,
     n_small_closed,
     optimize_gasp,
@@ -26,7 +26,14 @@ from gasp.schemes import (
     rate_r2,
     rate_report,
 )
-from test_oracles import gasp_big_oracle, gasp_grouped_oracle, gasp_small_oracle
+from test_oracles import (
+    count_terms,
+    gasp_big_oracle,
+    gasp_grouped_oracle,
+    gasp_small_oracle,
+    kakar_rate,
+    terms,
+)
 
 
 def grid(max_kl=12):
@@ -78,15 +85,15 @@ def test_gasp_small_swapped_orientation():
 
 
 def test_gasp_auto_choice():
-    code = gasp_auto(SchemeParams(3, 3, 2))
+    code = code_for_scheme(SchemeParams(3, 3, 2), "auto")
     assert code.scheme_label == "small"
     assert code.n_servers == 18
 
-    code = gasp_auto(SchemeParams(20, 20, 25))
+    code = code_for_scheme(SchemeParams(20, 20, 25), "auto")
     assert code.scheme_label == "big"
     assert code.n_servers == 2 * 400 + 50 - 1 == 849
 
-    code = gasp_auto(SchemeParams(1, 1, 5))
+    code = code_for_scheme(SchemeParams(1, 1, 5), "auto")
     assert code.scheme_label == "big"
     assert code.n_servers == 11
 
@@ -189,8 +196,8 @@ def test_dominance_and_small_beats_big():
 
 
 def test_schemes_always_valid_codes():
-    # Every code carries the term set of its degree table, built once in
-    # build_code; the brute-force oracles must agree with it.
+    # Every code carries the term set of its degree table, derived once by
+    # the PolynomialCode constructor; the brute-force oracles must agree.
     codes = [code_for_scheme(params, s) for params in grid(max_kl=6) for s in ("small", "big")]
     codes += [
         code_for_scheme(SchemeParams(k, k, k), "grouped", g=g)
@@ -199,6 +206,32 @@ def test_schemes_always_valid_codes():
     for code in codes:
         assert code.exponents == terms(outer_sum(code.assignment, code.params)), code
         assert code.n_servers == count_terms(code.assignment, code.params), code
+
+
+def test_code_constructor_refuses_invalid_assignments_and_derives_j():
+    # J is derived, never passed: a (2,2,1) code once took a J without the
+    # table's top entry 8, planned, passed the audit and decoded wrongly.
+    assert "exponents" not in inspect.signature(PolynomialCode).parameters
+    params = SchemeParams(2, 2, 1)
+    code = PolynomialCode(params, gasp_big(params), "big")
+    assert code.exponents == terms(outer_sum(code.assignment, params)) == (0, 1, 2, 3, 4, 5, 6, 8)
+    assert code == code_for_scheme(params, "big")
+    # A data exponent that collides (alpha 0, 0) is not decodable, and two
+    # equal masks (T = 2, masks 4, 4) are not 2-secure; both messages name
+    # the label.
+    with pytest.raises(ParameterError, match="^x assignment is not decodable for"):
+        PolynomialCode(params, ExponentAssignment((0, 0, 4), (0, 2, 4)), "x")
+    params = SchemeParams(1, 1, 2)
+    with pytest.raises(ParameterError, match="^x assignment is not 2-secure$"):
+        PolynomialCode(params, ExponentAssignment((0, 4, 4), (0, 1, 2)), "x")
+
+
+def test_format_rate_refuses_negative_rate():
+    # No rate of the library is negative; -1/3 used to render as "-1.667".
+    for rate in (Fraction(-1, 3), Fraction(-1, 2000), Fraction(-5)):
+        with pytest.raises(ParameterError, match="^rate must be nonnegative"):
+            format_rate(rate)
+    assert format_rate(Fraction(0)) == "0.000"
 
 
 def test_download_rate_rendering():
@@ -244,8 +277,6 @@ def test_kakar_heuristic_values():
     for n, t in ((4, 2), (7, 0), (7, -1), (5.0, 2), (5, 2.0), (True, 1), (7, True)):
         with pytest.raises(ParameterError):
             kakar_heuristic(n, t)
-        with pytest.raises(ParameterError):
-            kakar_rate(n, t)
 
 
 def test_kakar_fits_worker_pool():
@@ -375,7 +406,7 @@ def test_code_for_scheme_rejects_bad_input():
     [
         ("default_field", (None,), "code"),
         ("format_rate", (None,), "rate"),
-        ("gasp_auto", (None,), "params"),
+        ("code_for_scheme", (None, "auto"), "params"),
         ("gasp_big", (None,), "params"),
         ("gasp_small", (None,), "params"),
         ("n_big_closed", (None,), "params"),
@@ -383,13 +414,13 @@ def test_code_for_scheme_rejects_bad_input():
         ("n_small_closed", (None,), "params"),
         ("rate_r2", (None,), "params"),
         ("rate_report", (None,), "params"),
-        ("terms", (None,), "table"),
+        ("PolynomialCode", (SchemeParams(2, 2, 1), None, "x"), "assignment"),
         ("download_rate", (None, 3), "params"),
     ],
 )
 def test_none_argument_raises_parameter_error(name, args, arg):
-    # Each of these used to fail on None with a bare AttributeError or,
-    # for terms, a bare TypeError.
+    # Each of these used to fail on None with a bare AttributeError; the
+    # PolynomialCode constructor accepted it and failed later, in plan search.
     # "an" before a vowel, "a" before anything else.
     article = "(a [^AEIOU]|an [AEIOU])"
     with pytest.raises(ParameterError, match=f"^{arg} must be {article}[A-Za-z]*, got NoneType$"):
