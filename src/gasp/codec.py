@@ -16,9 +16,10 @@ and N, with that stack; row n is server n's share.  Decode stacks the N
 responses the same way.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
 decode multiplies the response stack by the KL matching rows of the
-inverse generalized Vandermonde matrix.  Those prepared KL x N rows
-are built once per plan and cached, and A @ B is reassembled from the
-product's KL rows.
+inverse generalized Vandermonde matrix, and A @ B is reassembled from
+the product's KL rows.  All three left factors, the two power matrices
+and those KL x N rows, are fixed by the plan, so each is built once per
+plan and cached as a ``gf._FixedFactor`` with its columns packed.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
 at g ** n.  The code carries its term set J, derived once from its
@@ -275,10 +276,31 @@ def _check_matrix(name: str, m: FieldMatrix, rows: int, cols: int, p: int) -> No
     check_type(name, m, FieldMatrix)
     if (m.rows, m.cols) != (rows, cols):
         raise ParameterError(f"{name} must be {rows} x {cols}, got {m.rows} x {m.cols}")
+    if not _residues(m.entries, p):
+        raise ParameterError(f"{name} entries must be int residues reduced mod {p}")
+
+
+def _residues(entries: tuple, p: int) -> bool:
     # Exactness needs int entries: a float passes the range check, then rounds.
     # Each check is one pass in C: the entry types, then min and max.
-    if set(map(type, m.entries)) != {int} or min(m.entries) < 0 or max(m.entries) >= p:
-        raise ParameterError(f"{name} entries must be int residues reduced mod {p}")
+    return set(map(type, entries)) == {int} and min(entries) >= 0 and max(entries) < p
+
+
+def _response_entries(responses, rows: int, cols: int, p: int) -> tuple[int, ...]:
+    """The responses' entries in turn, each response checked as ``_check_matrix`` checks it.
+
+    The types and shapes are checked one response at a time, the entries
+    in one pass over them all; only a failure looks for the first bad
+    response, whose message names it.
+    """
+    ok = all(isinstance(r, FieldMatrix) and (r.rows, r.cols) == (rows, cols) for r in responses)
+    if ok:
+        entries = tuple(chain.from_iterable(r.entries for r in responses))
+        ok = _residues(entries, p)
+    if not ok:
+        for i, resp in enumerate(responses):
+            _check_matrix(f"responses[{i}]", resp, rows, cols, p)
+    return entries
 
 
 def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatrix:
@@ -306,9 +328,20 @@ def _shares(
     rows: int, cols: int,
 ) -> tuple[FieldMatrix, ...]:
     """One side's shares: [(g ** i) ** e_j] @ (data stack, then mask stack), row i for server i."""
+    powers = _power_matrix(p, g, n, tuple(exponents))
     stack = FieldMatrix(len(exponents), data.cols, data.entries + masks.entries)
-    product = gf.mat_mul(p, gf.generalized_vandermonde(p, g, n, exponents), stack)
-    return tuple(FieldMatrix(rows, cols, product.row(i)) for i in range(n))
+    columns = powers.product_columns(stack)
+    if columns is None:
+        product = gf.mat_mul(p, powers.matrix, stack)
+        return tuple(FieldMatrix(rows, cols, product.row(i)) for i in range(n))
+    # Column j of the product holds entry j of every share.
+    return tuple(FieldMatrix(rows, cols, columns[i::n]) for i in range(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _power_matrix(p: int, g: int, n: int, exponents: tuple[int, ...]) -> gf._FixedFactor:
+    """Encode's N x (K+T) or N x (L+T) power matrix of a plan, built once."""
+    return gf._FixedFactor(p, gf.generalized_vandermonde(p, g, n, exponents))
 
 
 def encode(
@@ -324,11 +357,11 @@ def encode(
 
     Server n receives f(a_n) = sum_k A_k a_n^alpha[k] + sum_t R_t
     a_n^alpha[K+t] and the matching g(a_n).  Each side is computed as
-    one product: the N x (K+T) matrix [a_n ** alpha_j] times the stack
-    of A's K row blocks and the R masks (for g, [a_n ** beta_j] times
-    B's L column blocks and the S masks).  Masks are drawn from a
-    seeded uniform source, one T-row stack per side, R before S, unless
-    given as a :class:`MaskSet` via ``masks``.
+    one product: the N x (K+T) matrix [a_n ** alpha_j], built once per
+    plan, times the stack of A's K row blocks and the R masks (for g,
+    [a_n ** beta_j] times B's L column blocks and the S masks).  Masks
+    are drawn from a seeded uniform source, one T-row stack per side, R
+    before S, unless given as a :class:`MaskSet` via ``masks``.
     """
     _check_plan(code, plan)
     check_int("seed", seed)
@@ -371,8 +404,8 @@ def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
 @functools.lru_cache(maxsize=8)
 def _decoder(
     p: int, generator: int, exponents: tuple[int, ...], needed: tuple[int, ...]
-) -> FieldMatrix:
-    """Rows ``needed`` of GV^-1, GV = [(g ** n) ** e_j], as a len(needed) x N matrix.
+) -> gf._FixedFactor:
+    """Rows ``needed`` of GV^-1, GV = [(g ** n) ** e_j], as a len(needed) x N fixed factor.
 
     GV[n][j] = y_j ** n for the nodes y_j = g ** e_j, so row j of GV^-1
     holds the coefficients of the Lagrange basis polynomial
@@ -398,7 +431,7 @@ def _decoder(
             quotient.append((c + y * quotient[-1]) % p)
         scale = pow(math.prod(y - x for x in nodes if x != y), -1, p)
         entries.extend(c * scale % p for c in reversed(quotient))
-    return FieldMatrix(len(needed), len(nodes), tuple(entries))
+    return gf._FixedFactor(p, FieldMatrix(len(needed), len(nodes), tuple(entries)))
 
 
 def decode(
@@ -415,7 +448,7 @@ def decode(
     exactly A_k B_l, so decode computes only those KL rows, in (k, l)
     order: one product of the prepared KL x N rows of GV^-1 with the
     response stack.  The prepared rows are built from Lagrange basis
-    polynomials at the first decode on a plan and reused after that.
+    polynomials at the first decode on a plan, packed, and reused after that.
     The KL product rows are reassembled into A @ B.
     """
     _check_plan(code, plan)
@@ -426,16 +459,12 @@ def decode(
     check_type("responses", responses, Sequence)
     if len(responses) != n:
         raise ParameterError(f"need all {n} responses, got {len(responses)}")
-    for i, resp in enumerate(responses):
-        _check_matrix(f"responses[{i}]", resp, block_rows, block_cols, p)
-
-    rhs = FieldMatrix(
-        n, block_rows * block_cols, tuple(chain.from_iterable(r.entries for r in responses))
-    )
+    entries = _response_entries(responses, block_rows, block_cols, p)
+    rhs = FieldMatrix(n, block_rows * block_cols, entries)
     exp_index = {e: i for i, e in enumerate(plan.exponents)}
     alpha, beta = code.assignment.alpha[:params.k], code.assignment.beta[:params.l]
     needed = tuple(exp_index[x + y] for x in alpha for y in beta)
-    products = gf.mat_mul(p, _decoder(p, plan.generator, plan.exponents, needed), rhs)
+    products = _decoder(p, plan.generator, plan.exponents, needed) @ rhs
     return FieldMatrix(shapes.r, shapes.t, _stack(products, params.k, block_rows).entries)
 
 

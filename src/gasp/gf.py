@@ -52,7 +52,11 @@ A = B = p - 1.  The product rows are joined into one little-endian
 buffer and each slot is reduced mod p once.  Slots of 1, 2 or 4 bytes
 are read as they are, others are copied into whole 8-byte words, and a
 slot of several words is combined as the sum of word_i * (2**(64*i) mod
-p) before its one mod.
+p) before its one mod.  One packing core serves every product: ``_pack``
+turns rows into ints and ``_multiply`` sums rows of multipliers against
+them.  ``_FixedFactor`` packs a left factor fixed for many products once,
+its columns at the width of m * A * A for A the bound above, which holds
+for every b, so a tall product with it only checks b and sums b's columns.
 """
 
 from __future__ import annotations
@@ -212,8 +216,8 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     at p = 11,383 and 3.3x at p = 2**61 - 1, a server's 16x64 by 64x16
     product 3.1x and 3.6x, and decode (64x83 by 83x256) 7.9x and 5.0x.
     A (4,4,3) session on 2x2 blocks packs a's columns in encode (33x7
-    by 7x4) and decode (16x33 by 33x4), which the former rule left to
-    the schoolbook loop.  The exhaustive audit computes one side's
+    by 7x4) and decode (16x33 by 33x4), once per plan in a
+    ``_FixedFactor``.  The exhaustive audit computes one side's
     shares under all M mask stacks of a secret in one product, whose
     columns are M times a block's entries, so it packs once the product
     reaches 64 entries.  The schoolbook side keeps the 2x2 products of
@@ -229,33 +233,89 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         return FieldMatrix(n, q, entries)
     if n > q:
         # Pack a's columns: a @ b is the transpose of b^T @ a^T, which packs a^T's rows.
-        # That product has only q < n rows, so zipping them transposes it back.
-        product = _packed(p, _transpose(b), _transpose(a))
-        columns = zip(*map(product.row, range(q)))
-        return FieldMatrix(n, q, tuple(itertools.chain.from_iterable(columns)))
-    return _packed(p, a, b)
+        return _from_columns(n, q, _packed(p, _transpose(b), _transpose(a)))
+    return FieldMatrix(n, q, _packed(p, a, b))
 
 
-def _packed(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """a @ b mod p, packing b's rows as the module docstring describes."""
+def _packed(p: int, a: FieldMatrix, b: FieldMatrix) -> tuple[int, ...]:
+    """The entries of a @ b mod p, packing b's rows as the module docstring describes."""
     n, m, q = a.rows, a.cols, b.cols
     # a's entries, then b's; each is at most bound.
     entries, words, bound = _operands(p, a.entries + b.entries)
-    width = ((m * bound * bound).bit_length() + 7) // 8
-    # Slot k of the packed rows holds entry k of b: the low bytes of its
-    # 8-byte word, those within p - 1's.  Its higher bytes are zero.
-    slots = bytearray(m * q * width)
-    start = 8 * n * m
+    width = _slot_width(m, bound)
+    packed = _pack(p, words[8 * n * m:], q, width)
+    return _multiply(p, (entries[i:i + m] for i in range(0, n * m, m)), packed, q, width)
+
+
+def _pack(p: int, words: bytes, cols: int, width: int) -> list[int]:
+    """One int per row of the matrix whose entries are ``words``, 8 bytes each.
+
+    Slot j of row k's int, ``width`` bytes wide, holds entry j of row k:
+    the low bytes of its word, those within p - 1's, whose higher bytes
+    ``_operands`` has found zero.
+    """
+    slots = bytearray(len(words) // 8 * width)
     for j in range(((p - 1).bit_length() + 7) // 8):
-        slots[j::width] = words[start + j::8]
-    step = q * width
+        slots[j::width] = words[j::8]
+    step = cols * width
     view = memoryview(slots)
-    packed = [int.from_bytes(view[k:k + step], "little") for k in range(0, m * step, step)]
-    product = b"".join(
-        sum(map(operator.mul, entries[i:i + m], packed)).to_bytes(step, "little")
-        for i in range(0, n * m, m)
-    )
-    return FieldMatrix(n, q, _unpack(p, product, width))
+    return [int.from_bytes(view[k:k + step], "little") for k in range(0, len(slots), step)]
+
+
+def _multiply(p: int, rows, packed: list[int], cols: int, width: int) -> tuple[int, ...]:
+    """Each row of multipliers dotted with the packed ints, ``cols`` slots read per row."""
+    step = cols * width
+    product = b"".join(sum(map(operator.mul, row, packed)).to_bytes(step, "little") for row in rows)
+    return _unpack(p, product, width)
+
+
+def _from_columns(rows: int, cols: int, columns: tuple[int, ...]) -> FieldMatrix:
+    """The matrix whose columns, ``rows`` entries each, are given in turn.
+
+    It has only ``cols`` < ``rows`` columns, so zipping them transposes it in C.
+    """
+    column = [columns[j:j + rows] for j in range(0, rows * cols, rows)]
+    return FieldMatrix(rows, cols, tuple(itertools.chain.from_iterable(zip(*column))))
+
+
+class _FixedFactor:
+    """A left factor a, fixed for many products a @ b mod p, with its columns packed once.
+
+    The columns are packed as ``mat_mul`` packs them for a tall product,
+    at the width of m * A * A, A the byte bound ``_operands`` returns
+    for residues mod p, which covers every b it keeps or reduces.
+    """
+
+    __slots__ = ("p", "matrix", "width", "columns")
+
+    def __init__(self, p: int, matrix: FieldMatrix) -> None:
+        self.p, self.matrix = p, matrix
+        self.width = _slot_width(matrix.cols, _byte_bound(p))
+        _, words, _ = _operands(p, _transpose(matrix).entries)
+        self.columns = _pack(p, words, matrix.rows, self.width)
+
+    def product_columns(self, b: FieldMatrix) -> tuple[int, ...] | None:
+        """The columns of a @ b mod p in turn, or None unless a @ b packs a's columns.
+
+        ``mat_mul`` packs a's columns when a is taller than b is wide and
+        the product has at least ``_PACK_MIN_ENTRIES`` entries; then b's
+        entries are checked and its columns multiply the packed ones.
+        """
+        a, p = self.matrix, self.p
+        if a.cols != b.rows:
+            raise ParameterError("shape mismatch in matrix product")
+        n, q = a.rows, b.cols
+        if n <= q or n * q < _PACK_MIN_ENTRIES:
+            return None
+        entries = _operands(p, b.entries)[0]
+        return _multiply(p, (entries[j::q] for j in range(q)), self.columns, n, self.width)
+
+    def __matmul__(self, b: FieldMatrix) -> FieldMatrix:
+        """a @ b mod p, as ``mat_mul`` computes it."""
+        columns = self.product_columns(b)
+        if columns is None:
+            return mat_mul(self.p, self.matrix, b)
+        return _from_columns(self.matrix.rows, b.cols, columns)
 
 
 def _transpose(m: FieldMatrix) -> FieldMatrix:
@@ -275,8 +335,7 @@ def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]
     bytes do.  Otherwise they are reduced mod p and the bound is p - 1.
     """
     size = ((p - 1).bit_length() + 7) // 8
-    shift = 8 * (size - 1)
-    top = (p - 1) >> shift
+    top = (p - 1) >> 8 * (size - 1)
     try:
         raw = _little_endian(array("Q", entries)).tobytes()
     except OverflowError:
@@ -285,9 +344,20 @@ def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]
         if not raw[size - 1::8].translate(None, bytes(range(top + 1))) and not any(
             raw[j::8].translate(None, b"\0") for j in range(size, 8)
         ):
-            return entries, raw, ((top + 1) << shift) - 1
+            return entries, raw, _byte_bound(p)
     entries = list(map(operator.mod, entries, itertools.repeat(p)))
     return entries, _little_endian(array("Q", entries)).tobytes(), p - 1
+
+
+def _byte_bound(p: int) -> int:
+    """The largest int whose bytes stay within those of p - 1; it is below 2 * p."""
+    shift = 8 * (((p - 1).bit_length() + 7) // 8 - 1)
+    return ((((p - 1) >> shift) + 1) << shift) - 1
+
+
+def _slot_width(m: int, bound: int) -> int:
+    """Bytes of m * bound * bound: a slot of m products of operands at most bound."""
+    return ((m * bound * bound).bit_length() + 7) // 8
 
 
 def _little_endian(words: array) -> array:

@@ -58,6 +58,7 @@ class PolynomialCode:
     exponents: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        check_type("scheme_label", self.scheme_label, str)
         params, assignment = self.params, self.assignment
         if not is_decodable(assignment, params):
             raise ParameterError(f"{self.scheme_label} assignment is not decodable for {params}")

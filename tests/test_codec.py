@@ -428,6 +428,32 @@ def test_non_int_entries_rejected():
         codec.decode(tuple(responses), code, plan, shapes)
 
 
+def test_decode_names_the_first_bad_response():
+    # decode checks the types and shapes response by response and the
+    # entries in one pass; the first bad response in order, whatever its
+    # fault, is the one named, as when each was checked in full in turn.
+    code = code_for_scheme(SchemeParams(1, 1, 1), "auto")
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
+    shapes = BlockShapes(1, 1, 2)
+    good = FieldMatrix(1, 2, (1, 4))
+    faults = {
+        "type": None, "shape": FieldMatrix(2, 1, (1, 4)), "float": FieldMatrix(1, 2, (1.0, 4)),
+        "negative": FieldMatrix(1, 2, (1, -1)), "unreduced": FieldMatrix(1, 2, (5, 4)),
+    }
+    pairs = itertools.product(itertools.combinations(range(3), 2), faults, faults)
+    for (i, j), first, second in pairs:
+        responses = [good] * 3
+        responses[i], responses[j] = faults[first], faults[second]
+        want = None
+        try:
+            codec._check_matrix(f"responses[{i}]", faults[first], 1, 2, 5)
+        except ParameterError as exc:
+            want = str(exc)
+        with pytest.raises(ParameterError) as raised:
+            codec.decode(tuple(responses), code, plan, shapes)
+        assert str(raised.value) == want and want.startswith(f"responses[{i}] "), (first, second)
+
+
 def test_non_matrix_inputs_rejected():
     # A server that did not answer (None) or a raw list of rows gets a
     # typed error, not an AttributeError on .rows.
@@ -696,7 +722,7 @@ def test_prepared_decoder_matches_full_solve():
             k, l = code.params.k, code.params.l
             alpha, beta = code.assignment.alpha[:k], code.assignment.beta[:l]
             needed = tuple(index[x + y] for x in alpha for y in beta)
-            rows = codec._decoder(p, plan.generator, plan.exponents, needed)
+            rows = codec._decoder(p, plan.generator, plan.exponents, needed).matrix
             # GV is invertible, so rows @ GV = the unit rows fixes the rows uniquely.
             gv = generalized_vandermonde(p, points(plan), plan.exponents)
             assert det(p, gv) != 0
@@ -712,13 +738,73 @@ def test_prepared_decoder_matches_full_solve():
             assert decoded == gf.mat_mul(p, a, b)
 
 
-def test_second_decode_runs_no_elimination():
+def test_cached_factors_match_per_call_products():
+    # Every share equals its row of a per-call mat_mul of the points-built
+    # power matrix with the stack, and every decode the per-call product of
+    # the decoder rows with the response stack, reassembled, which is A @ B.
+    # Block shapes: 2 x s blocks of A and s x 2 blocks of B with 2s < N, whose
+    # 2 x 2 block products have fewer entries than KL (encode and decode pack
+    # the fixed factor's columns once the product has 64 entries), and blocks
+    # of N + 1 entries on each side whose block product has KL entries
+    # (encode and decode keep mat_mul's rows).
+    rng = random.Random(26)
+    tall = set()
+    for code in _decoder_grid():
+        k, l, n = code.params.k, code.params.l, code.n_servers
+        for field in (None, PrimeFieldSpec(gf.next_prime(2**61))):
+            plan = codec.find_evaluation_plan(code, field=field)
+            p, t = plan.field.p, code.params.t
+            below = BlockShapes(2 * k, max(1, (n - 1) // 2), 2 * l)
+            for shapes in (below, BlockShapes(k, n + 1, l * k * l)):
+                block_rows, block_cols = shapes.r // k, shapes.t // l
+                for side, rows, width in (("encode", n, block_rows * shapes.s),
+                                          ("decode", k * l, block_rows * block_cols)):
+                    tall.add((side, rows > width and rows * width >= gf._PACK_MIN_ENTRIES))
+                a = codec.random_matrix(p, shapes.r, shapes.s, rng)
+                b = codec.random_matrix(p, shapes.s, shapes.t, rng)
+                masks = MaskSet(codec.random_matrix(p, t, block_rows * shapes.s, rng),
+                                codec.random_matrix(p, t, shapes.s * block_cols, rng))
+                bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
+                sides = ((code.assignment.alpha, codec._stack(a, k, 1), masks.r_masks,
+                          bundle.f_shares), (code.assignment.beta, codec._stack(b, 1, l),
+                                             masks.s_masks, bundle.g_shares))
+                for exponents, data, mask_stack, shares in sides:
+                    stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_stack.entries)
+                    powers = generalized_vandermonde(p, points(plan), exponents)
+                    product = gf.mat_mul(p, powers, stack)
+                    assert [s.entries for s in shares] == [product.row(i) for i in range(n)]
+                responses = tuple(codec.server_evaluate(bundle, i) for i in range(n))
+                index = {e: i for i, e in enumerate(plan.exponents)}
+                alpha, beta = code.assignment.alpha[:k], code.assignment.beta[:l]
+                needed = tuple(index[x + y] for x in alpha for y in beta)
+                rows = codec._decoder(p, plan.generator, plan.exponents, needed).matrix
+                rhs = FieldMatrix(n, block_rows * block_cols,
+                                  tuple(e for r in responses for e in r.entries))
+                products = gf.mat_mul(p, rows, rhs)
+                decoded = codec.decode(responses, code, plan, shapes)
+                assert decoded.entries == codec._stack(products, k, block_rows).entries
+                assert decoded == gf.mat_mul(p, a, b), (code.params, p, shapes)
+    assert tall == set(itertools.product(("encode", "decode"), (False, True)))
+
+
+def test_second_decode_runs_no_elimination(monkeypatch):
+    # Each plan's two power matrices and its decoder rows are built once,
+    # however many times it encodes and decodes.
     codec._decoder.cache_clear()
+    codec._power_matrix.cache_clear()
+    builds = []
+    shipped = gf.generalized_vandermonde
+
+    def counted(p, g, n, exponents):
+        builds.append(tuple(exponents))
+        return shipped(p, g, n, exponents)
+
+    monkeypatch.setattr(gf, "generalized_vandermonde", counted)
     code = fixture_code()
     plan = fixture_plan()
     shapes = BlockShapes(3, 2, 6)
     rng = random.Random(12)
-    for hits in (0, 1):
+    for hits in (0, 1, 2):
         a = codec.random_matrix(29, 3, 2, rng)
         b = codec.random_matrix(29, 2, 6, rng)
         bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**30))
@@ -726,6 +812,18 @@ def test_second_decode_runs_no_elimination():
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(29, a, b)
         info = codec._decoder.cache_info()
         assert (info.misses, info.hits) == (1, hits)
+        info = codec._power_matrix.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * hits)
+        assert builds == [code.assignment.alpha, code.assignment.beta]
+    # A singular plan encodes, but its decoder raises and is never cached.
+    singular = codec.EvaluationPlan(PrimeFieldSpec(29), 28, code.exponents)
+    bundle = codec.encode(a, b, code, singular, shapes, seed=1)
+    responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
+    for attempt in (2, 3):
+        with pytest.raises(SingularMatrixError):
+            codec.decode(responses, code, singular, shapes)
+        info = codec._decoder.cache_info()
+        assert (info.misses, info.currsize) == (attempt, 1)
 
 
 def test_singular_plan_raises_on_every_decode():

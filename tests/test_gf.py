@@ -475,6 +475,47 @@ def _spy(calls, name, fn, *args):
     return fn(*args)
 
 
+def test_fixed_factor_products_match_mat_mul_and_triple_loop():
+    # A left factor of residues, its columns packed once at the width fixed
+    # by p, against right operands of residues, of entries in [p, A] up to
+    # the byte bound A, of entries shifted below 0 and to 2**64 and above,
+    # and all A.  Tall products of at least 64 entries multiply b's columns
+    # by the packed ones; wide and smaller products take mat_mul.  Shapes
+    # sit just below, at and just above 64 entries in each orientation.  At
+    # (257, 255) and (11383, 33) all-(p-1) columns against all-A operands
+    # need the width of m * A * A, one byte more than m * (p-1)**2.
+    rng = random.Random(26)
+    shapes = ((21, 3), (16, 4), (13, 5), (9, 8), (3, 21), (4, 16), (5, 13), (8, 8))
+    for p in (2, 3, 251, 257, 11383, 65537, 2**31 - 1, 2**61 - 1):
+        bound = _byte_bound(p)
+        inner = (1, 7, 40) + {257: (255,), 11383: (33,)}.get(p, ())
+        for (n, q), m in itertools.product(shapes, inner):
+            a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            factor = gf._FixedFactor(p, _raw(a))
+            top = gf._FixedFactor(p, _raw([[p - 1] * m] * n))
+            operands = (
+                [[rng.randrange(p) for _ in range(q)] for _ in range(m)],
+                [[rng.randrange(p, bound + 1) if p < bound else p - 1 for _ in range(q)]
+                 for _ in range(m)],
+                [[rng.randrange(p) + rng.choice((-p, 2**64, 2**70 + p)) for _ in range(q)]
+                 for _ in range(m)],
+                [[bound] * q for _ in range(m)],
+            )
+            tall = n > q and n * q >= gf._PACK_MIN_ENTRIES
+            for b in operands:
+                want = _triple_loop(p, a, [[e % p for e in r] for r in b])
+                got = factor @ _raw(b)
+                assert rows(got) == want and got == gf.mat_mul(p, _raw(a), _raw(b)), (p, n, m, q)
+                columns = factor.product_columns(_raw(b))
+                assert (columns is not None) == tall, (p, n, q)
+                if tall:
+                    assert list(columns) == [want[i][j] for j in range(q) for i in range(n)]
+                peak = top @ _raw(b)
+                assert rows(peak) == _triple_loop(p, [[p - 1] * m] * n, b), (p, n, m, q)
+    with pytest.raises(ParameterError):
+        gf._FixedFactor(7, _raw([[1] * 3] * 30)) @ _raw([[1]] * 2)
+
+
 def test_mat_mul_is_transpose_of_transposed_product():
     # a @ b = (b^T @ a^T)^T on random shapes, each side of the orientation
     # cut, with entries reduced or not.

@@ -226,6 +226,15 @@ def test_code_constructor_refuses_invalid_assignments_and_derives_j():
         PolynomialCode(params, ExponentAssignment((0, 4, 4), (0, 1, 2)), "x")
 
 
+def test_code_constructor_refuses_a_label_that_is_no_str():
+    # A None label used to build a code labelled None, and a list label was
+    # formatted into the refusal message.
+    params = SchemeParams(1, 1, 1)
+    for label in (None, ["x"]):
+        with pytest.raises(ParameterError, match="^scheme_label must be a str, got"):
+            PolynomialCode(params, gasp_big(params), label)
+
+
 def test_format_rate_refuses_negative_rate():
     # No rate of the library is negative; -1/3 used to render as "-1.667".
     for rate in (Fraction(-1, 3), Fraction(-1, 2000), Fraction(-5)):
