@@ -19,7 +19,9 @@ decode multiplies the response stack by the KL matching rows of the
 inverse generalized Vandermonde matrix, and A @ B is reassembled from
 the product's KL rows.  All three left factors, the two power matrices
 and those KL x N rows, are fixed by the plan, so each is built once per
-plan and cached as a ``gf._FixedFactor`` with its columns packed.
+plan and cached as a ``gf._FixedFactor``, which packs its columns at its
+first tall product and keeps them.  Encode takes the shares as the rows
+of the factor's product, and decode takes the product as one matrix.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
 at g ** n.  The code carries its term set J, derived once from its
@@ -330,12 +332,7 @@ def _shares(
     """One side's shares: [(g ** i) ** e_j] @ (data stack, then mask stack), row i for server i."""
     powers = _power_matrix(p, g, n, tuple(exponents))
     stack = FieldMatrix(len(exponents), data.cols, data.entries + masks.entries)
-    columns = powers.product_columns(stack)
-    if columns is None:
-        product = gf.mat_mul(p, powers.matrix, stack)
-        return tuple(FieldMatrix(rows, cols, product.row(i)) for i in range(n))
-    # Column j of the product holds entry j of every share.
-    return tuple(FieldMatrix(rows, cols, columns[i::n]) for i in range(n))
+    return tuple(FieldMatrix(rows, cols, row) for row in powers.rows(stack))
 
 
 @functools.lru_cache(maxsize=16)

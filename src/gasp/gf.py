@@ -32,31 +32,32 @@ b[k][j]; row i of the product is then the single sum of big-integer
 products a[i][0]*packed[0] + ... + a[i][m-1]*packed[m-1], which CPython
 computes in C.  When a is taller than b is wide, as encode's N x (K+T)
 power matrix and decode's KL x N rows are against blocks of fewer
-entries than there are servers, the same core computes b^T @ a^T, whose
-packed rows are a's columns, and the product is transposed back.  The
-operands are transposed by one slice per column and the product, which
-has only the short side's rows, by zipping them, all in C.  Either way
-the packed ints run along the long side and the sums number the short
-side.  If every
-entry of a lies in [0, A] and every entry of b in [0, B], slot j of that
-sum is exactly a[i][0]*b[0][j] + ... + a[i][m-1]*b[m-1][j], since each
-term lies in [0, A*B], a slot never exceeds m*A*B, and ``width`` is the
-exact byte count of m*A*B.  No slot carries into the next, and no term is negative,
-so none borrows from it.  The operands are taken as they are when
+entries than there are servers, column k of a becomes the packed int
+instead, and column j of the product is the single sum
+b[0][j]*packed[0] + ... + b[m-1][j]*packed[m-1], b's column j taken as
+one strided slice of its entries, in C.  Either way the packed ints run
+along the long side and the sums number the short side.  Every entry
+of a and b lies in [0, A], so each term of a slot lies in [0, A*A], a
+slot never exceeds m*A*A, and ``width`` is the exact byte count of
+m*A*A.  No slot carries into the next, and no term is negative, so none
+borrows from it.  The operands are taken as they are when
 ``array('Q')`` accepts all their entries and every entry's bytes stay
 within those of p - 1: no byte above p - 1's top byte, and that byte no
-larger than p - 1's.  A and B are then the largest such int,
+larger than p - 1's.  A is the largest such int,
 (t + 1) * 256**(k - 1) - 1 for p - 1 of k bytes with top byte t, which
-is below 2 * p.  Otherwise both operands are reduced mod p first, and
-A = B = p - 1.  The product rows are joined into one little-endian
-buffer and each slot is reduced mod p once.  Slots of 1, 2 or 4 bytes
-are read as they are, others are copied into whole 8-byte words, and a
-slot of several words is combined as the sum of word_i * (2**(64*i) mod
-p) before its one mod.  One packing core serves every product: ``_pack``
-turns rows into ints and ``_multiply`` sums rows of multipliers against
-them.  ``_FixedFactor`` packs a left factor fixed for many products once,
-its columns at the width of m * A * A for A the bound above, which holds
-for every b, so a tall product with it only checks b and sums b's columns.
+is below 2 * p.  Otherwise an operand is reduced mod p first, into
+[0, p - 1].  So the width depends on m and p alone.  The sums are
+joined into one little-endian buffer and each slot is reduced mod p
+once.  Slots of 1, 2 or 4 bytes are read as they are, others are copied
+into whole 8-byte words, and a slot of several words is combined as the
+sum of word_i * (2**(64*i) mod p) before its one mod.  One packing core
+serves every product: ``_pack`` turns rows into ints and ``_multiply``
+sums rows of multipliers against them.  ``_product`` runs every
+product and keeps a tall product's packed columns in a
+``_FixedFactor``, as ``mat_mul``'s docstring describes.  A tall
+product's entries come column by column: ``_FixedFactor.rows`` slices
+each row of the product from them, and ``mat_mul`` and ``@`` join those
+rows into a matrix.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import itertools
 import operator
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -170,9 +171,10 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     fixed set-up and one step per entry of a, of b and of the product,
     all in C, on top of one big-integer term per entry of the short
     operand; so what decides is the product's size.  Packing a's columns
-    adds the transposes and breaks even later than packing b's rows, at
-    about 64 entries, where the one rule is set.  Measured on CPython
-    3.11 (2 CPUs, shared host), schoolbook time over packed time by the
+    adds taking them as strided slices and turning the product's columns
+    into rows, and breaks even later than packing b's rows, at about 64
+    entries, where the one rule is set.  Measured on CPython 3.11 (2
+    CPUs, shared host), schoolbook time over packed time by the
     product's short side (rows of a, or columns of b) and long side,
     geometric mean over m = columns of a in {1, 2, 8, 64}; each cell
     reads "b's rows packed / a's columns packed", the short side being
@@ -183,12 +185,12 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     ---------------------------------------------------------------------------------
     short  long 4       long 8       long 16      long 24      long 33      long 64
     =====  ===========  ===========  ===========  ===========  ===========  ===========
-    1      0.40 / 0.25  0.55 / 0.36  0.76 / 0.53  0.90 / 0.65  1.04 / 0.79  1.47 / 1.06
-    2      0.52 / 0.32  0.76 / 0.47  1.12 / 0.76  1.36 / 0.96  1.63 / 1.13  2.10 / 1.48
-    3      0.62 / 0.39  0.93 / 0.61  1.39 / 0.90  1.69 / 1.11  1.95 / 1.31  2.58 / 1.71
-    4      0.67 / 0.67  1.03 / 0.63  1.50 / 0.98  1.93 / 1.29  2.24 / 1.48  2.82 / 2.06
-    8                   1.35 / 1.42  2.05 / 1.38  2.55 / 1.70  2.87 / 2.02  3.61 / 2.67
-    16                               2.51 / 2.48  3.06 / 1.93  3.50 / 2.43  4.36 / 3.16
+    1      0.40 / 0.26  0.55 / 0.34  0.76 / 0.55  0.90 / 0.65  1.04 / 0.77  1.47 / 0.95
+    2      0.52 / 0.35  0.76 / 0.54  1.12 / 0.79  1.36 / 0.97  1.63 / 1.05  2.10 / 1.32
+    3      0.62 / 0.43  0.93 / 0.71  1.39 / 1.19  1.69 / 1.30  1.95 / 1.59  2.58 / 2.00
+    4      0.67 / 0.67  1.03 / 0.76  1.50 / 1.14  1.93 / 1.46  2.24 / 1.37  2.82 / 2.00
+    8                   1.35 / 1.42  2.05 / 1.54  2.55 / 1.90  2.87 / 2.20  3.61 / 2.80
+    16                               2.51 / 2.48  3.06 / 2.37  3.50 / 3.18  4.36 / 3.49
     =====  ===========  ===========  ===========  ===========  ===========  ===========
 
     =====  ===========  ===========  ===========  ===========  ===========  ===========
@@ -196,55 +198,113 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     ---------------------------------------------------------------------------------
     short  long 4       long 8       long 16      long 24      long 33      long 64
     =====  ===========  ===========  ===========  ===========  ===========  ===========
-    1      0.43 / 0.29  0.65 / 0.43  0.79 / 0.64  0.93 / 0.74  0.98 / 0.82  1.23 / 0.98
-    2      0.60 / 0.41  0.87 / 0.68  1.10 / 0.88  1.41 / 1.00  1.45 / 1.10  1.61 / 1.47
-    3      0.76 / 0.60  1.06 / 0.79  1.21 / 1.12  1.52 / 1.18  1.64 / 1.34  1.79 / 1.40
-    4      0.79 / 0.82  1.13 / 0.85  1.48 / 1.16  1.64 / 1.50  1.81 / 1.51  1.73 / 1.76
-    8                   1.26 / 1.67  1.64 / 1.59  2.31 / 1.69  2.02 / 1.85  2.21 / 2.06
-    16                               2.05 / 2.17  2.29 / 2.03  2.18 / 1.67  2.57 / 2.32
+    1      0.43 / 0.33  0.65 / 0.50  0.79 / 0.62  0.93 / 0.77  0.98 / 0.91  1.23 / 1.03
+    2      0.60 / 0.46  0.87 / 0.69  1.10 / 0.94  1.41 / 1.09  1.45 / 1.21  1.61 / 1.51
+    3      0.76 / 0.60  1.06 / 0.76  1.21 / 1.10  1.52 / 1.41  1.64 / 1.39  1.79 / 1.54
+    4      0.79 / 0.82  1.13 / 1.07  1.48 / 1.39  1.64 / 1.49  1.81 / 1.56  1.73 / 1.58
+    8                   1.26 / 1.67  1.64 / 1.70  2.31 / 1.89  2.02 / 1.80  2.21 / 2.43
+    16                               2.05 / 2.17  2.29 / 1.84  2.18 / 2.16  2.57 / 2.45
     =====  ===========  ===========  ===========  ===========  ===========  ===========
 
     Repeated runs differ by up to about 15%, and square shapes (short =
     long) take the same branch in both cells.  Packing a's columns breaks
-    even at 64 entries (0.98 to 1.16 at 1 by 64 and 4 by 16) and gains
+    even at 64 entries (0.95 to 1.39 at 1 by 64 and 4 by 16) and gains
     above.  Packing b's rows gains from about 32 entries, so below the
-    cut it would still gain up to about 40%, at 2 by 24 or 3 by 16, where
-    packing a's columns loses or gains at most 12%.  One size keeps the
-    rule one symmetric constant.  The protocol's large products gain
-    most, and all pack b's rows.  Best of 5, at (K, L, T) = (8, 8, 2),
-    encode (83x10 by 10x1024) ran 6.4x faster than the schoolbook loop
-    at p = 11,383 and 3.3x at p = 2**61 - 1, a server's 16x64 by 64x16
-    product 3.1x and 3.6x, and decode (64x83 by 83x256) 7.9x and 5.0x.
-    A (4,4,3) session on 2x2 blocks packs a's columns in encode (33x7
-    by 7x4) and decode (16x33 by 33x4), once per plan in a
-    ``_FixedFactor``.  The exhaustive audit computes one side's
-    shares under all M mask stacks of a secret in one product, whose
-    columns are M times a block's entries, so it packs once the product
-    reaches 64 entries.  The schoolbook side keeps the 2x2 products of
-    small sessions and the audit's products with masks pinned to zero.
+    cut it would still gain up to about 40%, at 2 by 24 or 3 by 16,
+    where packing a's columns loses at most 3% or gains at most 19%.
+    One size keeps the rule one symmetric constant.  The protocol's
+    large products gain most, and all pack b's rows.  Best of 5, at
+    (K, L, T) = (8, 8, 2), encode (83x10 by 10x1024) ran 6.4x faster
+    than the schoolbook loop at p = 11,383 and 3.3x at p = 2**61 - 1, a
+    server's 16x64 by 64x16 product 3.1x and 3.6x, and decode (64x83 by
+    83x256) 7.9x and 5.0x.
+
+    Every product, one-shot or with a factor the codec keeps, runs in
+    ``_product``.  A tall one packs a's columns into a ``_FixedFactor``
+    of a: ``mat_mul`` makes one per call, and the codec keeps one per
+    plan for each left factor the plan fixes, so a tall product takes
+    the same steps either way, and a kept factor packs its columns
+    once.  A (4,4,3) session on 2x2 blocks packs a's columns in encode
+    (33x7 by 7x4) and decode (16x33 by 33x4), once per plan.  The
+    exhaustive audit computes one side's shares under all M mask stacks
+    of a secret in one product, whose columns are M times a block's
+    entries, so it packs once the product reaches 64 entries.  The
+    schoolbook side keeps the 2x2 products of small sessions and the
+    audit's products with masks pinned to zero.
+    """
+    entries, by_column = _product(p, a, b, None)
+    return _matrix(a.rows, b.cols, entries, by_column)
+
+
+class _FixedFactor:
+    """A left factor a of products a @ b mod p, which keeps a's packed columns.
+
+    The codec keeps one per plan for each factor the plan fixes, so that
+    a's columns are packed at its first tall product only: their width,
+    the bytes of m * A * A, is fixed by a's m columns and p, and holds
+    for every b.
+    """
+
+    __slots__ = ("p", "matrix", "columns")
+
+    def __init__(self, p: int, matrix: FieldMatrix) -> None:
+        self.p, self.matrix, self.columns = p, matrix, None
+
+    def __matmul__(self, b: FieldMatrix) -> FieldMatrix:
+        """a @ b mod p, as ``mat_mul`` computes it."""
+        entries, by_column = _product(self.p, self.matrix, b, self)
+        return _matrix(self.matrix.rows, b.cols, entries, by_column)
+
+    def rows(self, b: FieldMatrix) -> Iterator[tuple[int, ...]]:
+        """The rows of a @ b mod p in turn, each one slice of the entries as they are computed.
+
+        A row is sliced only when the caller takes it.
+        """
+        entries, by_column = _product(self.p, self.matrix, b, self)
+        n, q = self.matrix.rows, b.cols
+        if by_column:
+            return (entries[i::n] for i in range(n))
+        return (entries[i:i + q] for i in range(0, n * q, q))
+
+
+def _product(
+    p: int, a: FieldMatrix, b: FieldMatrix, kept: _FixedFactor | None
+) -> tuple[tuple[int, ...], bool]:
+    """The entries of a @ b mod p, and whether they run column by column, not row by row.
+
+    A tall product packs a's columns into ``kept``, a ``_FixedFactor`` of
+    a, at its first tall product, and into a new one when there is none.
     """
     if a.cols != b.rows:
         raise ParameterError("shape mismatch in matrix product")
-    n, q = a.rows, b.cols
-    if n * q < _PACK_MIN_ENTRIES:
-        a_rows = [a.row(i) for i in range(n)]
-        b_cols = [b.entries[j::q] for j in range(q)]
-        entries = tuple(sum(map(operator.mul, row, col)) % p for row in a_rows for col in b_cols)
-        return FieldMatrix(n, q, entries)
-    if n > q:
-        # Pack a's columns: a @ b is the transpose of b^T @ a^T, which packs a^T's rows.
-        return _from_columns(n, q, _packed(p, _transpose(b), _transpose(a)))
-    return FieldMatrix(n, q, _packed(p, a, b))
-
-
-def _packed(p: int, a: FieldMatrix, b: FieldMatrix) -> tuple[int, ...]:
-    """The entries of a @ b mod p, packing b's rows as the module docstring describes."""
     n, m, q = a.rows, a.cols, b.cols
-    # a's entries, then b's; each is at most bound.
-    entries, words, bound = _operands(p, a.entries + b.entries)
-    width = _slot_width(m, bound)
-    packed = _pack(p, words[8 * n * m:], q, width)
-    return _multiply(p, (entries[i:i + m] for i in range(0, n * m, m)), packed, q, width)
+    if n * q < _PACK_MIN_ENTRIES:
+        a_rows = [a.entries[i:i + m] for i in range(0, n * m, m)]
+        b_cols = [b.entries[j::q] for j in range(q)]
+        return tuple(sum(map(operator.mul, r, c)) % p for r in a_rows for c in b_cols), False
+    bound = _byte_bound(p)
+    width = ((m * bound * bound).bit_length() + 7) // 8
+    if n <= q:
+        # Pack b's rows; a's rows multiply them.
+        entries, words = _operands(p, a.entries + b.entries)
+        packed = _pack(p, words[8 * n * m:], q, width)
+        a_rows = (entries[i:i + m] for i in range(0, n * m, m))
+        return _multiply(p, a_rows, packed, q, width), False
+    # Pack a's columns, taken as strided slices; b's columns multiply them.
+    if kept is None:
+        kept = _FixedFactor(p, a)
+    if kept.columns is None:
+        columns = tuple(itertools.chain.from_iterable(a.entries[k::m] for k in range(m)))
+        kept.columns = _pack(p, _operands(p, columns)[1], n, width)
+    entries = _operands(p, b.entries)[0]
+    return _multiply(p, (entries[j::q] for j in range(q)), kept.columns, n, width), True
+
+
+def _matrix(rows: int, cols: int, entries: tuple[int, ...], by_column: bool) -> FieldMatrix:
+    """The matrix of ``_product``'s entries, which it joins into rows if they run by column."""
+    if by_column:
+        entries = tuple(itertools.chain.from_iterable(entries[i::rows] for i in range(rows)))
+    return FieldMatrix(rows, cols, entries)
 
 
 def _pack(p: int, words: bytes, cols: int, width: int) -> list[int]:
@@ -269,70 +329,12 @@ def _multiply(p: int, rows, packed: list[int], cols: int, width: int) -> tuple[i
     return _unpack(p, product, width)
 
 
-def _from_columns(rows: int, cols: int, columns: tuple[int, ...]) -> FieldMatrix:
-    """The matrix whose columns, ``rows`` entries each, are given in turn.
-
-    It has only ``cols`` < ``rows`` columns, so zipping them transposes it in C.
-    """
-    column = [columns[j:j + rows] for j in range(0, rows * cols, rows)]
-    return FieldMatrix(rows, cols, tuple(itertools.chain.from_iterable(zip(*column))))
-
-
-class _FixedFactor:
-    """A left factor a, fixed for many products a @ b mod p, with its columns packed once.
-
-    The columns are packed as ``mat_mul`` packs them for a tall product,
-    at the width of m * A * A, A the byte bound ``_operands`` returns
-    for residues mod p, which covers every b it keeps or reduces.
-    """
-
-    __slots__ = ("p", "matrix", "width", "columns")
-
-    def __init__(self, p: int, matrix: FieldMatrix) -> None:
-        self.p, self.matrix = p, matrix
-        self.width = _slot_width(matrix.cols, _byte_bound(p))
-        _, words, _ = _operands(p, _transpose(matrix).entries)
-        self.columns = _pack(p, words, matrix.rows, self.width)
-
-    def product_columns(self, b: FieldMatrix) -> tuple[int, ...] | None:
-        """The columns of a @ b mod p in turn, or None unless a @ b packs a's columns.
-
-        ``mat_mul`` packs a's columns when a is taller than b is wide and
-        the product has at least ``_PACK_MIN_ENTRIES`` entries; then b's
-        entries are checked and its columns multiply the packed ones.
-        """
-        a, p = self.matrix, self.p
-        if a.cols != b.rows:
-            raise ParameterError("shape mismatch in matrix product")
-        n, q = a.rows, b.cols
-        if n <= q or n * q < _PACK_MIN_ENTRIES:
-            return None
-        entries = _operands(p, b.entries)[0]
-        return _multiply(p, (entries[j::q] for j in range(q)), self.columns, n, self.width)
-
-    def __matmul__(self, b: FieldMatrix) -> FieldMatrix:
-        """a @ b mod p, as ``mat_mul`` computes it."""
-        columns = self.product_columns(b)
-        if columns is None:
-            return mat_mul(self.p, self.matrix, b)
-        return _from_columns(self.matrix.rows, b.cols, columns)
-
-
-def _transpose(m: FieldMatrix) -> FieldMatrix:
-    """m^T: row j is column j of m, the slice ``entries[j::cols]``, all taken in C."""
-    cols = m.cols
-    steps = map(slice, range(cols), itertools.repeat(None), itertools.repeat(cols))
-    entries = tuple(itertools.chain.from_iterable(map(m.entries.__getitem__, steps)))
-    return FieldMatrix(cols, m.rows, entries)
-
-
-def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]:
-    """The entries, their little-endian 8-byte words and a bound on them.
+def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes]:
+    """The entries and their little-endian 8-byte words, each at most ``_byte_bound(p)``.
 
     The entries are kept as they are when ``array('Q')`` accepts them and
     their bytes stay within those of p - 1, which one ``translate`` per
-    byte column decides in C; the bound is then the largest int whose
-    bytes do.  Otherwise they are reduced mod p and the bound is p - 1.
+    byte column decides in C.  Otherwise they are reduced mod p.
     """
     size = ((p - 1).bit_length() + 7) // 8
     top = (p - 1) >> 8 * (size - 1)
@@ -344,20 +346,15 @@ def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes, int]
         if not raw[size - 1::8].translate(None, bytes(range(top + 1))) and not any(
             raw[j::8].translate(None, b"\0") for j in range(size, 8)
         ):
-            return entries, raw, _byte_bound(p)
+            return entries, raw
     entries = list(map(operator.mod, entries, itertools.repeat(p)))
-    return entries, _little_endian(array("Q", entries)).tobytes(), p - 1
+    return entries, _little_endian(array("Q", entries)).tobytes()
 
 
 def _byte_bound(p: int) -> int:
     """The largest int whose bytes stay within those of p - 1; it is below 2 * p."""
     shift = 8 * (((p - 1).bit_length() + 7) // 8 - 1)
     return ((((p - 1) >> shift) + 1) << shift) - 1
-
-
-def _slot_width(m: int, bound: int) -> int:
-    """Bytes of m * bound * bound: a slot of m products of operands at most bound."""
-    return ((m * bound * bound).bit_length() + 7) // 8
 
 
 def _little_endian(words: array) -> array:

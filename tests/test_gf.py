@@ -384,8 +384,9 @@ def test_mat_mul_matches_triple_loop():
         got = gf.mat_mul(11383, _raw(a), _raw(b))
         assert rows(got) == _triple_loop(11383, a, b), (n, m, q)
 
-    # Slot bounds m*(p-1)**2 of 1, 2, 3, 4, 5, 8, 9 and 17 bytes; every
-    # width packs, the ones above 8 bytes in two or three 8-byte words.
+    # Slot bounds m*(p-1)**2 of 1, 2, 3, 4, 5, 8, 9 and 17 bytes, which
+    # pack at the width of m*A*A for the byte bound A (at (11383, 33) one
+    # byte more), the ones above 8 bytes in two or three 8-byte words.
     # Each width is checked in both orientations on raw literals, entries
     # shifted by multiples of p to lie above p - 1 or below 0, and on
     # all-(p-1) operands.
@@ -456,18 +457,27 @@ def test_mat_mul_matches_triple_loop():
 def test_mat_mul_branches(monkeypatch):
     # The schoolbook branch takes products of fewer than 64 entries; the
     # packed branch packs b's rows when a has no more rows than b has
-    # columns, and a's columns, through one transpose of each operand,
-    # otherwise.
+    # columns, and a's columns, taken as strided slices, otherwise.  A
+    # one-shot mat_mul and a kept _FixedFactor take the same steps, and a
+    # kept factor packs its columns at its first tall product only.
     calls = []
-    for name in ("_operands", "_transpose"):
+    for name in ("_operands", "_pack", "_multiply"):
         monkeypatch.setattr(gf, name, functools.partial(_spy, calls, name, getattr(gf, name)))
-    packs_a = ["_transpose", "_transpose", "_operands"]
-    cases = {(1, 63): [], (63, 1): [], (7, 9): [], (1, 64): ["_operands"], (8, 8): ["_operands"],
+    packs_b = ["_operands", "_pack", "_multiply"]
+    packs_a = ["_operands", "_pack", "_operands", "_multiply"]
+    cases = {(1, 63): [], (63, 1): [], (7, 9): [], (1, 64): packs_b, (8, 8): packs_b,
              (64, 1): packs_a, (9, 8): packs_a}
     for (n, q), want in cases.items():
+        a, b = _raw([[3] * 5] * n), _raw([[2] * q] * 5)
         del calls[:]
-        product = gf.mat_mul(7, _raw([[3] * 5] * n), _raw([[2] * q] * 5))
+        product = gf.mat_mul(7, a, b)
         assert product.entries == (30 % 7,) * (n * q) and calls == want, (n, q)
+        factor = gf._FixedFactor(7, a)
+        del calls[:]
+        assert factor @ b == product and calls == want, (n, q)
+        del calls[:]
+        assert list(factor.rows(b)) == [product.row(i) for i in range(n)], (n, q)
+        assert calls == (["_operands", "_multiply"] if want == packs_a else want), (n, q)
 
 
 def _spy(calls, name, fn, *args):
@@ -476,14 +486,16 @@ def _spy(calls, name, fn, *args):
 
 
 def test_fixed_factor_products_match_mat_mul_and_triple_loop():
-    # A left factor of residues, its columns packed once at the width fixed
-    # by p, against right operands of residues, of entries in [p, A] up to
-    # the byte bound A, of entries shifted below 0 and to 2**64 and above,
-    # and all A.  Tall products of at least 64 entries multiply b's columns
-    # by the packed ones; wide and smaller products take mat_mul.  Shapes
-    # sit just below, at and just above 64 entries in each orientation.  At
-    # (257, 255) and (11383, 33) all-(p-1) columns against all-A operands
-    # need the width of m * A * A, one byte more than m * (p-1)**2.
+    # A kept left factor of residues, its columns packed at its first tall
+    # product at the width fixed by p, against right operands of residues,
+    # of entries in [p, A] up to the byte bound A, of entries shifted below
+    # 0 and to 2**64 and above, and all A.  Its products, as a matrix and
+    # as rows, equal the triple loop and a one-shot mat_mul; only tall
+    # products of at least 64 entries pack its columns.  Shapes sit just
+    # below, at and just above 64 entries in each orientation, and at
+    # n = q and n = q + 1.  At (257, 255) and (11383, 33) all-(p-1) columns
+    # against all-A operands need the width of m * A * A, one byte more
+    # than m * (p-1)**2.
     rng = random.Random(26)
     shapes = ((21, 3), (16, 4), (13, 5), (9, 8), (3, 21), (4, 16), (5, 13), (8, 8))
     for p in (2, 3, 251, 257, 11383, 65537, 2**31 - 1, 2**61 - 1):
@@ -506,10 +518,8 @@ def test_fixed_factor_products_match_mat_mul_and_triple_loop():
                 want = _triple_loop(p, a, [[e % p for e in r] for r in b])
                 got = factor @ _raw(b)
                 assert rows(got) == want and got == gf.mat_mul(p, _raw(a), _raw(b)), (p, n, m, q)
-                columns = factor.product_columns(_raw(b))
-                assert (columns is not None) == tall, (p, n, q)
-                if tall:
-                    assert list(columns) == [want[i][j] for j in range(q) for i in range(n)]
+                assert (factor.columns is not None) == tall, (p, n, q)
+                assert list(factor.rows(_raw(b))) == [tuple(r) for r in want], (p, n, m, q)
                 peak = top @ _raw(b)
                 assert rows(peak) == _triple_loop(p, [[p - 1] * m] * n, b), (p, n, m, q)
     with pytest.raises(ParameterError):
@@ -518,7 +528,8 @@ def test_fixed_factor_products_match_mat_mul_and_triple_loop():
 
 def test_mat_mul_is_transpose_of_transposed_product():
     # a @ b = (b^T @ a^T)^T on random shapes, each side of the orientation
-    # cut, with entries reduced or not.
+    # cut, with entries reduced or not; a kept factor of a gives the same
+    # rows, then the same matrix from the columns its first product packed.
     rng = random.Random(5)
     for _ in range(200):
         p = rng.choice((2, 7, 11383, 2**31 - 1, 2**61 - 1, P62))
@@ -527,7 +538,11 @@ def test_mat_mul_is_transpose_of_transposed_product():
         a = _raw([[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)])
         b = _raw([[rng.randrange(lo, hi) for _ in range(q)] for _ in range(m)])
         at, bt = (_raw([list(c) for c in zip(*rows(x))]) for x in (a, b))
-        assert rows(gf.mat_mul(p, a, b)) == [list(c) for c in zip(*rows(gf.mat_mul(p, bt, at)))]
+        product = gf.mat_mul(p, a, b)
+        assert rows(product) == [list(c) for c in zip(*rows(gf.mat_mul(p, bt, at)))]
+        factor = gf._FixedFactor(p, a)
+        assert list(factor.rows(b)) == [product.row(i) for i in range(n)]
+        assert factor @ b == product
 
 
 def test_mat_ops():
