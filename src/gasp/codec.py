@@ -52,7 +52,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from . import gf
 from .errors import (
@@ -106,9 +106,11 @@ class EvaluationPlan:
         if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
             raise ParameterError(f"generator must be an int in [0, p), got {self.generator!r}")
         # Float or bool exponents compare equal to the code's int term set.
-        if any(type(e) is not int or e < 0 for e in self.exponents):
-            raise ParameterError(f"exponents must be nonnegative ints, got {self.exponents!r}")
-        if list(self.exponents) != sorted(set(self.exponents)):
+        # Each check is one pass in C: the types, the least, then the order.
+        exps = self.exponents
+        if exps and (set(map(type, exps)) != {int} or min(exps) < 0):
+            raise ParameterError(f"exponents must be nonnegative ints, got {exps!r}")
+        if not all(map(int.__lt__, exps, exps[1:])):
             raise ParameterError("exponents must be strictly increasing")
 
 
@@ -133,13 +135,16 @@ class ShareBundle:
     g_shares: tuple[FieldMatrix, ...]
 
     def __post_init__(self) -> None:
-        # server_evaluate reads field.p and each share's shape.
+        # server_evaluate reads field.p and each share's shape.  The shares'
+        # types are checked in one pass in C; only a failure looks for the
+        # first bad share, whose message names it.
         check_type("field", self.field, PrimeFieldSpec)
         for name in ("f_shares", "g_shares"):
             shares = getattr(self, name)
             check_type(name, shares, Sequence)
-            for i, share in enumerate(shares):
-                check_type(f"{name}[{i}]", share, FieldMatrix)
+            if not all(map(isinstance, shares, repeat(FieldMatrix))):
+                for i, share in enumerate(shares):
+                    check_type(f"{name}[{i}]", share, FieldMatrix)
         if len(self.f_shares) != len(self.g_shares):
             raise ParameterError("share lists must have equal length")
 
@@ -306,7 +311,7 @@ def _response_entries(responses, rows: int, cols: int, p: int) -> tuple[int, ...
 
 
 def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatrix:
-    return FieldMatrix(rows, cols, tuple(rng.randrange(p) for _ in range(rows * cols)))
+    return FieldMatrix(rows, cols, tuple(map(rng.randrange, repeat(p, rows * cols))))
 
 
 def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
@@ -393,7 +398,7 @@ def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
     """What server n computes: the product of its two shares."""
     check_type("bundle", bundle, ShareBundle)
     # A float index passes the range check, then breaks tuple indexing.
-    if type(n) is not int or not 0 <= n < bundle.n_servers:
+    if type(n) is not int or not 0 <= n < len(bundle.f_shares):
         raise ParameterError(f"server index must be an int in [0, N), got {n!r}")
     return gf.mat_mul(bundle.field.p, bundle.f_shares[n], bundle.g_shares[n])
 

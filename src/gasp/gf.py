@@ -79,27 +79,57 @@ _MODULUS_LIMIT = 1 << MODULUS_BITS
 # docstring gives the measurements behind the number.
 _PACK_MIN_ENTRIES = 64
 
+# What mat_mul raises for an operand entry that is no int.
+_NOT_INTS = "matrix entries must be ints"
+
 # is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
 MDS_WALK_BUDGET = 10**8
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first k of these primes as bases is proven correct for
+# every n below psi_k, the smallest strong pseudoprime to all k of them
+# (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017).
+# is_prime also divides by each of them first.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# (psi_k, k), by increasing psi_k; psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+_MR_BASES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin primality test, with as many bases as the size of n needs.
+
+    n is first divided by the primes up to 43.  The bases are then the
+    first k primes for the smallest k whose psi_k exceeds n (``_MR_BASES``),
+    so the answer is proven for every n below psi_13, about 3.3e24.  That
+    covers every modulus a field admits: p < 2**62 needs at most the
+    twelve bases up to 37, and the prime 1,399 of a (4,4,3) session one.
+    No such bound is known above psi_13, so there n is tested to all
+    fourteen primes up to 43, and True means only that n is a strong
+    probable prime to them.
+    """
     if n < 2:
         return False
-    for w in _MR_WITNESSES:
+    for w in _SMALL_PRIMES:
         if n == w:
             return True
         if n % w == 0:
             return False
+    k = next((k for bound, k in _MR_BASES if n < bound), len(_SMALL_PRIMES))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _SMALL_PRIMES[:k]:
         x = pow(w, d, n)
         if x in (1, n - 1):
             continue
@@ -133,32 +163,48 @@ class PrimeFieldSpec:
             raise ParameterError(f"modulus {self.p} is not prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FieldMatrix:
-    """Immutable row-major matrix of residues."""
+    """Immutable row-major matrix of residues.
+
+    A small session builds about a hundred of these, so ``__init__`` is
+    written out: it checks its arguments and then sets each slot once
+    through the slot's own descriptor, as a frozen class must, without
+    the per-field ``object.__setattr__`` of a generated one.
+    """
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
         # Most callers pass a tuple already; copying it again is pure cost.
-        if type(self.entries) is not tuple:
-            check_type("entries", self.entries, Sequence)
-            object.__setattr__(self, "entries", tuple(self.entries))
+        if type(entries) is not tuple:
+            check_type("entries", entries, Sequence)
+            entries = tuple(entries)
         # A float dimension passes the checks below, then breaks slicing.
-        rows, cols = self.rows, self.cols
         if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
             raise ParameterError("matrix dimensions must be positive ints")
-        if len(self.entries) != rows * cols:
-            raise ParameterError(f"expected {rows * cols} entries, got {len(self.entries)}")
+        if len(entries) != rows * cols:
+            raise ParameterError(f"expected {rows * cols} entries, got {len(entries)}")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
 
+_set_rows, _set_cols, _set_entries = (
+    FieldMatrix.__dict__[name].__set__ for name in ("rows", "cols", "entries")
+)
+
+
 def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Product a @ b mod p, for 2 <= p < 2**62; entries of a and b may be any ints.
+
+    An entry that is no int, such as a float, raises
+    :class:`ParameterError` on either branch.
 
     Products of fewer than ``_PACK_MIN_ENTRIES`` = 64 entries take the
     schoolbook branch: each entry is one row of a dotted with one column
@@ -279,9 +325,20 @@ def _product(
         raise ParameterError("shape mismatch in matrix product")
     n, m, q = a.rows, a.cols, b.cols
     if n * q < _PACK_MIN_ENTRIES:
-        a_rows = [a.entries[i:i + m] for i in range(0, n * m, m)]
         b_cols = [b.entries[j::q] for j in range(q)]
-        return tuple(sum(map(operator.mul, r, c)) % p for r in a_rows for c in b_cols), False
+        try:
+            entries = tuple([
+                sum(map(operator.mul, r, c)) % p
+                for i in range(0, n * m, m) for r in (a.entries[i:i + m],) for c in b_cols
+            ])
+        except TypeError:
+            raise ParameterError(_NOT_INTS) from None
+        # Every entry of a and b reaches an entry of the product, and a sum
+        # of ints is an int, while one float, Fraction or Decimal makes the
+        # sum one.  So one sum in C checks every entry's type.
+        if type(sum(entries)) is not int:
+            raise ParameterError(_NOT_INTS)
+        return entries, False
     bound = _byte_bound(p)
     width = ((m * bound * bound).bit_length() + 7) // 8
     if n <= q:
@@ -334,7 +391,8 @@ def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes]:
 
     The entries are kept as they are when ``array('Q')`` accepts them and
     their bytes stay within those of p - 1, which one ``translate`` per
-    byte column decides in C.  Otherwise they are reduced mod p.
+    byte column decides in C.  Otherwise they are reduced mod p.  An
+    entry that ``array('Q')`` refuses for its type raises ParameterError.
     """
     size = ((p - 1).bit_length() + 7) // 8
     top = (p - 1) >> 8 * (size - 1)
@@ -342,13 +400,18 @@ def _operands(p: int, entries) -> tuple[tuple[int, ...] | list[int], bytes]:
         raw = _little_endian(array("Q", entries)).tobytes()
     except OverflowError:
         pass  # an entry below 0 or at least 2**64
+    except TypeError:
+        raise ParameterError(_NOT_INTS) from None
     else:
         if not raw[size - 1::8].translate(None, bytes(range(top + 1))) and not any(
             raw[j::8].translate(None, b"\0") for j in range(size, 8)
         ):
             return entries, raw
-    entries = list(map(operator.mod, entries, itertools.repeat(p)))
-    return entries, _little_endian(array("Q", entries)).tobytes()
+    try:
+        entries = list(map(operator.mod, entries, itertools.repeat(p)))
+        return entries, _little_endian(array("Q", entries)).tobytes()
+    except TypeError:
+        raise ParameterError(_NOT_INTS) from None
 
 
 def _byte_bound(p: int) -> int:

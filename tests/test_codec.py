@@ -101,6 +101,18 @@ def test_non_int_points_rejected():
     for exponents in ((0.0, 1.0, 2.0), (0, 1, 2.0), (False, True, 2), (-1, 0, 1), ("0", "1")):
         with pytest.raises(ParameterError):
             codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
+    # The types and signs are checked first, then the order; a list becomes a tuple.
+    for exponents, message in (
+        ((3, -1), r"^exponents must be nonnegative ints, got \(3, -1\)$"),
+        ((1.0, 2), r"^exponents must be nonnegative ints, got \(1\.0, 2\)$"),
+        ((2, "1"), r"^exponents must be nonnegative ints, got \(2, '1'\)$"),
+        ((-1, 0.5), r"^exponents must be nonnegative ints, got \(-1, 0\.5\)$"),
+        ((2, 1), "^exponents must be strictly increasing$"),
+        ((0, 2, 2), "^exponents must be strictly increasing$"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
+    assert codec.EvaluationPlan(PrimeFieldSpec(7), 2, [0, 2, 5]).exponents == (0, 2, 5)
 
 
 def test_mask_mds_matches_full_enumeration():
@@ -574,6 +586,23 @@ def test_encode_shape_errors():
     for masks in bad_masks:
         with pytest.raises(ParameterError):
             codec.encode(a, b, code, plan, shapes, masks=masks)
+
+
+def test_encode_draws_its_masks_from_the_seed():
+    # R then S, each a T-row stack drawn row-major, one Random(seed).randrange(p)
+    # per entry: T = 2, and each mask of the 3 x 2 by 2 x 3 problem has 2 entries.
+    code, plan, shapes = fixture_code(), fixture_plan(), BlockShapes(3, 2, 3)
+    a = FieldMatrix(3, 2, (1, 2, 3, 4, 5, 6))
+    b = FieldMatrix(2, 3, (6, 5, 4, 3, 2, 1))
+    for seed in (0, 11, 2**40):
+        rng = random.Random(seed)
+        draws = tuple(rng.randrange(29) for _ in range(8))
+        masks = MaskSet(FieldMatrix(2, 2, draws[:4]), FieldMatrix(2, 2, draws[4:]))
+        drawn = codec.encode(a, b, code, plan, shapes, seed=seed)
+        assert drawn == codec.encode(a, b, code, plan, shapes, masks=masks), seed
+    rng = random.Random(5)
+    want = FieldMatrix(2, 3, tuple(rng.randrange(11383) for _ in range(6)))
+    assert codec.random_matrix(11383, 2, 3, random.Random(5)) == want
 
 
 def test_block_shapes_validation():

@@ -1,9 +1,14 @@
 """Prime-field arithmetic, power matrices, and the MDS check."""
 
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +39,78 @@ def test_primality():
     assert gf.is_prime(P62) and gf.next_prime(P62) > 2**62
 
 
+# psi_k, the smallest strong pseudoprime to each of the first k prime
+# bases, k = 1..13; psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+       341_550_071_728_321, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+       3_317_044_064_679_887_385_961_981)
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+def _strong_probable_prime(n, bases):
+    # Miller-Rabin as first written: every base, after trial division by each.
+    if n < 2 or any(n % w == 0 for w in bases if n != w):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in bases:
+        x = pow(w, d, n)
+        if n == w or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_a_sieve():
+    flags = _sieve(10**5)
+    assert [n for n in range(-3, 10**5) if gf.is_prime(n)] == [n for n in range(10**5) if flags[n]]
+
+
+def test_is_prime_refuses_the_strong_pseudoprimes_to_its_bases():
+    assert not any(map(gf.is_prime, PSI))
+    # psi_12 is a strong pseudoprime to all twelve bases up to 37, so it
+    # needs the base 41.
+    assert PSI[8] == 399_165_290_221 * 798_330_580_441
+    assert gf.next_prime(PSI[8] - 1) > PSI[8]
+    # Products of two primes near each bound, below and above it.
+    for bound in PSI:
+        root = math.isqrt(bound)
+        below = next(q for q in range(root, 1, -1) if gf.is_prime(q))
+        above = gf.next_prime(root)
+        far = gf.next_prime(10**3)
+        near = gf.next_prime(bound // far)
+        products = (below * below, below * above, above * above, far * near)
+        assert min(products) < bound < max(products), bound
+        assert not any(map(gf.is_prime, products)), bound
+
+
+def test_is_prime_verdicts_match_twelve_bases_below_two_to_the_62():
+    # Below 2**62 < psi_12 the twelve bases up to 37 are proven, so fewer
+    # bases chosen by the size of n must give the same verdicts.
+    rng = random.Random(29)
+    twelve = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    numbers = [rng.randrange(2**bits) | 1 for bits in range(2, 63) for _ in range(40)]
+    numbers += [q for bound in PSI[:8] for q in range(bound - 200, bound + 200)]
+    numbers += [P62, 2**61 - 1, 2**62 - 1]
+    verdicts = [gf.is_prime(n) for n in numbers]
+    assert verdicts == [_strong_probable_prime(n, twelve) for n in numbers]
+    assert sum(verdicts) > 100
+
+
 def test_field_spec_validation():
     PrimeFieldSpec(29)
     with pytest.raises(ParameterError):
@@ -46,15 +123,49 @@ def test_field_spec_validation():
 
 def test_matrix_construction():
     m = FieldMatrix(2, 2, [1, 2, 3, 4])
-    assert m.entries == (1, 2, 3, 4)
+    assert m.entries == (1, 2, 3, 4) and type(m.entries) is tuple
     assert m.row(1) == (3, 4)
-    with pytest.raises(ParameterError):
-        FieldMatrix(2, 2, (1, 2, 3))
+    # The checks run in this order, each with its own message: entries
+    # that are no Sequence, then the dimensions, then the entry count.
+    for entries, kind in ((None, "NoneType"), (1.5, "float"), (5, "int"), ({1, 2, 3, 4}, "set")):
+        with pytest.raises(ParameterError, match=f"^entries must be a Sequence, got {kind}$"):
+            FieldMatrix(2, 2, entries)
+    with pytest.raises(ParameterError, match="^entries must be a Sequence, got NoneType$"):
+        FieldMatrix(2.0, 0, None)
     # Dimensions must be positive ints: a float dimension used to construct
     # and then break encode's slicing with a bare TypeError.
-    for rows, cols in ((2.0, 2.0), (2.0, 2), (2, 2.0), (True, 4), ("2", 2), (0, 4), (-2, -2)):
-        with pytest.raises(ParameterError):
+    for rows, cols in ((2.0, 2.0), (2.0, 2), (2, 2.0), (True, 4), (4, False), ("2", 2), (0, 4),
+                       (2, -2), (-2, -2)):
+        with pytest.raises(ParameterError, match="^matrix dimensions must be positive ints$"):
             FieldMatrix(rows, cols, (1, 2, 3, 4))
+    with pytest.raises(ParameterError, match="^matrix dimensions must be positive ints$"):
+        FieldMatrix(0, 4, [1, 2, 3])
+    for entries in ((1, 2, 3), [1, 2, 3, 4, 5]):
+        with pytest.raises(ParameterError, match=f"^expected 4 entries, got {len(entries)}$"):
+            FieldMatrix(2, 2, entries)
+
+    # A matrix is a frozen value.
+    same = FieldMatrix(rows=2, cols=2, entries=(1, 2, 3, 4))
+    assert m == same and hash(m) == hash(same) and m is not same
+    assert m != FieldMatrix(4, 1, (1, 2, 3, 4)) and m != FieldMatrix(2, 2, (1, 2, 3, 5))
+    assert repr(m) == "FieldMatrix(rows=2, cols=2, entries=(1, 2, 3, 4))"
+    assert len({m, same, FieldMatrix(1, 4, (1, 2, 3, 4))}) == 2
+    for name in ("rows", "cols", "entries"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, (1,) * 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(m, name)
+    # Other names are refused too: a frozen slotted dataclass raises
+    # TypeError for them on Python 3.10 and 3.11.
+    with pytest.raises((AttributeError, TypeError)):
+        m.other = 1
+    assert [f.name for f in dataclasses.fields(FieldMatrix)] == ["rows", "cols", "entries"]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(m, protocol)) == m
+    assert copy.copy(m) == copy.deepcopy(m) == m
+    assert dataclasses.replace(m, rows=4, cols=1) == FieldMatrix(4, 1, (1, 2, 3, 4))
+    with pytest.raises(ParameterError, match="^expected 6 entries, got 4$"):
+        dataclasses.replace(m, rows=3)
 
 
 def test_generalized_vandermonde_examples():
@@ -543,6 +654,26 @@ def test_mat_mul_is_transpose_of_transposed_product():
         factor = gf._FixedFactor(p, a)
         assert list(factor.rows(b)) == [product.row(i) for i in range(n)]
         assert factor @ b == product
+
+
+def test_mat_mul_refuses_entries_that_are_no_ints():
+    # The schoolbook branch computed with a float entry and returned float
+    # entries; the packed branches failed in array('Q') with a bare TypeError.
+    ints = [[1, 2, 3]] * 64
+    for n, q in ((2, 2), (1, 63), (1, 64), (64, 1), (8, 8)):
+        for bad in (1.5, 2.0, Fraction(1, 2), Decimal(3), None, "x", 1j):
+            for side in (0, 1):
+                a, b = [[e for e in r] for r in ints[:n]], [[2] * q for _ in range(3)]
+                [a, b][side][-1][-1] = bad
+                for low in (0, -5):  # an entry below 0 packs only after a reduction
+                    [a, b][side][0][0] = low
+                    with pytest.raises(ParameterError, match="^matrix entries must be ints$"):
+                        gf.mat_mul(7, _raw(a), _raw(b))
+                    if side == 1:
+                        with pytest.raises(ParameterError, match="^matrix entries must be ints$"):
+                            gf._FixedFactor(7, _raw(a)) @ _raw(b)
+    # bool is an int subclass, taken as 0 or 1.
+    assert gf.mat_mul(7, _raw([[True, 2]]), _raw([[3], [False]])).entries == (3,)
 
 
 def test_mat_ops():
