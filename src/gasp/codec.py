@@ -31,17 +31,18 @@ by comparing the two tuples.
 The generalized Vandermonde matrix [x_n ** e_j] over J is then
 [y_j ** n], an ordinary Vandermonde matrix in the nodes y_j = g ** e_j,
 so it is invertible exactly when those N nodes are pairwise distinct
-(:func:`_distinct_nodes`, for plan search, the decoder and the audit),
-and its inverse's rows are Lagrange basis polynomials, built from one
-master polynomial with no elimination.  Plan search scans g = 2, 3, ...
-and returns the first g whose nodes are distinct and whose two T x N
-mask power matrices have every maximal minor invertible, which is what
-makes any T shares jointly uniform.  That mask condition is decided from
-the generator by :func:`gf.is_power_mds`, whose docstring holds the
-proofs of the O(N) certificate that covers the small and big codes and
-of the minor walk anchored at column 0 that decides grouped codes; the
-audit calls the same function.  A grouped code that the default field
-refuses is planned over a larger fallback field, described in
+(:func:`_distinct_nodes`), and its inverse's rows are Lagrange basis
+polynomials, built from one master polynomial with no elimination.
+Plan search scans g = 2, 3, ... and returns the first g whose nodes are
+distinct and whose two T x N mask power matrices have every maximal
+minor invertible, which is what makes any T shares jointly uniform.
+That mask condition is decided from the generator by
+:func:`gf.is_power_mds`, whose docstring holds the proofs of the O(N)
+certificate that covers the small and big codes and of the minor walk
+anchored at column 0 that decides grouped codes.  Plan search and
+``harness.mds_audit`` decide all three conditions through one verifier,
+:func:`_conditions`.  A grouped code that the default field refuses is
+planned over a larger fallback field, described in
 :func:`find_evaluation_plan`.
 """
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -108,7 +109,9 @@ class EvaluationPlan:
         # Float or bool exponents compare equal to the code's int term set.
         # Each check is one pass in C: the types, the least, then the order.
         exps = self.exponents
-        if exps and (set(map(type, exps)) != {int} or min(exps) < 0):
+        if not exps:
+            raise ParameterError("exponents must be non-empty")
+        if set(map(type, exps)) != {int} or min(exps) < 0:
             raise ParameterError(f"exponents must be nonnegative ints, got {exps!r}")
         if not all(map(int.__lt__, exps, exps[1:])):
             raise ParameterError("exponents must be strictly increasing")
@@ -148,10 +151,6 @@ class ShareBundle:
         if len(self.f_shares) != len(self.g_shares):
             raise ParameterError("share lists must have equal length")
 
-    @property
-    def n_servers(self) -> int:
-        return len(self.f_shares)
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -187,8 +186,9 @@ def _distinct_nodes(nodes: tuple[int, ...]) -> bool:
     The generalized Vandermonde matrix [(g ** n) ** e_j] is [y_j ** n],
     the ordinary Vandermonde matrix in the nodes y_j = g ** e_j, whose
     determinant prod_{i < j} (y_j - y_i) is nonzero mod p exactly when
-    no two nodes are equal.  Plan search, the decoder and
-    ``harness.mds_audit`` all decide GV invertibility here, in O(N).
+    no two nodes are equal.  The decoder and :func:`_conditions`, for
+    plan search and ``harness.mds_audit``, decide GV invertibility here,
+    in O(N).
     """
     return len(set(nodes)) == len(nodes)
 
@@ -244,20 +244,31 @@ def _scan_generators(code: PolynomialCode, field: PrimeFieldSpec) -> EvaluationP
     p, n = field.p, code.n_servers
     if p <= n:
         raise ParameterError(f"field must satisfy p > N, got p={p}, N={n}")
-    exponents = code.exponents
     rejections = {"gv": 0, "alpha_mds": 0, "beta_mds": 0}
     candidates = range(2, min(p, 2 + MAX_CANDIDATES))
     for g in candidates:
-        if not _distinct_nodes(_powers(p, g, exponents)):
-            reason = "gv"
-        elif not gf.is_power_mds(p, g, n, code.alpha_masks):
-            reason = "alpha_mds"
-        elif not gf.is_power_mds(p, g, n, code.beta_masks):
-            reason = "beta_mds"
-        else:
-            return EvaluationPlan(field, g, exponents)
+        reason = next((name for name, ok in _conditions(code, p, g) if not ok), None)
+        if reason is None:
+            return EvaluationPlan(field, g, code.exponents)
         rejections[reason] += 1
     raise PlanSearchError(len(candidates), rejections)
+
+
+def _conditions(code: PolynomialCode, p: int, g: int) -> Iterator[tuple[str, bool]]:
+    """The three conditions of a plan with generator g over F_p, each with its verdict.
+
+    In search order: ``"gv"``, the nodes g ** e, e in J, are pairwise
+    distinct (:func:`_distinct_nodes`), so the generalized Vandermonde
+    matrix is invertible; ``"alpha_mds"`` and ``"beta_mds"``, every
+    maximal minor of that side's mask power matrix is nonzero
+    (:func:`gf.is_power_mds`).  Each verdict is decided only when the
+    caller takes it.  Plan search stops at the first failure, and
+    ``harness.mds_audit`` reads all three: both decide a plan here.
+    """
+    n = code.n_servers
+    yield "gv", _distinct_nodes(_powers(p, g, code.exponents))
+    yield "alpha_mds", gf.is_power_mds(p, g, n, code.alpha_masks)
+    yield "beta_mds", gf.is_power_mds(p, g, n, code.beta_masks)
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:

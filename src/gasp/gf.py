@@ -5,23 +5,24 @@ are immutable row-major tuples.  Nothing here takes a determinant.  The
 library's plans are invertible by construction, its decoder is built by
 Lagrange interpolation, and whether a plan's generalized Vandermonde
 matrix is invertible is decided in O(N) by the node check in ``codec``,
-for plan search, the decoder and ``harness.mds_audit`` alike; the tests
-keep a determinant by elimination as the oracle for that check.
+for the decoder and for ``codec._conditions``, the one plan verifier
+that plan search and ``harness.mds_audit`` share; the tests keep a
+determinant by elimination as the oracle for that check.
 ``generalized_vandermonde`` is the one builder of power matrices
 [(g ** n) ** e_j] with a row per point g ** n: encode's two share
 matrices.  It builds each exponent's column by running products, the
 rows ``is_power_mds`` builds; the tests keep the builder over any
 points, one ``pow`` per entry, as its oracle.
 ``is_power_mds`` is the mask condition of a plan with generator g, for
-plan search and ``harness.mds_audit``: every maximal minor of
-[(g ** n) ** e_i] is nonzero.  It decides g = 0 directly, exponents in
-arithmetic progression by an O(N) certificate, and any others by a walk
-over the column subsets that hold column 0, which suffices since the
-points g ** n are geometric; its docstring has the proofs.  The walk
-shares one elimination among all subsets with a common prefix and
-decides every subset under a node with two rows left by one test that
-the ratios of those rows are distinct.  The tests keep the walk over all
-subsets of any matrix as their oracle.
+``codec._conditions``: every maximal minor of [(g ** n) ** e_i] is
+nonzero.  It decides g = 0 directly, exponents in arithmetic progression
+by an O(N) certificate, and any others by a walk over the column subsets
+that hold column 0, which suffices since the points g ** n are
+geometric; its docstring has the proofs.  The walk shares one
+elimination among all subsets with a common prefix and decides every
+subset under a node with two rows left by one test that the ratios of
+those rows are distinct.  The tests keep the walk over all subsets of
+any matrix as their oracle.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on small products it multiplies by Kronecker
@@ -190,9 +191,6 @@ class FieldMatrix:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
 
 
 _set_rows, _set_cols, _set_entries = (
@@ -488,7 +486,8 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     The matrix has a row per exponent and a column per point g ** j,
     j < N: the mask condition of a GASP plan with generator g, under which
     any T servers' shares of one side are jointly uniform.  Plan search
-    and ``harness.mds_audit`` both decide it here.  A row
+    and ``harness.mds_audit`` decide it here, through the one plan
+    verifier ``codec._conditions``.  A row
     (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.
 
     *g = 0.*  The points are 1, 0, 0, ...: column 0 is all ones and every

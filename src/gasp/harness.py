@@ -3,12 +3,12 @@
 Privacy is checked two ways.  ``mds_audit`` re-derives the algebraic
 sufficient conditions (invertible generalized Vandermonde matrix, both
 mask power matrices MDS) from the code and the generator, by the
-functions plan search calls: the O(N) node check
-``codec._distinct_nodes`` and :func:`gf.is_power_mds` on each mask side;
-their docstrings hold the proofs.  The small and big codes are decided
-in O(N) per side, so the audit reaches every plan that ``demo`` makes
-for them; only a grouped code's side walks its minors and may raise
-:class:`BudgetExceededError` above ``gf.MDS_WALK_BUDGET``.
+verifier plan search calls, ``codec._conditions``: the O(N) node check
+and :func:`gf.is_power_mds` on each mask side, whose docstrings hold the
+proofs.  The small and big codes are decided in O(N) per side, so the
+audit reaches every plan that ``demo`` makes for them; only a grouped
+code's side walks its minors and may raise :class:`BudgetExceededError`
+above ``gf.MDS_WALK_BUDGET``.
 At tiny scale, ``exhaustive_privacy_audit`` checks the real thing: that
 for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
@@ -164,19 +164,14 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
     """Re-verify the three sufficient conditions from the code and the generator.
 
     The nodes g ** e and the points g ** n are rebuilt from the plan's
-    generator.  The GV condition is decided by ``codec._distinct_nodes``
-    and each mask side by :func:`gf.is_power_mds`, the functions plan
-    search calls; the tests check both against brute force over a grid.
-    A plan whose exponents are not the code's term set is refused, as
-    ``encode`` refuses it.
+    generator, and all three conditions are decided by
+    ``codec._conditions``, the verifier plan search calls; the tests
+    check it against brute force over a grid.  A plan whose exponents
+    are not the code's term set is refused, as ``encode`` refuses it.
     """
     codec._check_plan(code, plan)
-    p, g, n = plan.field.p, plan.generator, code.n_servers
-    return MdsAuditReport(
-        gv_det_nonzero=codec._distinct_nodes(codec._powers(p, g, plan.exponents)),
-        p_mds=gf.is_power_mds(p, g, n, code.alpha_masks),
-        q_mds=gf.is_power_mds(p, g, n, code.beta_masks),
-    )
+    verdicts = dict(codec._conditions(code, plan.field.p, plan.generator))
+    return MdsAuditReport(verdicts["gv"], verdicts["alpha_mds"], verdicts["beta_mds"])
 
 
 def exhaustive_privacy_audit(

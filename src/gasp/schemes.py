@@ -175,10 +175,6 @@ def _n_small(k: int, l: int, t: int) -> int:
     # agree across branches.
     if l < k:
         k, l = l, k
-    if l == 1:
-        if t < k:
-            return 2 * k + t * t
-        return k * t + k + t
     if t == 1 and t < k:
         return k * l + k + l
     if 2 <= t < k:
@@ -284,7 +280,7 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     * big, T >= max(K, L): 2KL + 2T - 1 - B = (K-1)(L-1) + T - 1;
     * small, in the orientation k <= l of ``_n_small`` (B is
       symmetric in K and L):
-      - l = 1: t*t - t for t < k, and k(t-1) for t >= k;
+      - l = 1 forces k = 1, which the last two branches cover;
       - t = 1 < k: 0;
       - 2 <= t < k: t*t - 2;
       - k <= t <= k(l-1)+1: k(t-1) + (t-2) - (t-2)//k, where

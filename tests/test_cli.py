@@ -289,6 +289,17 @@ def test_scheme_usage_errors(capsys, command, flags):
     assert err.value.code == 2
 
 
+def test_sweeps_refuse_sizes_below_one(capsys):
+    for argv, message in (
+        (["rate-sweep", "--k", "2", "--l", "2", "--t-max", "0", "--out", "-"], "--t-max"),
+        (["grouped-sweep", "--k", "0", "--out", "-"], "--k"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"error: {message} must be at least 1" in capsys.readouterr().err
+
+
 def test_demo_bad_divisibility(capsys):
     with pytest.raises(SystemExit) as err:
         main(["demo", "--k", "3", "--l", "3", "--t", "2", "--r", "4"])

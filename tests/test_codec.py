@@ -12,7 +12,7 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme
-from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix, points
+from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix, points, row
 
 
 def fixture_code():
@@ -113,6 +113,13 @@ def test_non_int_points_rejected():
         with pytest.raises(ParameterError, match=message):
             codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
     assert codec.EvaluationPlan(PrimeFieldSpec(7), 2, [0, 2, 5]).exponents == (0, 2, 5)
+
+
+def test_plan_refuses_an_empty_exponent_tuple():
+    # Every code has N >= 1 terms, so a plan with none can serve no code.
+    for exponents in ((), []):
+        with pytest.raises(ParameterError, match="^exponents must be non-empty$"):
+            codec.EvaluationPlan(PrimeFieldSpec(7), 2, exponents)
 
 
 def test_mask_mds_matches_full_enumeration():
@@ -312,13 +319,13 @@ def test_encode_hand_example():
 
 
 def _grid_block(m, rows, cols, i, j):
-    entries = (m.row(i * rows + r)[j * cols + c] for r in range(rows) for c in range(cols))
+    entries = (row(m, i * rows + r)[j * cols + c] for r in range(rows) for c in range(cols))
     return FieldMatrix(rows, cols, tuple(entries))
 
 
 def _split(stack, rows, cols):
     # The blocks of a stack: row i is block i, flattened row-major.
-    return [FieldMatrix(rows, cols, stack.row(i)) for i in range(stack.rows)]
+    return [FieldMatrix(rows, cols, row(stack, i)) for i in range(stack.rows)]
 
 
 def _naive_shares(p, points, exponents, blocks):
@@ -575,7 +582,7 @@ def test_encode_shape_errors():
     a, b = FieldMatrix(3, 2, (0,) * 6), FieldMatrix(2, 3, (0,) * 6)
     shapes = BlockShapes(3, 2, 3)
     zeros = FieldMatrix(2, 2, (0,) * 4)
-    assert codec.encode(a, b, code, plan, shapes, masks=MaskSet(zeros, zeros)).n_servers == 18
+    assert len(codec.encode(a, b, code, plan, shapes, masks=MaskSet(zeros, zeros)).f_shares) == 18
     one_mask = FieldMatrix(1, 2, (0,) * 2)
     bad_masks = [
         MaskSet(one_mask, zeros),  # T - 1 rows
@@ -649,6 +656,18 @@ def test_share_bundle_refuses_a_field_or_share_of_the_wrong_type():
         codec.ShareBundle(PrimeFieldSpec(5), (share, 3), (share, share))
     with pytest.raises(ParameterError, match=r"^g_shares\[0\] must be a FieldMatrix, got NoneType$"):
         codec.ShareBundle(PrimeFieldSpec(5), (share,), (None,))
+
+
+def test_share_bundle_refuses_share_lists_of_different_lengths():
+    share = FieldMatrix(1, 1, (2,))
+    with pytest.raises(ParameterError, match="^share lists must have equal length$"):
+        codec.ShareBundle(PrimeFieldSpec(5), (share, share), (share,))
+
+
+def test_block_sizes_refuse_a_column_count_that_l_does_not_divide():
+    # K = 3 divides r = 3, so the check on t is the one that fails.
+    with pytest.raises(ParameterError, match="^L=3 must divide t=4$"):
+        codec.cost(fixture_code(), BlockShapes(3, 2, 4))
 
 
 def test_decode_tiny_product():
@@ -801,7 +820,7 @@ def test_cached_factors_match_per_call_products():
                     stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_stack.entries)
                     powers = generalized_vandermonde(p, points(plan), exponents)
                     product = gf.mat_mul(p, powers, stack)
-                    assert [s.entries for s in shares] == [product.row(i) for i in range(n)]
+                    assert [s.entries for s in shares] == [row(product, i) for i in range(n)]
                 responses = tuple(codec.server_evaluate(bundle, i) for i in range(n))
                 index = {e: i for i, e in enumerate(plan.exponents)}
                 alpha, beta = code.assignment.alpha[:k], code.assignment.beta[:l]

@@ -43,6 +43,12 @@ def test_assignment_validation():
     ExponentAssignment((2**62,), (2**62 - 1,))
 
 
+def test_assignment_refuses_an_empty_side():
+    for alpha, beta, name in (((), (0,), "alpha"), ((0,), (), "beta")):
+        with pytest.raises(ParameterError, match=f"^{name} must be non-empty$"):
+            ExponentAssignment(alpha, beta)
+
+
 def test_outer_sum_reference_table():
     table = outer_sum(SMALL_332, P332)
     assert table[0] == (0, 3, 6, 9, 10)
@@ -60,6 +66,12 @@ def test_outer_sum_trivial_cases():
 def test_outer_sum_length_mismatch():
     with pytest.raises(ParameterError):
         outer_sum(ExponentAssignment((0, 1), (0, 1)), P332)
+
+
+def test_beta_length_mismatch():
+    # alpha has its K+T = 5 entries, beta 4 of its L+T = 5.
+    with pytest.raises(ParameterError, match=r"^beta has 4 entries, expected L\+T=5$"):
+        outer_sum(ExponentAssignment((0, 1, 2, 9, 12), (0, 3, 6, 9)), P332)
 
 
 def test_terms_reference_set():

@@ -8,7 +8,7 @@ import pytest
 from gasp import codec, gf, harness
 from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
 from gasp.degree_table import SchemeParams
-from gasp.errors import BudgetExceededError, ParameterError
+from gasp.errors import BudgetExceededError, ParameterError, VerificationError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme
 from test_oracles import det, is_mds, points
@@ -109,6 +109,22 @@ def test_run_sdmm_decodes_every_grouped_code_up_to_k5():
                 assert plan.field == codec.default_field(transcript.code), (k, g)
             if (k, g) in kept:
                 assert (plan.field.p, plan.generator) == kept[k, g]
+
+
+def test_run_sdmm_refuses_a_wrong_decoded_product(monkeypatch):
+    # The session checks decode against the direct product: one entry off
+    # by one fails it.
+    decode = codec.decode
+
+    def wrong_decode(responses, code, plan, shapes):
+        product = decode(responses, code, plan, shapes)
+        first = (product.entries[0] + 1) % plan.field.p
+        return FieldMatrix(product.rows, product.cols, (first, *product.entries[1:]))
+
+    monkeypatch.setattr(codec, "decode", wrong_decode)
+    message = "^decoded product does not match direct multiplication$"
+    with pytest.raises(VerificationError, match=message):
+        harness.run_sdmm(SchemeParams(2, 2, 1))
 
 
 def test_run_sdmm_refuses_group_count_without_grouped_scheme():

@@ -4,7 +4,7 @@ The library decides whether a plan's generalized Vandermonde matrix is
 invertible by comparing its nodes g ** e (``codec._distinct_nodes``), and
 takes no determinant anywhere.  The tests check that decision, in plan
 search, the decoder and ``harness.mds_audit``, against ``det`` here, and
-compare matrices with literals through ``rows``.
+compare matrices with literals through ``rows``; ``row`` reads one row.
 
 ``is_mds`` decides whether every maximal minor of any matrix is nonzero
 by walking all its column subsets.  The library's mask check,
@@ -59,9 +59,14 @@ from gasp.schemes import code_for_scheme, kakar_heuristic, rate_r2
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
 
 
+def row(m: FieldMatrix, i: int) -> tuple[int, ...]:
+    """Row i of m, a slice of its row-major entries."""
+    return m.entries[i * m.cols:(i + 1) * m.cols]
+
+
 def rows(m: FieldMatrix) -> list[list[int]]:
     """The entries of m as a list of row lists."""
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [list(row(m, i)) for i in range(m.rows)]
 
 
 def det(p: int, m: FieldMatrix) -> int:
@@ -145,7 +150,7 @@ def is_mds(p: int, m: FieldMatrix) -> bool:
                 rest.append([(x - factor * y) % p for x, y in zip(row[c + 1:], tail)])
         return extend(rest)
 
-    return extend([[e % p for e in m.row(i)] for i in range(t)])
+    return extend([[e % p for e in row(m, i)] for i in range(t)])
 
 
 def generalized_vandermonde(p: int, points, exponents) -> FieldMatrix:
