@@ -11,7 +11,6 @@ from .codec import (
     BlockShapes,
     CostReport,
     EvaluationPlan,
-    MaskSet,
     ShareBundle,
     cost,
     decode,

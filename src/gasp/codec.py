@@ -8,11 +8,11 @@ matrices and reads every block product A_k B_l off its own coefficient.
 
 Blocks have one layout, the stack: a matrix whose row j is block j
 flattened row-major.  A side's T masks are T more blocks (one T-row
-stack, :class:`MaskSet`), so its data blocks followed by its masks form
-one stack, and all N shares of that side are a single product of the
-N x (K+T) power matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j),
-built by :func:`gf.generalized_vandermonde` from the plan's generator
-and N, with that stack; row n is server n's share.  Decode stacks the N
+stack), so its data blocks followed by its masks form one stack, and
+all N shares of that side are a single product of the N x (K+T) power
+matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j), built by
+:func:`gf.generalized_vandermonde` from the plan's generator and N,
+with that stack; row n is server n's share.  Decode stacks the N
 responses the same way.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
 decode multiplies the response stack by the KL matching rows of the
@@ -115,18 +115,6 @@ class EvaluationPlan:
             raise ParameterError(f"exponents must be nonnegative ints, got {exps!r}")
         if not all(map(int.__lt__, exps, exps[1:])):
             raise ParameterError("exponents must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Each side's T random masks as one stack: row i is mask i, flattened row-major.
-
-    ``r_masks`` is T x (r/K * s) and hides A's row blocks; ``s_masks`` is
-    T x (s * t/L) and hides B's column blocks.
-    """
-
-    r_masks: FieldMatrix
-    s_masks: FieldMatrix
 
 
 @dataclass(frozen=True)
@@ -364,7 +352,6 @@ def encode(
     plan: EvaluationPlan,
     shapes: BlockShapes,
     seed: int = 0,
-    masks: MaskSet | None = None,
 ) -> ShareBundle:
     """Produce one masked share pair per server.
 
@@ -374,33 +361,45 @@ def encode(
     plan, times the stack of A's K row blocks and the R masks (for g,
     [a_n ** beta_j] times B's L column blocks and the S masks).  Masks
     are drawn from a seeded uniform source, one T-row stack per side, R
-    before S, unless given as a :class:`MaskSet` via ``masks``.
+    before S.
     """
     _check_plan(code, plan)
     check_int("seed", seed)
     p = plan.field.p
-    params = code.params
     block_rows, block_cols = _block_sizes(code, shapes)
     _check_matrix("A", a, shapes.r, shapes.s, p)
     _check_matrix("B", b, shapes.s, shapes.t, p)
+    rng = random.Random(seed)
+    r_masks, s_masks = (
+        random_matrix(p, code.params.t, size, rng)
+        for size in (block_rows * shapes.s, shapes.s * block_cols)
+    )
+    return _encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
-    r_size, s_size = block_rows * shapes.s, shapes.s * block_cols
-    if masks is None:
-        rng = random.Random(seed)
-        masks = MaskSet(*(random_matrix(p, params.t, size, rng) for size in (r_size, s_size)))
-    else:
-        check_type("masks", masks, MaskSet)
-        _check_matrix("r_masks", masks.r_masks, params.t, r_size, p)
-        _check_matrix("s_masks", masks.s_masks, params.t, s_size, p)
 
-    g, n = plan.generator, code.n_servers
+def _encode_with_masks(
+    a: FieldMatrix,
+    b: FieldMatrix,
+    code: PolynomialCode,
+    plan: EvaluationPlan,
+    shapes: BlockShapes,
+    r_masks: FieldMatrix,
+    s_masks: FieldMatrix,
+) -> ShareBundle:
+    """:func:`encode`'s shares under the given mask stacks, with no input checks.
+
+    ``r_masks`` is the T x (r/K * s) stack that hides A's row blocks and
+    ``s_masks`` the T x (s * t/L) stack that hides B's column blocks:
+    row i of each is mask i, flattened row-major.
+    """
+    p, g, n = plan.field.p, plan.generator, code.n_servers
+    k, l = code.params.k, code.params.l
+    block_rows, block_cols = shapes.r // k, shapes.t // l
     f_shares = _shares(
-        p, g, n, code.assignment.alpha, _stack(a, params.k, 1), masks.r_masks,
-        block_rows, shapes.s,
+        p, g, n, code.assignment.alpha, _stack(a, k, 1), r_masks, block_rows, shapes.s
     )
     g_shares = _shares(
-        p, g, n, code.assignment.beta, _stack(b, 1, params.l), masks.s_masks,
-        shapes.s, block_cols,
+        p, g, n, code.assignment.beta, _stack(b, 1, l), s_masks, shapes.s, block_cols
     )
     return ShareBundle(plan.field, f_shares, g_shares)
 

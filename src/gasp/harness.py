@@ -14,10 +14,15 @@ for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
 observations carry zero information.  Every share comes from the
 codec's own block layout and share product (``codec._stack`` and
-``codec._shares``), one product per secret: a side's mask stacks sit
-side by side, so each stack's shares are fixed column slices of the
-result (see the audit's docstring).  Each subset's multiset is a
-sorted list of observed share tuples, which Python compares in C.
+``codec._shares``), one product per chunk of secrets: a side's mask
+stacks sit side by side, repeated once per secret of the chunk, so each
+(secret, stack) pair's shares are fixed column slices of the result
+(see the audit's docstring).  A chunk holds at most
+``AUDIT_CHUNK_COLUMNS`` share columns, or one secret if that secret's
+stacks alone need more, which bounds the memory of one product.  Each
+observation is keyed by one base-p integer whose digits are its
+residues, and each subset's multiset is the sorted list of those keys,
+which Python sorts and compares in C.
 
 The audit enumerates one side at a time: every A with every R mask
 stack, then every B with every S mask stack.  The f-shares depend only
@@ -39,9 +44,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
 from . import codec, gf
@@ -53,6 +61,9 @@ from .schemes import PolynomialCode, code_for_scheme
 
 # exhaustive_privacy_audit refuses an enumeration of more steps than this.
 AUDIT_BUDGET = 10**8
+# exhaustive_privacy_audit puts at most this many share columns in one
+# product, unless one secret's mask stacks alone need more.
+AUDIT_CHUNK_COLUMNS = 2**16
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,6 @@ def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:
 def exhaustive_privacy_audit(
     params: SchemeParams,
     p: int,
-    shapes: BlockShapes | None = None,
     plan: EvaluationPlan | None = None,
     seed: int = 0,
     zero_masks: bool = False,
@@ -185,7 +195,7 @@ def exhaustive_privacy_audit(
     """Exact distributional privacy check by total enumeration, one side at a time.
 
     For every T-subset of servers and every secret A, collect
-    the observed f-share tuples over all R mask stacks; then do the
+    the observed f-shares over all R mask stacks; then do the
     same for every B and the S mask stacks.  Every share comes from
     ``codec._stack`` and ``codec._shares``, the block layout and the
     share product that ``codec.encode`` runs, so the audit checks the
@@ -194,7 +204,8 @@ def exhaustive_privacy_audit(
     on each side, every secret gives the same multisets as the first
     one.  With ``zero_masks`` the masks are pinned to zero instead of
     enumerated (one zero stack per side), which models a broken scheme
-    and should make the audit fail.
+    and should make the audit fail.  A is K x 1 and B is 1 x L, so each
+    block has one entry.
 
     Checking the sides apart decides exactly what comparing the joint
     observations of (A, B) would.  Since f depends only on (A, R) and g
@@ -209,15 +220,23 @@ def exhaustive_privacy_audit(
     smaller coalition sees are part of what some T-subset sees, so if no
     T-subset learns anything, neither does a smaller one.
 
-    One ``codec._shares`` call per secret covers all M mask stacks.  A
-    block has w entries (r/K * s for A, s * t/L for B); the side's M
-    stacks sit side by side as one T x (w * M) mask matrix, built once,
-    and the secret's data stack is repeated M times the same way.  A
+    One ``codec._shares`` call covers a chunk of secrets, each under all
+    M mask stacks.  A block has w entries (r/K * s for A, s * t/L for
+    B; 1 at the shapes above, and more at the other shapes that
+    ``_exhaustive_audit`` takes).  The side's M stacks sit side by side
+    as one T x (w * M) mask matrix, built once and repeated once per
+    secret of the chunk, and each secret's data stack is repeated M
+    times the same way.  A
     product with column groups side by side is the products side by
-    side, so row n of the result holds server n's share under stacks 0,
-    1, ..., M - 1 in turn, and entry i of every stack's share is
-    ``share.entries[i::w]``.  The multisets are then compared as sorted
-    lists of share tuples.
+    side, so row n of the result holds server n's share under secret 0
+    with stacks 0, 1, ..., M - 1, then under secret 1, and so on.  A
+    chunk holds as many secrets as fit in ``AUDIT_CHUNK_COLUMNS``
+    columns, and at least one, which bounds the memory of one product.
+    An observation of a T-subset, its T shares of w residues each, is
+    keyed by the one base-p integer whose T * w digits are those
+    residues, which is injective on them; so each subset's multiset is
+    the sorted list of its M keys, and two multisets are equal iff
+    those lists are.
 
     Raises :class:`BudgetExceededError` before doing any work if the
     enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted as
@@ -227,10 +246,21 @@ def exhaustive_privacy_audit(
     search is deterministic; the keyword stays only for callers that
     still pass it.
     """
+    check_type("params", params, SchemeParams)
+    shapes = BlockShapes(params.k, 1, params.l)
+    return _exhaustive_audit(params, p, shapes, plan, zero_masks)
+
+
+def _exhaustive_audit(
+    params: SchemeParams,
+    p: int,
+    shapes: BlockShapes,
+    plan: EvaluationPlan | None = None,
+    zero_masks: bool = False,
+) -> bool:
+    """:func:`exhaustive_privacy_audit` with A r x s and B s x t, for ``shapes`` (r, s, t)."""
     field = PrimeFieldSpec(p)
     code = code_for_scheme(params, "auto")
-    if shapes is None:
-        shapes = BlockShapes(params.k, 1, params.l)
     if plan is None:
         plan = codec.find_evaluation_plan(code, field=field)
     codec._check_plan(code, plan)
@@ -257,23 +287,26 @@ def exhaustive_privacy_audit(
     subsets = list(itertools.combinations(range(n), t))
 
     def side_is_private(exponents, grid, secret_shape, width: int) -> bool:
-        # Per subset, the sorted observed share tuples over all mask stacks,
-        # compared between every secret and the first one.
+        # Per subset, the sorted keys of the observations over all mask
+        # stacks, compared between every secret and the first one.
         stacks = list(itertools.product(mask_values, repeat=t * width))
         masks = FieldMatrix(t, width * len(stacks), _interleave(stacks, width))
-        reference = None
-        for entries in itertools.product(range(p), repeat=math.prod(secret_shape)):
-            secret = FieldMatrix(*secret_shape, entries)
-            shares = _side_shares(plan, exponents, secret, grid, masks, width)
-            columns = [[share.entries[i::width] for i in range(width)] for share in shares]
-            observed = [
-                sorted(zip(*[column for i in subset for column in columns[i]]))
-                for subset in subsets
-            ]
-            if reference is None:
-                reference = observed
-            elif observed != reference:
-                return False
+        per_chunk = max(1, AUDIT_CHUNK_COLUMNS // masks.cols)
+        rows, cols = secret_shape
+        values = itertools.product(range(p), repeat=rows * cols)
+        m, reference = len(stacks), [None] * len(subsets)
+        for chunk in iter(lambda: list(itertools.islice(values, per_chunk)), []):
+            # The chunk's secrets one below another.
+            flat = tuple(itertools.chain.from_iterable(chunk))
+            secrets = FieldMatrix(len(chunk) * rows, cols, flat)
+            shares = _side_shares(plan, exponents, secrets, grid, masks, width)
+            keys = [_as_ints([s.entries[i::width] for i in range(width)], p) for s in shares]
+            for index, observed in enumerate(_subset_keys(keys, subsets, p ** width)):
+                if reference[index] is None:
+                    reference[index] = sorted(observed[:m])
+                want = reference[index]
+                if any(sorted(observed[j:j + m]) != want for j in range(0, len(observed), m)):
+                    return False
         return True
 
     return side_is_private(
@@ -284,24 +317,63 @@ def exhaustive_privacy_audit(
 def _side_shares(
     plan: EvaluationPlan,
     exponents,
-    secret: FieldMatrix,
+    secrets: FieldMatrix,
     grid: tuple[int, int],
     masks: FieldMatrix,
     width: int,
 ) -> tuple[FieldMatrix, ...]:
-    """One side's 1 x (width * M) shares of ``secret`` under M mask stacks at once.
+    """One side's 1 x (width * M * C) shares of C secrets, each under M mask stacks, at once.
 
-    ``masks`` is the T x (width * M) matrix of the M stacks side by side,
-    ``grid`` the side's block grid and ``width`` a block's entries; columns
-    c * width ... (c + 1) * width of server n's share are its share under
-    stack c.
+    ``secrets`` holds the C secrets one below another, ``grid`` is one
+    secret's block grid and ``width`` a block's entries, and ``masks`` is
+    the T x (width * M) matrix of the M stacks side by side.  Columns
+    (c * M + m) * width ... (c * M + m + 1) * width of server n's share are
+    its share of secret c under stack m.
     """
-    data = codec._stack(secret, *grid)
-    data = FieldMatrix(
-        data.rows, masks.cols, _interleave([data.entries] * (masks.cols // width), width)
-    )
+    blocks = grid[0] * grid[1]
+    count, copies = len(secrets.entries) // (blocks * width), masks.cols // width
+    # Splitting the C secrets as one C * grid[0] x grid[1] grid puts block b
+    # of secret c at row c * blocks + b of the stack.
+    stacked = codec._stack(secrets, count * grid[0], grid[1]).entries
+    cols = masks.cols * count
+    data = FieldMatrix(blocks, cols, tuple(itertools.chain.from_iterable(
+        stacked[j:j + width] * copies
+        for b in range(blocks) for j in range(b * width, len(stacked), blocks * width)
+    )))
+    repeated = FieldMatrix(masks.rows, cols, tuple(itertools.chain.from_iterable(
+        masks.entries[j:j + masks.cols] * count
+        for j in range(0, len(masks.entries), masks.cols)
+    )))
     p, g, n = plan.field.p, plan.generator, len(plan.exponents)
-    return codec._shares(p, g, n, exponents, data, masks, 1, masks.cols)
+    return codec._shares(p, g, n, exponents, data, repeated, 1, cols)
+
+
+def _as_ints(columns, base: int) -> list[int]:
+    """One base-``base`` integer per index, whose digits, highest first, are the columns' entries.
+
+    The columns are equal-length sequences of ints in [0, base), so the
+    result is injective on the tuples of their entries.
+    """
+    value, *rest = columns
+    for column in rest:
+        value = map(operator.add, map(operator.mul, value, repeat(base)), column)
+    return list(value)
+
+
+def _subset_keys(keys: list[list[int]], subsets, base: int) -> Iterator[list[int]]:
+    """Each subset's observation keys: ``_as_ints`` of its servers' ``keys`` in subset order.
+
+    ``itertools.combinations`` yields its subsets in runs that share all
+    but the last server, so the higher digits are shifted once per run.
+    """
+    head = shifted = None
+    for subset in subsets:
+        if subset[:-1] != head:
+            head, shifted = subset[:-1], repeat(0)
+            if head:
+                # A zero lowest digit shifts the head's keys up one place.
+                shifted = _as_ints([keys[i] for i in head] + [repeat(0)], base)
+        yield list(map(operator.add, shifted, keys[subset[-1]]))
 
 
 def _interleave(flats, chunk: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Every public callable of the ``gasp`` namespace, called with wrong-typed
-arguments, and every public name of the library, referenced by the library."""
+arguments; every public name of the library, referenced by the library; and
+every defaulted parameter of a public function, passed by the library."""
 
 import ast
 import dataclasses
@@ -53,13 +54,24 @@ EXAMPLES = {type(x): x for x in (
     SESSION.shares,
     SESSION.product,
     SESSION.cost_report,
-    gasp.MaskSet(SESSION.product, SESSION.product),
     gasp.mds_audit(CODE, PLAN),
     gasp.rate_report(CODE.params),
     gasp.optimize_gasp(3, 1),
 )}
 
 WRONG = (None, (1, 2), 1.5, True, [1], "x")
+
+# Defaulted parameters of public functions that no library call passes.
+UNPASSED = {
+    # The CLI's entry point, which the tests and the README call with argv.
+    "cli.main(argv=)",
+    # Unused since plan search became deterministic; bench/run.py still
+    # passes it (lines 249 and 296).
+    "codec.find_evaluation_plan(seed=)",
+    # Unused, as plan search is deterministic; bench/run.py still passes it
+    # (lines 309 and 311).
+    "harness.exhaustive_privacy_audit(seed=)",
+}
 
 PUBLIC = sorted(
     name for name in dir(gasp) if not name.startswith("_") and callable(getattr(gasp, name))
@@ -123,3 +135,49 @@ def test_every_public_name_has_a_library_caller():
         if name not in attributes and (member or name not in names)
     ]
     assert unread == []
+
+
+def test_every_defaulted_parameter_has_a_library_caller():
+    # Every defaulted parameter of a public module-level function of
+    # src/gasp is passed, by keyword or by position, by some call in the
+    # library outside __init__.py to a function of that name, save the
+    # exemptions in UNPASSED, each of which must still be unpassed.  A
+    # parameter that only the tests pass is a seam for the tests, which
+    # belongs in a private core that the public function calls.
+    defaulted, calls = [], []
+    for path in sorted(Path(gasp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name[0] == "_":
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted += [
+                (f"{path.stem}.{node.name}({arg.arg}=)", node.name, arg.arg, i)
+                for i, arg in enumerate(positional) if i >= first
+            ]
+            defaulted += [
+                (f"{path.stem}.{node.name}({arg.arg}=)", node.name, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+            ]
+        if path.name != "__init__.py":
+            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def passes(call, param, position):
+        # A **mapping passes any keyword, and a *sequence any position.
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return position is not None and (
+            position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    unpassed = {
+        label for label, name, param, position in defaulted
+        if not any(callee(call) == name and passes(call, param, position) for call in calls)
+    }
+    assert sorted(unpassed - UNPASSED) == []
+    assert sorted(UNPASSED - unpassed) == []

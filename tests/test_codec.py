@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gasp import codec, degree_table, gf, harness, schemes
-from gasp.codec import BlockShapes, MaskSet
+from gasp.codec import BlockShapes
 from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
@@ -312,8 +312,9 @@ def test_encode_hand_example():
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
-    masks = MaskSet(r_masks=FieldMatrix(1, 1, (3,)), s_masks=FieldMatrix(1, 1, (2,)))
-    bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
+    bundle = codec._encode_with_masks(
+        a, b, code, plan, shapes, FieldMatrix(1, 1, (3,)), FieldMatrix(1, 1, (2,))
+    )
     assert tuple(s.entries[0] for s in bundle.f_shares) == ((2 + 3) % 5, (2 + 6) % 5, (2 + 12) % 5)
     assert tuple(s.entries[0] for s in bundle.g_shares) == ((3 + 2) % 5, (3 + 4) % 5, (3 + 8) % 5)
 
@@ -373,14 +374,16 @@ def test_encode_matches_naive_sum(scheme, k, l, t, g):
     mask_rng = random.Random(99)
     r_masks = [codec.random_matrix(p, rows, s, mask_rng) for _ in range(t)]
     s_masks = [codec.random_matrix(p, s, cols, mask_rng) for _ in range(t)]
-    injected = MaskSet(
+    injected = (
         codec.random_matrix(p, t, rows * s, rng), codec.random_matrix(p, t, s * cols, rng)
     )
-    injected_r, injected_s = _split(injected.r_masks, rows, s), _split(injected.s_masks, s, cols)
+    injected_r, injected_s = _split(injected[0], rows, s), _split(injected[1], s, cols)
     alpha, beta = code.assignment.alpha, code.assignment.beta
-    cases = [(99, None, r_masks, s_masks), (0, injected, injected_r, injected_s)]
-    for seed, masks, rs, ss in cases:
-        bundle = codec.encode(a, b, code, plan, shapes, seed=seed, masks=masks)
+    cases = [
+        (codec.encode(a, b, code, plan, shapes, seed=99), r_masks, s_masks),
+        (codec._encode_with_masks(a, b, code, plan, shapes, *injected), injected_r, injected_s),
+    ]
+    for bundle, rs, ss in cases:
         assert bundle.f_shares == _naive_shares(p, points(plan), alpha, a_blocks + rs)
         assert bundle.g_shares == _naive_shares(p, points(plan), beta, b_blocks + ss)
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
@@ -410,7 +413,7 @@ def test_each_side_depends_only_on_its_own_inputs(scheme, k, l, t, g):
         )
 
     def encode(a, b, r_masks, s_masks):
-        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+        return codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
     (a, b, r, s), (a2, b2, r2, s2) = inputs(), inputs()
     base = encode(a, b, r, s)
@@ -428,16 +431,10 @@ def test_non_int_entries_rejected():
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (3,))
     b = FieldMatrix(1, 1, (5,))
-    one = FieldMatrix(1, 1, (1,))
-    one_float = FieldMatrix(1, 1, (1.0,))
     with pytest.raises(ParameterError):
         codec.encode(FieldMatrix(1, 1, (3.0,)), b, code, plan, shapes)
     with pytest.raises(ParameterError):
         codec.encode(a, FieldMatrix(1, 1, (5.0,)), code, plan, shapes)
-    with pytest.raises(ParameterError):
-        codec.encode(a, b, code, plan, shapes, masks=MaskSet(one_float, one))
-    with pytest.raises(ParameterError):
-        codec.encode(a, b, code, plan, shapes, masks=MaskSet(one, one_float))
 
     bundle = codec.encode(a, b, code, plan, shapes)
     responses = [codec.server_evaluate(bundle, n) for n in range(3)]
@@ -489,12 +486,9 @@ def test_non_matrix_inputs_rejected():
             codec.decode(broken, code, plan, shapes)
     with pytest.raises(ParameterError, match="A must be a FieldMatrix, got list"):
         codec.encode([[2]], b, code, plan, shapes)
-    # No response list at all, and a plain pair of masks instead of a MaskSet,
-    # used to raise a bare TypeError and AttributeError.
+    # No response list at all used to raise a bare TypeError.
     with pytest.raises(ParameterError, match="responses must be a Sequence, got NoneType"):
         codec.decode(None, code, plan, shapes)
-    with pytest.raises(ParameterError, match="masks must be a MaskSet, got tuple"):
-        codec.encode(a, b, code, plan, shapes, masks=(a, b))
     # "an" before a vowel.
     with pytest.raises(ParameterError, match="^plan must be an EvaluationPlan, got NoneType$"):
         harness.mds_audit(code, None)
@@ -515,8 +509,7 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
         (lambda plan: codec.find_evaluation_plan(None), "code"),
         (lambda plan: harness.mds_audit(_CODE_221, None), "plan"),
         (lambda plan: harness.run_sdmm((2, 2, 1)), "params"),
-        (lambda plan: harness.exhaustive_privacy_audit(
-            SchemeParams(1, 1, 1), 5, shapes=(1, 1, 1)), "shapes"),
+        (lambda plan: harness._exhaustive_audit(SchemeParams(1, 1, 1), 5, (1, 1, 1)), "shapes"),
         (lambda plan: harness.run_sdmm(SchemeParams(2, 2, 1), shapes=(2, 1, 2)), "shapes"),
         (lambda plan: harness.exhaustive_privacy_audit(None, 7), "params"),
         (lambda plan: harness.exhaustive_privacy_audit(
@@ -554,7 +547,7 @@ def test_encode_zero_masks_degenerate():
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
     zero = FieldMatrix(1, 1, (0,))
-    bundle = codec.encode(a, b, code, plan, shapes, masks=MaskSet(zero, zero))
+    bundle = codec._encode_with_masks(a, b, code, plan, shapes, zero, zero)
     assert all(s == a for s in bundle.f_shares)
 
 
@@ -577,22 +570,12 @@ def test_encode_shape_errors():
             plan,
             BlockShapes(6, 2, 3),
         )
-    # Injected masks are one T-row stack per side; T = 2 here, and each mask
-    # of the r x s = 3 x 2 problem is 1 x 2 on A's side and 2 x 1 on B's.
+    # Masks are one T-row stack per side; T = 2 here, and each mask of the
+    # r x s = 3 x 2 problem is 1 x 2 on A's side and 2 x 1 on B's.
     a, b = FieldMatrix(3, 2, (0,) * 6), FieldMatrix(2, 3, (0,) * 6)
     shapes = BlockShapes(3, 2, 3)
     zeros = FieldMatrix(2, 2, (0,) * 4)
-    assert len(codec.encode(a, b, code, plan, shapes, masks=MaskSet(zeros, zeros)).f_shares) == 18
-    one_mask = FieldMatrix(1, 2, (0,) * 2)
-    bad_masks = [
-        MaskSet(one_mask, zeros),  # T - 1 rows
-        MaskSet(zeros, FieldMatrix(3, 2, (0,) * 6)),  # T + 1 rows
-        MaskSet(zeros, FieldMatrix(2, 3, (0,) * 6)),  # rows of the wrong width
-        MaskSet((one_mask, one_mask), (one_mask, one_mask)),  # one matrix per mask
-    ]
-    for masks in bad_masks:
-        with pytest.raises(ParameterError):
-            codec.encode(a, b, code, plan, shapes, masks=masks)
+    assert len(codec._encode_with_masks(a, b, code, plan, shapes, zeros, zeros).f_shares) == 18
 
 
 def test_encode_draws_its_masks_from_the_seed():
@@ -604,9 +587,9 @@ def test_encode_draws_its_masks_from_the_seed():
     for seed in (0, 11, 2**40):
         rng = random.Random(seed)
         draws = tuple(rng.randrange(29) for _ in range(8))
-        masks = MaskSet(FieldMatrix(2, 2, draws[:4]), FieldMatrix(2, 2, draws[4:]))
+        masks = FieldMatrix(2, 2, draws[:4]), FieldMatrix(2, 2, draws[4:])
         drawn = codec.encode(a, b, code, plan, shapes, seed=seed)
-        assert drawn == codec.encode(a, b, code, plan, shapes, masks=masks), seed
+        assert drawn == codec._encode_with_masks(a, b, code, plan, shapes, *masks), seed
     rng = random.Random(5)
     want = FieldMatrix(2, 3, tuple(rng.randrange(11383) for _ in range(6)))
     assert codec.random_matrix(11383, 2, 3, random.Random(5)) == want
@@ -627,14 +610,14 @@ def test_server_evaluate():
     shapes = BlockShapes(1, 1, 1)
     a = FieldMatrix(1, 1, (2,))
     b = FieldMatrix(1, 1, (3,))
-    masks = MaskSet(FieldMatrix(1, 1, (3,)), FieldMatrix(1, 1, (2,)))
-    bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
+    masks = FieldMatrix(1, 1, (3,)), FieldMatrix(1, 1, (2,))
+    bundle = codec._encode_with_masks(a, b, code, plan, shapes, *masks)
     # at point 1: (2+3)(3+2) = 25 = 0 mod 5
     assert codec.server_evaluate(bundle, 0).entries == (0,)
 
     zero_b = FieldMatrix(1, 1, (0,))
-    zmask = MaskSet(FieldMatrix(1, 1, (0,)), FieldMatrix(1, 1, (0,)))
-    zero_bundle = codec.encode(a, zero_b, code, plan, shapes, masks=zmask)
+    zmask = FieldMatrix(1, 1, (0,)), FieldMatrix(1, 1, (0,))
+    zero_bundle = codec._encode_with_masks(a, zero_b, code, plan, shapes, *zmask)
     assert all(
         codec.server_evaluate(zero_bundle, n).entries == (0,) for n in range(3)
     )
@@ -810,12 +793,12 @@ def test_cached_factors_match_per_call_products():
                     tall.add((side, rows > width and rows * width >= gf._PACK_MIN_ENTRIES))
                 a = codec.random_matrix(p, shapes.r, shapes.s, rng)
                 b = codec.random_matrix(p, shapes.s, shapes.t, rng)
-                masks = MaskSet(codec.random_matrix(p, t, block_rows * shapes.s, rng),
-                                codec.random_matrix(p, t, shapes.s * block_cols, rng))
-                bundle = codec.encode(a, b, code, plan, shapes, masks=masks)
-                sides = ((code.assignment.alpha, codec._stack(a, k, 1), masks.r_masks,
+                r_masks = codec.random_matrix(p, t, block_rows * shapes.s, rng)
+                s_masks = codec.random_matrix(p, t, shapes.s * block_cols, rng)
+                bundle = codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
+                sides = ((code.assignment.alpha, codec._stack(a, k, 1), r_masks,
                           bundle.f_shares), (code.assignment.beta, codec._stack(b, 1, l),
-                                             masks.s_masks, bundle.g_shares))
+                                             s_masks, bundle.g_shares))
                 for exponents, data, mask_stack, shares in sides:
                     stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_stack.entries)
                     powers = generalized_vandermonde(p, points(plan), exponents)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gasp import codec, gf, harness
-from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
+from gasp.codec import BlockShapes, EvaluationPlan
 from gasp.degree_table import SchemeParams
 from gasp.errors import BudgetExceededError, ParameterError, VerificationError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
@@ -304,19 +304,19 @@ def test_exhaustive_audit_runs_codec_share_routine(monkeypatch):
     code = code_for_scheme(params, "auto")
     plan = codec.find_evaluation_plan(code, PrimeFieldSpec(5))
     one = FieldMatrix(1, 1, (1,))
-    masks = MaskSet(FieldMatrix(1, 1, (2,)), FieldMatrix(1, 1, (3,)))
-    honest = codec.encode(one, one, code, plan, shapes, masks=masks)
+    masks = FieldMatrix(1, 1, (2,)), FieldMatrix(1, 1, (3,))
+    honest = codec._encode_with_masks(one, one, code, plan, shapes, *masks)
     assert harness.exhaustive_privacy_audit(params, 5)
     monkeypatch.setattr(codec, "_shares", leaky_shares)
     assert not harness.exhaustive_privacy_audit(params, 5)
-    assert codec.encode(one, one, code, plan, shapes, masks=masks) != honest
+    assert codec._encode_with_masks(one, one, code, plan, shapes, *masks) != honest
 
 
 @pytest.mark.parametrize("shapes", [BlockShapes(1, 1, 2), BlockShapes(2, 1, 1)])
 def test_exhaustive_audit_multi_entry_blocks(shapes):
     params = SchemeParams(1, 1, 1)
-    assert harness.exhaustive_privacy_audit(params, 5, shapes=shapes)
-    assert not harness.exhaustive_privacy_audit(params, 5, shapes=shapes, zero_masks=True)
+    assert harness._exhaustive_audit(params, 5, shapes)
+    assert not harness._exhaustive_audit(params, 5, shapes, zero_masks=True)
 
 
 @pytest.mark.parametrize(
@@ -328,39 +328,47 @@ def test_exhaustive_audit_multi_entry_blocks(shapes):
     ],
 )
 def test_side_shares_slices_are_narrow_encodes(params, shapes):
-    # Each mask stack's slice of the audit's one share product per secret
-    # is exactly the shares that encoding that stack alone gives.
+    # Each (secret, mask stack) slice of the audit's one share product per
+    # chunk of secrets is exactly the shares that encoding that pair alone
+    # gives.  Each side's chunk holds two secrets under five stacks.
     code = code_for_scheme(params, "auto")
     plan = codec.find_evaluation_plan(code)
     p, t = plan.field.p, params.t
     block_rows, block_cols = shapes.r // params.k, shapes.t // params.l
     rng = random.Random(shapes.r * 100 + shapes.s * 10 + shapes.t)
-    a = codec.random_matrix(p, shapes.r, shapes.s, rng)
-    b = codec.random_matrix(p, shapes.s, shapes.t, rng)
+    a_secrets = [codec.random_matrix(p, shapes.r, shapes.s, rng) for _ in range(2)]
+    b_secrets = [codec.random_matrix(p, shapes.s, shapes.t, rng) for _ in range(2)]
     r_width, s_width = block_rows * shapes.s, shapes.s * block_cols
     r_stacks, s_stacks = (
         [codec.random_matrix(p, t, width, rng) for _ in range(5)] for width in (r_width, s_width)
     )
     zero_r, zero_s = (FieldMatrix(t, width, (0,) * (t * width)) for width in (r_width, s_width))
-    zero_a, zero_b = (FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in (a, b))
+    zero_a, zero_b = (
+        FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in (a_secrets[0], b_secrets[0])
+    )
 
     def encode(a, b, r_masks, s_masks):
-        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+        return codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
     sides = (
-        (True, code.assignment.alpha, a, (params.k, 1), r_stacks, r_width),
-        (False, code.assignment.beta, b, (1, params.l), s_stacks, s_width),
+        (True, code.assignment.alpha, a_secrets, (params.k, 1), r_stacks, r_width),
+        (False, code.assignment.beta, b_secrets, (1, params.l), s_stacks, s_width),
     )
-    for a_side, exponents, secret, grid, stacks, width in sides:
+    for a_side, exponents, secrets, grid, stacks, width in sides:
         masks = FieldMatrix(
             t, width * len(stacks), harness._interleave([m.entries for m in stacks], width)
         )
-        wide = harness._side_shares(plan, exponents, secret, grid, masks, width)
+        below = FieldMatrix(
+            2 * secrets[0].rows, secrets[0].cols, secrets[0].entries + secrets[1].entries
+        )
+        wide = harness._side_shares(plan, exponents, below, grid, masks, width)
         assert len(wide) == code.n_servers
-        for c, stack in enumerate(stacks):
-            if a_side:
-                narrow = encode(a, zero_b, stack, zero_s).f_shares
-            else:
-                narrow = encode(zero_a, b, zero_r, stack).g_shares
-            for share, expected in zip(wide, narrow):
-                assert share.entries[c * width:(c + 1) * width] == expected.entries
+        for c, secret in enumerate(secrets):
+            for m, stack in enumerate(stacks):
+                if a_side:
+                    narrow = encode(secret, zero_b, stack, zero_s).f_shares
+                else:
+                    narrow = encode(zero_a, secret, zero_r, stack).g_shares
+                start = (c * len(stacks) + m) * width
+                for share, expected in zip(wide, narrow):
+                    assert share.entries[start:start + width] == expected.entries

@@ -49,7 +49,7 @@ from fractions import Fraction
 import pytest
 
 from gasp import codec, gf, harness
-from gasp.codec import BlockShapes, EvaluationPlan, MaskSet
+from gasp.codec import BlockShapes, EvaluationPlan
 from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
@@ -280,7 +280,7 @@ def privacy_audit(params, p, shapes=None, plan=None, zero_masks=False) -> bool:
         return True
 
     def encode(a, b, r_masks, s_masks):
-        return codec.encode(a, b, code, plan, shapes, masks=MaskSet(r_masks, s_masks))
+        return codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
     zero_a, zero_b, zero_r, zero_s = (
         FieldMatrix(*dims, (0,) * math.prod(dims)) for dims in (a_shape, b_shape, r_shape, s_shape)
@@ -301,27 +301,68 @@ def _plan(params, p, generator):
     return EvaluationPlan(PrimeFieldSpec(p), generator % p, exponents)
 
 
+# Codes, fields and block shapes (None: the audit's own K x 1 by 1 x L) at
+# which the exhaustive audit is compared with the oracle.
+AUDIT_GRID = [
+    (SchemeParams(1, 1, 1), 5, None),
+    (SchemeParams(1, 1, 1), 7, None),
+    (SchemeParams(1, 1, 2), 7, None),
+    (SchemeParams(2, 2, 1), 11, None),
+    (SchemeParams(1, 1, 1), 5, BlockShapes(1, 1, 2)),
+    (SchemeParams(1, 1, 1), 5, BlockShapes(2, 1, 1)),
+    (SchemeParams(1, 1, 1), 5, BlockShapes(1, 2, 1)),
+]
+
+
 @pytest.mark.parametrize("generator", [None, 0, -1])
 @pytest.mark.parametrize("zero_masks", [False, True])
-@pytest.mark.parametrize(
-    "params, p, shapes",
-    [
-        (SchemeParams(1, 1, 1), 5, None),
-        (SchemeParams(1, 1, 1), 7, None),
-        (SchemeParams(1, 1, 2), 7, None),
-        (SchemeParams(2, 2, 1), 11, None),
-        (SchemeParams(1, 1, 1), 5, BlockShapes(1, 1, 2)),
-        (SchemeParams(1, 1, 1), 5, BlockShapes(2, 1, 1)),
-        (SchemeParams(1, 1, 1), 5, BlockShapes(1, 2, 1)),
-    ],
-)
+@pytest.mark.parametrize("params, p, shapes", AUDIT_GRID)
 def test_exhaustive_audit_matches_oracle(params, p, shapes, zero_masks, generator):
     plan = _plan(params, p, generator)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
-    got = harness.exhaustive_privacy_audit(
-        params, p, shapes=shapes, plan=plan, zero_masks=zero_masks
-    )
+    if shapes is None:
+        got = harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks)
+    else:
+        got = harness._exhaustive_audit(params, p, shapes, plan=plan, zero_masks=zero_masks)
     assert got == expected
+
+
+@pytest.mark.parametrize("generator", [None, 0, -1])
+@pytest.mark.parametrize("zero_masks", [False, True])
+@pytest.mark.parametrize("params, p, shapes", AUDIT_GRID)
+def test_exhaustive_audit_chunk_boundaries(monkeypatch, params, p, shapes, zero_masks, generator):
+    # The column cap is set so that every share product holds one secret,
+    # then so that the side with the most columns per secret holds two
+    # secrets per product, which splits its p ** a secrets unevenly, p
+    # being odd.  The verdict must equal the default run's and the
+    # oracle's, and no product may pass the cap unless one secret's
+    # columns alone do.
+    plan = _plan(params, p, generator)
+    if shapes is None:
+        shapes = BlockShapes(params.k, 1, params.l)
+    expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
+
+    def audit():
+        return harness._exhaustive_audit(params, p, shapes, plan=plan, zero_masks=zero_masks)
+
+    assert audit() == expected
+    widths = (shapes.r // params.k * shapes.s, shapes.s * shapes.t // params.l)
+    one_secret = {w * (1 if zero_masks else p) ** (params.t * w) for w in widths}
+    shipped, products = codec._shares, []
+
+    def counted_shares(p, g, n, exponents, data, masks, rows, cols):
+        products.append(cols)
+        return shipped(p, g, n, exponents, data, masks, rows, cols)
+
+    monkeypatch.setattr(codec, "_shares", counted_shares)
+    for cap in (1, 2 * max(one_secret)):
+        monkeypatch.setattr(harness, "AUDIT_CHUNK_COLUMNS", cap)
+        products.clear()
+        assert audit() == expected, cap
+        assert products and all(cols <= cap or cols in one_secret for cols in products), cap
+        if expected and cap > 1:
+            # A passing audit reaches every chunk: pairs, then one secret alone.
+            assert {cap, cap // 2} <= set(products)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +378,6 @@ def test_exhaustive_audit_matches_oracle_on_wide_blocks(zero_masks, generator):
     plan = _plan(params, p, generator)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
     assert expected is False
-    assert harness.exhaustive_privacy_audit(
-        params, p, shapes=shapes, plan=plan, zero_masks=zero_masks
+    assert harness._exhaustive_audit(
+        params, p, shapes, plan=plan, zero_masks=zero_masks
     ) is expected
