@@ -109,7 +109,6 @@ def cmd_demo(args, parser) -> int:
     _check_scheme(args, parser)
     params = _params(args)
     r = args.r if args.r is not None else 2 * args.k
-    s = args.s if args.s is not None else 2
     tcols = args.tcols if args.tcols is not None else 2 * args.l
     if r % args.k or tcols % args.l:
         parser.error(f"need k | r and l | tcols, got r={r}, tcols={tcols}")
@@ -117,7 +116,7 @@ def cmd_demo(args, parser) -> int:
     transcript = harness.run_sdmm(
         params,
         scheme=args.scheme,
-        shapes=BlockShapes(r, s, tcols),
+        shapes=BlockShapes(r, args.s, tcols),
         field=field,
         seed=args.seed,
         g=args.g,
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--r", type=int, default=None, help="rows of A (default 2k)")
-    p_demo.add_argument("--s", type=int, default=None, help="inner dimension (default 2)")
+    p_demo.add_argument("--s", type=int, default=2, help="inner dimension (default 2)")
     p_demo.add_argument("--tcols", type=int, default=None, help="cols of B (default 2l)")
     p_demo.set_defaults(func=cmd_demo)
 
@@ -230,10 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except GaspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GaspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,7 +71,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError, check_type
+from .errors import BudgetExceededError, ParameterError, check_int, check_type
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -151,6 +151,11 @@ def next_prime(n: int) -> int:
     return candidate
 
 
+def _check_modulus(p) -> None:
+    if not isinstance(p, int) or not 2 <= p < _MODULUS_LIMIT:
+        raise ParameterError(f"modulus must satisfy 2 <= p < 2**62, got {p!r}")
+
+
 @dataclass(frozen=True)
 class PrimeFieldSpec:
     """A prime modulus p with 2 <= p < 2**62, verified at construction."""
@@ -158,8 +163,7 @@ class PrimeFieldSpec:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not 2 <= self.p < _MODULUS_LIMIT:
-            raise ParameterError(f"modulus must satisfy 2 <= p < 2**62, got {self.p!r}")
+        _check_modulus(self.p)
         if not is_prime(self.p):
             raise ParameterError(f"modulus {self.p} is not prime")
 
@@ -202,7 +206,8 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Product a @ b mod p, for 2 <= p < 2**62; entries of a and b may be any ints.
 
     An entry that is no int, such as a float, raises
-    :class:`ParameterError` on either branch.
+    :class:`ParameterError` on either branch, and so do a modulus
+    outside that range and an operand that is no :class:`FieldMatrix`.
 
     Products of fewer than ``_PACK_MIN_ENTRIES`` = 64 entries take the
     schoolbook branch: each entry is one row of a dotted with one column
@@ -270,12 +275,16 @@ def mat_mul(p: int, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     the same steps either way, and a kept factor packs its columns
     once.  A (4,4,3) session on 2x2 blocks packs a's columns in encode
     (33x7 by 7x4) and decode (16x33 by 33x4), once per plan.  The
-    exhaustive audit computes one side's shares under all M mask stacks
-    of a secret in one product, whose columns are M times a block's
-    entries, so it packs once the product reaches 64 entries.  The
-    schoolbook side keeps the 2x2 products of small sessions and the
-    audit's products with masks pinned to zero.
+    exhaustive audit computes one side's shares of a chunk of secrets,
+    each under all M mask stacks, in one product, whose columns are M
+    times the chunk's secrets, so it packs once the product reaches 64
+    entries.  The schoolbook side keeps the 2x2 products of small
+    sessions and the audit's smallest products, such as (1,1,1) over
+    F_5 with masks pinned to zero.
     """
+    _check_modulus(p)
+    check_type("a", a, FieldMatrix)
+    check_type("b", b, FieldMatrix)
     entries, by_column = _product(p, a, b, None)
     return _matrix(a.rows, b.cols, entries, by_column)
 
@@ -513,9 +522,10 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     with smallest member a, the minor on S is g ** (a * sum e_i), a
     nonzero factor, times the minor on S - a, which holds column 0.
     """
+    check_int("g", g)
     t = len(exponents)
-    if t > n:
-        raise ParameterError(f"MDS check needs rows <= cols, got {t} x {n}")
+    if not 1 <= t <= n:
+        raise ParameterError(f"MDS check needs 1 <= rows <= cols, got {t} x {n}")
     g %= p
     if not g:
         zero = [e == 0 for e in exponents]

@@ -12,17 +12,20 @@ above ``gf.MDS_WALK_BUDGET``.
 At tiny scale, ``exhaustive_privacy_audit`` checks the real thing: that
 for every T-subset of colluding servers the multiset of observed shares,
 over all mask values, is identical regardless of the secrets, i.e. that
-observations carry zero information.  Every share comes from the
-codec's own block layout and share product (``codec._stack`` and
-``codec._shares``), one product per chunk of secrets: a side's mask
-stacks sit side by side, repeated once per secret of the chunk, so each
-(secret, stack) pair's shares are fixed column slices of the result
-(see the audit's docstring).  A chunk holds at most
-``AUDIT_CHUNK_COLUMNS`` share columns, or one secret if that secret's
-stacks alone need more, which bounds the memory of one product.  Each
-observation is keyed by one base-p integer whose digits are its
-residues, and each subset's multiset is the sorted list of those keys,
-which Python sorts and compares in C.
+observations carry zero information.  It enumerates blocks and masks of
+one entry, A K x 1 and B 1 x L, and that decides every block shape:
+entry c of a share combines entry c of each block and each mask only,
+and mask entries are independent, so wider blocks are independent
+copies of one-entry blocks (the audit's docstring has the proof).
+Every share comes from the codec's own share product,
+``codec._shares``, one product per chunk of secrets: a side's mask
+stacks sit side by side, repeated once per secret of the chunk, so
+each (secret, stack) pair's share is one fixed column of the result.
+A chunk holds at most ``AUDIT_CHUNK_COLUMNS`` share columns, or one
+secret if that secret's stacks alone need more, which bounds the
+memory of one product.  Each observation is keyed by one base-p
+integer whose digits are its share entries, and each subset's multiset
+is the sorted list of those keys, which Python sorts and compares in C.
 
 The audit enumerates one side at a time: every A with every R mask
 stack, then every B with every S mask stack.  The f-shares depend only
@@ -31,19 +34,17 @@ observation (u, v) under secrets (A, B) is F_A[u] * G_B[v], with F_A and
 G_B one side's multisets.  Those products agree for all (A, B) iff F_A
 is the same for every A and G_B for every B (sum over v: the total |G_B|
 is the same for every B), so the two sides decide the joint verdict
-exactly.  Here a, b, r and s count the entries of A, B, one R mask and
-one S mask (a stack of T masks has T*r or T*s); the work is
-(p ** (a + T*r) + p ** (b + T*s)) * C(N, T) steps, where the joint
-enumeration took p ** (a + b + T*r + T*s) * C(N, T).  Exact
-distribution equality is the strongest checkable statement, so nothing
-is sampled; requests above ``AUDIT_BUDGET`` steps are refused.
+exactly.  A has K entries, B has L and a stack of masks T, so the work
+is (p ** (K + T) + p ** (L + T)) * C(N, T) steps, where the joint
+enumeration took p ** (K + L + 2T) * C(N, T).  Exact distribution
+equality is the strongest checkable statement, so nothing is sampled;
+requests above ``AUDIT_BUDGET`` steps are refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import operator
 import random
 import time
@@ -197,15 +198,14 @@ def exhaustive_privacy_audit(
     For every T-subset of servers and every secret A, collect
     the observed f-shares over all R mask stacks; then do the
     same for every B and the S mask stacks.  Every share comes from
-    ``codec._stack`` and ``codec._shares``, the block layout and the
-    share product that ``codec.encode`` runs, so the audit checks the
-    shipped share routine; ``encode``'s input checks and mask drawing,
-    which it skips, are covered by the codec tests.  Returns True iff,
-    on each side, every secret gives the same multisets as the first
-    one.  With ``zero_masks`` the masks are pinned to zero instead of
-    enumerated (one zero stack per side), which models a broken scheme
-    and should make the audit fail.  A is K x 1 and B is 1 x L, so each
-    block has one entry.
+    ``codec._shares``, the share product that ``codec.encode`` runs, so
+    the audit checks the shipped share routine; ``encode``'s input checks
+    and mask drawing, which it skips, are covered by the codec tests.
+    Returns True iff, on each side, every secret gives the same
+    multisets as the first one.  With ``zero_masks`` the masks are
+    pinned to zero instead of enumerated (one zero stack per side),
+    which models a broken scheme and should make the audit fail.  A is
+    K x 1 and B is 1 x L, so each block and each mask has one entry.
 
     Checking the sides apart decides exactly what comparing the joint
     observations of (A, B) would.  Since f depends only on (A, R) and g
@@ -220,45 +220,41 @@ def exhaustive_privacy_audit(
     smaller coalition sees are part of what some T-subset sees, so if no
     T-subset learns anything, neither does a smaller one.
 
+    Only one-entry blocks are checked, and that loses nothing either:
+    the verdict at blocks of w entries, any shapes with K | r and L | t,
+    is the verdict here.  Entry c of every share is the same power-matrix
+    combination of entry c of each block and of each mask, and each
+    mask entry is drawn on its own (uniform, or pinned to zero).  So
+    what a T-subset sees at width w is w independent observations, the
+    one of column c a width-1 observation of the blocks' column c, and
+    its distribution is the product of their width-1 distributions.  If
+    every one-entry secret gives the same width-1 distribution, so does
+    every column, and so does their product.  Conversely, if two
+    one-entry secrets give different width-1 distributions, two wide
+    secrets that hold them in column 0 and agree elsewhere differ in
+    column 0's marginal.
+
     One ``codec._shares`` call covers a chunk of secrets, each under all
-    M mask stacks.  A block has w entries (r/K * s for A, s * t/L for
-    B; 1 at the shapes above, and more at the other shapes that
-    ``_exhaustive_audit`` takes).  The side's M stacks sit side by side
-    as one T x (w * M) mask matrix, built once and repeated once per
-    secret of the chunk, and each secret's data stack is repeated M
-    times the same way.  A
-    product with column groups side by side is the products side by
-    side, so row n of the result holds server n's share under secret 0
-    with stacks 0, 1, ..., M - 1, then under secret 1, and so on.  A
-    chunk holds as many secrets as fit in ``AUDIT_CHUNK_COLUMNS``
-    columns, and at least one, which bounds the memory of one product.
-    An observation of a T-subset, its T shares of w residues each, is
-    keyed by the one base-p integer whose T * w digits are those
-    residues, which is injective on them; so each subset's multiset is
-    the sorted list of its M keys, and two multisets are equal iff
-    those lists are.
+    M = p ** T mask stacks (one with ``zero_masks``).  Column m of the
+    T x M mask matrix is stack m, and each secret's data column is
+    repeated M times, so row n of the result holds server n's share
+    under secret 0 with stacks 0, 1, ..., M - 1, then under secret 1,
+    and so on (``_side_shares``).  A chunk holds as many secrets as fit
+    in ``AUDIT_CHUNK_COLUMNS`` columns, and at least one, which bounds
+    the memory of one product.  An observation of a T-subset, its T
+    share entries, is keyed by the one base-p integer whose T digits
+    are those entries, which is injective on them; so each subset's
+    multiset is the sorted list of its M keys, and two multisets are
+    equal iff those lists are.
 
     Raises :class:`BudgetExceededError` before doing any work if the
-    enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted as
-    (p ** (a + T*r) + p ** (b + T*s)) * C(N, T) for a, b the
-    entries of A and B and r, s those of one R and one S mask (T*r and
-    T*s are 0 with ``zero_masks``).  ``seed`` is unused, since plan
-    search is deterministic; the keyword stays only for callers that
-    still pass it.
+    enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted
+    as (p ** K + p ** L) * p ** T * C(N, T), with p ** T taken as 1
+    under ``zero_masks``.  ``seed`` is unused, since plan search is
+    deterministic; the keyword stays only for callers that still pass
+    it.
     """
     check_type("params", params, SchemeParams)
-    shapes = BlockShapes(params.k, 1, params.l)
-    return _exhaustive_audit(params, p, shapes, plan, zero_masks)
-
-
-def _exhaustive_audit(
-    params: SchemeParams,
-    p: int,
-    shapes: BlockShapes,
-    plan: EvaluationPlan | None = None,
-    zero_masks: bool = False,
-) -> bool:
-    """:func:`exhaustive_privacy_audit` with A r x s and B s x t, for ``shapes`` (r, s, t)."""
     field = PrimeFieldSpec(p)
     code = code_for_scheme(params, "auto")
     if plan is None:
@@ -266,42 +262,30 @@ def _exhaustive_audit(
     codec._check_plan(code, plan)
     if plan.field.p != p:
         raise ParameterError("plan field does not match audit field")
-    n = code.n_servers
-    block_rows, block_cols = codec._block_sizes(code, shapes)
-
-    t = params.t
-    a_shape, b_shape = (shapes.r, shapes.s), (shapes.s, shapes.t)
-    r_width, s_width = block_rows * shapes.s, shapes.s * block_cols
+    n, t = code.n_servers, params.t
     # Masks pinned to zero enumerate the single value 0.
-    mask_values = range(1) if zero_masks else range(p)
+    stacks = list(itertools.product(range(1) if zero_masks else range(p), repeat=t))
+    m = len(stacks)
     # Per side: every secret times every mask stack, once per T-subset.
-    steps = comb(n, t) * (
-        p ** math.prod(a_shape) * len(mask_values) ** (t * r_width)
-        + p ** math.prod(b_shape) * len(mask_values) ** (t * s_width)
-    )
+    steps = comb(n, t) * (p ** params.k + p ** params.l) * m
     if steps > AUDIT_BUDGET:
         raise BudgetExceededError(
             f"audit needs {steps} steps, budget is {AUDIT_BUDGET}; not sampling"
         )
 
     subsets = list(itertools.combinations(range(n), t))
+    masks = FieldMatrix(t, m, tuple(itertools.chain.from_iterable(zip(*stacks))))
 
-    def side_is_private(exponents, grid, secret_shape, width: int) -> bool:
+    def side_is_private(exponents, blocks: int) -> bool:
         # Per subset, the sorted keys of the observations over all mask
         # stacks, compared between every secret and the first one.
-        stacks = list(itertools.product(mask_values, repeat=t * width))
-        masks = FieldMatrix(t, width * len(stacks), _interleave(stacks, width))
-        per_chunk = max(1, AUDIT_CHUNK_COLUMNS // masks.cols)
-        rows, cols = secret_shape
-        values = itertools.product(range(p), repeat=rows * cols)
-        m, reference = len(stacks), [None] * len(subsets)
+        values = itertools.product(range(p), repeat=blocks)
+        reference = [None] * len(subsets)
+        per_chunk = max(1, AUDIT_CHUNK_COLUMNS // m)
         for chunk in iter(lambda: list(itertools.islice(values, per_chunk)), []):
-            # The chunk's secrets one below another.
-            flat = tuple(itertools.chain.from_iterable(chunk))
-            secrets = FieldMatrix(len(chunk) * rows, cols, flat)
-            shares = _side_shares(plan, exponents, secrets, grid, masks, width)
-            keys = [_as_ints([s.entries[i::width] for i in range(width)], p) for s in shares]
-            for index, observed in enumerate(_subset_keys(keys, subsets, p ** width)):
+            shares = _side_shares(plan, exponents, chunk, masks)
+            keys = [share.entries for share in shares]
+            for index, observed in enumerate(_subset_keys(keys, subsets, p)):
                 if reference[index] is None:
                     reference[index] = sorted(observed[:m])
                 want = reference[index]
@@ -309,60 +293,40 @@ def _exhaustive_audit(
                     return False
         return True
 
-    return side_is_private(
-        code.assignment.alpha, (params.k, 1), a_shape, r_width
-    ) and side_is_private(code.assignment.beta, (1, params.l), b_shape, s_width)
+    return side_is_private(code.assignment.alpha, params.k) and side_is_private(
+        code.assignment.beta, params.l
+    )
 
 
 def _side_shares(
-    plan: EvaluationPlan,
-    exponents,
-    secrets: FieldMatrix,
-    grid: tuple[int, int],
-    masks: FieldMatrix,
-    width: int,
+    plan: EvaluationPlan, exponents, secrets: list[tuple[int, ...]], masks: FieldMatrix
 ) -> tuple[FieldMatrix, ...]:
-    """One side's 1 x (width * M * C) shares of C secrets, each under M mask stacks, at once.
+    """One side's 1 x (C * M) shares of C secrets of one-entry blocks, each under M mask stacks.
 
-    ``secrets`` holds the C secrets one below another, ``grid`` is one
-    secret's block grid and ``width`` a block's entries, and ``masks`` is
-    the T x (width * M) matrix of the M stacks side by side.  Columns
-    (c * M + m) * width ... (c * M + m + 1) * width of server n's share are
-    its share of secret c under stack m.
+    ``secrets`` holds the C secrets, each the tuple of its blocks'
+    entries in block order, and ``masks`` is the T x M matrix whose
+    column m is stack m.  Column c * M + m of server n's share is its
+    share of secret c under stack m.
     """
-    blocks = grid[0] * grid[1]
-    count, copies = len(secrets.entries) // (blocks * width), masks.cols // width
-    # Splitting the C secrets as one C * grid[0] x grid[1] grid puts block b
-    # of secret c at row c * blocks + b of the stack.
-    stacked = codec._stack(secrets, count * grid[0], grid[1]).entries
-    cols = masks.cols * count
-    data = FieldMatrix(blocks, cols, tuple(itertools.chain.from_iterable(
-        stacked[j:j + width] * copies
-        for b in range(blocks) for j in range(b * width, len(stacked), blocks * width)
+    m, count = masks.cols, len(secrets)
+    cols = m * count
+    # Row b of the data stack: block b of each secret, M times over.
+    data = FieldMatrix(len(secrets[0]), cols, tuple(itertools.chain.from_iterable(
+        repeat(entry, m) for row in zip(*secrets) for entry in row
     )))
     repeated = FieldMatrix(masks.rows, cols, tuple(itertools.chain.from_iterable(
-        masks.entries[j:j + masks.cols] * count
-        for j in range(0, len(masks.entries), masks.cols)
+        masks.entries[j:j + m] * count for j in range(0, len(masks.entries), m)
     )))
     p, g, n = plan.field.p, plan.generator, len(plan.exponents)
     return codec._shares(p, g, n, exponents, data, repeated, 1, cols)
 
 
-def _as_ints(columns, base: int) -> list[int]:
-    """One base-``base`` integer per index, whose digits, highest first, are the columns' entries.
+def _subset_keys(keys: list[tuple[int, ...]], subsets, base: int) -> Iterator[list[int]]:
+    """Each subset's observation keys: one base-``base`` integer per column of ``keys``.
 
-    The columns are equal-length sequences of ints in [0, base), so the
-    result is injective on the tuples of their entries.
-    """
-    value, *rest = columns
-    for column in rest:
-        value = map(operator.add, map(operator.mul, value, repeat(base)), column)
-    return list(value)
-
-
-def _subset_keys(keys: list[list[int]], subsets, base: int) -> Iterator[list[int]]:
-    """Each subset's observation keys: ``_as_ints`` of its servers' ``keys`` in subset order.
-
+    A key's digits are the subset's servers' ``keys`` in that column, in
+    subset order, highest first; each is in [0, ``base``), so a key is
+    injective on its digits.
     ``itertools.combinations`` yields its subsets in runs that share all
     but the last server, so the higher digits are shifted once per run.
     """
@@ -370,18 +334,7 @@ def _subset_keys(keys: list[list[int]], subsets, base: int) -> Iterator[list[int
     for subset in subsets:
         if subset[:-1] != head:
             head, shifted = subset[:-1], repeat(0)
-            if head:
-                # A zero lowest digit shifts the head's keys up one place.
-                shifted = _as_ints([keys[i] for i in head] + [repeat(0)], base)
+            for i in head:
+                # Each head digit goes in, then everything moves up one place.
+                shifted = list(map(operator.mul, map(operator.add, shifted, keys[i]), repeat(base)))
         yield list(map(operator.add, shifted, keys[subset[-1]]))
-
-
-def _interleave(flats, chunk: int) -> tuple[int, ...]:
-    """Equal-length tuples laid side by side, ``chunk`` entries at a time.
-
-    The result holds chunk 0 of every tuple in order, then chunk 1 of
-    every tuple, and so on; ``chunk`` must divide the common length.
-    """
-    return tuple(itertools.chain.from_iterable(
-        flat[j:j + chunk] for j in range(0, len(flats[0]), chunk) for flat in flats
-    ))

@@ -150,8 +150,12 @@ def test_mask_mds_matches_full_enumeration():
     never = {(True, 1, True, zero) for zero in (False, True)}
     never |= {(True, 0, True, zero) for zero in (False, True)}
     assert verdicts == set(itertools.product((True, False), (0, 1, 2), (False, True), (False, True))) - never
-    with pytest.raises(ParameterError):
-        gf.is_power_mds(7, 2, 2, (1, 2, 3))
+    # More rows than columns, no rows at all, and a generator that is no
+    # int.  No rows failed with a bare IndexError, a float or None
+    # generator with a bare TypeError.
+    for g, n, exponents in ((2, 2, (1, 2, 3)), (3, 4, ()), (3.0, 4, (0, 1)), (None, 4, [0])):
+        with pytest.raises(ParameterError):
+            gf.is_power_mds(7, g, n, exponents)
 
 
 def _oracle_rejection(code, field, g):
@@ -509,7 +513,6 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
         (lambda plan: codec.find_evaluation_plan(None), "code"),
         (lambda plan: harness.mds_audit(_CODE_221, None), "plan"),
         (lambda plan: harness.run_sdmm((2, 2, 1)), "params"),
-        (lambda plan: harness._exhaustive_audit(SchemeParams(1, 1, 1), 5, (1, 1, 1)), "shapes"),
         (lambda plan: harness.run_sdmm(SchemeParams(2, 2, 1), shapes=(2, 1, 2)), "shapes"),
         (lambda plan: harness.exhaustive_privacy_audit(None, 7), "params"),
         (lambda plan: harness.exhaustive_privacy_audit(
@@ -525,7 +528,7 @@ _A_21, _B_12 = FieldMatrix(2, 1, (1, 2)), FieldMatrix(1, 2, (3, 4))
         (lambda plan: schemes.PolynomialCode(None, _CODE_221.assignment, "big"), "params"),
     ],
     ids=["encode-shapes", "cost-shapes", "encode-plan", "plan-search-code", "audit-plan",
-         "session-params", "exhaustive-shapes", "session-shapes", "exhaustive-params",
+         "session-params", "session-shapes", "exhaustive-params",
          "exhaustive-plan", "cost-code", "server-bundle", "outer-sum-assignment",
          "decodable-assignment", "t-secure-params",
          "polynomial-code-assignment", "polynomial-code-params"],

@@ -682,3 +682,14 @@ def test_mat_ops():
     assert rows(gf.mat_mul(5, a, b)) == [[4, 1], [0, 2]]
     with pytest.raises(ParameterError):
         gf.mat_mul(5, a, FieldMatrix(3, 2, (0,) * 6))
+    # A modulus outside [2, 2**62) failed with ZeroDivisionError,
+    # OverflowError or a ValueError from the packed branch, and an operand
+    # that is no FieldMatrix with AttributeError.
+    wide = FieldMatrix(8, 8, tuple(range(64)))
+    for p in (0, 1, -7, 2**62, 2**64 + 13, 7.0):
+        for x in (a, wide):
+            with pytest.raises(ParameterError, match="^modulus must satisfy 2 <= p < 2"):
+                gf.mat_mul(p, x, x)
+    for left, right in ((((1,),), b), (a, ((1,), (2,))), (None, b), (a, [[1], [2]])):
+        with pytest.raises(ParameterError, match="^[ab] must be a FieldMatrix, got"):
+            gf.mat_mul(7, left, right)

@@ -312,63 +312,48 @@ def test_exhaustive_audit_runs_codec_share_routine(monkeypatch):
     assert codec._encode_with_masks(one, one, code, plan, shapes, *masks) != honest
 
 
-@pytest.mark.parametrize("shapes", [BlockShapes(1, 1, 2), BlockShapes(2, 1, 1)])
-def test_exhaustive_audit_multi_entry_blocks(shapes):
-    params = SchemeParams(1, 1, 1)
-    assert harness._exhaustive_audit(params, 5, shapes)
-    assert not harness._exhaustive_audit(params, 5, shapes, zero_masks=True)
-
-
 @pytest.mark.parametrize(
     "params, shapes",
     [
-        (SchemeParams(1, 1, 1), BlockShapes(2, 2, 2)),
-        (SchemeParams(2, 2, 2), BlockShapes(4, 3, 6)),
-        (SchemeParams(3, 2, 2), BlockShapes(6, 2, 4)),
+        (SchemeParams(1, 1, 1), BlockShapes(1, 1, 1)),
+        (SchemeParams(2, 2, 2), BlockShapes(2, 1, 2)),
+        (SchemeParams(3, 2, 2), BlockShapes(3, 1, 2)),
     ],
 )
 def test_side_shares_slices_are_narrow_encodes(params, shapes):
-    # Each (secret, mask stack) slice of the audit's one share product per
-    # chunk of secrets is exactly the shares that encoding that pair alone
-    # gives.  Each side's chunk holds two secrets under five stacks.
+    # Each (secret, mask stack) column of the audit's one share product per
+    # chunk of secrets is exactly the share that encoding that pair alone
+    # gives, at the audit's one-entry blocks (shapes K x 1 by 1 x L).
+    # Each side's chunk holds two secrets under five stacks.
     code = code_for_scheme(params, "auto")
     plan = codec.find_evaluation_plan(code)
     p, t = plan.field.p, params.t
-    block_rows, block_cols = shapes.r // params.k, shapes.t // params.l
-    rng = random.Random(shapes.r * 100 + shapes.s * 10 + shapes.t)
-    a_secrets = [codec.random_matrix(p, shapes.r, shapes.s, rng) for _ in range(2)]
-    b_secrets = [codec.random_matrix(p, shapes.s, shapes.t, rng) for _ in range(2)]
-    r_width, s_width = block_rows * shapes.s, shapes.s * block_cols
-    r_stacks, s_stacks = (
-        [codec.random_matrix(p, t, width, rng) for _ in range(5)] for width in (r_width, s_width)
-    )
-    zero_r, zero_s = (FieldMatrix(t, width, (0,) * (t * width)) for width in (r_width, s_width))
-    zero_a, zero_b = (
-        FieldMatrix(m.rows, m.cols, (0,) * len(m.entries)) for m in (a_secrets[0], b_secrets[0])
-    )
+    rng = random.Random(params.k * 100 + params.l * 10 + t)
+    a_secrets = [codec.random_matrix(p, shapes.r, 1, rng) for _ in range(2)]
+    b_secrets = [codec.random_matrix(p, 1, shapes.t, rng) for _ in range(2)]
+    stacks = [codec.random_matrix(p, t, 1, rng) for _ in range(5)]
+    # Column m of the mask matrix is stack m.
+    masks = FieldMatrix(t, len(stacks), tuple(m.entries[i] for i in range(t) for m in stacks))
+    zero_a = FieldMatrix(shapes.r, 1, (0,) * shapes.r)
+    zero_b = FieldMatrix(1, shapes.t, (0,) * shapes.t)
+    zero_masks = FieldMatrix(t, 1, (0,) * t)
 
     def encode(a, b, r_masks, s_masks):
         return codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
-    sides = (
-        (True, code.assignment.alpha, a_secrets, (params.k, 1), r_stacks, r_width),
-        (False, code.assignment.beta, b_secrets, (1, params.l), s_stacks, s_width),
-    )
-    for a_side, exponents, secrets, grid, stacks, width in sides:
-        masks = FieldMatrix(
-            t, width * len(stacks), harness._interleave([m.entries for m in stacks], width)
-        )
-        below = FieldMatrix(
-            2 * secrets[0].rows, secrets[0].cols, secrets[0].entries + secrets[1].entries
-        )
-        wide = harness._side_shares(plan, exponents, below, grid, masks, width)
+    for a_side, exponents, secrets in (
+        (True, code.assignment.alpha, a_secrets),
+        (False, code.assignment.beta, b_secrets),
+    ):
+        wide = harness._side_shares(plan, exponents, [s.entries for s in secrets], masks)
         assert len(wide) == code.n_servers
+        assert {(share.rows, share.cols) for share in wide} == {(1, 2 * len(stacks))}
         for c, secret in enumerate(secrets):
             for m, stack in enumerate(stacks):
                 if a_side:
-                    narrow = encode(secret, zero_b, stack, zero_s).f_shares
+                    narrow = encode(secret, zero_b, stack, zero_masks).f_shares
                 else:
-                    narrow = encode(zero_a, secret, zero_r, stack).g_shares
-                start = (c * len(stacks) + m) * width
+                    narrow = encode(zero_a, secret, zero_masks, stack).g_shares
+                column = c * len(stacks) + m
                 for share, expected in zip(wide, narrow):
-                    assert share.entries[start:start + width] == expected.entries
+                    assert share.entries[column:column + 1] == expected.entries

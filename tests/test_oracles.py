@@ -34,9 +34,11 @@ heuristic's (K, L).
 
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
-multisets.  ``harness.exhaustive_privacy_audit`` computes one side's
-shares under all of a secret's mask stacks in one ``codec._shares``
-product; its verdicts are checked against this one here.
+multisets, at any block shapes.  ``harness.exhaustive_privacy_audit``
+enumerates one-entry blocks only and computes a chunk of secrets'
+shares under all mask stacks in one ``codec._shares`` product; its
+verdicts are checked against this one here, at one-entry blocks and,
+as a check of its reduction to them, at wider blocks.
 """
 
 import itertools
@@ -302,7 +304,9 @@ def _plan(params, p, generator):
 
 
 # Codes, fields and block shapes (None: the audit's own K x 1 by 1 x L) at
-# which the exhaustive audit is compared with the oracle.
+# which the oracle runs.  The exhaustive audit runs at one-entry blocks
+# whatever the shapes, and its verdict must equal the oracle's at wider
+# ones too.
 AUDIT_GRID = [
     (SchemeParams(1, 1, 1), 5, None),
     (SchemeParams(1, 1, 1), 7, None),
@@ -320,11 +324,7 @@ AUDIT_GRID = [
 def test_exhaustive_audit_matches_oracle(params, p, shapes, zero_masks, generator):
     plan = _plan(params, p, generator)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
-    if shapes is None:
-        got = harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks)
-    else:
-        got = harness._exhaustive_audit(params, p, shapes, plan=plan, zero_masks=zero_masks)
-    assert got == expected
+    assert harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks) == expected
 
 
 @pytest.mark.parametrize("generator", [None, 0, -1])
@@ -332,22 +332,19 @@ def test_exhaustive_audit_matches_oracle(params, p, shapes, zero_masks, generato
 @pytest.mark.parametrize("params, p, shapes", AUDIT_GRID)
 def test_exhaustive_audit_chunk_boundaries(monkeypatch, params, p, shapes, zero_masks, generator):
     # The column cap is set so that every share product holds one secret,
-    # then so that the side with the most columns per secret holds two
-    # secrets per product, which splits its p ** a secrets unevenly, p
-    # being odd.  The verdict must equal the default run's and the
-    # oracle's, and no product may pass the cap unless one secret's
-    # columns alone do.
+    # then so that each side holds two secrets per product, which splits
+    # its p ** K or p ** L secrets unevenly, p being odd.  One secret's
+    # columns are its M = p ** T mask stacks (one with zero masks).  The
+    # verdict must equal the default run's and the oracle's, and no
+    # product may pass the cap unless one secret's columns alone do.
     plan = _plan(params, p, generator)
-    if shapes is None:
-        shapes = BlockShapes(params.k, 1, params.l)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
 
     def audit():
-        return harness._exhaustive_audit(params, p, shapes, plan=plan, zero_masks=zero_masks)
+        return harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks)
 
     assert audit() == expected
-    widths = (shapes.r // params.k * shapes.s, shapes.s * shapes.t // params.l)
-    one_secret = {w * (1 if zero_masks else p) ** (params.t * w) for w in widths}
+    one_secret = (1 if zero_masks else p) ** params.t
     shipped, products = codec._shares, []
 
     def counted_shares(p, g, n, exponents, data, masks, rows, cols):
@@ -355,11 +352,11 @@ def test_exhaustive_audit_chunk_boundaries(monkeypatch, params, p, shapes, zero_
         return shipped(p, g, n, exponents, data, masks, rows, cols)
 
     monkeypatch.setattr(codec, "_shares", counted_shares)
-    for cap in (1, 2 * max(one_secret)):
+    for cap in (1, 2 * one_secret):
         monkeypatch.setattr(harness, "AUDIT_CHUNK_COLUMNS", cap)
         products.clear()
         assert audit() == expected, cap
-        assert products and all(cols <= cap or cols in one_secret for cols in products), cap
+        assert products and all(cols <= cap or cols == one_secret for cols in products), cap
         if expected and cap > 1:
             # A passing audit reaches every chunk: pairs, then one secret alone.
             assert {cap, cap // 2} <= set(products)
@@ -369,15 +366,13 @@ def test_exhaustive_audit_chunk_boundaries(monkeypatch, params, p, shapes, zero_
     "zero_masks, generator", [(True, None), (True, 0), (True, -1), (False, 0)]
 )
 def test_exhaustive_audit_matches_oracle_on_wide_blocks(zero_masks, generator):
-    # r/K, s and t/L are all 2.  A passing verdict here takes the oracle
-    # 2 * 5 ** 8 encodes, one per (secret, mask stack), so only the cases
-    # that stop at the second secret or have one mask stack are compared;
-    # the layout test in test_harness.py checks the audit's per-secret
-    # share product itself at shapes like these.
+    # r/K, s and t/L are all 2, so blocks and masks have four entries.  A
+    # passing verdict here takes the oracle 2 * 5 ** 8 encodes, one per
+    # (secret, mask stack), so only the cases that stop at the second
+    # secret or have one mask stack are compared.  The audit runs at
+    # one-entry blocks, and its verdict must be the oracle's here too.
     params, p, shapes = SchemeParams(1, 1, 1), 5, BlockShapes(2, 2, 2)
     plan = _plan(params, p, generator)
     expected = privacy_audit(params, p, shapes=shapes, plan=plan, zero_masks=zero_masks)
     assert expected is False
-    assert harness._exhaustive_audit(
-        params, p, shapes, plan=plan, zero_masks=zero_masks
-    ) is expected
+    assert harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks) is expected
