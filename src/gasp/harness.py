@@ -247,10 +247,10 @@ def exhaustive_privacy_audit(
     multiset is the sorted list of its M keys, and two multisets are
     equal iff those lists are.
 
-    Raises :class:`BudgetExceededError` before doing any work if the
-    enumeration would exceed ``AUDIT_BUDGET`` elementary steps, counted
-    as (p ** K + p ** L) * p ** T * C(N, T), with p ** T taken as 1
-    under ``zero_masks``.  ``seed`` is unused, since plan search is
+    Raises :class:`BudgetExceededError`, before any mask stack or secret
+    is listed, if the enumeration would exceed ``AUDIT_BUDGET``
+    elementary steps, counted as (p ** K + p ** L) * p ** T * C(N, T),
+    with p ** T taken as 1 under ``zero_masks``.  ``seed`` is unused, since plan search is
     deterministic; the keyword stays only for callers that still pass
     it.
     """
@@ -264,8 +264,8 @@ def exhaustive_privacy_audit(
         raise ParameterError("plan field does not match audit field")
     n, t = code.n_servers, params.t
     # Masks pinned to zero enumerate the single value 0.
-    stacks = list(itertools.product(range(1) if zero_masks else range(p), repeat=t))
-    m = len(stacks)
+    mask_values = range(1) if zero_masks else range(p)
+    m = len(mask_values) ** t
     # Per side: every secret times every mask stack, once per T-subset.
     steps = comb(n, t) * (p ** params.k + p ** params.l) * m
     if steps > AUDIT_BUDGET:
@@ -274,6 +274,8 @@ def exhaustive_privacy_audit(
         )
 
     subsets = list(itertools.combinations(range(n), t))
+    # Column j of the T x M mask matrix is mask stack j.
+    stacks = itertools.product(mask_values, repeat=t)
     masks = FieldMatrix(t, m, tuple(itertools.chain.from_iterable(zip(*stacks))))
 
     def side_is_private(exponents, blocks: int) -> bool:

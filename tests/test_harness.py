@@ -254,14 +254,18 @@ def test_exhaustive_audit_corrupted_plan_fails():
 
 
 def test_exhaustive_audit_budget_refusal(monkeypatch):
+    # p ** T mask stacks are about 1e28 here; the refusal must come from
+    # the step count alone, before any stack is listed.
+    with pytest.raises(BudgetExceededError):
+        harness.exhaustive_privacy_audit(SchemeParams(1, 1, 3), 2**31 - 1)
     monkeypatch.setattr(harness, "AUDIT_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
 
 
 def test_exhaustive_audit_budget_counts_each_side(monkeypatch):
-    # Each side alone: (p ** (a + T*r) + p ** (b + T*s)) * C(N, T)
-    # = (5 ** 2 + 5 ** 2) * C(3, 1) = 150 at (1,1,1) over F_5.
+    # Each side alone: (p ** K + p ** L) * p ** T * C(N, T)
+    # = (5 + 5) * 5 * C(3, 1) = 150 at (1,1,1) over F_5.
     monkeypatch.setattr(harness, "AUDIT_BUDGET", 149)
     with pytest.raises(BudgetExceededError, match="needs 150 steps"):
         harness.exhaustive_privacy_audit(SchemeParams(1, 1, 1), 5)
