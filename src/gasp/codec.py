@@ -52,14 +52,15 @@ import functools
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import gf
 from .errors import (
     ParameterError,
     PlanSearchError,
     SingularMatrixError,
+    _Value,
+    _value_class,
     check_int,
     check_positive,
     check_type,
@@ -71,21 +72,22 @@ from .schemes import PolynomialCode
 MAX_CANDIDATES = 200
 
 
-@dataclass(frozen=True)
-class BlockShapes:
+@_value_class
+class BlockShapes(_Value):
     """Full matrix sizes: A is r x s, B is s x t."""
 
     r: int
     s: int
     t: int
 
-    def __post_init__(self) -> None:
-        for name, value in (("r", self.r), ("s", self.s), ("t", self.t)):
+    def __init__(self, r: int, s: int, t: int) -> None:
+        for name, value in (("r", r), ("s", s), ("t", t)):
             check_positive(name, value)
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class EvaluationPlan:
+@_value_class
+class EvaluationPlan(_Value):
     """Field, generator g, and the exponent set J used to interpolate.
 
     Server n evaluates at the point g ** n, for n < N = len(J).  Plans
@@ -99,53 +101,64 @@ class EvaluationPlan:
     generator: int
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        check_type("field", self.field, PrimeFieldSpec)
-        check_type("exponents", self.exponents, Sequence)
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+    def __init__(self, field: PrimeFieldSpec, generator: int, exponents: tuple[int, ...]) -> None:
+        check_type("field", field, PrimeFieldSpec)
+        check_type("exponents", exponents, Sequence)
+        exps = tuple(exponents)
         # A float generator passes the range check, then breaks pow.
-        if type(self.generator) is not int or not 0 <= self.generator < self.field.p:
-            raise ParameterError(f"generator must be an int in [0, p), got {self.generator!r}")
+        if type(generator) is not int or not 0 <= generator < field.p:
+            raise ParameterError(f"generator must be an int in [0, p), got {generator!r}")
         # Float or bool exponents compare equal to the code's int term set.
         # Each check is one pass in C: the types, the least, then the order.
-        exps = self.exponents
         if not exps:
             raise ParameterError("exponents must be non-empty")
         if set(map(type, exps)) != {int} or min(exps) < 0:
             raise ParameterError(f"exponents must be nonnegative ints, got {exps!r}")
         if not all(map(int.__lt__, exps, exps[1:])):
             raise ParameterError("exponents must be strictly increasing")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "exponents", exps)
 
 
-@dataclass(frozen=True)
-class ShareBundle:
+@_value_class
+class ShareBundle(_Value):
     """Per-server encoded matrices f(a_n) and g(a_n)."""
 
     field: PrimeFieldSpec
     f_shares: tuple[FieldMatrix, ...]
     g_shares: tuple[FieldMatrix, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, field: PrimeFieldSpec, f_shares: tuple[FieldMatrix, ...],
+        g_shares: tuple[FieldMatrix, ...],
+    ) -> None:
         # server_evaluate reads field.p and each share's shape.  The shares'
         # types are checked in one pass in C; only a failure looks for the
         # first bad share, whose message names it.
-        check_type("field", self.field, PrimeFieldSpec)
-        for name in ("f_shares", "g_shares"):
-            shares = getattr(self, name)
+        check_type("field", field, PrimeFieldSpec)
+        for name, shares in (("f_shares", f_shares), ("g_shares", g_shares)):
             check_type(name, shares, Sequence)
             if not all(map(isinstance, shares, repeat(FieldMatrix))):
                 for i, share in enumerate(shares):
                     check_type(f"{name}[{i}]", share, FieldMatrix)
-        if len(self.f_shares) != len(self.g_shares):
+        if len(f_shares) != len(g_shares):
             raise ParameterError("share lists must have equal length")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "f_shares", f_shares)
+        object.__setattr__(self, "g_shares", g_shares)
 
 
-@dataclass(frozen=True)
-class CostReport:
+@_value_class
+class CostReport(_Value):
     """Total symbols moved: N(rs/K + st/L) up, N rt/(KL) down."""
 
     upload_symbols: int
     download_symbols: int
+
+    def __init__(self, upload_symbols: int, download_symbols: int) -> None:
+        object.__setattr__(self, "upload_symbols", upload_symbols)
+        object.__setattr__(self, "download_symbols", download_symbols)
 
 
 def default_field(code: PolynomialCode) -> PrimeFieldSpec:
@@ -310,7 +323,18 @@ def _response_entries(responses, rows: int, cols: int, p: int) -> tuple[int, ...
 
 
 def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatrix:
-    return FieldMatrix(rows, cols, tuple(map(rng.randrange, repeat(p, rows * cols))))
+    """A rows x cols matrix of ``rng.randrange(p)`` draws, row-major.
+
+    The draws run ``randrange``'s own rejection loop in C: take
+    p.bit_length() random bits and keep the value if it is below p.  That
+    gives the same values and leaves ``rng`` in the same state as
+    ``randrange`` on a ``random.Random``, at about a quarter of the time.
+    A modulus outside [2, 2**62) raises :class:`ParameterError`; for
+    p <= 0 the loop would never end.
+    """
+    gf._check_modulus(p)
+    draws = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    return FieldMatrix(rows, cols, tuple(islice(draws, rows * cols)))
 
 
 def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:

@@ -19,47 +19,53 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .errors import ParameterError, check_positive, check_type
+from .errors import ParameterError, _Value, _value_class, check_positive, check_type
 
 ENTRY_BITS = 63
 _ENTRY_LIMIT = 1 << ENTRY_BITS
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+@_value_class
+class SchemeParams(_Value):
     """Problem size: K row blocks of A, L column blocks of B, tolerance T."""
 
     k: int
     l: int
     t: int
 
-    def __post_init__(self) -> None:
-        for name, value in (("k", self.k), ("l", self.l), ("t", self.t)):
+    def __init__(self, k: int, l: int, t: int) -> None:
+        for name, value in (("k", k), ("l", l), ("t", t)):
             check_positive(name, value)
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ExponentAssignment:
+@_value_class
+class ExponentAssignment(_Value):
     """The exponent vectors alpha (length K+T) and beta (length L+T)."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            check_type(name, getattr(self, name), Sequence)
-            vec = tuple(getattr(self, name))
-            object.__setattr__(self, name, vec)
+    def __init__(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
+        vectors = []
+        for name, vec in (("alpha", alpha), ("beta", beta)):
+            check_type(name, vec, Sequence)
+            vec = tuple(vec)
             if not vec:
                 raise ParameterError(f"{name} must be non-empty")
-            if any(type(e) is not int or e < 0 for e in vec):
+            # Bools and floats are refused.  Each check is one pass in C:
+            # the entry types, then the least entry.
+            if set(map(type, vec)) != {int} or min(vec) < 0:
                 raise ParameterError(f"{name} entries must be nonnegative integers")
+            vectors.append(vec)
+        alpha, beta = vectors
         # Table entries are pairwise sums; reject anything that could not be
         # stored in a 63-bit word.
-        if max(self.alpha) + max(self.beta) >= _ENTRY_LIMIT:
+        if max(alpha) + max(beta) >= _ENTRY_LIMIT:
             raise ParameterError("table entries would exceed 63 bits")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def _check_lengths(assignment: ExponentAssignment, params: SchemeParams) -> None:

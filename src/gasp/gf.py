@@ -68,10 +68,10 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError, check_int, check_type
+from .errors import BudgetExceededError, ParameterError, check_int, check_positive, check_type
+from .errors import _Value, _value_class
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -156,27 +156,31 @@ def _check_modulus(p) -> None:
         raise ParameterError(f"modulus must satisfy 2 <= p < 2**62, got {p!r}")
 
 
-@dataclass(frozen=True)
-class PrimeFieldSpec:
+@_value_class
+class PrimeFieldSpec(_Value):
     """A prime modulus p with 2 <= p < 2**62, verified at construction."""
 
     p: int
 
-    def __post_init__(self) -> None:
-        _check_modulus(self.p)
-        if not is_prime(self.p):
-            raise ParameterError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        _check_modulus(p)
+        if not is_prime(p):
+            raise ParameterError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FieldMatrix:
+@_value_class
+class FieldMatrix(_Value):
     """Immutable row-major matrix of residues.
 
-    A small session builds about a hundred of these, so ``__init__`` is
-    written out: it checks its arguments and then sets each slot once
-    through the slot's own descriptor, as a frozen class must, without
-    the per-field ``object.__setattr__`` of a generated one.
+    A small session builds about a hundred of these, so the class keeps
+    its fields in slots, and ``__init__`` sets each slot once through the
+    slot's own descriptor, past the frozen ``__setattr__``.  Pickle and
+    copy rebuild a matrix through the constructor (``__reduce__``), as
+    they could not set its slots.
     """
+
+    __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
@@ -195,6 +199,9 @@ class FieldMatrix:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
+
+    def __reduce__(self):
+        return FieldMatrix, (self.rows, self.cols, self.entries)
 
 
 _set_rows, _set_cols, _set_entries = (
@@ -467,8 +474,13 @@ def generalized_vandermonde(p: int, g: int, n: int, exponents) -> FieldMatrix:
     (g ** e) ** 0 ... (g ** e) ** (n - 1), built by running products as
     ``is_power_mds`` builds its rows, so the matrix takes one ``pow`` per
     exponent instead of one per entry.  This builds encode's share
-    matrices.
+    matrices.  A modulus outside [2, 2**62), a g that is no int, an n
+    that is no positive int and a negative exponent raise
+    :class:`ParameterError`.
     """
+    _check_modulus(p)
+    check_int("g", g)
+    check_positive("n", n)
     exps = tuple(exponents)
     if any(e < 0 for e in exps):
         raise ParameterError("exponents must be nonnegative")
@@ -497,7 +509,9 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     any T servers' shares of one side are jointly uniform.  Plan search
     and ``harness.mds_audit`` decide it here, through the one plan
     verifier ``codec._conditions``.  A row
-    (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.
+    (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.  A
+    modulus outside [2, 2**62), a g that is no int, an N that is no
+    positive int, and T = 0 or T > N raise :class:`ParameterError`.
 
     *g = 0.*  The points are 1, 0, 0, ...: column 0 is all ones and every
     other column is z, z_i = 1 iff e_i = 0.  A T-subset that holds two
@@ -522,7 +536,9 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     with smallest member a, the minor on S is g ** (a * sum e_i), a
     nonzero factor, times the minor on S - a, which holds column 0.
     """
+    _check_modulus(p)
     check_int("g", g)
+    check_positive("n", n)
     t = len(exponents)
     if not 1 <= t <= n:
         raise ParameterError(f"MDS check needs 1 <= rows <= cols, got {t} x {n}")

@@ -49,7 +49,6 @@ import operator
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb
 
@@ -57,6 +56,7 @@ from . import codec, gf
 from .codec import BlockShapes, CostReport, EvaluationPlan, ShareBundle
 from .degree_table import SchemeParams
 from .errors import BudgetExceededError, ParameterError, VerificationError, check_int, check_type
+from .errors import _Value, _value_class
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode, code_for_scheme
 
@@ -67,21 +67,26 @@ AUDIT_BUDGET = 10**8
 AUDIT_CHUNK_COLUMNS = 2**16
 
 
-@dataclass(frozen=True)
-class MdsAuditReport:
+@_value_class
+class MdsAuditReport(_Value):
     """Results of re-checking the three conditions of a plan."""
 
     gv_det_nonzero: bool
     p_mds: bool
     q_mds: bool
 
+    def __init__(self, gv_det_nonzero: bool, p_mds: bool, q_mds: bool) -> None:
+        object.__setattr__(self, "gv_det_nonzero", gv_det_nonzero)
+        object.__setattr__(self, "p_mds", p_mds)
+        object.__setattr__(self, "q_mds", q_mds)
+
     @property
     def all_pass(self) -> bool:
         return self.gv_det_nonzero and self.p_mds and self.q_mds
 
 
-@dataclass(frozen=True)
-class SessionTranscript:
+@_value_class
+class SessionTranscript(_Value):
     """Everything one simulated multiplication produced."""
 
     code: PolynomialCode
@@ -95,6 +100,23 @@ class SessionTranscript:
     cost_report: CostReport
     # Timings vary run to run, so they take no part in equality or hashing.
     stage_seconds: dict[str, float] = dataclasses.field(compare=False)
+
+    def __init__(
+        self, code: PolynomialCode, plan: EvaluationPlan, shapes: BlockShapes,
+        matrix_a: FieldMatrix, matrix_b: FieldMatrix, shares: ShareBundle,
+        responses: tuple[FieldMatrix, ...], product: FieldMatrix, cost_report: CostReport,
+        stage_seconds: dict[str, float],
+    ) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "matrix_a", matrix_a)
+        object.__setattr__(self, "matrix_b", matrix_b)
+        object.__setattr__(self, "shares", shares)
+        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "cost_report", cost_report)
+        object.__setattr__(self, "stage_seconds", stage_seconds)
 
     def summary(self) -> str:
         lines = [

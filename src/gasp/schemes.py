@@ -31,7 +31,7 @@ exact ``fractions.Fraction`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 
 from .degree_table import (
@@ -40,11 +40,11 @@ from .degree_table import (
     is_decodable,
     is_t_secure_assignment,
 )
-from .errors import ParameterError, check_positive, check_type
+from .errors import ParameterError, _Value, _value_class, check_positive, check_type
 
 
-@dataclass(frozen=True)
-class PolynomialCode:
+@_value_class
+class PolynomialCode(_Value):
     """A valid code: parameters, exponent vectors, a label, and its term set J.
 
     The constructor refuses an assignment that is not decodable or not
@@ -57,14 +57,18 @@ class PolynomialCode:
     scheme_label: str
     exponents: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        check_type("scheme_label", self.scheme_label, str)
-        params, assignment = self.params, self.assignment
+    def __init__(
+        self, params: SchemeParams, assignment: ExponentAssignment, scheme_label: str
+    ) -> None:
+        check_type("scheme_label", scheme_label, str)
         if not is_decodable(assignment, params):
-            raise ParameterError(f"{self.scheme_label} assignment is not decodable for {params}")
+            raise ParameterError(f"{scheme_label} assignment is not decodable for {params}")
         if not is_t_secure_assignment(assignment, params):
-            raise ParameterError(f"{self.scheme_label} assignment is not {params.t}-secure")
+            raise ParameterError(f"{scheme_label} assignment is not {params.t}-secure")
         exponents = sorted({a + b for a in assignment.alpha for b in assignment.beta})
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "scheme_label", scheme_label)
         object.__setattr__(self, "exponents", tuple(exponents))
 
     @property
@@ -80,8 +84,8 @@ class PolynomialCode:
         return self.assignment.beta[self.params.l:]
 
 
-@dataclass(frozen=True)
-class RateReport:
+@_value_class
+class RateReport(_Value):
     """Server counts and rates of the combined scheme and both baselines."""
 
     n_small: int
@@ -91,15 +95,32 @@ class RateReport:
     rate_r1: Fraction | None
     rate_r2: Fraction
 
+    def __init__(
+        self, n_small: int, n_big: int, n_gasp: int,
+        rate_gasp: Fraction, rate_r1: Fraction | None, rate_r2: Fraction,
+    ) -> None:
+        object.__setattr__(self, "n_small", n_small)
+        object.__setattr__(self, "n_big", n_big)
+        object.__setattr__(self, "n_gasp", n_gasp)
+        object.__setattr__(self, "rate_gasp", rate_gasp)
+        object.__setattr__(self, "rate_r1", rate_r1)
+        object.__setattr__(self, "rate_r2", rate_r2)
 
-@dataclass(frozen=True)
-class OptimizationResult:
+
+@_value_class
+class OptimizationResult(_Value):
     """Best (K, L) found for a fixed worker pool."""
 
     k: int
     l: int
     n_used: int
     rate: Fraction
+
+    def __init__(self, k: int, l: int, n_used: int, rate: Fraction) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "n_used", n_used)
+        object.__setattr__(self, "rate", rate)
 
 
 def _klt(params: SchemeParams) -> tuple[int, int, int]:

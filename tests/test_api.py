@@ -1,10 +1,16 @@
 """Every public callable of the ``gasp`` namespace, called with wrong-typed
-arguments; every public name of the library, referenced by the library; and
+arguments; every public value class, held to the contract of a frozen
+dataclass; every public name of the library, referenced by the library; and
 every defaulted parameter of a public function, passed by the library."""
 
 import ast
+import copy
 import dataclasses
+import importlib
 import inspect
+import pickle
+import pkgutil
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +65,26 @@ EXAMPLES = {type(x): x for x in (
     gasp.optimize_gasp(3, 1),
 )}
 
+# The fields of each public value class, in order; the constructor takes
+# those with init=True, in that order, and nothing else.
+FIELDS = {
+    "BlockShapes": "r s t",
+    "CostReport": "upload_symbols download_symbols",
+    "EvaluationPlan": "field generator exponents",
+    "ExponentAssignment": "alpha beta",
+    "FieldMatrix": "rows cols entries",
+    "MdsAuditReport": "gv_det_nonzero p_mds q_mds",
+    "OptimizationResult": "k l n_used rate",
+    "PolynomialCode": "params assignment scheme_label exponents",
+    "PrimeFieldSpec": "p",
+    "RateReport": "n_small n_big n_gasp rate_gasp rate_r1 rate_r2",
+    "SchemeParams": "k l t",
+    "SessionTranscript": (
+        "code plan shapes matrix_a matrix_b shares responses product cost_report stage_seconds"
+    ),
+    "ShareBundle": "field f_shares g_shares",
+}
+
 WRONG = (None, (1, 2), 1.5, True, [1], "x")
 
 # Defaulted parameters of public functions that no library call passes.
@@ -102,6 +128,54 @@ def test_wrong_types_raise_only_gasp_errors(name):
                 fn(**{**valid, q: wrong})
             except GaspError:
                 pass
+
+
+@pytest.mark.parametrize("cls", sorted(EXAMPLES, key=str), ids=lambda c: c.__name__)
+def test_value_class_contract(cls):
+    # Each public value class behaves as a frozen dataclass: equal and
+    # hashed alike when rebuilt from its fields, shown as Name(field=...),
+    # frozen with the messages dataclasses gives, rebuilt equal by pickle,
+    # copy and replace, and constructed from its init fields, in order.
+    x = EXAMPLES[cls]
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    assert names == FIELDS[cls.__name__].split()
+    init = [f.name for f in fields if f.init]
+    assert list(inspect.signature(cls).parameters) == init
+    assert cls.__match_args__ == tuple(init)
+    rebuilt = cls(**{name: getattr(x, name) for name in init})
+    assert rebuilt == x and hash(rebuilt) == hash(x) and rebuilt is not x
+    assert x != object() and x != tuple(getattr(x, name) for name in names)
+    shown = ", ".join(f"{name}={getattr(x, name)!r}" for name in names)
+    assert repr(x) == f"{cls.__name__}({shown})"
+    frozen = dataclasses.FrozenInstanceError
+    for name in names:
+        field = re.escape(repr(name))
+        with pytest.raises(frozen, match=f"^cannot assign to field {field}$"):
+            setattr(x, name, None)
+        with pytest.raises(frozen, match=f"^cannot delete field {field}$"):
+            delattr(x, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) == x
+    assert copy.copy(x) == copy.deepcopy(x) == dataclasses.replace(x) == x
+
+
+def test_no_method_is_compiled_from_a_string():
+    # A dataclass generates its methods by exec of source strings when the
+    # class is made, which was most of the package's import time.  Every
+    # function on every class of the package must come from a source file.
+    # Wrapped functions count: the generated __repr__ sits in a wrapper.
+    generated = []
+    for info in pkgutil.iter_modules(gasp.__path__):
+        module = importlib.import_module(f"gasp.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, attr in vars(cls).items():
+                code = getattr(inspect.unwrap(attr), "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    generated.append(f"{module.__name__}.{cls.__qualname__}.{name}")
+    assert generated == []
 
 
 def test_every_public_name_has_a_library_caller():

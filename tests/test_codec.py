@@ -598,6 +598,24 @@ def test_encode_draws_its_masks_from_the_seed():
     assert codec.random_matrix(11383, 2, 3, random.Random(5)) == want
 
 
+def test_random_matrix_draws_as_randrange():
+    # random_matrix runs randrange's rejection loop on getrandbits in C: the
+    # same values, and the generator left in the same state, as one
+    # randrange(p) per entry, for moduli of 2 to 61 bits.
+    for p in (2, 3, 7, 29, 11383, 2**61 - 1):
+        for seed in (0, 1, 7, 2**40):
+            for rows, cols in ((1, 1), (3, 5), (64, 64)):
+                want_rng, rng = random.Random(seed), random.Random(seed)
+                want = tuple(want_rng.randrange(p) for _ in range(rows * cols))
+                got = codec.random_matrix(p, rows, cols, rng)
+                assert (got.rows, got.cols, got.entries) == (rows, cols, want), (p, seed)
+                assert rng.getstate() == want_rng.getstate(), (p, seed)
+    # No field has these moduli; at p <= 0 the rejection loop would never end.
+    for p in (0, -5, 1, 7.0, None, 2**62):
+        with pytest.raises(ParameterError, match="^modulus must satisfy"):
+            codec.random_matrix(p, 2, 2, random.Random(0))
+
+
 def test_block_shapes_validation():
     assert BlockShapes(1, 2, 3).s == 2
     # bool is an int subclass; True used to pass as a size of 1.

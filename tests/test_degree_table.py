@@ -43,6 +43,21 @@ def test_assignment_validation():
     ExponentAssignment((2**62,), (2**62 - 1,))
 
 
+def test_assignment_refuses_entries_that_are_no_nonnegative_ints():
+    # Bools and floats compare equal to ints, so each is refused by type.
+    for alpha, beta, name in (
+        ((0, True), (0, 1), "alpha"),
+        ((0, 1.0), (0, 1), "alpha"),
+        ((0, -1), (0, 1), "alpha"),
+        ((0, 1), (False, 1), "beta"),
+        ((0, 1), (0, 2.0), "beta"),
+        ((0, 1), (0, -3), "beta"),
+        ((0, -1), (0, 1.5), "alpha"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{name} entries must be nonnegative integers$"):
+            ExponentAssignment(alpha, beta)
+
+
 def test_assignment_refuses_an_empty_side():
     for alpha, beta, name in (((), (0,), "alpha"), ((0,), (), "beta")):
         with pytest.raises(ParameterError, match=f"^{name} must be non-empty$"):

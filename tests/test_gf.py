@@ -212,6 +212,24 @@ def test_generalized_vandermonde_matches_points_oracle():
             gf.generalized_vandermonde(11, 2, 3, exponents)
 
 
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (gf.is_power_mds, (0, 2, 4, (0, 1)), "modulus must satisfy"),
+        (gf.is_power_mds, (7.5, 2, 4, (0, 1, 3)), "modulus must satisfy"),
+        (gf.is_power_mds, (7, 2, 2.0, (0, 1)), "n must be a positive integer"),
+        (gf.generalized_vandermonde, (0, 2, 3, (0, 1)), "modulus must satisfy"),
+        (gf.generalized_vandermonde, (7, 2, 2.0, (0, 1)), "n must be a positive integer"),
+        (gf.generalized_vandermonde, (7, 2.5, 3, (0, 1)), "g must be an int"),
+    ],
+    ids=["mds-p0", "mds-float-p", "mds-float-n", "gv-p0", "gv-float-n", "gv-float-g"],
+)
+def test_power_matrices_refuse_a_bad_argument(fn, args, message):
+    # Each raised a bare ZeroDivisionError, TypeError or ValueError before.
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        fn(*args)
+
+
 def test_vandermonde_invertible_iff_distinct():
     rng = random.Random(9)
     for _ in range(40):
