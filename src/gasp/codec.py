@@ -156,10 +156,6 @@ class CostReport(_Value):
     upload_symbols: int
     download_symbols: int
 
-    def __init__(self, upload_symbols: int, download_symbols: int) -> None:
-        object.__setattr__(self, "upload_symbols", upload_symbols)
-        object.__setattr__(self, "download_symbols", download_symbols)
-
 
 def default_field(code: PolynomialCode) -> PrimeFieldSpec:
     """Smallest prime above max(J) * N.

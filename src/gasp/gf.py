@@ -116,8 +116,10 @@ def is_prime(n: int) -> bool:
     twelve bases up to 37, and the prime 1,399 of a (4,4,3) session one.
     No such bound is known above psi_13, so there n is tested to all
     fourteen primes up to 43, and True means only that n is a strong
-    probable prime to them.
+    probable prime to them.  An n that is no int, a bool included, raises
+    :class:`ParameterError`.
     """
+    check_int("n", n)
     if n < 2:
         return False
     for w in _SMALL_PRIMES:
@@ -144,7 +146,8 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than the int n."""
+    check_int("n", n)
     candidate = max(n + 1, 2)
     while not is_prime(candidate):
         candidate += 1
@@ -154,6 +157,18 @@ def next_prime(n: int) -> int:
 def _check_modulus(p) -> None:
     if not isinstance(p, int) or not 2 <= p < _MODULUS_LIMIT:
         raise ParameterError(f"modulus must satisfy 2 <= p < 2**62, got {p!r}")
+
+
+def _check_exponents(exponents) -> None:
+    # Float or bool exponents would pass a range check, then break pow or
+    # compare equal to ints.  Each check is one pass in C; the library
+    # passes tuples, which skip the slower Sequence check.
+    if type(exponents) is not tuple:
+        check_type("exponents", exponents, Sequence)
+    if not exponents:
+        raise ParameterError("exponents must be non-empty")
+    if set(map(type, exponents)) != {int} or min(exponents) < 0:
+        raise ParameterError(f"exponents must be nonnegative ints, got {exponents!r}")
 
 
 @_value_class
@@ -475,17 +490,15 @@ def generalized_vandermonde(p: int, g: int, n: int, exponents) -> FieldMatrix:
     ``is_power_mds`` builds its rows, so the matrix takes one ``pow`` per
     exponent instead of one per entry.  This builds encode's share
     matrices.  A modulus outside [2, 2**62), a g that is no int, an n
-    that is no positive int and a negative exponent raise
-    :class:`ParameterError`.
+    that is no positive int and exponents that are no non-empty sequence
+    of nonnegative ints raise :class:`ParameterError`.
     """
     _check_modulus(p)
     check_int("g", g)
     check_positive("n", n)
-    exps = tuple(exponents)
-    if any(e < 0 for e in exps):
-        raise ParameterError("exponents must be nonnegative")
-    columns = [_geometric(p, pow(g, e, p), n) for e in exps]
-    return FieldMatrix(n, len(exps), tuple(itertools.chain.from_iterable(zip(*columns))))
+    _check_exponents(exponents)
+    columns = [_geometric(p, pow(g, e, p), n) for e in exponents]
+    return FieldMatrix(n, len(exponents), tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def is_progression(exponents) -> bool:
@@ -511,7 +524,8 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     verifier ``codec._conditions``.  A row
     (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.  A
     modulus outside [2, 2**62), a g that is no int, an N that is no
-    positive int, and T = 0 or T > N raise :class:`ParameterError`.
+    positive int, exponents that are no non-empty sequence of nonnegative
+    ints, and T > N raise :class:`ParameterError`.
 
     *g = 0.*  The points are 1, 0, 0, ...: column 0 is all ones and every
     other column is z, z_i = 1 iff e_i = 0.  A T-subset that holds two
@@ -539,8 +553,9 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     _check_modulus(p)
     check_int("g", g)
     check_positive("n", n)
+    _check_exponents(exponents)
     t = len(exponents)
-    if not 1 <= t <= n:
+    if t > n:
         raise ParameterError(f"MDS check needs 1 <= rows <= cols, got {t} x {n}")
     g %= p
     if not g:

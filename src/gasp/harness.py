@@ -75,11 +75,6 @@ class MdsAuditReport(_Value):
     p_mds: bool
     q_mds: bool
 
-    def __init__(self, gv_det_nonzero: bool, p_mds: bool, q_mds: bool) -> None:
-        object.__setattr__(self, "gv_det_nonzero", gv_det_nonzero)
-        object.__setattr__(self, "p_mds", p_mds)
-        object.__setattr__(self, "q_mds", q_mds)
-
     @property
     def all_pass(self) -> bool:
         return self.gv_det_nonzero and self.p_mds and self.q_mds
@@ -100,23 +95,6 @@ class SessionTranscript(_Value):
     cost_report: CostReport
     # Timings vary run to run, so they take no part in equality or hashing.
     stage_seconds: dict[str, float] = dataclasses.field(compare=False)
-
-    def __init__(
-        self, code: PolynomialCode, plan: EvaluationPlan, shapes: BlockShapes,
-        matrix_a: FieldMatrix, matrix_b: FieldMatrix, shares: ShareBundle,
-        responses: tuple[FieldMatrix, ...], product: FieldMatrix, cost_report: CostReport,
-        stage_seconds: dict[str, float],
-    ) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "matrix_a", matrix_a)
-        object.__setattr__(self, "matrix_b", matrix_b)
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "cost_report", cost_report)
-        object.__setattr__(self, "stage_seconds", stage_seconds)
 
     def summary(self) -> str:
         lines = [
@@ -180,18 +158,7 @@ def run_sdmm(
         raise VerificationError("decoded product does not match direct multiplication")
     report = codec.cost(code, shapes)
     lap("verify")
-    return SessionTranscript(
-        code=code,
-        plan=plan,
-        shapes=shapes,
-        matrix_a=a,
-        matrix_b=b,
-        shares=bundle,
-        responses=responses,
-        product=product,
-        cost_report=report,
-        stage_seconds=stage_seconds,
-    )
+    return SessionTranscript(code, plan, shapes, a, b, bundle, responses, product, report, stage_seconds)
 
 
 def mds_audit(code: PolynomialCode, plan: EvaluationPlan) -> MdsAuditReport:

@@ -95,17 +95,6 @@ class RateReport(_Value):
     rate_r1: Fraction | None
     rate_r2: Fraction
 
-    def __init__(
-        self, n_small: int, n_big: int, n_gasp: int,
-        rate_gasp: Fraction, rate_r1: Fraction | None, rate_r2: Fraction,
-    ) -> None:
-        object.__setattr__(self, "n_small", n_small)
-        object.__setattr__(self, "n_big", n_big)
-        object.__setattr__(self, "n_gasp", n_gasp)
-        object.__setattr__(self, "rate_gasp", rate_gasp)
-        object.__setattr__(self, "rate_r1", rate_r1)
-        object.__setattr__(self, "rate_r2", rate_r2)
-
 
 @_value_class
 class OptimizationResult(_Value):
@@ -115,12 +104,6 @@ class OptimizationResult(_Value):
     l: int
     n_used: int
     rate: Fraction
-
-    def __init__(self, k: int, l: int, n_used: int, rate: Fraction) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n_used", n_used)
-        object.__setattr__(self, "rate", rate)
 
 
 def _klt(params: SchemeParams) -> tuple[int, int, int]:
@@ -240,14 +223,8 @@ def rate_report(params: SchemeParams) -> RateReport:
     n_small = n_small_closed(params)  # checks the type of params first
     n_big = n_big_closed(params)
     n_gasp = n_small if params.t < min(params.k, params.l) else n_big
-    return RateReport(
-        n_small=n_small,
-        n_big=n_big,
-        n_gasp=n_gasp,
-        rate_gasp=download_rate(params, n_gasp),
-        rate_r1=rate_r1(params.k, params.t) if params.k == params.l else None,
-        rate_r2=rate_r2(params),
-    )
+    r1 = rate_r1(params.k, params.t) if params.k == params.l else None
+    return RateReport(n_small, n_big, n_gasp, download_rate(params, n_gasp), r1, rate_r2(params))
 
 
 def _check_pool(n: int, t: int) -> None:
@@ -320,8 +297,7 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
             gain = k * l * best_n - best_k * best_l * n_used
             if gain > 0 or gain == 0 and (k + l, k) < (best_k + best_l, best_k):
                 best_k, best_l, best_n = k, l, n_used
-    rate = Fraction(best_k * best_l, best_n)
-    return OptimizationResult(k=best_k, l=best_l, n_used=best_n, rate=rate)
+    return OptimizationResult(best_k, best_l, best_n, Fraction(best_k * best_l, best_n))
 
 
 def _sumset_size(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:

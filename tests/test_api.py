@@ -135,13 +135,21 @@ def test_value_class_contract(cls):
     # Each public value class behaves as a frozen dataclass: equal and
     # hashed alike when rebuilt from its fields, shown as Name(field=...),
     # frozen with the messages dataclasses gives, rebuilt equal by pickle,
-    # copy and replace, and constructed from its init fields, in order.
+    # copy and replace, and constructed from its init fields, in order;
+    # a call with an argument too few, one too many or an unknown keyword
+    # raises TypeError.
     x = EXAMPLES[cls]
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     assert names == FIELDS[cls.__name__].split()
     init = [f.name for f in fields if f.init]
     assert list(inspect.signature(cls).parameters) == init
+    text = ", ".join(f"{f.name}: {f.type!r}" for f in fields if f.init)
+    assert str(inspect.signature(cls)) == f"({text}) -> 'None'"
+    args = [getattr(x, name) for name in init]
+    for wrong, keywords in ((args[:-1], {}), (args + [None], {}), (args, {"unknown": None})):
+        with pytest.raises(TypeError):
+            cls(*wrong, **keywords)
     assert cls.__match_args__ == tuple(init)
     rebuilt = cls(**{name: getattr(x, name) for name in init})
     assert rebuilt == x and hash(rebuilt) == hash(x) and rebuilt is not x

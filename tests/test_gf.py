@@ -221,13 +221,36 @@ def test_generalized_vandermonde_matches_points_oracle():
         (gf.generalized_vandermonde, (0, 2, 3, (0, 1)), "modulus must satisfy"),
         (gf.generalized_vandermonde, (7, 2, 2.0, (0, 1)), "n must be a positive integer"),
         (gf.generalized_vandermonde, (7, 2.5, 3, (0, 1)), "g must be an int"),
+        (gf.is_power_mds, (7, 2, 4, None), "exponents must be a Sequence"),
+        (gf.generalized_vandermonde, (7, 2, 3, None), "exponents must be a Sequence"),
+        (gf.is_power_mds, (7, 2, 4, (0, 1.5)), "exponents must be nonnegative ints"),
+        (gf.generalized_vandermonde, (7, 2, 3, (0, 1.5)), "exponents must be nonnegative ints"),
+        (gf.is_power_mds, (7, 2, 4, (-1, 0, 2)), "exponents must be nonnegative ints"),
+        (gf.is_power_mds, (7, 2, 4, (False, True)), "exponents must be nonnegative ints"),
+        (gf.generalized_vandermonde, (7, 2, 3, (0, True)), "exponents must be nonnegative ints"),
+        (gf.is_power_mds, (7, 2, 4, ()), "exponents must be non-empty"),
+        (gf.generalized_vandermonde, (7, 2, 3, ()), "exponents must be non-empty"),
     ],
-    ids=["mds-p0", "mds-float-p", "mds-float-n", "gv-p0", "gv-float-n", "gv-float-g"],
+    ids=[
+        "mds-p0", "mds-float-p", "mds-float-n", "gv-p0", "gv-float-n", "gv-float-g",
+        "mds-none", "gv-none", "mds-float-e", "gv-float-e", "mds-negative-e", "mds-bool-e",
+        "gv-bool-e", "mds-empty", "gv-empty",
+    ],
 )
 def test_power_matrices_refuse_a_bad_argument(fn, args, message):
-    # Each raised a bare ZeroDivisionError, TypeError or ValueError before.
+    # Each raised a bare ZeroDivisionError, TypeError or ValueError before,
+    # blamed the matrix dimensions, or gave an answer.
     with pytest.raises(ParameterError, match=f"^{message}"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn", [gf.is_prime, gf.next_prime], ids=["is_prime", "next_prime"])
+@pytest.mark.parametrize("n", [7.0, 7.5, None, True, False], ids=repr)
+def test_primality_refuses_a_non_int(fn, n):
+    # is_prime(7.0) was True and is_prime(True) False; next_prime(False)
+    # was 2; None and 7.5 raised a bare TypeError.
+    with pytest.raises(ParameterError, match=f"^n must be an int, got {n!r}$"):
+        fn(n)
 
 
 def test_vandermonde_invertible_iff_distinct():

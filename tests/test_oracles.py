@@ -327,9 +327,12 @@ def test_exhaustive_audit_matches_oracle(params, p, shapes, zero_masks, generato
     assert harness.exhaustive_privacy_audit(params, p, plan=plan, zero_masks=zero_masks) == expected
 
 
+# The library audit runs at one-entry blocks whatever the shapes, so the
+# rows with shapes would repeat the (1,1,1)/F_5 run of the first row; the
+# test above compares the audit with the oracle at those shapes.
 @pytest.mark.parametrize("generator", [None, 0, -1])
 @pytest.mark.parametrize("zero_masks", [False, True])
-@pytest.mark.parametrize("params, p, shapes", AUDIT_GRID)
+@pytest.mark.parametrize("params, p, shapes", [row for row in AUDIT_GRID if row[2] is None])
 def test_exhaustive_audit_chunk_boundaries(monkeypatch, params, p, shapes, zero_masks, generator):
     # The column cap is set so that every share product holds one secret,
     # then so that each side holds two secrets per product, which splits
