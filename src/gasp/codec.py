@@ -11,7 +11,7 @@ flattened row-major.  A side's T masks are T more blocks (one T-row
 stack), so its data blocks followed by its masks form one stack, and
 all N shares of that side are a single product of the N x (K+T) power
 matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j), built by
-:func:`gf.generalized_vandermonde` from the plan's generator and N,
+``gf._generalized_vandermonde`` from the plan's generator and N,
 with that stack; row n is server n's share.  Decode stacks the N
 responses the same way.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
@@ -37,7 +37,7 @@ Plan search scans g = 2, 3, ... and returns the first g whose nodes are
 distinct and whose two T x N mask power matrices have every maximal
 minor invertible, which is what makes any T shares jointly uniform.
 That mask condition is decided from the generator by
-:func:`gf.is_power_mds`, whose docstring holds the proofs of the O(N)
+``gf._is_power_mds``, whose docstring holds the proofs of the O(N)
 certificate that covers the small and big codes and of the minor walk
 anchored at column 0 that decides grouped codes.  Plan search and
 ``harness.mds_audit`` decide all three conditions through one verifier,
@@ -60,7 +60,6 @@ from .errors import (
     PlanSearchError,
     SingularMatrixError,
     _Value,
-    _value_class,
     check_int,
     check_positive,
     check_type,
@@ -72,7 +71,6 @@ from .schemes import PolynomialCode
 MAX_CANDIDATES = 200
 
 
-@_value_class
 class BlockShapes(_Value):
     """Full matrix sizes: A is r x s, B is s x t."""
 
@@ -86,7 +84,6 @@ class BlockShapes(_Value):
             object.__setattr__(self, name, value)
 
 
-@_value_class
 class EvaluationPlan(_Value):
     """Field, generator g, and the exponent set J used to interpolate.
 
@@ -121,7 +118,6 @@ class EvaluationPlan(_Value):
         object.__setattr__(self, "exponents", exps)
 
 
-@_value_class
 class ShareBundle(_Value):
     """Per-server encoded matrices f(a_n) and g(a_n)."""
 
@@ -149,7 +145,6 @@ class ShareBundle(_Value):
         object.__setattr__(self, "g_shares", g_shares)
 
 
-@_value_class
 class CostReport(_Value):
     """Total symbols moved: N(rs/K + st/L) up, N rt/(KL) down."""
 
@@ -201,7 +196,7 @@ def find_evaluation_plan(
     nodes g ** e, e in J, for pairwise distinctness (the generalized
     Vandermonde matrix is invertible iff they are), then the alpha-mask
     and the beta-mask power matrices for every maximal minor nonzero, by
-    :func:`gf.is_power_mds` on g: an O(N) certificate for mask exponents
+    ``gf._is_power_mds`` on g: an O(N) certificate for mask exponents
     in arithmetic progression (the small and big codes), and otherwise
     the exact minor walk anchored at column 0, which the points g ** n
     allow since they are geometric, and which raises
@@ -229,7 +224,7 @@ def find_evaluation_plan(
     try:
         return _scan_generators(code, default_field(code))
     except PlanSearchError:
-        if gf.is_progression(code.alpha_masks) and gf.is_progression(code.beta_masks):
+        if gf._is_progression(code.alpha_masks) and gf._is_progression(code.beta_masks):
             raise
     fallback = gf.next_prime(4 * math.comb(code.n_servers, code.params.t))
     return _scan_generators(code, PrimeFieldSpec(fallback))
@@ -258,14 +253,14 @@ def _conditions(code: PolynomialCode, p: int, g: int) -> Iterator[tuple[str, boo
     distinct (:func:`_distinct_nodes`), so the generalized Vandermonde
     matrix is invertible; ``"alpha_mds"`` and ``"beta_mds"``, every
     maximal minor of that side's mask power matrix is nonzero
-    (:func:`gf.is_power_mds`).  Each verdict is decided only when the
+    (``gf._is_power_mds``).  Each verdict is decided only when the
     caller takes it.  Plan search stops at the first failure, and
     ``harness.mds_audit`` reads all three: both decide a plan here.
     """
     n = code.n_servers
     yield "gv", _distinct_nodes(_powers(p, g, code.exponents))
-    yield "alpha_mds", gf.is_power_mds(p, g, n, code.alpha_masks)
-    yield "beta_mds", gf.is_power_mds(p, g, n, code.beta_masks)
+    yield "alpha_mds", gf._is_power_mds(p, g, n, code.alpha_masks)
+    yield "beta_mds", gf._is_power_mds(p, g, n, code.beta_masks)
 
 
 def _check_plan(code: PolynomialCode, plan: EvaluationPlan) -> None:
@@ -325,10 +320,14 @@ def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatr
     p.bit_length() random bits and keep the value if it is below p.  That
     gives the same values and leaves ``rng`` in the same state as
     ``randrange`` on a ``random.Random``, at about a quarter of the time.
-    A modulus outside [2, 2**62) raises :class:`ParameterError`; for
-    p <= 0 the loop would never end.
+    A modulus outside [2, 2**62) raises :class:`ParameterError`, as for
+    p <= 0 the loop would never end, and so do ``rows`` and ``cols`` that
+    are no positive ints and an ``rng`` that is no ``random.Random``.
     """
     gf._check_modulus(p)
+    check_positive("rows", rows)
+    check_positive("cols", cols)
+    check_type("rng", rng, random.Random)
     draws = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
     return FieldMatrix(rows, cols, tuple(islice(draws, rows * cols)))
 
@@ -362,7 +361,7 @@ def _shares(
 @functools.lru_cache(maxsize=16)
 def _power_matrix(p: int, g: int, n: int, exponents: tuple[int, ...]) -> gf._FixedFactor:
     """Encode's N x (K+T) or N x (L+T) power matrix of a plan, built once."""
-    return gf._FixedFactor(p, gf.generalized_vandermonde(p, g, n, exponents))
+    return gf._FixedFactor(p, gf._generalized_vandermonde(p, g, n, exponents))
 
 
 def encode(

@@ -20,13 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from .errors import ParameterError, _Value, _value_class, check_positive, check_type
+from .errors import ParameterError, _Value, check_positive, check_type
 
 ENTRY_BITS = 63
 _ENTRY_LIMIT = 1 << ENTRY_BITS
 
 
-@_value_class
 class SchemeParams(_Value):
     """Problem size: K row blocks of A, L column blocks of B, tolerance T."""
 
@@ -40,7 +39,6 @@ class SchemeParams(_Value):
             object.__setattr__(self, name, value)
 
 
-@_value_class
 class ExponentAssignment(_Value):
     """The exponent vectors alpha (length K+T) and beta (length L+T)."""
 

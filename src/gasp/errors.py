@@ -2,8 +2,9 @@
 them, and ``_Value``, the base of the package's value classes.
 
 Every module imports this one, so the value classes' shared methods live
-here too.  Each value class is a dataclass made by ``_value_class``,
-which asks ``dataclasses`` for no methods at all: ``__eq__``,
+here too.  A value class is declared by subclassing ``_Value`` alone:
+``_Value.__init_subclass__`` makes each subclass a dataclass, asking
+``dataclasses`` for no methods at all: ``__eq__``,
 ``__hash__``, ``__repr__``, ``__setattr__`` and ``__delattr__`` come from
 ``_Value``.  A class writes its own ``__init__`` only when it checks or
 derives a field; the others take ``_Value``'s, whose signature comes from
@@ -56,20 +57,40 @@ class _Value:
     holds between instances of one class whose compared fields are equal,
     the hash is that of the compared fields' tuple, the repr is
     ``Name(field=value, ...)``, and setting or deleting any attribute
-    raises :class:`dataclasses.FrozenInstanceError`.  ``_value_class``
-    fixes each class's ``_compared`` and ``_shown`` when the class is made.
+    raises :class:`dataclasses.FrozenInstanceError`.
+    ``__init_subclass__`` fixes each class's ``_compared`` and ``_shown``
+    when the class is made.
 
     A class writes its own ``__init__`` only when it checks or derives a
     field, and sets its fields there through ``object.__setattr__``.  The
     others take the default here, which stores each init field in order
-    in the instance dict; ``_value_class`` gives such a class ``_init``,
-    the field names, and a ``__signature__`` built from its fields.  One
-    positional argument per field is stored directly; any other call is
-    bound to the signature, which raises ``TypeError`` as a written-out
-    constructor would.
+    in the instance dict; ``__init_subclass__`` gives such a class
+    ``_init``, the field names, and a ``__signature__`` built from its
+    fields.  One positional argument per field is stored directly; any
+    other call is bound to the signature, which raises ``TypeError`` as a
+    written-out constructor would.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        """Make ``cls`` a dataclass with no generated method.
+
+        ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
+        ``__match_args__`` work as for any dataclass.  ``_compared``
+        returns the tuple of the fields that take part in equality and
+        hashing, and ``_shown`` names the fields of the repr, as the
+        ``compare`` and ``repr`` flags of each field say.
+        """
+        dataclass(cls, init=False, repr=False, eq=False)
+        if "__init__" not in vars(cls):
+            cls._init = tuple(f.name for f in fields(cls) if f.init)
+            cls.__signature__ = _FieldSignature()
+        names = [f.name for f in fields(cls) if f.compare]
+        compared = operator.attrgetter(*names)
+        # attrgetter of one name returns the value itself, not a 1-tuple.
+        cls._compared = compared if len(names) > 1 else staticmethod(lambda obj: (compared(obj),))
+        cls._shown = tuple(f.name for f in fields(cls) if f.repr)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._init):
@@ -112,28 +133,6 @@ class _FieldSignature:
         return cls.__signature__
 
 
-def _value_class(cls: type) -> type:
-    """Make ``cls``, a subclass of :class:`_Value`, a dataclass with no generated method.
-
-    ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
-    ``__match_args__`` work as for any dataclass.  ``_compared`` returns
-    the tuple of the fields that take part in equality and hashing, and
-    ``_shown`` names the fields of the repr, as the ``compare`` and
-    ``repr`` flags of each field say.  A class with no ``__init__`` of its
-    own gets ``_init`` and ``__signature__`` for the default constructor.
-    """
-    cls = dataclass(cls, init=False, repr=False, eq=False)
-    if "__init__" not in vars(cls):
-        cls._init = tuple(f.name for f in fields(cls) if f.init)
-        cls.__signature__ = _FieldSignature()
-    names = [f.name for f in fields(cls) if f.compare]
-    compared = operator.attrgetter(*names)
-    # attrgetter of one name returns the value itself, not a 1-tuple.
-    cls._compared = compared if len(names) > 1 else staticmethod(lambda obj: (compared(obj),))
-    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
-    return cls
-
-
 class SingularMatrixError(GaspError, ArithmeticError):
     """A matrix inversion hit a singular matrix."""
 
@@ -163,7 +162,7 @@ class BudgetExceededError(GaspError, RuntimeError):
     """An enumeration refused to start because it would exceed its step budget.
 
     Raised by the exhaustive privacy audit and by the MDS walk of
-    ``gf.is_power_mds``, each before doing any work.  Plan search and the
+    ``gf._is_power_mds``, each before doing any work.  Plan search and the
     algebraic audit take that walk only for mask exponents that are no
     arithmetic progression (grouped codes); it is anchored at column 0 on
     a plan's geometric points, and its cost is checked as such.  The

@@ -8,12 +8,12 @@ matrix is invertible is decided in O(N) by the node check in ``codec``,
 for the decoder and for ``codec._conditions``, the one plan verifier
 that plan search and ``harness.mds_audit`` share; the tests keep a
 determinant by elimination as the oracle for that check.
-``generalized_vandermonde`` is the one builder of power matrices
+``_generalized_vandermonde`` is the one builder of power matrices
 [(g ** n) ** e_j] with a row per point g ** n: encode's two share
 matrices.  It builds each exponent's column by running products, the
-rows ``is_power_mds`` builds; the tests keep the builder over any
+rows ``_is_power_mds`` builds; the tests keep the builder over any
 points, one ``pow`` per entry, as its oracle.
-``is_power_mds`` is the mask condition of a plan with generator g, for
+``_is_power_mds`` is the mask condition of a plan with generator g, for
 ``codec._conditions``: every maximal minor of [(g ** n) ** e_i] is
 nonzero.  It decides g = 0 directly, exponents in arithmetic progression
 by an O(N) certificate, and any others by a walk over the column subsets
@@ -22,7 +22,11 @@ geometric; its docstring has the proofs.  The walk shares one
 elimination among all subsets with a common prefix and decides every
 subset under a node with two rows left by one test that the ratios of
 those rows are distinct.  The tests keep the walk over all subsets of
-any matrix as their oracle.
+any matrix as their oracle.  Both functions are private to the
+library: their callers in ``codec`` pass a field's modulus, a plan's
+generator and a valid code's exponents, so neither checks its
+arguments; the checks sit where a value enters the library, in the
+value classes, ``mat_mul``, ``encode`` and ``decode``.
 
 ``mat_mul`` computes the user's encode, every server's product and the
 decode.  Except on small products it multiplies by Kronecker
@@ -70,8 +74,7 @@ from array import array
 from collections.abc import Iterator, Sequence
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError, check_int, check_positive, check_type
-from .errors import _Value, _value_class
+from .errors import BudgetExceededError, ParameterError, _Value, check_int, check_type
 
 MODULUS_BITS = 62
 _MODULUS_LIMIT = 1 << MODULUS_BITS
@@ -83,7 +86,7 @@ _PACK_MIN_ENTRIES = 64
 # What mat_mul raises for an operand entry that is no int.
 _NOT_INTS = "matrix entries must be ints"
 
-# is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
+# _is_power_mds refuses a walk whose cost, C(N - 1, T - 3) * N entries, exceeds this.
 MDS_WALK_BUDGET = 10**8
 
 # Miller-Rabin to the first k of these primes as bases is proven correct for
@@ -159,19 +162,6 @@ def _check_modulus(p) -> None:
         raise ParameterError(f"modulus must satisfy 2 <= p < 2**62, got {p!r}")
 
 
-def _check_exponents(exponents) -> None:
-    # Float or bool exponents would pass a range check, then break pow or
-    # compare equal to ints.  Each check is one pass in C; the library
-    # passes tuples, which skip the slower Sequence check.
-    if type(exponents) is not tuple:
-        check_type("exponents", exponents, Sequence)
-    if not exponents:
-        raise ParameterError("exponents must be non-empty")
-    if set(map(type, exponents)) != {int} or min(exponents) < 0:
-        raise ParameterError(f"exponents must be nonnegative ints, got {exponents!r}")
-
-
-@_value_class
 class PrimeFieldSpec(_Value):
     """A prime modulus p with 2 <= p < 2**62, verified at construction."""
 
@@ -184,7 +174,6 @@ class PrimeFieldSpec(_Value):
         object.__setattr__(self, "p", p)
 
 
-@_value_class
 class FieldMatrix(_Value):
     """Immutable row-major matrix of residues.
 
@@ -482,26 +471,22 @@ def _unpack(p: int, data: bytes, width: int) -> tuple[int, ...]:
     return tuple(map(operator.mod, slots, itertools.repeat(p)))
 
 
-def generalized_vandermonde(p: int, g: int, n: int, exponents) -> FieldMatrix:
+def _generalized_vandermonde(p: int, g: int, n: int, exponents) -> FieldMatrix:
     """Power matrix [(g ** i) ** e mod p], a row per point g ** i, i < n.
 
     It has a column per exponent, in the caller's order.  Column e is
     (g ** e) ** 0 ... (g ** e) ** (n - 1), built by running products as
-    ``is_power_mds`` builds its rows, so the matrix takes one ``pow`` per
+    ``_is_power_mds`` builds its rows, so the matrix takes one ``pow`` per
     exponent instead of one per entry.  This builds encode's share
-    matrices.  A modulus outside [2, 2**62), a g that is no int, an n
-    that is no positive int and exponents that are no non-empty sequence
-    of nonnegative ints raise :class:`ParameterError`.
+    matrices.  Its one caller, ``codec._power_matrix``, passes a field's
+    modulus, a plan's generator, a valid code's N >= 1 and one side's
+    exponent vector: a non-empty tuple of nonnegative ints.
     """
-    _check_modulus(p)
-    check_int("g", g)
-    check_positive("n", n)
-    _check_exponents(exponents)
     columns = [_geometric(p, pow(g, e, p), n) for e in exponents]
     return FieldMatrix(n, len(exponents), tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
-def is_progression(exponents) -> bool:
+def _is_progression(exponents) -> bool:
     """True iff the exponents are e0, e0 + d, e0 + 2d, ...; one or two always are."""
     return len({b - a for a, b in zip(exponents, exponents[1:])}) <= 1
 
@@ -514,7 +499,7 @@ def _geometric(p: int, r: int, n: int) -> list[int]:
     return row
 
 
-def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
+def _is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     """True iff every T x T minor of the power matrix [(g ** j) ** e_i] is nonzero.
 
     The matrix has a row per exponent and a column per point g ** j,
@@ -522,10 +507,12 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     any T servers' shares of one side are jointly uniform.  Plan search
     and ``harness.mds_audit`` decide it here, through the one plan
     verifier ``codec._conditions``.  A row
-    (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.  A
-    modulus outside [2, 2**62), a g that is no int, an N that is no
-    positive int, exponents that are no non-empty sequence of nonnegative
-    ints, and T > N raise :class:`ParameterError`.
+    (g ** e) ** 0 .. (g ** e) ** (N-1) is built by running products.
+    That caller passes a field's prime modulus p, a generator g in
+    [0, p), and a valid code's N and one side's T mask exponents: a tuple
+    of T >= 1 distinct nonnegative ints.  T <= N, since those exponents,
+    each added to the other side's first exponent, are T distinct
+    entries of the code's term set J.
 
     *g = 0.*  The points are 1, 0, 0, ...: column 0 is all ones and every
     other column is z, z_i = 1 iff e_i = 0.  A T-subset that holds two
@@ -550,20 +537,13 @@ def is_power_mds(p: int, g: int, n: int, exponents) -> bool:
     with smallest member a, the minor on S is g ** (a * sum e_i), a
     nonzero factor, times the minor on S - a, which holds column 0.
     """
-    _check_modulus(p)
-    check_int("g", g)
-    check_positive("n", n)
-    _check_exponents(exponents)
     t = len(exponents)
-    if t > n:
-        raise ParameterError(f"MDS check needs 1 <= rows <= cols, got {t} x {n}")
-    g %= p
     if not g:
         zero = [e == 0 for e in exponents]
         if t == 1:
             return n == 1 or zero[0]
         return t == n == 2 and zero[0] != zero[1]
-    if is_progression(exponents):
+    if _is_progression(exponents):
         return t == 1 or len(set(_geometric(p, pow(g, exponents[1] - exponents[0], p), n))) == n
     return _mds_walk(p, [_geometric(p, pow(g, e, p), n) for e in exponents])
 

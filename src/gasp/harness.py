@@ -4,7 +4,7 @@ Privacy is checked two ways.  ``mds_audit`` re-derives the algebraic
 sufficient conditions (invertible generalized Vandermonde matrix, both
 mask power matrices MDS) from the code and the generator, by the
 verifier plan search calls, ``codec._conditions``: the O(N) node check
-and :func:`gf.is_power_mds` on each mask side, whose docstrings hold the
+and ``gf._is_power_mds`` on each mask side, whose docstrings hold the
 proofs.  The small and big codes are decided in O(N) per side, so the
 audit reaches every plan that ``demo`` makes for them; only a grouped
 code's side walks its minors and may raise :class:`BudgetExceededError`
@@ -56,7 +56,7 @@ from . import codec, gf
 from .codec import BlockShapes, CostReport, EvaluationPlan, ShareBundle
 from .degree_table import SchemeParams
 from .errors import BudgetExceededError, ParameterError, VerificationError, check_int, check_type
-from .errors import _Value, _value_class
+from .errors import _Value
 from .gf import FieldMatrix, PrimeFieldSpec
 from .schemes import PolynomialCode, code_for_scheme
 
@@ -67,7 +67,6 @@ AUDIT_BUDGET = 10**8
 AUDIT_CHUNK_COLUMNS = 2**16
 
 
-@_value_class
 class MdsAuditReport(_Value):
     """Results of re-checking the three conditions of a plan."""
 
@@ -80,7 +79,6 @@ class MdsAuditReport(_Value):
         return self.gv_det_nonzero and self.p_mds and self.q_mds
 
 
-@_value_class
 class SessionTranscript(_Value):
     """Everything one simulated multiplication produced."""
 

@@ -40,10 +40,9 @@ from .degree_table import (
     is_decodable,
     is_t_secure_assignment,
 )
-from .errors import ParameterError, _Value, _value_class, check_positive, check_type
+from .errors import ParameterError, _Value, check_positive, check_type
 
 
-@_value_class
 class PolynomialCode(_Value):
     """A valid code: parameters, exponent vectors, a label, and its term set J.
 
@@ -84,7 +83,6 @@ class PolynomialCode(_Value):
         return self.assignment.beta[self.params.l:]
 
 
-@_value_class
 class RateReport(_Value):
     """Server counts and rates of the combined scheme and both baselines."""
 
@@ -96,7 +94,6 @@ class RateReport(_Value):
     rate_r2: Fraction
 
 
-@_value_class
 class OptimizationResult(_Value):
     """Best (K, L) found for a fixed worker pool."""
 

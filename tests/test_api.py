@@ -1,5 +1,6 @@
-"""Every public callable of the ``gasp`` namespace, called with wrong-typed
-arguments; every public value class, held to the contract of a frozen
+"""Every public callable of the ``gasp`` namespace and every public function
+of the library's modules, called with wrong-typed arguments; every public
+value class, held to the contract of a frozen
 dataclass; every public name of the library, referenced by the library; and
 every defaulted parameter of a public function, passed by the library."""
 
@@ -9,7 +10,9 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+import operator
 import pkgutil
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +49,9 @@ ARGS = {
     "p": 7,
     "attempts": 1,
     "rejections": {"gv": 1},
+    "rows": 2,
+    "cols": 3,
+    "rng": random.Random(0),
 }
 
 # One valid instance of every public dataclass, whose fields are its valid arguments.
@@ -102,13 +108,24 @@ UNPASSED = {
 PUBLIC = sorted(
     name for name in dir(gasp) if not name.startswith("_") and callable(getattr(gasp, name))
 )
+# The public functions of these modules that the gasp namespace does not
+# export, named module.function.
+MODULE_FUNCTIONS = sorted(
+    f"{module}.{name}"
+    for module in ("gf", "codec", "degree_table", "schemes", "harness")
+    for name, fn in vars(getattr(gasp, module)).items()
+    if not name.startswith("_")
+    and inspect.isfunction(fn)
+    and fn.__module__ == f"gasp.{module}"
+    and getattr(gasp, name, None) is not fn
+)
 
 
-@pytest.mark.parametrize("name", PUBLIC)
+@pytest.mark.parametrize("name", PUBLIC + MODULE_FUNCTIONS)
 def test_wrong_types_raise_only_gasp_errors(name):
     # Each parameter in turn takes each wrong value, the others staying
-    # valid; the call must succeed or raise a GaspError, never a bare one.
-    fn = getattr(gasp, name)
+    # valid; every call must succeed or raise a GaspError, never a bare one.
+    fn = operator.attrgetter(name)(gasp)
     try:
         parameters = inspect.signature(fn).parameters
     except ValueError:
@@ -122,12 +139,16 @@ def test_wrong_types_raise_only_gasp_errors(name):
     else:
         valid = {q: ARGS[q] for q, par in parameters.items() if par.default is par.empty}
     fn(**valid)
+    bare = []
     for q in parameters:
         for wrong in WRONG:
             try:
                 fn(**{**valid, q: wrong})
             except GaspError:
                 pass
+            except Exception as exc:
+                bare.append(f"{q}={wrong!r}: {type(exc).__name__}")
+    assert bare == []
 
 
 @pytest.mark.parametrize("cls", sorted(EXAMPLES, key=str), ids=lambda c: c.__name__)

@@ -8,14 +8,14 @@ compare matrices with literals through ``rows``; ``row`` reads one row.
 
 ``is_mds`` decides whether every maximal minor of any matrix is nonzero
 by walking all its column subsets.  The library's mask check,
-``gf.is_power_mds``, takes a generator instead of a matrix and walks only
+``gf._is_power_mds``, takes a generator instead of a matrix and walks only
 the subsets that hold column 0; the tests check it, with plan search and
 ``harness.mds_audit``, against ``is_mds`` here, and ``is_mds`` against
 ``det`` on every minor.
 
 ``generalized_vandermonde`` is the power-matrix builder as first
 written, one ``pow`` per entry of [x ** e] for any points x.  The
-library's ``gf.generalized_vandermonde`` takes a generator instead of
+library's ``gf._generalized_vandermonde`` takes a generator instead of
 points and builds each column by running products; the tests check it
 against this one, and the GV determinants of plans use this one.
 

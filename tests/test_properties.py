@@ -1,8 +1,9 @@
 """Property tests: decode inverts encode on random codes, shapes and masks;
 the packed matrix product equals the triple loop; the closed-form server
 counts equal the term-counting oracle and never fall below the
-optimizer's loop bound."""
+optimizer's loop bound; every code has between 1 and N masks a side."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -10,8 +11,20 @@ from hypothesis import strategies as st
 
 from gasp import codec, gf
 from gasp.codec import BlockShapes
-from gasp.degree_table import SchemeParams
-from gasp.schemes import code_for_scheme, gasp_big, gasp_small, n_big_closed, n_small_closed
+from gasp.degree_table import (
+    ExponentAssignment,
+    SchemeParams,
+    is_decodable,
+    is_t_secure_assignment,
+)
+from gasp.schemes import (
+    PolynomialCode,
+    code_for_scheme,
+    gasp_big,
+    gasp_small,
+    n_big_closed,
+    n_small_closed,
+)
 from test_gf import _raw, _triple_loop
 from test_oracles import count_terms, rows
 
@@ -85,3 +98,46 @@ def test_closed_forms_respect_the_optimizer_bound(k, l, data):
     params = SchemeParams(k, l, t)
     bound = (k + 1) * (l + 1) + t - 2
     assert min(n_small_closed(params), n_big_closed(params)) >= bound
+
+
+def test_every_code_has_one_to_n_masks_a_side():
+    # gf._is_power_mds takes 1 <= T <= N from its caller, codec._conditions,
+    # and does not check it: a valid code's T distinct mask exponents of
+    # one side, each added to the other side's first exponent, are T
+    # distinct entries of J.  Every code the constructor accepts bears
+    # that out: the small and big codes of a grid, every grouped code
+    # with K <= 8, and random assignments.
+    def check(code):
+        t = code.params.t
+        assert len(code.alpha_masks) == len(code.beta_masks) == t
+        assert 1 <= t <= code.n_servers, code
+
+    for k, l in itertools.product(range(1, 9), repeat=2):
+        for t in range(1, 2 * max(k, l) + 4):
+            for scheme in ("small", "big"):
+                check(code_for_scheme(SchemeParams(k, l, t), scheme))
+    for k in range(1, 9):
+        for g in range(1, k + 1):
+            check(code_for_scheme(SchemeParams(k, k, k), "grouped", g=g))
+
+    accepted = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 5), l=st.integers(1, 5), t=st.integers(1, 6), data=st.data())
+    def random_code(k, l, t, data):
+        # Exponents from a narrow range meet the constructor's refusals
+        # and the fewest servers; a wide range gives N = (K+T)(L+T).
+        top = data.draw(st.sampled_from([k + l + t, 4 * (k + l + t), 2**40]), label="top")
+        alpha, beta = (
+            data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size), label=name)
+            for name, size in (("alpha", k + t), ("beta", l + t))
+        )
+        params, assignment = SchemeParams(k, l, t), ExponentAssignment(alpha, beta)
+        if is_decodable(assignment, params) and is_t_secure_assignment(assignment, params):
+            code = PolynomialCode(params, assignment, "random")
+            check(code)
+            accepted.append(code.n_servers)
+
+    random_code()
+    # The constructor accepts 59 of the 300 drawn assignments, N = 4 the least.
+    assert len(accepted) >= 50 and min(accepted) < 10
