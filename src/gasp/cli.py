@@ -7,11 +7,16 @@ across runs with the same flags and seed.
 
 Exit codes: 0 on success, 1 on runtime or verification failure, 2 on
 usage errors.
+
+``main`` builds the argument parser once per process, on its first
+call, not at import: ``build_parser`` is cached, and parsing leaves the
+parser unchanged, so later calls in the same process reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 
@@ -163,6 +168,7 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--g", type=int, default=None, help="group count (grouped only)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gasp",

@@ -20,13 +20,17 @@ Server counts have closed forms for small and big, piecewise in K, L, T
 and symmetric in K and L, so each is written for one orientation (big
 over max(K, L) and min(K, L), small in ``_n_small``).  The grouped
 family has none, and ``grouped_sweep`` counts it as a sumset of
-bitmasks.  ``optimize_gasp`` searches (K, L) on the closed forms in
-ints, under a lower bound on both of them.  A code is made only by the
-:class:`PolynomialCode` constructor, which refuses an assignment that is
-not decodable or not T-secure and derives the term set J.  The tests
-hold the closed forms and the grouped count against a brute-force term
-count (``count_terms`` in ``tests/test_oracles.py``).  All rates are
-exact ``fractions.Fraction`` values.
+bitmasks: every G shares beta and the data rows and differs only in its
+mask runs, so each run's shifted copies of beta are one shift of a
+prefix table built once per sweep.  ``optimize_gasp`` searches (K, L)
+on the closed forms in ints, under a lower bound on both of them.  A
+code is made only by the :class:`PolynomialCode` constructor, which
+refuses an assignment that is not decodable or not T-secure and derives
+the term set J.  The tests hold the closed forms and the grouped count
+against a brute-force term count (``count_terms`` in
+``tests/test_oracles.py``), and the sweep against one grouped code per
+G (``grouped_sweep_oracle``).  All rates are exact
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -155,9 +159,17 @@ def gasp_grouped(k: int, g: int) -> ExponentAssignment:
     # bool is an int subclass, and a float G or K breaks range().
     if type(k) is not int or type(g) is not int or not 1 <= g <= k:
         raise ParameterError(f"group count must be an int 1 <= G <= K, got G={g!r}, K={k!r}")
+    return _layout(SchemeParams(k, k, k), True, _grouped_runs(k, g))
+
+
+def _grouped_runs(k: int, g: int) -> list[tuple[int, int]]:
+    """The grouped code's mask runs (a, length) in ``_layout``'s terms.
+
+    G runs (i, Q), Q = floor(K/G), then (G, R) when R = K - Q*G > 0;
+    run (a, length) starts at K*K + a*K.
+    """
     q, r = divmod(k, g)
-    runs = [(grp, q) for grp in range(g)] + [(g, r)] * (r > 0)
-    return _layout(SchemeParams(k, k, k), True, runs)
+    return [(grp, q) for grp in range(g)] + [(g, r)] * (r > 0)
 
 
 def _n_big(k: int, l: int, t: int) -> int:
@@ -297,36 +309,43 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     return OptimizationResult(best_k, best_l, best_n, Fraction(best_k * best_l, best_n))
 
 
-def _sumset_size(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    # Bit b of the mask is set iff b is in beta, so the mask shifted by a
-    # holds a + beta, and the OR over alpha holds the whole table.
-    mask = 0
-    for b in beta:
-        mask |= 1 << b
-    table = 0
-    for a in alpha:
-        table |= mask << a
-    return table.bit_count()
-
-
 def grouped_sweep(k: int) -> list[tuple[int, int, Fraction]]:
     """(G, N, rate) for every group count G = 1..K at K = L = T.
 
     No closed form is known for the grouped count.  N is the size of the
-    sumset alpha + beta, read off bitmasks: beta becomes the int with bit
-    b set for each b in beta, so N = popcount(OR over a in alpha of
-    (mask << a)), K + T shifts instead of (K+T)(L+T) set inserts.  Every
-    alpha exponent is below K*K + G*K + K <= 2K^2 + K (``gasp_grouped``)
+    sumset alpha + beta, read off bitmasks: beta, the same for every G,
+    becomes the int ``mask`` with bit b set for each b in beta, so a + beta
+    is ``mask << a`` and N is the popcount of the OR over a in alpha.
+    Alpha is the data run 0 .. K-1 and the mask runs of ``_grouped_runs``,
+    and a run of q exponents starting at s contributes the union of
+    s + i + beta over i < q, which is ``prefix[q] << s`` for the prefix ORs
+    prefix[q] = OR over i < q of (mask << i).  So the table is
+
+        prefix[K]  |  OR over runs (a, q) of  prefix[q] << (K*K + a*K),
+
+    and the sweep builds ``prefix`` once, in K shifts, then spends at most
+    G + 1 shifts on each G: about K^2/2 shifts in all.  It keeps the
+    K + 1 ints of ``prefix``, each below 2^(K^2 + 2K): about 3.6 MiB at
+    K = 300.  Every alpha exponent is below K*K + G*K + K <= 2K^2 + K
     and every beta exponent below K^2 + K, so the table fits in
-    3K^2 + 2K bits for every K.  The tests hold it against a brute-force
-    count of the table's distinct entries.
+    3K^2 + 2K bits for every K.  The tests hold it against one
+    ``gasp_grouped`` code per G and against a brute-force count of the
+    table's distinct entries.
     """
     check_positive("k", k)
     params = SchemeParams(k, k, k)
+    mask = 0
+    for b in _layout(params, True, ()).beta:
+        mask |= 1 << b
+    prefix = [0]
+    for i in range(k):
+        prefix.append(prefix[i] | mask << i)
     rows = []
     for g in range(1, k + 1):
-        assignment = gasp_grouped(k, g)
-        n = _sumset_size(assignment.alpha, assignment.beta)
+        table = prefix[k]
+        for a, q in _grouped_runs(k, g):
+            table |= prefix[q] << k * k + a * k
+        n = table.bit_count()
         rows.append((g, n, download_rate(params, n)))
     return rows
 

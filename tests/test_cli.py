@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gasp import harness
-from gasp.cli import main
+from gasp.cli import build_parser, main
 from gasp.harness import mds_audit
 from gasp.schemes import optimize_gasp
 
@@ -131,6 +131,50 @@ def test_rate_sweep_unwritable(capsys):
     assert "error" in captured.err
 
 
+# Commands whose output must not depend on what the parser parsed before;
+# table and audit also read their subcommand's defaults.
+REPEATED = (
+    ["grouped-sweep", "--k", "6", "--out", "-"],
+    ["rate-sweep", "--k", "3", "--l", "2", "--t-max", "4", "--out", "-"],
+    ["table", "--k", "3", "--l", "3", "--t", "2"],
+    ["optimize", "--n", "20", "--t", "2"],
+    ["demo", "--k", "2", "--l", "2", "--t", "1"],
+    ["audit", "--k", "1", "--l", "1", "--t", "1"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["rate-sweep", "--k", "2"], 2),  # refused by argparse
+        (["rate-sweep", "--k", "2", "--l", "2", "--t-max", "0", "--out", "-"], 2),  # by a command
+        (["--help"], 0),
+        (["audit", "--help"], 0),
+        (["grouped-sweep", "--k", "3", "--out", "/nonexistent/x.csv"], 1),
+        (["audit", "--k", "1", "--l", "1", "--t", "1", "--p", "7", "--exhaustive"], 0),
+        (["table", "--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped", "--g", "2"], 0),
+    ],
+)
+def test_parser_is_built_once_and_reused(capsys, argv, status):
+    # main builds the parser on its first call and reuses it; after any
+    # exit, each command prints byte for byte what it printed first.
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    build_parser.cache_clear()
+    first = [run(command) for command in REPEATED]
+    assert all(code == 0 for code, _, _ in first)
+    once = run(argv)
+    assert once[0] == status
+    assert run(argv) == once
+    assert [run(command) for command in REPEATED] == first
+    assert build_parser.cache_info().misses == 1
+
+
 def test_grouped_sweep_k6(capsys):
     code, out, _ = run_cli(capsys, "grouped-sweep", "--k", "6", "--out", "-")
     assert code == 0
@@ -226,11 +270,11 @@ def test_demo_large_t(capsys):
     assert "AB verified" in out
 
 
-def run_module(*argv):
+def run_python(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -239,14 +283,37 @@ def run_module(*argv):
 
 
 def test_module_entry_point():
-    result = run_module("gasp", "table", "--k", "3", "--l", "3", "--t", "2")
+    result = run_python("-m", "gasp", "table", "--k", "3", "--l", "3", "--t", "2")
     assert result.returncode == 0, result.stderr
     assert "N = 18" in result.stdout
 
 
+def test_import_builds_no_parser():
+    # A fresh import of gasp.cli constructs no ArgumentParser; main's first
+    # call builds the parser and its six subparsers, and the second none.
+    script = """
+import argparse, os
+made = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import gasp.cli
+counts = [len(made)]
+for _ in range(2):
+    assert gasp.cli.main(["grouped-sweep", "--k", "2", "--out", os.devnull]) == 0
+    counts.append(len(made))
+print(counts)
+"""
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 7, 7]\n"
+
+
 def test_cli_module_entry_point():
     # Without a __main__ guard in gasp.cli this printed nothing and exited 0.
-    result = run_module("gasp.cli", "demo", "--k", "1", "--l", "1", "--t", "1")
+    result = run_python("-m", "gasp.cli", "demo", "--k", "1", "--l", "1", "--t", "1")
     assert result.returncode == 0, result.stderr
     assert "n_servers=3" in result.stdout
     assert "AB verified" in result.stdout

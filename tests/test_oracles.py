@@ -28,9 +28,13 @@ layout, ``schemes._layout``; the tests check it against these.
 term set J and its size N.  The library derives J once per code, in the
 ``schemes.PolynomialCode`` constructor, and counts grouped codes as
 bitmask sumsets; the tests hold both, and the closed-form server counts,
-against these.  ``points`` takes one ``pow`` per evaluation point of a
-plan, and ``kakar_rate`` is the gap-free baseline's rate at the Kakar
-heuristic's (K, L).
+against these.  ``grouped_sweep_oracle`` is ``schemes.grouped_sweep`` as
+first written: one ``gasp_grouped`` code per G and the OR of beta's mask
+shifted by every alpha exponent; the library builds the mask runs' shifts
+from one prefix table per sweep, and the tests check it against this.
+``points`` takes one ``pow`` per evaluation point of a plan, and
+``kakar_rate`` is the gap-free baseline's rate at the Kakar heuristic's
+(K, L).
 
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
@@ -55,7 +59,13 @@ from gasp.codec import BlockShapes, EvaluationPlan
 from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
-from gasp.schemes import code_for_scheme, kakar_heuristic, rate_r2
+from gasp.schemes import (
+    code_for_scheme,
+    download_rate,
+    gasp_grouped,
+    kakar_heuristic,
+    rate_r2,
+)
 
 # Term set of the worked small example (K, L, T) = (3, 3, 2): N = 18.
 J_332 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19, 21, 22)
@@ -213,6 +223,27 @@ def terms(table) -> tuple[int, ...]:
 def count_terms(assignment: ExponentAssignment, params: SchemeParams) -> int:
     """Number of distinct degree-table entries, the server count N, by brute force."""
     return len(terms(outer_sum(assignment, params)))
+
+
+def grouped_sweep_oracle(k: int) -> list[tuple[int, int, Fraction]]:
+    """(G, N, rate) for G = 1..K at K = L = T, one ``gasp_grouped`` code per G.
+
+    Bit b of the mask is set iff b is in beta, so the mask shifted by a
+    holds a + beta, and the OR over alpha holds the whole table.
+    """
+    params = SchemeParams(k, k, k)
+    rows = []
+    for g in range(1, k + 1):
+        assignment = gasp_grouped(k, g)
+        mask = 0
+        for b in assignment.beta:
+            mask |= 1 << b
+        table = 0
+        for a in assignment.alpha:
+            table |= mask << a
+        n = table.bit_count()
+        rows.append((g, n, download_rate(params, n)))
+    return rows
 
 
 def points(plan: EvaluationPlan) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from test_oracles import (
     gasp_big_oracle,
     gasp_grouped_oracle,
     gasp_small_oracle,
+    grouped_sweep_oracle,
     kakar_rate,
     terms,
 )
@@ -375,6 +376,13 @@ def test_grouped_sweep_matches_count_terms():
         params = SchemeParams(k, k, k)
         expected = [count_terms(gasp_grouped(k, g), params) for g in range(1, k + 1)]
         assert [n for _, n, _ in grouped_sweep(k)] == expected, k
+
+
+def test_grouped_sweep_matches_one_code_per_group_count():
+    # The prefix-table sweep against one gasp_grouped code per G, every
+    # K <= 60; CI extends it to K <= 120.
+    for k in range(1, 61):
+        assert grouped_sweep(k) == grouped_sweep_oracle(k), k
 
 
 def test_grouped_sweep_trivial():

@@ -18,10 +18,15 @@ first in odd ones, after one untimed warm-up round.  The operations:
 * ``reproduce``: 10 passes of ``harness.mds_audit`` on a (4,4,4) big plan
   and the two exhaustive privacy audits at (1,1,2) over F_7, with real
   and with zeroed masks.
+* ``tables``: the benchmark's table commands, ``cli.main`` for
+  ``rate-sweep --k 20 --l 20 --t-max 40`` and ``grouped-sweep --k 36``
+  with ``--out -`` under ``contextlib.redirect_stdout``, and
+  ``schemes.optimize_gasp(50, T)`` for T = 1..24.
 
 Both trees get the same seeds and matrices.  Their outputs are compared
 as plain values (plan fields and generators, product entries, audit
-verdicts); if they differ in any round, that operation's figure is void.
+verdicts, CSV text and exit codes, optimizer results); if they differ in
+any round, that operation's figure is void.
 Per operation the report gives both trees' median seconds, the median
 over rounds of candidate time / base time, the rounds the candidate was
 faster, and the distribution-free 95% interval of that median from the
@@ -34,9 +39,11 @@ written.  Uses the standard library only.
 """
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import math
 import platform
@@ -47,7 +54,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-MODULES = ("codec", "degree_table", "gf", "harness", "schemes")
+MODULES = ("cli", "codec", "degree_table", "gf", "harness", "schemes")
 
 
 def load(name: str, directory: Path) -> SimpleNamespace:
@@ -139,7 +146,37 @@ class Reproduce:
         ]
 
 
-OPS = {"session": Session(), "multiply": Multiply(), "reproduce": Reproduce()}
+class Tables:
+    commands = (
+        ["rate-sweep", "--k", "20", "--l", "20", "--t-max", "40", "--out", "-"],
+        ["grouped-sweep", "--k", "36", "--out", "-"],
+    )
+
+    def setup(self, lib):
+        return None
+
+    def job(self, lib, state, rng):
+        def tables():
+            csvs = []
+            for argv in self.commands:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    status = lib.cli.main(argv)
+                csvs.append((status, out.getvalue()))
+            return csvs, [lib.schemes.optimize_gasp(50, t) for t in range(1, 25)]
+
+        return tables
+
+    def value(self, result):
+        csvs, best = result
+        return csvs, [(b.k, b.l, b.n_used, b.rate) for b in best]
+
+
+OPS = {
+    "session": Session(),
+    "multiply": Multiply(),
+    "reproduce": Reproduce(),
+    "tables": Tables(),
+}
 
 
 def sign_interval(ratios: list[float]) -> list[float] | None:
