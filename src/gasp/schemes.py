@@ -23,20 +23,24 @@ family has none, and ``grouped_sweep`` counts it as a sumset of
 bitmasks: every G shares beta and the data rows and differs only in its
 mask runs, so each run's shifted copies of beta are one shift of a
 prefix table built once per sweep.  ``optimize_gasp`` searches (K, L)
-on the closed forms in ints, under a lower bound on both of them.  A
-code is made only by the :class:`PolynomialCode` constructor, which
-refuses an assignment that is not decodable or not T-secure and derives
-the term set J.  The tests hold the closed forms and the grouped count
-against a brute-force term count (``count_terms`` in
-``tests/test_oracles.py``), and the sweep against one grouped code per
-G (``grouped_sweep_oracle``).  All rates are exact
-``fractions.Fraction`` values.
+on the closed forms in ints, under a lower bound on both of them that
+stops K at sqrt(N); for L >= K both counts rise with L and so does the
+rate, so each K bisects for its one best L.  A code is made only by the
+:class:`PolynomialCode` constructor, which refuses an assignment that
+is not decodable or not T-secure and derives the term set J.  The tests
+hold the closed forms and the grouped count against a brute-force term
+count (``count_terms`` in ``tests/test_oracles.py``), the sweep against
+one grouped code per G (``grouped_sweep_oracle``), and the optimizer
+against the search over every pair under the bound
+(``optimize_gasp_oracle``).  All rates are exact ``fractions.Fraction``
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import field
 from fractions import Fraction
+from math import isqrt
 
 from .degree_table import (
     ExponentAssignment,
@@ -279,8 +283,8 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
     L >= K.
 
     Every branch of both closed forms is at least B = (K+1)(L+1) + T - 2,
-    so a pair fits only if B <= N, that is L <= (N+1-K-T) // (K+1), and
-    no L >= 1 is left once 2K > N-T.  Branch by branch, count - B is:
+    so a pair fits only if B <= N, that is L <= (N+1-K-T) // (K+1).
+    Branch by branch, count - B is:
 
     * big, T < max(K, L): (T-1)*min(K, L), since for L <= K the count is
       (K+T)(L+1) - 1 and the other orientation is its mirror image;
@@ -294,18 +298,61 @@ def optimize_gasp(n: int, t: int) -> OptimizationResult:
         (t-2)//k <= t-2 for t >= 2, and both are -1 at t = 1;
       - t > k(l-1)+1: (k-1)(l-1) + k(t-1).
 
-    All of these are nonnegative for K, L, T >= 1.
+    All of these are nonnegative for K, L, T >= 1.  B grows with K and
+    L, and L >= K, so a K has a pair that fits only if (K+1)^2 + T - 2
+    <= N, that is K <= isqrt(N+2-T) - 1: the search stops there.
+
+    Lemma: for fixed K and T and L >= K, n_small, n_big and their min
+    rise strictly with L, and count/L falls strictly, so the rate
+    K / (count/L) rises strictly.  Proof: for L >= K, ``_n_big`` has
+    hi = L and lo = K, and ``_n_small`` has k = K <= l = L, so no branch
+    swaps the sides.  Read over real L, each branch is aL + b:
+
+    * big, L > T: (K+1)L + (K+1)T - 1;
+    * big, L <= T: 2KL + 2T - 1;
+    * small, T = 1 < K: (K+1)L + K;
+    * small, 2 <= T < K: (K+1)L + K + T*T + T - 3;
+    * small, K <= T <= K(L-1)+1: (K+1)L + KT + 2T - 3 - (T-2)//K, whose
+      b is at least KT + T - 1 by the bound on (T-2)//K above;
+    * small, T > K(L-1)+1: 2KL + K(T-1) + T.
+
+    Each has a >= K+1 >= 2 and b >= 1, so inside a branch the count
+    rises and count/L = a + b/L falls strictly.  Only two switches
+    depend on L.  Big switches at L = T, where both branches give
+    2KT + 2T - 1.  Small, for T >= K, leaves the last branch for the one
+    before it at L* = (T-1)/K + 1.  Write T-1 = qK + r with 0 <= r < K:
+    at L* the last branch gives KT + K + 3T - 2, and the one before it
+    gives that less d, with d = 1 - r/K if r > 0 and d = 0 if r = 0
+    (then (T-2)//K = q-1).  So the count steps down by d, 0 <= d < 1,
+    and count/L over real L falls strictly across L* too.  With m the
+    last integer below L* and x = L* - m in (0, 1], the step from m to
+    m+1 is 2Kx + (K+1)(1-x) - d = (K-1)x + K + 1 - d > 0.  The min of two
+    rising counts rises, and min(u, v)/L = min(u/L, v/L) falls.
+
+    So each K's fitting L form a prefix [K, L_K] of the range above, and
+    every other fitting L of that K has a lower rate than L_K and cannot
+    win.  Bisection over the range finds L_K, and the candidates
+    (K, L_K) are compared by the rule above: O(sqrt(N) log N) count
+    evaluations in all.
     """
     _check_pool(n, t)
     best_k, best_l, best_n = 1, 1, _n_big(1, 1, t)
-    for k in range(1, (n - t) // 2 + 1):
-        for l in range(k, (n + 1 - k - t) // (k + 1) + 1):
-            n_used = min(_n_small(k, l, t), _n_big(k, l, t))
-            if n_used > n:
-                continue
-            gain = k * l * best_n - best_k * best_l * n_used
-            if gain > 0 or gain == 0 and (k + l, k) < (best_k + best_l, best_k):
-                best_k, best_l, best_n = k, l, n_used
+    for k in range(1, isqrt(n + 2 - t)):
+        # Invariant: l = k-1 or pair (k, l) fits with n_used servers, and
+        # no l' > hi fits.
+        l, hi, n_used = k - 1, (n + 1 - k - t) // (k + 1), 0
+        while l < hi:
+            mid = (l + hi + 1) // 2
+            used = min(_n_small(k, mid, t), _n_big(k, mid, t))
+            if used <= n:
+                l, n_used = mid, used
+            else:
+                hi = mid - 1
+        if l < k:
+            continue
+        gain = k * l * best_n - best_k * best_l * n_used
+        if gain > 0 or gain == 0 and (k + l, k) < (best_k + best_l, best_k):
+            best_k, best_l, best_n = k, l, n_used
     return OptimizationResult(best_k, best_l, best_n, Fraction(best_k * best_l, best_n))
 
 

@@ -32,6 +32,10 @@ against these.  ``grouped_sweep_oracle`` is ``schemes.grouped_sweep`` as
 first written: one ``gasp_grouped`` code per G and the OR of beta's mask
 shifted by every alpha exponent; the library builds the mask runs' shifts
 from one prefix table per sweep, and the tests check it against this.
+``optimize_gasp_oracle`` is ``schemes.optimize_gasp`` as first written:
+every pair K <= L under the closed forms' lower bound, about N ln(N) / 2
+pairs; the library bisects one L per K and stops K at sqrt(N), and the
+tests and CI check it against this.
 ``points`` takes one ``pow`` per evaluation point of a plan, and
 ``kakar_rate`` is the gap-free baseline's rate at the Kakar heuristic's
 (K, L).
@@ -60,6 +64,9 @@ from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import BudgetExceededError, ParameterError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import (
+    OptimizationResult,
+    _n_big,
+    _n_small,
     code_for_scheme,
     download_rate,
     gasp_grouped,
@@ -244,6 +251,26 @@ def grouped_sweep_oracle(k: int) -> list[tuple[int, int, Fraction]]:
         n = table.bit_count()
         rows.append((g, n, download_rate(params, n)))
     return rows
+
+
+def optimize_gasp_oracle(n: int, t: int) -> OptimizationResult:
+    """Best (K, L) for N workers: every pair K <= L under the search's bound.
+
+    Both closed forms are at least (K+1)(L+1) + T - 2, so L stops at
+    (N+1-K-T) // (K+1); rates are compared by cross-multiplied ints, ties
+    broken toward smaller K+L, then smaller K.  N and T must form a valid
+    pool, N >= 2T+1 >= 3.
+    """
+    best_k, best_l, best_n = 1, 1, _n_big(1, 1, t)
+    for k in range(1, (n - t) // 2 + 1):
+        for l in range(k, (n + 1 - k - t) // (k + 1) + 1):
+            n_used = min(_n_small(k, l, t), _n_big(k, l, t))
+            if n_used > n:
+                continue
+            gain = k * l * best_n - best_k * best_l * n_used
+            if gain > 0 or gain == 0 and (k + l, k) < (best_k + best_l, best_k):
+                best_k, best_l, best_n = k, l, n_used
+    return OptimizationResult(best_k, best_l, best_n, Fraction(best_k * best_l, best_n))
 
 
 def points(plan: EvaluationPlan) -> tuple[int, ...]:

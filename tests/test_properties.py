@@ -1,7 +1,8 @@
 """Property tests: decode inverts encode on random codes, shapes and masks;
 the packed matrix product equals the triple loop; the closed-form server
-counts equal the term-counting oracle and never fall below the
-optimizer's loop bound; every code has between 1 and N masks a side."""
+counts equal the term-counting oracle, never fall below the optimizer's
+loop bound, and rise along L while count/L falls; every code has between
+1 and N masks a side."""
 
 import itertools
 import random
@@ -91,13 +92,40 @@ def test_closed_form_counts_match_oracle(k, l, data):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 40), l=st.integers(1, 40), data=st.data())
 def test_closed_forms_respect_the_optimizer_bound(k, l, data):
-    # optimize_gasp stops L at (N+1-K-T) // (K+1) because both counts are
-    # at least (K+1)(L+1) + T - 2; a closed form that dips below it would
-    # let the search skip a pair that fits.
+    # optimize_gasp bisects each K's L over [K, (N+1-K-T) // (K+1)] and
+    # stops K at sqrt(N+2-T) - 1 because both counts are at least
+    # (K+1)(L+1) + T - 2; a closed form that dips below it would let the
+    # search skip a pair that fits.
     t = data.draw(st.integers(1, 2 * max(k, l) + 3), label="t")
     params = SchemeParams(k, l, t)
     bound = (k + 1) * (l + 1) + t - 2
     assert min(n_small_closed(params), n_big_closed(params)) >= bound
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 40),
+    l=st.integers(1, 80),
+    near=st.sampled_from(["random", "big switch", "small switch"]),
+    data=st.data(),
+)
+def test_counts_rise_and_counts_per_l_fall_along_l(k, l, near, data):
+    # The lemma behind optimize_gasp's bisection: for K <= L, each closed
+    # form and their min rise strictly from L to L+1, and count/L falls
+    # strictly.  Big switches at L = T; small, for T >= K, between L and
+    # L+1 when K(L-1)+1 < T <= KL+1, above 2 max(K, L) + 3 once K >= 3.
+    l = max(k, l)
+    if near == "small switch":
+        t = max(1, k * (l - 1) + 1 + data.draw(st.integers(-k, k), label="shift"))
+    else:
+        t = data.draw(st.integers(1, 2 * l + 3), label="t")
+        if near == "big switch":
+            l = max(k, t + data.draw(st.integers(-2, 1), label="shift"))
+    here, there = SchemeParams(k, l, t), SchemeParams(k, l + 1, t)
+    for count in (n_small_closed, n_big_closed, lambda p: min(n_small_closed(p), n_big_closed(p))):
+        a, b = count(here), count(there)
+        assert a < b, (here, count)
+        assert b * l < a * (l + 1), (here, count)
 
 
 def test_every_code_has_one_to_n_masks_a_side():

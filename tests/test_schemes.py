@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gasp
+from gasp import schemes
 from gasp.degree_table import ExponentAssignment, SchemeParams, outer_sum
 from gasp.errors import ParameterError
 from gasp.schemes import (
@@ -33,6 +34,7 @@ from test_oracles import (
     gasp_small_oracle,
     grouped_sweep_oracle,
     kakar_rate,
+    optimize_gasp_oracle,
     terms,
 )
 
@@ -337,6 +339,31 @@ def test_optimize_gasp_matches_independent_oracle_on_every_small_pool():
         for t in range(1, (n - 1) // 2 + 1):
             got = optimize_gasp(n, t)
             assert (got.k, got.l, got.n_used, got.rate) == _optimize_oracle(n, t), (n, t)
+
+
+def test_optimize_gasp_matches_full_search_on_every_pool_to_120():
+    # The bisected search against every pair under the bound, for every
+    # valid (N, T) with N <= 120 (3,540 pools); CI extends it to N <= 400.
+    for n in range(3, 121):
+        for t in range(1, (n - 1) // 2 + 1):
+            assert optimize_gasp(n, t) == optimize_gasp_oracle(n, t), (n, t)
+
+
+def test_optimize_gasp_evaluates_o_sqrt_n_log_n_pairs(monkeypatch):
+    # K stops at sqrt(N+2-T) - 1 and each K bisects its L: 724 calls of
+    # _n_small at N = 10^4, T = 10, where the full search makes 36,843.
+    calls = 0
+    n_small = schemes._n_small
+
+    def counted(k, l, t):
+        nonlocal calls
+        calls += 1
+        return n_small(k, l, t)
+
+    monkeypatch.setattr(schemes, "_n_small", counted)
+    best = optimize_gasp(10**4, 10)
+    assert (best.k, best.l, best.n_used) == (96, 101, 10_000)
+    assert 0 < calls <= 2_000
 
 
 def test_optimize_gasp_examples():

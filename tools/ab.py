@@ -22,6 +22,10 @@ first in odd ones, after one untimed warm-up round.  The operations:
   ``rate-sweep --k 20 --l 20 --t-max 40`` and ``grouped-sweep --k 36``
   with ``--out -`` under ``contextlib.redirect_stdout``, and
   ``schemes.optimize_gasp(50, T)`` for T = 1..24.
+* ``probe``: 5 ``harness.run_sdmm`` sessions of the grouped code
+  (K,L,T) = (4,4,4), G = 2 at the default field and seed 0, the grouped
+  probe of the benchmark's ``reproduce`` pass: plan search, encode,
+  server products and decode.
 
 Both trees get the same seeds and matrices.  Their outputs are compared
 as plain values (plan fields and generators, product entries, audit
@@ -171,11 +175,24 @@ class Tables:
         return csvs, [(b.k, b.l, b.n_used, b.rate) for b in best]
 
 
+class Probe(Session):  # the same value: each plan's (p, g) and product entries
+    repeat = 5
+
+    def setup(self, lib):
+        return lib.degree_table.SchemeParams(4, 4, 4)
+
+    def job(self, lib, state, rng):
+        return lambda: [
+            lib.harness.run_sdmm(state, scheme="grouped", g=2, seed=0) for _ in range(self.repeat)
+        ]
+
+
 OPS = {
     "session": Session(),
     "multiply": Multiply(),
     "reproduce": Reproduce(),
     "tables": Tables(),
+    "probe": Probe(),
 }
 
 
