@@ -6,7 +6,15 @@ rates with exactly three decimals (half-up).  Output is byte-identical
 across runs with the same flags and seed.
 
 Exit codes: 0 on success, 1 on runtime or verification failure, 2 on
-usage errors.
+usage errors.  A reader that closes stdout early, as ``head`` does,
+causes no failure, with stdout buffered or not: nothing is printed on
+stderr, and the exit status is the command's own, or 0 if the closed
+pipe cut its output short.  ``main`` flushes stdout itself, so a closed
+pipe shows there as ``BrokenPipeError``, which it tells apart from other
+``OSError``s; an unwritable ``--out`` file still exits 1 with its
+message.  ``run``, the console entry point, then points stdout at
+``os.devnull``, so the interpreter's last flush finds no closed pipe;
+``main`` called in process never touches file descriptor 1.
 
 ``main`` builds the argument parser once per process, on its first
 call, not at import: ``build_parser`` is cached, and parsing leaves the
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import contextmanager
 
@@ -233,15 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
-        return args.func(args, parser)
+        status = args.func(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass  # the reader closed stdout: what it did not read, it chose to drop
     except (GaspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 def run() -> None:
-    sys.exit(main())
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # What stays buffered for the closed pipe goes nowhere at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

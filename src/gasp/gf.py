@@ -19,10 +19,12 @@ nonzero.  It decides g = 0 directly, exponents in arithmetic progression
 by an O(N) certificate, and any others by a walk over the column subsets
 that hold column 0, which suffices since the points g ** n are
 geometric; its docstring has the proofs.  The walk shares one
-elimination among all subsets with a common prefix and decides every
-subset under a node with two rows left by one test that the ratios of
-those rows are distinct.  The tests keep the walk over all subsets of
-any matrix as their oracle.  Both functions are private to the
+elimination among all subsets with a common prefix.  At a node with
+three rows left, one pass over the columns after each column c
+eliminates c and decides every subset that adds two of them, by a test
+that the ratios of the two rows the elimination leaves are distinct;
+those rows are never built.  The tests keep the walk over all subsets
+of any matrix as their oracle.  Both functions are private to the
 library: their callers in ``codec`` pass a field's modulus, a plan's
 generator and a valid code's exponents, so neither checks its
 arguments; the checks sit where a value enters the library, in the
@@ -574,6 +576,15 @@ def _mds_walk(p: int, rows: list[list[int]]) -> bool:
     the v before c, 1 / v_c = P_c / P_(c+1), and walking back from the
     one inverse 1 / P_N, each 1 / P_c is 1 / P_(c+1) times v_c.
 
+    That test runs at the node with three rows left, depth T - 3 (for
+    T = 3 the walk's entry, at column 0), in one pass per column c over
+    the columns d after it: the pivot is chosen as at any node, and each
+    v_d is eliminated and reduced on the spot, so a (0, 0) pair or a
+    second v_d = 0 ends the pass, a single one drops its column, and
+    every other column adds u_d times P_d, u_d still unreduced, to the
+    batch's list.  A backward pass then forms each key with one
+    reduction.  u and v are never built as rows.
+
     The walk visits C(N - 2, T - 3) nodes, each updating fewer than T
     rows of at most N entries, so it costs about C(N - 1, T - 3) * N
     entry steps, not the C(N, T) of one test per minor.  Above
@@ -591,30 +602,8 @@ def _mds_walk(p: int, rows: list[list[int]]) -> bool:
     def extend(rows: list[list[int]]) -> bool:
         # rows[i][j] = v_i . (column j after the last one chosen), for a
         # basis v of the vectors orthogonal to the chosen columns.
-        if len(rows) > 2:
-            return all(choose(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
-        u, v = rows
-        # Residues are nonnegative, so x | y is 0 only for the pair (0, 0).
-        if 0 in map(operator.or_, u, v):
-            return False
-        # Keys u_c / v_c, with p for v_c = 0: two p keys collide, and one
-        # collides with nothing, so its column is dropped.
-        zeros = v.count(0)
-        if zeros > 1:
-            return False
-        if zeros:
-            u, v = zip(*[(x, y) for x, y in zip(u, v) if y])
-        # before[c] = v_0 ... v_(c-1); inv = 1 / (v_0 ... v_c), walked backwards.
-        before, acc = [], 1
-        for y in v:
-            before.append(acc)
-            acc = acc * y % p
-        inv = pow(acc, -1, p)
-        keys = []
-        for x, b, y in zip(reversed(u), reversed(before), reversed(v)):
-            keys.append(x * b * inv % p)
-            inv = inv * y % p
-        return len(set(keys)) == len(keys)
+        step = choose if len(rows) > 3 else leaf
+        return all(step(rows, c) for c in range(len(rows[0]) - len(rows) + 1))
 
     def choose(rows: list[list[int]], c: int) -> bool:
         # Add column c to the chosen ones and walk every subset that extends them.
@@ -632,4 +621,43 @@ def _mds_walk(p: int, rows: list[list[int]]) -> bool:
                 rest.append([(x + factor * y) % p for x, y in zip(row[c + 1:], tail)])
         return extend(rest)
 
-    return choose(rows, 0)
+    def leaf(rows: list[list[int]], c: int) -> bool:
+        # Add column c to the chosen ones, leaving u and v, and test every
+        # pair of columns after c in one pass: the rows u, v are never built.
+        a, b, e = rows
+        x, y, z = a[c], b[c], e[c]
+        if x:
+            pivot, dot, a, fa, b, fb = a, x, b, y, e, z
+        elif y:
+            pivot, dot, a, fa, b, fb = b, y, a, x, e, z
+        elif z:
+            pivot, dot, a, fa, b, fb = e, z, a, x, b, y
+        else:
+            return False
+        neg_inv_pv = -pow(dot, -1, p)
+        fa, fb = fa * neg_inv_pv % p, fb * neg_inv_pv % p
+        # Over the kept columns d: scaled holds u_d, unreduced, times the
+        # product of the kept v before d, and acc the product of those so far.
+        # The loop's y, x, w are the pivot row's, u's row's and v's row's entries.
+        scaled, vs, acc, zero = [], [], 1, False
+        c += 1
+        for y, x, w in zip(pivot[c:], a[c:], b[c:]):
+            v = (w + fb * y) % p
+            if v:
+                scaled.append((x + fa * y) * acc)
+                vs.append(v)
+                acc = acc * v % p
+            # v_d = 0: a (0, 0) pair, or a second p key, colliding with the first.
+            elif zero or not (x + fa * y) % p:
+                return False
+            else:
+                zero = True  # one p key collides with nothing: drop its column
+        # inv = 1 / (v_0 ... v_d), walked backwards from the one pow.
+        inv = pow(acc, -1, p)
+        keys = set()
+        for x, v in zip(reversed(scaled), reversed(vs)):
+            keys.add(x * inv % p)
+            inv = inv * v % p
+        return len(keys) == len(vs)
+
+    return (choose if t > 3 else leaf)(rows, 0)

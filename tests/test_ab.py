@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_ab_reports_each_operation_and_voids_differing_outputs(tmp_path):
     # Two copies of src/gasp; the candidate's mds_audit reports its GV
     # verdict negated, which only the reproduce operation reads.  So
-    # session, multiply, tables and probe get figures, and reproduce is
-    # void.
+    # session, multiply, tables, probe and fallback get figures, and
+    # reproduce is void.
     base, candidate, out = tmp_path / "base" / "gasp", tmp_path / "cand" / "gasp", tmp_path / "out"
     for tree in (base, candidate):
         shutil.copytree(ROOT / "src" / "gasp", tree, ignore=shutil.ignore_patterns("__pycache__"))
@@ -34,8 +34,8 @@ def test_ab_reports_each_operation_and_voids_differing_outputs(tmp_path):
     assert [p.name for p in out.iterdir()] == ["ab.json"]
     report = json.loads((out / "ab.json").read_text(encoding="utf-8"))
     ops = report["ops"]
-    assert list(ops) == ["session", "multiply", "reproduce", "tables", "probe"]
-    for op in ("session", "multiply", "tables", "probe"):
+    assert list(ops) == ["session", "multiply", "reproduce", "tables", "probe", "fallback"]
+    for op in ("session", "multiply", "tables", "probe", "fallback"):
         s = ops[op]
         assert s["rounds"] == 2 and not s["void"] and s["median_ratio"] > 0
         assert 0 <= s["candidate_faster"] <= 2

@@ -270,15 +270,16 @@ def test_demo_large_t(capsys):
     assert "AB verified" in out
 
 
-def run_python(*argv):
+def python_env():
+    """This environment with ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*argv):
     return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=python_env(), timeout=60
     )
 
 
@@ -317,6 +318,45 @@ def test_cli_module_entry_point():
     assert result.returncode == 0, result.stderr
     assert "n_servers=3" in result.stdout
     assert "AB verified" in result.stdout
+
+
+def closed_early(argv, lines_read, unbuffered):
+    """Status and stderr of ``python -m gasp`` when its reader closes stdout after some lines."""
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gasp", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, lines_read", [
+    # Closed before the command writes, as by `gasp optimize ... | head -0`.
+    (["optimize", "--n", "1000000", "--t", "10"], 0),
+    # About 120 KB, more than a pipe holds: the reader takes one line.
+    (["rate-sweep", "--k", "20", "--l", "20", "--t-max", "3000", "--out", "-"], 1),
+])
+def test_reader_closing_stdout_early_is_no_error(argv, lines_read, unbuffered):
+    # Buffered, the command used to exit 120 with "Exception ignored ...
+    # BrokenPipeError" at shutdown; unbuffered, 1 with "error: [Errno 32]".
+    assert closed_early(argv, lines_read, unbuffered) == (0, b"")
+
+
+def test_reader_closing_stdout_keeps_a_failed_verdict():
+    # Buffered, the audit's lines wait in the buffer until main's flush, so
+    # the audit finishes: its failed verdict sets the status, not the
+    # closed pipe.
+    argv = ["audit", "--k", "1", "--l", "1", "--t", "1", "--exhaustive", "--zero-masks"]
+    assert closed_early(argv, 0, False) == (1, b"")
 
 
 def test_demo_grouped(capsys):

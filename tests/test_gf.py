@@ -447,6 +447,90 @@ def test_walk_leaf_matches_minors_at_large_p(p):
     assert verdicts == {(0, True), (0, False), (1, True), (1, False), (2, False)}
 
 
+_LEAF_KINDS = ("distinct", "one zero", "two zeros", "(0, 0)", "collide")
+
+
+def _leaf_node(p, rng, pivot, kind, m):
+    # The three rows (a, b, e) of a node at depth T - 3, over its first
+    # column and the m columns after it, and the (u, v) that eliminating
+    # that column leaves.  The column's first nonzero dot is in row `pivot`
+    # (None: every dot is zero); u and v hold `kind` among the m columns.
+    u = [rng.randrange(1, p) for _ in range(m)]
+    v = [rng.randrange(1, p) for _ in range(m)]
+    c, d = rng.sample(range(m), 2)
+    if kind == "one zero":
+        v[c] = 0
+    elif kind == "two zeros":
+        v[c] = v[d] = 0
+    elif kind == "(0, 0)":
+        u[c] = v[c] = 0
+    elif kind == "collide":
+        scale = rng.randrange(2, p)
+        u[d], v[d] = u[c] * scale % p, v[c] * scale % p
+    w = [rng.randrange(p) for _ in range(m)]
+    if pivot is None:
+        return [[0] + w, [0] + u, [0] + v], u, v
+    dots = [0] * pivot + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(2 - pivot)]
+    rows = [w, w, w]
+    # Row i is its target plus dots[i] / dots[pivot] times the pivot row,
+    # so eliminating the pivot leaves the target.
+    for i, target in zip([i for i in range(3) if i != pivot], (u, v)):
+        f = dots[i] * pow(dots[pivot], -1, p) % p
+        rows[i] = [(x + f * y) % p for x, y in zip(target, w)]
+    return [[x] + r for x, r in zip(dots, rows)], u, v
+
+
+def test_walk_last_level_matches_minors():
+    # T = 4 and 5 rows whose first T - 3 columns are the unit vectors e_0 ..
+    # e_(T-4): each is the pivot of its level with nothing to eliminate, so
+    # the walk's first node with three rows left holds the last three rows
+    # after them, as _leaf_node built them.  Its first column puts the
+    # first nonzero dot in row 0, 1 or 2 of that node, or has none, and the
+    # (u, v) it leaves hold distinct keys, one or two v = 0 columns, a
+    # (0, 0) column or two colliding keys.  The walk must agree with the
+    # elimination determinant on every column subset that holds column 0,
+    # over F_7 and F_13, where zeros are common, and at p = 2**61 - 1.
+    rng = random.Random(40)
+    reached, verdicts = set(), set()
+    for p, t in itertools.product((7, 13, 2**61 - 1), (4, 5)):
+        for pivot in (0, 1, 2, None):
+            for kind in _LEAF_KINDS if pivot is not None else ("distinct",):
+                for _ in range(3):
+                    m = rng.randrange(3, 7)
+                    node, u, v = _leaf_node(p, rng, pivot, kind, m)
+                    n = t - 3 + 1 + m
+                    units = [[int(i == r) for i in range(t - 3)] for r in range(t - 3)]
+                    rows = [unit + [rng.randrange(p) for _ in range(m + 1)] for unit in units]
+                    rows += [[0] * (t - 3) + row for row in node]
+                    expected = all(
+                        det(p, FieldMatrix(t, t, tuple(row[j] for row in rows for j in (0,) + s)))
+                        for s in itertools.combinations(range(1, n), t - 1)
+                    )
+                    assert gf._mds_walk(p, rows) == expected, (t, pivot, kind, rows)
+                    keys = [x * pow(y, -1, p) % p for x, y in zip(u, v) if y]
+                    reached.add((
+                        pivot,
+                        any(x == y == 0 for x, y in zip(u, v)),
+                        v.count(0),
+                        len(set(keys)) < len(keys),
+                    ))
+                    verdicts.add((pivot is None, kind, expected))
+    # Every pivot row, each with a (0, 0) column as its only v = 0, exactly
+    # one v = 0 column, two of them, and colliding and distinct keys.
+    for pivot in (0, 1, 2):
+        assert {
+            (pivot, True, 1, False), (pivot, False, 1, False), (pivot, False, 0, True)
+        } <= reached
+        assert any(r[0] == pivot and not r[1] and r[2] == 2 for r in reached)
+    assert any(r[0] is None for r in reached)
+    # All-zero dots, two zeros and a (0, 0) column always fail; distinct keys
+    # pass at least once.
+    assert (True, "distinct", False) in verdicts and (True, "distinct", True) not in verdicts
+    for kind in ("two zeros", "(0, 0)"):
+        assert (False, kind, True) not in verdicts
+    assert (False, "distinct", True) in verdicts
+
+
 def _triple_loop(p, a, b):
     # Oracle: the schoolbook triple loop, reduced after every multiply-add.
     n, m, q = len(a), len(b), len(b[0])

@@ -26,6 +26,10 @@ first in odd ones, after one untimed warm-up round.  The operations:
   (K,L,T) = (4,4,4), G = 2 at the default field and seed 0, the grouped
   probe of the benchmark's ``reproduce`` pass: plan search, encode,
   server products and decode.
+* ``fallback``: ``codec.find_evaluation_plan`` for the grouped codes
+  (K,L,T) = (5,5,5) with G = 2 and with G = 3.  The default field refuses
+  both, so each plan is found by the anchored MDS walk over the code's
+  fallback field: the slow path of plan search.
 
 Both trees get the same seeds and matrices.  Their outputs are compared
 as plain values (plan fields and generators, product entries, audit
@@ -187,12 +191,25 @@ class Probe(Session):  # the same value: each plan's (p, g) and product entries
         ]
 
 
+class Fallback:
+    def setup(self, lib):
+        params = lib.degree_table.SchemeParams(5, 5, 5)
+        return [lib.schemes.code_for_scheme(params, "grouped", g=g) for g in (2, 3)]
+
+    def job(self, lib, state, rng):
+        return lambda: [lib.codec.find_evaluation_plan(code) for code in state]
+
+    def value(self, plans):
+        return [(plan.field.p, plan.generator) for plan in plans]
+
+
 OPS = {
     "session": Session(),
     "multiply": Multiply(),
     "reproduce": Reproduce(),
     "tables": Tables(),
     "probe": Probe(),
+    "fallback": Fallback(),
 }
 
 
