@@ -5,16 +5,24 @@ newline line endings, and no quoting; integers print as integers and
 rates with exactly three decimals (half-up).  Output is byte-identical
 across runs with the same flags and seed.
 
-Exit codes: 0 on success, 1 on runtime or verification failure, 2 on
-usage errors.  A reader that closes stdout early, as ``head`` does,
-causes no failure, with stdout buffered or not: nothing is printed on
-stderr, and the exit status is the command's own, or 0 if the closed
-pipe cut its output short.  ``main`` flushes stdout itself, so a closed
-pipe shows there as ``BrokenPipeError``, which it tells apart from other
-``OSError``s; an unwritable ``--out`` file still exits 1 with its
-message.  ``run``, the console entry point, then points stdout at
-``os.devnull``, so the interpreter's last flush finds no closed pipe;
-``main`` called in process never touches file descriptor 1.
+Exit codes: 0 on success.  2 on a usage error: any argument that
+argparse, the CLI or the library refuses.  ``main`` turns a
+``ParameterError`` from any command into ``parser.error``, which prints
+the usage and a ``gasp: error:`` line; the CLI raises one itself only
+for the rules the library cannot see (``--t-max`` at least 1,
+``--zero-masks`` only with ``--exhaustive``, ``--exhaustive`` only with
+``--scheme auto``).  1 on a failed plan search, a budget refusal, a
+failed audit verdict or an unwritable output file.
+
+A reader that closes stdout early, as ``head`` does, causes no failure,
+with stdout buffered or not: nothing is printed on stderr, and the exit
+status is the command's own, or 0 if the closed pipe cut its output
+short.  ``main`` flushes stdout itself, so a closed pipe shows there as
+``BrokenPipeError``, which it tells apart from other ``OSError``s; an
+unwritable ``--out`` file still exits 1 with its message.  ``run``, the
+console entry point, then points stdout at ``os.devnull``, so the
+interpreter's last flush finds no closed pipe; ``main`` called in
+process never touches file descriptor 1.
 
 ``main`` builds the argument parser once per process, on its first
 call, not at import: ``build_parser`` is cached, and parsing leaves the
@@ -32,7 +40,7 @@ from contextlib import contextmanager
 from . import codec, harness, schemes
 from .codec import BlockShapes
 from .degree_table import SchemeParams, outer_sum
-from .errors import BudgetExceededError, GaspError
+from .errors import BudgetExceededError, GaspError, ParameterError
 from .gf import PrimeFieldSpec
 from .schemes import format_rate
 
@@ -50,19 +58,7 @@ def _params(args) -> SchemeParams:
     return SchemeParams(args.k, args.l, args.t)
 
 
-def _check_scheme(args, parser) -> None:
-    # Usage errors (exit 2) for --scheme and --g, shared by table, demo and audit.
-    if args.scheme != "grouped" and args.g is not None:
-        parser.error("--g is only valid with --scheme grouped")
-    if args.scheme == "grouped":
-        if args.g is None:
-            parser.error("--scheme grouped requires --g")
-        if not (args.k == args.l == args.t):
-            parser.error("--scheme grouped requires k = l = t")
-
-
-def cmd_table(args, parser) -> int:
-    _check_scheme(args, parser)
+def cmd_table(args) -> int:
     params = _params(args)
     code = schemes.code_for_scheme(params, args.scheme, g=args.g)
     table = outer_sum(code.assignment, params)
@@ -78,9 +74,9 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
-def cmd_rate_sweep(args, parser) -> int:
+def cmd_rate_sweep(args) -> int:
     if args.t_max < 1:
-        parser.error("--t-max must be at least 1")
+        raise ParameterError("--t-max must be at least 1")
     lines = ["T,n_small,n_big,n_gasp,rate_gasp,rate_r1,rate_r2"]
     for t in range(1, args.t_max + 1):
         report = schemes.rate_report(SchemeParams(args.k, args.l, t))
@@ -94,9 +90,7 @@ def cmd_rate_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_grouped_sweep(args, parser) -> int:
-    if args.k < 1:
-        parser.error("--k must be at least 1")
+def cmd_grouped_sweep(args) -> int:
     lines = ["G,N,rate"]
     for g, n, rate in schemes.grouped_sweep(args.k):
         lines.append(f"{g},{n},{format_rate(rate)}")
@@ -105,10 +99,7 @@ def cmd_grouped_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_optimize(args, parser) -> int:
-    if args.n < 2 * args.t + 1:
-        print(f"infeasible: need N >= 2T+1, got N={args.n}, T={args.t}", file=sys.stderr)
-        return 1
+def cmd_optimize(args) -> int:
     best = schemes.optimize_gasp(args.n, args.t)
     print(
         f"gasp: K={best.k} L={best.l} servers={best.n_used} rate={format_rate(best.rate)}"
@@ -119,16 +110,12 @@ def cmd_optimize(args, parser) -> int:
     return 0
 
 
-def cmd_demo(args, parser) -> int:
-    _check_scheme(args, parser)
-    params = _params(args)
+def cmd_demo(args) -> int:
     r = args.r if args.r is not None else 2 * args.k
     tcols = args.tcols if args.tcols is not None else 2 * args.l
-    if r % args.k or tcols % args.l:
-        parser.error(f"need k | r and l | tcols, got r={r}, tcols={tcols}")
     field = PrimeFieldSpec(args.p) if args.p is not None else None
     transcript = harness.run_sdmm(
-        params,
+        _params(args),
         scheme=args.scheme,
         shapes=BlockShapes(r, args.s, tcols),
         field=field,
@@ -140,13 +127,12 @@ def cmd_demo(args, parser) -> int:
     return 0
 
 
-def cmd_audit(args, parser) -> int:
-    _check_scheme(args, parser)
+def cmd_audit(args) -> int:
     if args.zero_masks and not args.exhaustive:
-        parser.error("--zero-masks is only valid with --exhaustive")
+        raise ParameterError("--zero-masks is only valid with --exhaustive")
     # The exhaustive audit builds the auto code itself.
     if args.exhaustive and args.scheme != "auto":
-        parser.error("--exhaustive is only valid with --scheme auto")
+        raise ParameterError("--exhaustive is only valid with --scheme auto")
     params = _params(args)
     code = schemes.code_for_scheme(params, args.scheme, g=args.g)
     field = PrimeFieldSpec(args.p) if args.p is not None else None
@@ -172,7 +158,9 @@ def cmd_audit(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_code_arguments(sub: argparse.ArgumentParser) -> None:
+    for flag in ("--k", "--l", "--t"):
+        sub.add_argument(flag, type=int, required=True)
     sub.add_argument("--scheme", choices=["small", "big", "auto", "grouped"], default="auto")
     sub.add_argument("--g", type=int, default=None, help="group count (grouped only)")
 
@@ -186,10 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a degree table and its server count")
-    p_table.add_argument("--k", type=int, required=True)
-    p_table.add_argument("--l", type=int, required=True)
-    p_table.add_argument("--t", type=int, required=True)
-    _add_scheme_arguments(p_table)
+    _add_code_arguments(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_rate = sub.add_parser("rate-sweep", help="CSV of counts and rates over T")
@@ -210,10 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(func=cmd_optimize)
 
     p_demo = sub.add_parser("demo", help="run one simulated multiplication")
-    p_demo.add_argument("--k", type=int, required=True)
-    p_demo.add_argument("--l", type=int, required=True)
-    p_demo.add_argument("--t", type=int, required=True)
-    _add_scheme_arguments(p_demo)
+    _add_code_arguments(p_demo)
     p_demo.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--r", type=int, default=None, help="rows of A (default 2k)")
@@ -222,10 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(func=cmd_demo)
 
     p_audit = sub.add_parser("audit", help="verify plan conditions, optionally exhaustively")
-    p_audit.add_argument("--k", type=int, required=True)
-    p_audit.add_argument("--l", type=int, required=True)
-    p_audit.add_argument("--t", type=int, required=True)
-    _add_scheme_arguments(p_audit)
+    _add_code_arguments(p_audit)
     p_audit.add_argument("--p", type=int, default=None, help="field modulus (default: auto)")
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument(
@@ -244,10 +223,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     status = 0
     try:
-        status = args.func(args, parser)
+        status = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         pass  # the reader closed stdout: what it did not read, it chose to drop
+    except ParameterError as exc:
+        parser.error(str(exc))
     except (GaspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -139,7 +139,7 @@ def run_sdmm(
     code = code_for_scheme(params, scheme, g=g)
     if shapes is None:
         shapes = BlockShapes(params.k, 1, params.l)
-    check_type("shapes", shapes, BlockShapes)
+    codec._block_sizes(code, shapes)  # a bad shape fails before plan search
     plan = codec.find_evaluation_plan(code, field=field)
     lap("plan")
 

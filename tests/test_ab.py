@@ -40,6 +40,11 @@ def test_ab_reports_each_operation_and_voids_differing_outputs(tmp_path):
         assert s["rounds"] == 2 and not s["void"] and s["median_ratio"] > 0
         assert 0 <= s["candidate_faster"] <= 2
         assert s["interval_95"] is None  # the sign test needs 6 rounds
+        # One round in each of the two interpreters, one per load order.
+        orders = s["load_orders"]
+        assert list(orders) == ["base_first", "candidate_first"]
+        assert all(o["rounds"] == 1 and o["median_ratio"] > 0 for o in orders.values())
     assert ops["reproduce"]["void"] and ops["reproduce"]["median_ratio"] is None
     assert ops["reproduce"]["first_differing_round"] == -1  # the warm-up round
+    assert all(o["median_ratio"] is None for o in ops["reproduce"]["load_orders"].values())
     assert "reproduce  VOID" in result.stdout

@@ -1,5 +1,6 @@
 """Command-line behaviour: output, CSV determinism, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -239,9 +240,10 @@ def test_optimize_kakar_servers_are_gap_free_count(capsys):
 
 
 def test_optimize_infeasible(capsys):
-    code, _, err = run_cli(capsys, "optimize", "--n", "4", "--t", "2")
-    assert code == 1
-    assert "infeasible" in err
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--n", "4", "--t", "2"])
+    assert err.value.code == 2
+    assert "gasp: error: need an int N >= 2T+1, got N=4, T=2" in capsys.readouterr().err
 
 
 def test_demo_fixture(capsys):
@@ -398,13 +400,14 @@ def test_scheme_usage_errors(capsys, command, flags):
 
 def test_sweeps_refuse_sizes_below_one(capsys):
     for argv, message in (
-        (["rate-sweep", "--k", "2", "--l", "2", "--t-max", "0", "--out", "-"], "--t-max"),
-        (["grouped-sweep", "--k", "0", "--out", "-"], "--k"),
+        (["rate-sweep", "--k", "2", "--l", "2", "--t-max", "0", "--out", "-"],
+         "--t-max must be at least 1"),
+        (["grouped-sweep", "--k", "0", "--out", "-"], "k must be a positive integer, got 0"),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert f"error: {message} must be at least 1" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_demo_bad_divisibility(capsys):
@@ -414,11 +417,10 @@ def test_demo_bad_divisibility(capsys):
 
 
 def test_demo_infeasible_field(capsys):
-    code, _, err = run_cli(
-        capsys, "demo", "--k", "3", "--l", "3", "--t", "2", "--p", "17"
-    )
-    assert code == 1
-    assert "error" in err
+    with pytest.raises(SystemExit) as err:
+        main(["demo", "--k", "3", "--l", "3", "--t", "2", "--p", "17"])
+    assert err.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_audit_fixture(capsys):
@@ -501,3 +503,132 @@ def test_audit_budget_refusal(capsys):
     )
     assert code == 1
     assert "refused" in err
+
+
+# Arguments refused by the library, not by argparse or the CLI's own
+# checks; each is a usage error all the same.
+REFUSED = (
+    ["table", "--k", "0", "--l", "1", "--t", "1"],
+    ["table", "--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped", "--g", "0"],
+    ["table", "--k", "4", "--l", "4", "--t", "4", "--scheme", "grouped", "--g", "5"],
+    ["table", "--k", "4", "--l", "4", "--t", "4", "--scheme", "big", "--g", "2"],
+    ["demo", "--k", "2", "--l", "2", "--t", "1", "--p", "16"],
+    ["demo", "--k", "3", "--l", "3", "--t", "2", "--p", "17"],
+    ["demo", "--k", "2", "--l", "2", "--t", "1", "--s", "0"],
+    ["demo", "--k", "3", "--l", "3", "--t", "2", "--r", "4"],
+    ["optimize", "--n", "4", "--t", "2"],
+    ["grouped-sweep", "--k", "0", "--out", "-"],
+    ["audit", "--k", "2", "--l", "2", "--t", "1", "--p", "16"],
+    ["rate-sweep", "--k", "0", "--l", "2", "--t-max", "2", "--out", "-"],
+)
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_refused_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out, text = capsys.readouterr()
+    assert err.value.code == 2
+    assert out == ""
+    assert text.startswith("usage: gasp ")
+    assert text.splitlines()[-1].startswith("gasp: error: ")
+
+
+# Failures after the arguments were accepted, each with its stderr.
+RUNTIME_FAILURES = (
+    (["demo", "--k", "5", "--l", "5", "--t", "5", "--scheme", "grouped", "--g", "2",
+      "--p", "3527"],
+     "error: no valid generator among 200 candidates: gv 2, alpha_mds 198\n"),
+    # Refused before any walk.
+    (["demo", "--k", "7", "--l", "7", "--t", "7", "--scheme", "grouped", "--g", "2"],
+     "error: MDS check of 7 x 98 needs 339554320 steps, budget is 100000000\n"),
+    (["audit", "--k", "3", "--l", "3", "--t", "2", "--p", "29", "--exhaustive"],
+     "exhaustive audit refused: audit needs 6276411594 steps, budget is 100000000;"
+     " not sampling\n"),
+    (["audit", "--k", "1", "--l", "1", "--t", "1", "--p", "5", "--exhaustive", "--zero-masks"],
+     ""),
+    (["rate-sweep", "--k", "2", "--l", "2", "--t-max", "1", "--out", "/nonexistent/x.csv"],
+     "error: [Errno 2] No such file or directory: '/nonexistent/x.csv'\n"),
+)
+
+
+@pytest.mark.parametrize("argv, message", RUNTIME_FAILURES)
+def test_runtime_failures_exit_1(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, message)
+
+
+def test_module_entry_point_exit_statuses():
+    budget_argv, budget_message = RUNTIME_FAILURES[1]
+    for argv, status, message in (
+        (REFUSED[8], 2, "gasp: error: need an int N >= 2T+1, got N=4, T=2\n"),
+        (REFUSED[9], 2, "gasp: error: k must be a positive integer, got 0\n"),
+        (budget_argv, 1, budget_message),
+    ):
+        result = run_python("-m", "gasp", *argv)
+        assert (result.returncode, result.stdout) == (status, "")
+        assert result.stderr.endswith(message)
+
+
+# Every command's options: (option, dest, type, default, required, choices).
+SCHEMES = ["small", "big", "auto", "grouped"]
+OPTIONS = {
+    "table": [
+        ("--k", "k", int, None, True, None),
+        ("--l", "l", int, None, True, None),
+        ("--t", "t", int, None, True, None),
+        ("--scheme", "scheme", None, "auto", False, SCHEMES),
+        ("--g", "g", int, None, False, None),
+    ],
+    "rate-sweep": [
+        ("--k", "k", int, None, True, None),
+        ("--l", "l", int, None, True, None),
+        ("--t-max", "t_max", int, None, True, None),
+        ("--out", "out", None, None, True, None),
+    ],
+    "grouped-sweep": [
+        ("--k", "k", int, None, True, None),
+        ("--out", "out", None, None, True, None),
+    ],
+    "optimize": [
+        ("--n", "n", int, None, True, None),
+        ("--t", "t", int, None, True, None),
+    ],
+    "demo": [
+        ("--k", "k", int, None, True, None),
+        ("--l", "l", int, None, True, None),
+        ("--t", "t", int, None, True, None),
+        ("--scheme", "scheme", None, "auto", False, SCHEMES),
+        ("--g", "g", int, None, False, None),
+        ("--p", "p", int, None, False, None),
+        ("--seed", "seed", int, 0, False, None),
+        ("--r", "r", int, None, False, None),
+        ("--s", "s", int, 2, False, None),
+        ("--tcols", "tcols", int, None, False, None),
+    ],
+    "audit": [
+        ("--k", "k", int, None, True, None),
+        ("--l", "l", int, None, True, None),
+        ("--t", "t", int, None, True, None),
+        ("--scheme", "scheme", None, "auto", False, SCHEMES),
+        ("--g", "g", int, None, False, None),
+        ("--p", "p", int, None, False, None),
+        ("--exhaustive", "exhaustive", None, False, False, None),
+        ("--zero-masks", "zero_masks", None, False, False, None),
+    ],
+}
+
+
+def test_every_command_keeps_its_options():
+    (commands,) = (
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(commands) == list(OPTIONS)
+    for name, sub in commands.items():
+        options = [
+            (*action.option_strings, action.dest, action.type, action.default,
+             action.required, action.choices)
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        ]
+        assert options == OPTIONS[name], name

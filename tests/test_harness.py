@@ -127,6 +127,16 @@ def test_run_sdmm_refuses_a_wrong_decoded_product(monkeypatch):
         harness.run_sdmm(SchemeParams(2, 2, 1))
 
 
+def test_run_sdmm_checks_shapes_before_plan_search(monkeypatch):
+    # K = 3 does not divide r = 4; plan search must not run first.
+    def no_search(*args, **kwargs):
+        pytest.fail("plan search ran before the shape check")
+
+    monkeypatch.setattr(codec, "find_evaluation_plan", no_search)
+    with pytest.raises(ParameterError, match="K=3 must divide r=4"):
+        harness.run_sdmm(SchemeParams(3, 3, 2), shapes=BlockShapes(4, 2, 6))
+
+
 def test_run_sdmm_refuses_group_count_without_grouped_scheme():
     # Ignoring G = 2 would build and report the big code as if it were asked for.
     with pytest.raises(ParameterError):

@@ -4,11 +4,17 @@ Usage:
 
     python3 tools/ab.py BASE CANDIDATE --out DIR [--rounds 40] [--ops session,multiply]
 
-BASE and CANDIDATE are package directories (``.../src/gasp``).  Both are
-loaded into this one process under two package names, so one
-interpreter, one heap and one host state time both.  Each round runs
+BASE and CANDIDATE are package directories (``.../src/gasp``).  The
+rounds run in two fresh interpreters, one after the other, each started
+by ``multiprocessing``'s spawn method.  Each loads both trees under two
+package names, so one interpreter, one heap and one host state time
+both; the first loads BASE first and the second CANDIDATE first, so an
+effect of load order (where each tree's code and objects land in
+memory) shows in both directions and cancels in the pooled figure.
+Each interpreter runs one untimed warm-up round and then half the
+rounds; the first takes the extra round of an odd count.  Each round runs
 every operation on both trees, base first in even rounds and candidate
-first in odd ones, after one untimed warm-up round.  The operations:
+first in odd ones.  The operations:
 
 * ``session``: 20 ``harness.run_sdmm`` sessions at (K,L,T) = (4,4,3) on
   ``BlockShapes(8, 2, 8)``, each with its own seed: plan search, encode,
@@ -38,12 +44,15 @@ any round, that operation's figure is void.
 Per operation the report gives both trees' median seconds, the median
 over rounds of candidate time / base time, the rounds the candidate was
 faster, and the distribution-free 95% interval of that median from the
-sign test (order statistics of the ratios; none below 6 rounds).  An A/A
-run, the same tree as BASE and CANDIDATE, shows what interval the host
-gives when nothing differs.
+sign test (order statistics of the ratios; none below 6 rounds), all
+over the rounds of both interpreters pooled.  ``load_orders`` gives each
+interpreter's rounds and median ratio apart, keyed ``base_first`` and
+``candidate_first``.  An A/A run, two copies of one tree as BASE and
+CANDIDATE, shows what interval the host gives when nothing differs.
 
 The report is printed and written to DIR/ab.json; nothing else is
-written.  Uses the standard library only.
+written: each interpreter sets ``sys.dont_write_bytecode`` before it
+loads a tree.  Uses the standard library only.
 """
 
 import argparse
@@ -54,6 +63,7 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import platform
 import random
 import statistics
@@ -213,6 +223,37 @@ OPS = {
 }
 
 
+def run_rounds(first: str, trees: dict[str, str], ops: list[str], rounds: range):
+    """Time ``rounds`` of ``ops`` in this interpreter, with the tree ``first`` loaded first.
+
+    Returns the seconds per (op, side), one per timed round, and per op the
+    first round whose outputs differ between the trees (-1 for the warm-up
+    round), or None.
+    """
+    sys.dont_write_bytecode = True  # nothing but DIR/ab.json is written
+    second = "candidate" if first == "base" else "base"
+    libs = {side: load(f"gasp_ab_{side}", Path(trees[side])) for side in (first, second)}
+    states = {(op, side): OPS[op].setup(lib) for op in ops for side, lib in libs.items()}
+    times = {(op, side): [] for op in ops for side in libs}
+    void = dict.fromkeys(ops)
+    for rnd in (-1, *rounds):  # round -1 warms up, untimed
+        order = ("base", "candidate") if rnd % 2 == 0 else ("candidate", "base")
+        for op in ops:
+            values = {}
+            for side in order:
+                job = OPS[op].job(libs[side], states[op, side], random.Random(f"{op}:{rnd}"))
+                gc.collect()
+                start = time.perf_counter()
+                result = job()
+                elapsed = time.perf_counter() - start
+                values[side] = OPS[op].value(result)
+                if rnd >= 0:
+                    times[op, side].append(elapsed)
+            if values["base"] != values["candidate"] and void[op] is None:
+                void[op] = rnd
+    return times, void
+
+
 def sign_interval(ratios: list[float]) -> list[float] | None:
     """The distribution-free 95% interval of the median: [x_(j), x_(n+1-j)].
 
@@ -228,17 +269,28 @@ def sign_interval(ratios: list[float]) -> list[float] | None:
     return [xs[j - 1], xs[n - j]] if j else None
 
 
-def summary(base: list[float], candidate: list[float], void_round: int | None) -> dict:
-    ratios = [c / b for b, c in zip(base, candidate)]
+def summary(runs: dict[str, tuple[list[float], list[float]]], void_round: int | None) -> dict:
+    """One operation's figures, pooled over ``runs``: load order -> (base, candidate) seconds."""
+    ratios = {first: [c / b for b, c in zip(*times)] for first, times in runs.items()}
+    base, candidate = ([t for run in runs.values() for t in run[i]] for i in range(2))
+    pooled = [r for rs in ratios.values() for r in rs]
+    valid = void_round is None
     return {
-        "rounds": len(ratios),
+        "rounds": len(pooled),
         "base_median_s": statistics.median(base),
         "candidate_median_s": statistics.median(candidate),
-        "median_ratio": None if void_round is not None else statistics.median(ratios),
-        "candidate_faster": sum(c < b for b, c in zip(base, candidate)),
-        "interval_95": None if void_round is not None else sign_interval(ratios),
-        "void": void_round is not None,
+        "median_ratio": statistics.median(pooled) if valid else None,
+        "candidate_faster": sum(r < 1 for r in pooled),
+        "interval_95": sign_interval(pooled) if valid else None,
+        "void": not valid,
         "first_differing_round": void_round,
+        "load_orders": {
+            f"{first}_first": {
+                "rounds": len(rs),
+                "median_ratio": statistics.median(rs) if valid and rs else None,
+            }
+            for first, rs in ratios.items()
+        },
     }
 
 
@@ -255,34 +307,20 @@ def main(argv=None) -> int:
     if unknown or args.rounds < 1:
         parser.error(f"unknown operations {unknown}" if unknown else "--rounds must be >= 1")
 
-    sys.dont_write_bytecode = True  # nothing but DIR/ab.json is written
-    libs = {"base": load("gasp_ab_base", args.base),
-            "candidate": load("gasp_ab_candidate", args.candidate)}
-    states = {(op, side): OPS[op].setup(lib) for op in ops for side, lib in libs.items()}
-    times = {(op, side): [] for op in ops for side in libs}
-    void = dict.fromkeys(ops)
-    for rnd in range(-1, args.rounds):  # round -1 warms up, untimed
-        order = ("base", "candidate") if rnd % 2 == 0 else ("candidate", "base")
-        for op in ops:
-            values = {}
-            for side in order:
-                job = OPS[op].job(libs[side], states[op, side], random.Random(f"{op}:{rnd}"))
-                gc.collect()
-                start = time.perf_counter()
-                result = job()
-                elapsed = time.perf_counter() - start
-                values[side] = OPS[op].value(result)
-                if rnd >= 0:
-                    times[op, side].append(elapsed)
-            if values["base"] != values["candidate"] and void[op] is None:
-                void[op] = rnd
+    trees = {"base": str(args.base.resolve()), "candidate": str(args.candidate.resolve())}
+    half = (args.rounds + 1) // 2
+    results = {}
+    for first, rounds in (("base", range(half)), ("candidate", range(half, args.rounds))):
+        # One fresh interpreter per load order, the second after the first has exited.
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            results[first] = pool.apply(run_rounds, (first, trees, ops, rounds))
 
-    report = {
-        "base": str(args.base.resolve()),
-        "candidate": str(args.candidate.resolve()),
-        "python": platform.python_version(),
-        "ops": {op: summary(times[op, "base"], times[op, "candidate"], void[op]) for op in ops},
-    }
+    report = {**trees, "python": platform.python_version(), "ops": {}}
+    for op in ops:
+        runs = {first: (times[op, "base"], times[op, "candidate"])
+                for first, (times, _) in results.items()}
+        voids = [void[op] for _, void in results.values() if void[op] is not None]
+        report["ops"][op] = summary(runs, min(voids, default=None))
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "ab.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for op, s in report["ops"].items():
