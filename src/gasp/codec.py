@@ -7,21 +7,24 @@ shares; the user interpolates the product polynomial from the N returned
 matrices and reads every block product A_k B_l off its own coefficient.
 
 Blocks have one layout, the stack: a matrix whose row j is block j
-flattened row-major.  A side's T masks are T more blocks (one T-row
-stack), so its data blocks followed by its masks form one stack, and
-all N shares of that side are a single product of the N x (K+T) power
-matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j), built by
+flattened row-major.  Every change of layout is one gather, an
+``operator.itemgetter`` over an index map that :func:`_stack` builds
+once per shape and caches.  A side's T masks are T more blocks (one
+T-row stack), so its data blocks followed by its masks form one stack,
+and all N shares of that side are a single product of the N x (K+T)
+power matrix [a_n ** alpha_j] (for B, N x (L+T) and beta_j), built by
 ``gf._generalized_vandermonde`` from the plan's generator and N,
-with that stack; row n is server n's share.  Decode stacks the N
-responses the same way.
+with that stack; row n is server n's share.  The N responses, one per
+row, form decode's stack.
 Only the KL coefficients at alpha_k + beta_l carry block products, so
 decode multiplies the response stack by the KL matching rows of the
-inverse generalized Vandermonde matrix, and A @ B is reassembled from
-the product's KL rows.  All three left factors, the two power matrices
-and those KL x N rows, are fixed by the plan, so each is built once per
-plan and cached as a ``gf._FixedFactor``, which packs its columns at its
-first tall product and keeps them.  Encode takes the shares as the rows
-of the factor's product, and decode takes the product as one matrix.
+inverse generalized Vandermonde matrix, and one gather takes A @ B's
+entries straight from that product's, in the order ``gf._product``
+returns them.  All three left factors, the two power matrices and those
+KL x N rows, are fixed by the plan, so each is built once per plan and
+cached as a ``gf._FixedFactor``, which packs its columns at its first
+tall product and keeps them; so are the indices of the KL rows.  Encode
+takes the shares as the rows of the factor's product.
 
 An evaluation plan is a field F_p and a generator g: server n evaluates
 at g ** n.  The code carries its term set J, derived once from its
@@ -50,8 +53,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import os
 import random
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, islice, repeat
 
 from . import gf
@@ -332,20 +338,53 @@ def random_matrix(p: int, rows: int, cols: int, rng: random.Random) -> FieldMatr
     return FieldMatrix(rows, cols, tuple(islice(draws, rows * cols)))
 
 
-def _stack(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
-    """Split m into a k x l grid of blocks; block (i, j) becomes row i*l + j.
+def _entropy_matrix(p: int, rows: int, cols: int) -> FieldMatrix:
+    """A rows x cols matrix of uniform residues mod p from ``os.urandom``, row-major.
+
+    A draw reads 8-byte words as ``array('Q')``, keeps each word's low
+    p.bit_length() bits and keeps the values below p: ``random_matrix``'s
+    rejection rule, so every residue is equally likely.  A value is kept
+    with chance at least 1/2, so one draw of twice the missing count
+    usually fills the matrix, and a short draw is topped up by the next.
+    """
+    need = rows * cols
+    low_bits = (1 << p.bit_length()) - 1
+    kept: list[int] = []
+    while len(kept) < need:
+        words = array("Q", os.urandom(16 * (need - len(kept))))
+        kept.extend(filter(p.__gt__, map(low_bits.__and__, words)))
+    return FieldMatrix(rows, cols, tuple(kept[:need]))
+
+
+@functools.lru_cache(maxsize=16)
+def _stack(rows: int, cols: int, k: int, l: int, by_column: bool) -> Callable[[tuple], tuple]:
+    """The gather that splits a rows x cols matrix into a k x l grid of blocks.
+
+    Block (i, j) becomes row i*l + j of the stack, flattened row-major.
+    The gather takes the matrix's entries, row-major or, if
+    ``by_column``, column-major, and returns the stack's entries
+    row-major, in one C call: an ``operator.itemgetter`` over the index
+    map, which is built once per shape and cached.  An identity map, as
+    for any split of a row-major matrix into row blocks, gathers with
+    ``tuple``, which returns a tuple as it is.  That covers the one-entry
+    matrix, where an itemgetter of one index would return a bare entry.
 
     The split swaps the middle two axes of the entry index (block row,
     row in block, block column, column), so it also undoes itself:
-    splitting a stack of k*l blocks, each with ``rows`` rows, into a
-    k x ``rows`` grid yields the unsplit matrix's entries in row-major order.
+    splitting a stack of k*l blocks, each with ``rows // k`` rows, into
+    a k x ``rows // k`` grid yields the unsplit matrix's entries in
+    row-major order.
     """
-    rows, cols = m.rows // k, m.cols // l
-    entries = tuple(chain.from_iterable(
-        m.entries[r * m.cols + j * cols:r * m.cols + (j + 1) * cols]
-        for i in range(k) for j in range(l) for r in range(i * rows, (i + 1) * rows)
-    ))
-    return FieldMatrix(k * l, rows * cols, entries)
+    block_rows, block_cols = rows // k, cols // l
+    row_step, col_step = (1, rows) if by_column else (cols, 1)
+    index = [
+        r * row_step + c * col_step
+        for i in range(0, rows, block_rows) for j in range(0, cols, block_cols)
+        for r in range(i, i + block_rows) for c in range(j, j + block_cols)
+    ]
+    if all(map(int.__eq__, index, range(rows * cols))):
+        return tuple
+    return operator.itemgetter(*index)
 
 
 def _shares(
@@ -370,7 +409,7 @@ def encode(
     code: PolynomialCode,
     plan: EvaluationPlan,
     shapes: BlockShapes,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> ShareBundle:
     """Produce one masked share pair per server.
 
@@ -379,20 +418,25 @@ def encode(
     one product: the N x (K+T) matrix [a_n ** alpha_j], built once per
     plan, times the stack of A's K row blocks and the R masks (for g,
     [a_n ** beta_j] times B's L column blocks and the S masks).  Masks
-    are drawn from a seeded uniform source, one T-row stack per side, R
-    before S.
+    are uniform, one T-row stack per side, R before S.  Without a
+    ``seed`` they come from the operating system's entropy, one bulk
+    ``os.urandom`` draw per stack.  An int ``seed`` draws them from
+    ``random.Random(seed)`` instead, to replay a simulation: anyone who
+    knows the seed knows the masks, so seeded shares hide nothing.
     """
     _check_plan(code, plan)
-    check_int("seed", seed)
+    if seed is not None:
+        check_int("seed", seed)
     p = plan.field.p
     block_rows, block_cols = _block_sizes(code, shapes)
     _check_matrix("A", a, shapes.r, shapes.s, p)
     _check_matrix("B", b, shapes.s, shapes.t, p)
-    rng = random.Random(seed)
-    r_masks, s_masks = (
-        random_matrix(p, code.params.t, size, rng)
-        for size in (block_rows * shapes.s, shapes.s * block_cols)
-    )
+    sizes = (block_rows * shapes.s, shapes.s * block_cols)
+    if seed is None:
+        r_masks, s_masks = (_entropy_matrix(p, code.params.t, size) for size in sizes)
+    else:
+        rng = random.Random(seed)
+        r_masks, s_masks = (random_matrix(p, code.params.t, size, rng) for size in sizes)
     return _encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
 
 
@@ -413,13 +457,12 @@ def _encode_with_masks(
     """
     p, g, n = plan.field.p, plan.generator, code.n_servers
     k, l = code.params.k, code.params.l
-    block_rows, block_cols = shapes.r // k, shapes.t // l
-    f_shares = _shares(
-        p, g, n, code.assignment.alpha, _stack(a, k, 1), r_masks, block_rows, shapes.s
-    )
-    g_shares = _shares(
-        p, g, n, code.assignment.beta, _stack(b, 1, l), s_masks, shapes.s, block_cols
-    )
+    r, s, t = shapes.r, shapes.s, shapes.t
+    block_rows, block_cols = r // k, t // l
+    a_stack = FieldMatrix(k, block_rows * s, _stack(r, s, k, 1, False)(a.entries))
+    b_stack = FieldMatrix(l, s * block_cols, _stack(s, t, 1, l, False)(b.entries))
+    f_shares = _shares(p, g, n, code.assignment.alpha, a_stack, r_masks, block_rows, s)
+    g_shares = _shares(p, g, n, code.assignment.beta, b_stack, s_masks, s, block_cols)
     return ShareBundle(plan.field, f_shares, g_shares)
 
 
@@ -430,6 +473,15 @@ def server_evaluate(bundle: ShareBundle, n: int) -> FieldMatrix:
     if type(n) is not int or not 0 <= n < len(bundle.f_shares):
         raise ParameterError(f"server index must be an int in [0, N), got {n!r}")
     return gf.mat_mul(bundle.field.p, bundle.f_shares[n], bundle.g_shares[n])
+
+
+@functools.lru_cache(maxsize=8)
+def _needed(
+    exponents: tuple[int, ...], alpha: tuple[int, ...], beta: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The rows of GV^-1 that decode needs: the index in J of alpha_k + beta_l, in (k, l) order."""
+    index = {e: i for i, e in enumerate(exponents)}
+    return tuple(index[x + y] for x in alpha for y in beta)
 
 
 @functools.lru_cache(maxsize=8)
@@ -479,12 +531,15 @@ def decode(
     exactly A_k B_l, so decode computes only those KL rows, in (k, l)
     order: one product of the prepared KL x N rows of GV^-1 with the
     response stack.  The prepared rows are built from Lagrange basis
-    polynomials at the first decode on a plan, packed, and reused after that.
-    The KL product rows are reassembled into A @ B.
+    polynomials at the first decode on a plan, packed, and reused after
+    that, and so are their indices.  The product's KL rows are the stack
+    of A @ B's k x r/K grid of blocks (:func:`_stack` undoes itself), so
+    one cached gather reads A @ B's entries straight from the product's,
+    row by row or, on the tall route, column by column.
     """
     _check_plan(code, plan)
     p = plan.field.p
-    params = code.params
+    k, l = code.params.k, code.params.l
     block_rows, block_cols = _block_sizes(code, shapes)
     n = code.n_servers
     check_type("responses", responses, Sequence)
@@ -492,11 +547,11 @@ def decode(
         raise ParameterError(f"need all {n} responses, got {len(responses)}")
     entries = _response_entries(responses, block_rows, block_cols, p)
     rhs = FieldMatrix(n, block_rows * block_cols, entries)
-    exp_index = {e: i for i, e in enumerate(plan.exponents)}
-    alpha, beta = code.assignment.alpha[:params.k], code.assignment.beta[:params.l]
-    needed = tuple(exp_index[x + y] for x in alpha for y in beta)
-    products = _decoder(p, plan.generator, plan.exponents, needed) @ rhs
-    return FieldMatrix(shapes.r, shapes.t, _stack(products, params.k, block_rows).entries)
+    needed = _needed(plan.exponents, code.assignment.alpha[:k], code.assignment.beta[:l])
+    decoder = _decoder(p, plan.generator, plan.exponents, needed)
+    products, by_column = gf._product(p, decoder.matrix, rhs, decoder)
+    gather = _stack(k * l, block_rows * block_cols, k, block_rows, by_column)
+    return FieldMatrix(shapes.r, shapes.t, gather(products))
 
 
 def cost(code: PolynomialCode, shapes: BlockShapes) -> CostReport:

@@ -120,6 +120,10 @@ def run_sdmm(
 
     Fully deterministic given the seed, which drives the secret inputs
     and the masks; the plan depends on the code and the field only.
+    Seeded masks are for simulation only: anyone who knows the seed can
+    rebuild them and strip them from the shares, so real inputs go
+    through ``codec.encode`` without a seed, whose masks come from
+    ``os.urandom``.
     ``stage_seconds`` of the transcript holds the ``time.perf_counter``
     seconds of each stage: ``plan`` (code and plan search), ``encode``
     (random inputs and shares), ``evaluate`` (the N server products),

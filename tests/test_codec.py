@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import os
 import random
+from array import array
 
 import pytest
 
@@ -12,7 +14,9 @@ from gasp.degree_table import SchemeParams
 from gasp.errors import ParameterError, PlanSearchError, SingularMatrixError
 from gasp.gf import FieldMatrix, PrimeFieldSpec
 from gasp.schemes import code_for_scheme
-from test_oracles import det, generalized_vandermonde, is_mds, mask_matrix, points, row
+from test_oracles import (
+    det, generalized_vandermonde, is_mds, mask_matrix, points, row, stack_oracle,
+)
 
 
 def fixture_code():
@@ -592,6 +596,96 @@ def test_encode_draws_its_masks_from_the_seed():
     assert codec.random_matrix(11383, 2, 3, random.Random(5)) == want
 
 
+def test_unseeded_masks_are_not_the_seed_zero_masks():
+    # Server 1 of a (2,2,2) code over F_113 sits at x = g.  It rebuilds
+    # random.Random(0)'s R masks, strips them from its f-share and compares
+    # what is left with A_0 x^alpha_0 + A_1 x^alpha_1, the share without
+    # masks.  Under seed 0 they are equal, so those masks hide nothing;
+    # without a seed the masks come from os.urandom and the strip fails.
+    code = code_for_scheme(SchemeParams(2, 2, 2), "auto")
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(113))
+    p, x, alpha = 113, plan.generator, code.assignment.alpha
+    shapes = BlockShapes(4, 3, 4)
+    rng = random.Random(3)
+    a = codec.random_matrix(p, 4, 3, rng)
+    b = codec.random_matrix(p, 3, 4, rng)
+    size = 2 * 3  # each of A's two row blocks is 2 x 3
+    r_masks = codec.random_matrix(p, 2, size, random.Random(0))
+    mask_free = tuple(
+        sum(a.entries[k * size + e] * pow(x, alpha[k], p) for k in range(2)) % p
+        for e in range(size)
+    )
+
+    def stripped(bundle):
+        share = bundle.f_shares[1].entries
+        return tuple(
+            (v - sum(r_masks.entries[i * size + e] * pow(x, alpha[2 + i], p) for i in range(2))) % p
+            for e, v in enumerate(share)
+        )
+
+    assert stripped(codec.encode(a, b, code, plan, shapes, seed=0)) == mask_free
+    assert stripped(codec.encode(a, b, code, plan, shapes)) != mask_free
+
+
+def test_unseeded_masks_keep_urandom_words_below_p_in_order(monkeypatch):
+    # os.urandom stubbed with a known word stream: each mask stack keeps the
+    # words whose low p.bit_length() bits are below p, in the order drawn,
+    # and a draw of twice the missing count that falls short is topped up
+    # by the next.  p = 17 keeps 17 of 32 low values, and this stream makes
+    # both stacks top up once; the high bits of each word are set at
+    # random and must be ignored.
+    stream = random.Random(8)
+    draws = []
+
+    def urandom(n):
+        assert n % 8 == 0
+        words = [stream.getrandbits(64) for _ in range(n // 8)]
+        draws.append(words)
+        return array("Q", words).tobytes()
+
+    captured = []
+    shipped = codec._encode_with_masks
+
+    def capture(a, b, code, plan, shapes, r_masks, s_masks):
+        captured.append((r_masks, s_masks))
+        return shipped(a, b, code, plan, shapes, r_masks, s_masks)
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    monkeypatch.setattr(codec, "_encode_with_masks", capture)
+    code = code_for_scheme(SchemeParams(1, 1, 2), "auto")
+    plan = codec.find_evaluation_plan(code, PrimeFieldSpec(17))
+    shapes = BlockShapes(4, 5, 3)
+    a = codec.random_matrix(17, 4, 5, random.Random(1))
+    b = codec.random_matrix(17, 5, 3, random.Random(2))
+    bundle = codec.encode(a, b, code, plan, shapes)
+    (r_masks, s_masks), = captured
+    assert (r_masks.rows, r_masks.cols, s_masks.rows, s_masks.cols) == (2, 20, 2, 15)
+    words = iter(draws)
+    sizes = []
+    for stack in (r_masks, s_masks):
+        kept = []
+        while len(kept) < stack.rows * stack.cols:
+            sizes.append(2 * (stack.rows * stack.cols - len(kept)))
+            kept += [w & 31 for w in next(words) if w & 31 < 17]
+        assert stack.entries == tuple(kept[:stack.rows * stack.cols])
+    assert [len(w) for w in draws] == sizes and len(sizes) == 4, sizes
+    responses = tuple(codec.server_evaluate(bundle, n) for n in range(code.n_servers))
+    assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(17, a, b)
+
+
+def test_two_unseeded_encodes_differ_and_both_decode():
+    code, plan, shapes = fixture_code(), fixture_plan(), BlockShapes(3, 2, 6)
+    rng = random.Random(4)
+    a = codec.random_matrix(29, 3, 2, rng)
+    b = codec.random_matrix(29, 2, 6, rng)
+    bundles = [codec.encode(a, b, code, plan, shapes) for _ in range(2)]
+    assert bundles[0].f_shares != bundles[1].f_shares
+    assert bundles[0].g_shares != bundles[1].g_shares
+    for bundle in bundles:
+        responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
+        assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(29, a, b)
+
+
 def test_random_matrix_draws_as_randrange():
     # random_matrix runs randrange's rejection loop on getrandbits in C: the
     # same values, and the generator left in the same state, as one
@@ -784,17 +878,28 @@ def test_prepared_decoder_matches_full_solve():
             assert decoded == gf.mat_mul(p, a, b)
 
 
-def test_cached_factors_match_per_call_products():
+def test_cached_factors_match_per_call_products(monkeypatch):
     # Every share equals its row of a per-call mat_mul of the points-built
     # power matrix with the stack, and every decode the per-call product of
-    # the decoder rows with the response stack, reassembled, which is A @ B.
+    # the decoder rows with the response stack, reassembled by the slicing
+    # oracle, which is A @ B.
     # Block shapes: 2 x s blocks of A and s x 2 blocks of B with 2s < N, whose
     # 2 x 2 block products have fewer entries than KL (encode and decode pack
     # the fixed factor's columns once the product has 64 entries), and blocks
     # of N + 1 entries on each side whose block product has KL entries
-    # (encode and decode keep mat_mul's rows).
+    # (encode and decode keep mat_mul's rows).  Decode's one gather reads
+    # the product's entries in both orders gf._product returns: column by
+    # column on the tall route, row by row otherwise.
     rng = random.Random(26)
     tall = set()
+    orders = set()
+    shipped = gf._product
+
+    def recorded(p, a, b, kept):
+        entries, by_column = shipped(p, a, b, kept)
+        orders.add(by_column)
+        return entries, by_column
+
     for code in _decoder_grid():
         k, l, n = code.params.k, code.params.l, code.n_servers
         for field in (None, PrimeFieldSpec(gf.next_prime(2**61))):
@@ -811,8 +916,8 @@ def test_cached_factors_match_per_call_products():
                 r_masks = codec.random_matrix(p, t, block_rows * shapes.s, rng)
                 s_masks = codec.random_matrix(p, t, shapes.s * block_cols, rng)
                 bundle = codec._encode_with_masks(a, b, code, plan, shapes, r_masks, s_masks)
-                sides = ((code.assignment.alpha, codec._stack(a, k, 1), r_masks,
-                          bundle.f_shares), (code.assignment.beta, codec._stack(b, 1, l),
+                sides = ((code.assignment.alpha, stack_oracle(a, k, 1), r_masks,
+                          bundle.f_shares), (code.assignment.beta, stack_oracle(b, 1, l),
                                              s_masks, bundle.g_shares))
                 for exponents, data, mask_stack, shares in sides:
                     stack = FieldMatrix(len(exponents), data.cols, data.entries + mask_stack.entries)
@@ -827,17 +932,52 @@ def test_cached_factors_match_per_call_products():
                 rhs = FieldMatrix(n, block_rows * block_cols,
                                   tuple(e for r in responses for e in r.entries))
                 products = gf.mat_mul(p, rows, rhs)
+                monkeypatch.setattr(gf, "_product", recorded)
                 decoded = codec.decode(responses, code, plan, shapes)
-                assert decoded.entries == codec._stack(products, k, block_rows).entries
+                monkeypatch.setattr(gf, "_product", shipped)
+                assert decoded.entries == stack_oracle(products, k, block_rows).entries
                 assert decoded == gf.mat_mul(p, a, b), (code.params, p, shapes)
     assert tall == set(itertools.product(("encode", "decode"), (False, True)))
+    assert orders == {False, True}
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_stack_maps_match_the_oracle():
+    # Every split of every matrix of up to 12 x 12 entries into a k x l grid,
+    # from row-major and from column-major entries.  One-entry layouts, such
+    # as any split of a 1 x 1 matrix, gather a tuple too.
+    for rows, cols in itertools.product(range(1, 13), repeat=2):
+        m = FieldMatrix(rows, cols, tuple(range(rows * cols)))
+        by_column = tuple(m.entries[c + r * cols] for c in range(cols) for r in range(rows))
+        for k, l in itertools.product(_divisors(rows), _divisors(cols)):
+            want = stack_oracle(m, k, l).entries
+            for order, entries in ((False, m.entries), (True, by_column)):
+                got = codec._stack(rows, cols, k, l, order)(entries)
+                assert type(got) is tuple and got == want, (rows, cols, k, l, order)
+
+
+def test_stacking_twice_gives_back_the_matrix():
+    # The split swaps the middle two axes of the entry index, so splitting
+    # the stack of k*l blocks of r rows each into a k x r grid undoes it.
+    for rows, cols in itertools.product(range(1, 13), repeat=2):
+        entries = tuple(range(100, 100 + rows * cols))
+        for k, l in itertools.product(_divisors(rows), _divisors(cols)):
+            r, c = rows // k, cols // l
+            stacked = codec._stack(rows, cols, k, l, False)(entries)
+            assert codec._stack(k * l, r * c, k, r, False)(stacked) == entries, (rows, cols, k, l)
 
 
 def test_second_decode_runs_no_elimination(monkeypatch):
-    # Each plan's two power matrices and its decoder rows are built once,
-    # however many times it encodes and decodes.
-    codec._decoder.cache_clear()
-    codec._power_matrix.cache_clear()
+    # Each plan's two power matrices, its decoder rows and their indices,
+    # and each of the three layout maps (A's and B's stacks, decode's
+    # gather) are built once, however many times it encodes and decodes;
+    # every decode asks for its decoder once.
+    decoder = codec._decoder
+    for cached in (decoder, codec._power_matrix, codec._needed, codec._stack):
+        cached.cache_clear()
     builds = []
     shipped = gf._generalized_vandermonde
 
@@ -845,7 +985,14 @@ def test_second_decode_runs_no_elimination(monkeypatch):
         builds.append(tuple(exponents))
         return shipped(p, g, n, exponents)
 
+    decoder_calls = []
+
+    def counted_decoder(*args):
+        decoder_calls.append(args)
+        return decoder(*args)
+
     monkeypatch.setattr(gf, "_generalized_vandermonde", counted)
+    monkeypatch.setattr(codec, "_decoder", counted_decoder)
     code = fixture_code()
     plan = fixture_plan()
     shapes = BlockShapes(3, 2, 6)
@@ -856,10 +1003,15 @@ def test_second_decode_runs_no_elimination(monkeypatch):
         bundle = codec.encode(a, b, code, plan, shapes, seed=rng.randrange(2**30))
         responses = tuple(codec.server_evaluate(bundle, n) for n in range(18))
         assert codec.decode(responses, code, plan, shapes) == gf.mat_mul(29, a, b)
-        info = codec._decoder.cache_info()
+        assert len(decoder_calls) == hits + 1
+        info = decoder.cache_info()
         assert (info.misses, info.hits) == (1, hits)
         info = codec._power_matrix.cache_info()
         assert (info.misses, info.hits) == (2, 2 * hits)
+        info = codec._needed.cache_info()
+        assert (info.misses, info.hits) == (1, hits)
+        info = codec._stack.cache_info()
+        assert (info.misses, info.hits) == (3, 3 * hits)
         assert builds == [code.assignment.alpha, code.assignment.beta]
     # A singular plan encodes, but its decoder raises and is never cached.
     singular = codec.EvaluationPlan(PrimeFieldSpec(29), 28, code.exponents)
@@ -868,7 +1020,7 @@ def test_second_decode_runs_no_elimination(monkeypatch):
     for attempt in (2, 3):
         with pytest.raises(SingularMatrixError):
             codec.decode(responses, code, singular, shapes)
-        info = codec._decoder.cache_info()
+        info = decoder.cache_info()
         assert (info.misses, info.currsize) == (attempt, 1)
 
 

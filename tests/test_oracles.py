@@ -39,6 +39,11 @@ tests and CI check it against this.
 ``points`` takes one ``pow`` per evaluation point of a plan, and
 ``kakar_rate`` is the gap-free baseline's rate at the Kakar heuristic's
 (K, L).
+``stack_oracle`` is ``codec._stack`` as first written: one slice per
+row of each block, joined per call.  The library builds one index map
+per shape and gathers with it in one ``operator.itemgetter`` call, from
+row-major or column-major entries; the tests check every map, and
+encode's and decode's layouts, against this one.
 
 ``privacy_audit`` is the exhaustive privacy audit as first written: one
 ``codec.encode`` call per (secret, mask stack) and ``Counter``
@@ -276,6 +281,16 @@ def optimize_gasp_oracle(n: int, t: int) -> OptimizationResult:
 def points(plan: EvaluationPlan) -> tuple[int, ...]:
     """The evaluation points g ** 0, ..., g ** (N-1) of a plan, one ``pow`` each."""
     return tuple(pow(plan.generator, n, plan.field.p) for n in range(len(plan.exponents)))
+
+
+def stack_oracle(m: FieldMatrix, k: int, l: int) -> FieldMatrix:
+    """Split m into a k x l grid of blocks; block (i, j) becomes row i*l + j, flattened row-major."""
+    rows, cols = m.rows // k, m.cols // l
+    entries = tuple(itertools.chain.from_iterable(
+        m.entries[r * m.cols + j * cols:r * m.cols + (j + 1) * cols]
+        for i in range(k) for j in range(l) for r in range(i * rows, (i + 1) * rows)
+    ))
+    return FieldMatrix(k * l, rows * cols, entries)
 
 
 def kakar_rate(n: int, t: int) -> Fraction:
